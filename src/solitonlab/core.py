@@ -9,13 +9,17 @@ Conventions used throughout the package:
   below tolerance.
 * ``Jet2`` holds the value and the five partials up to order 2; ``vx`` and
   ``vxx`` differentiate with respect to the first variable, ``vt``/``vtt``
-  with respect to the second.
+  with respect to the second.  ``jet`` takes one point as two numbers or many
+  points as two arrays; each entry of the result is then a number or an
+  array (or a number that holds for every point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .errors import DomainError
 from .jetmath import TJet
@@ -88,10 +92,11 @@ class ScalarField2:
     """A function of two real variables with a derivative backend.
 
     ``evaluator`` must accept plain numbers; evaluators composed from the
-    :mod:`solitonlab.jetmath` primitives additionally accept jets and complex
-    substitutions, which is what the ``ExactJet`` backend and the Wick
-    rotations rely on.  ``domain_exclusions(a, b)`` returns True at points
-    that must not be evaluated.
+    :mod:`solitonlab.jetmath` primitives additionally accept jets, numpy
+    arrays, jets with array coefficients and complex substitutions, which is
+    what the ``ExactJet`` backend, vectorized sweeps and the Wick rotations
+    rely on.  ``domain_exclusions(a, b)`` returns True at points that must
+    not be evaluated; it is called with one point (two floats) at a time.
     """
 
     evaluator: Callable
@@ -107,22 +112,33 @@ class ScalarField2:
         return complex(self.evaluator(a, b))
 
 
-def _central_jet(fld: ScalarField2, a: float, b: float, h: float, tag: str) -> Jet2:
-    pts = [(a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h),
-           (a + h, b + h), (a + h, b - h), (a - h, b + h), (a - h, b - h)]
-    for (pa, pb) in pts:
-        if fld.excluded(pa, pb):
-            raise DomainError(f"stencil point ({pa}, {pb}) is excluded")
+def _points(a, b):
+    """The (a, b) points of scalar or array coordinates, as Python floats."""
+    if isinstance(a, np.ndarray):
+        return zip(a.tolist(), b.tolist())
+    return ((a, b),)
+
+
+def _require_kept(fld: ScalarField2, points, message: str) -> None:
+    """DomainError naming the first of ``points`` that ``fld`` excludes."""
+    excluded = fld.domain_exclusions
+    if excluded is not None:
+        for (pa, pb) in points:
+            if excluded(pa, pb):
+                raise DomainError(message.format(pa, pb))
+
+
+def _stencil(a, b, h):
+    return [(a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h),
+            (a + h, b + h), (a + h, b - h), (a - h, b + h), (a - h, b - h)]
+
+
+def _central_jet(fld: ScalarField2, a, b, h: float, tag: str) -> Jet2:
+    _require_kept(fld, (s for p in _points(a, b) for s in _stencil(*p, h)),
+                  "stencil point ({}, {}) is excluded")
     ev = fld.evaluator
-    f00 = complex(ev(a, b))
-    fp0 = complex(ev(a + h, b))
-    fm0 = complex(ev(a - h, b))
-    f0p = complex(ev(a, b + h))
-    f0m = complex(ev(a, b - h))
-    fpp = complex(ev(a + h, b + h))
-    fpm = complex(ev(a + h, b - h))
-    fmp = complex(ev(a - h, b + h))
-    fmm = complex(ev(a - h, b - h))
+    f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = (
+        TJet.coef(ev(sa, sb)) for (sa, sb) in _stencil(a, b, h))
     return Jet2(
         v=f00,
         vx=(fp0 - fm0) / (2 * h),
@@ -134,24 +150,25 @@ def _central_jet(fld: ScalarField2, a: float, b: float, h: float, tag: str) -> J
     )
 
 
-def jet(fld: ScalarField2, a: float, b: float) -> Jet2:
+def jet(fld: ScalarField2, a, b) -> Jet2:
     """Value and all partials to order 2 of ``fld`` at (a, b).
 
-    With the ``ExactJet`` backend the evaluator is run on Taylor jets; if it
-    uses primitives outside the supported set (raising ``TypeError``) the
+    ``a`` and ``b`` are numbers, or float arrays of equal shape for many
+    points at once; the evaluator then runs on arrays.  With the
+    ``ExactJet`` backend the evaluator is run on Taylor jets; if it uses
+    primitives outside the supported set (raising ``TypeError``) the
     computation falls back to central differences and the returned jet is
     flagged ``backend_used="central-fallback"``.
     """
     if isinstance(fld.backend, ExactJet):
-        if fld.excluded(a, b):
-            raise DomainError(f"point ({a}, {b}) is outside the field domain")
+        _require_kept(fld, _points(a, b), "point ({}, {}) is outside the field domain")
         try:
             out = fld.evaluator(TJet.seed_a(a), TJet.seed_b(b))
         except TypeError:
             return _central_jet(fld, a, b, DEFAULT_CENTRAL_H, "central-fallback")
         if isinstance(out, TJet):
             return Jet2(out.f, out.fx, out.ft, out.fxx, out.fxt, out.ftt)
-        return Jet2(complex(out), 0j, 0j, 0j, 0j, 0j)
+        return Jet2(TJet.coef(out), 0j, 0j, 0j, 0j, 0j)
     return _central_jet(fld, a, b, fld.backend.h, "central")
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from . import jetmath as jm
 from .errors import DomainError, JacobianSingular
 from .jetmath import TJet
-from .pde import ResidualReport
+from .pde import ResidualReport, summarize
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
 from .weierstrass import SurfaceMap
 
@@ -339,11 +339,6 @@ def complex_bi_residual_on_family(pair: ConjugatePair, theta: float, grid,
         xs, ts, ps = _family_jets(pair, theta, zeta)
         residuals.append(graph_residual_from_jets(xs, ts, ps, det_tol))
         kept.append((zeta.real, zeta.imag))
-    max_abs, worst = 0.0, None
-    for p, r in zip(kept, residuals):
-        if abs(r) >= max_abs:
-            max_abs, worst = abs(r), p
-    return ResidualReport(kept, residuals, max_abs, "exact", excluded,
-                          name=f"{pair.name} soliton family",
-                          equation="born_infeld", grid_spec=f"{len(grid)} points",
-                          worst_point=worst)
+    return summarize(kept, residuals, "exact", excluded,
+                     name=f"{pair.name} soliton family",
+                     equation="born_infeld", grid_spec=f"{len(grid)} points")

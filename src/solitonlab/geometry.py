@@ -116,6 +116,22 @@ def fundamental_forms(fld: ScalarField2, y: float, z: float,
                      disc=E * G - F * F)
 
 
+def _classify_jet(fld: ScalarField2, y: float, z: float, tol: float):
+    """(class, jet, W) at (y, z); the jet and W are None at lightlike points."""
+    try:
+        j = jet(fld, y, z)
+        w = 1 + j.vx ** 2 - j.vt ** 2
+    except (DomainError, ZeroDivisionError, ValueError, OverflowError):
+        return CausalClass.LIGHTLIKE, None, None
+    if abs(w.imag) > _REAL_TOL * (1.0 + abs(w.real)) or not math.isfinite(w.real):
+        return CausalClass.LIGHTLIKE, None, None
+    if w.real > tol:
+        return CausalClass.TIMELIKE, j, w.real
+    if w.real < -tol:
+        return CausalClass.SPACELIKE, j, w.real
+    return CausalClass.LIGHTLIKE, None, None
+
+
 def causal_classify(fld: ScalarField2, y: float, z: float,
                     tol: float = TOL_DEGENERATE) -> CausalClass:
     """Timelike if W > tol, spacelike if W < -tol, else lightlike.
@@ -124,18 +140,7 @@ def causal_classify(fld: ScalarField2, y: float, z: float,
     gradient of a graph blows up exactly where its tangent plane degenerates)
     classify as lightlike rather than raising.
     """
-    try:
-        j = jet(fld, y, z)
-        w = 1 + j.vx ** 2 - j.vt ** 2
-    except (DomainError, ZeroDivisionError, ValueError, OverflowError):
-        return CausalClass.LIGHTLIKE
-    if abs(w.imag) > _REAL_TOL * (1.0 + abs(w.real)) or not math.isfinite(w.real):
-        return CausalClass.LIGHTLIKE
-    if w.real > tol:
-        return CausalClass.TIMELIKE
-    if w.real < -tol:
-        return CausalClass.SPACELIKE
-    return CausalClass.LIGHTLIKE
+    return _classify_jet(fld, y, z, tol)[0]
 
 
 def unit_normal(fld: ScalarField2, y: float, z: float,
@@ -157,13 +162,17 @@ def born_infeld_numerator(fld: ScalarField2, y: float, z: float) -> float:
     return _real(_numerator_from_jet(j), "Born-Infeld numerator")
 
 
+def _mean_curvature_from_jet(j: Jet2, w: float) -> float:
+    _real(j.v, "field value")
+    num = _real(_numerator_from_jet(j), "Born-Infeld numerator")
+    return -0.5 * num / abs(w) ** 1.5
+
+
 def mean_curvature(fld: ScalarField2, y: float, z: float,
                    tol: float = TOL_DEGENERATE) -> float:
     """H = (eps/2)(eG - 2 f F + g E)/(EG - F^2) with eps = +1 timelike,
     -1 spacelike; algebraically equal to -(1/2) N_BI / |W|^(3/2)."""
-    j, w = _jet_off_degenerate(fld, y, z, tol)
-    num = _real(_numerator_from_jet(j), "Born-Infeld numerator")
-    return -0.5 * num / abs(w) ** 1.5
+    return _mean_curvature_from_jet(*_jet_off_degenerate(fld, y, z, tol))
 
 
 def graph_point_report(fld: ScalarField2, y: float, z: float,
@@ -178,16 +187,14 @@ def graph_point_report(fld: ScalarField2, y: float, z: float,
 def classify_grid(fld: ScalarField2, grid: GridSpec,
                   tol: float = TOL_DEGENERATE) -> list:
     """Rows (y, z, class, H) for a grid sweep; H is NaN off non-degenerate
-    points and excluded points are skipped entirely."""
+    points and excluded points are skipped entirely.  One jet per point."""
     rows = []
     for (y, z) in grid.points():
         if fld.excluded(y, z):
             continue
-        causal = causal_classify(fld, y, z, tol)
-        if causal is CausalClass.LIGHTLIKE:
-            rows.append((y, z, causal.value, math.nan))
-        else:
-            rows.append((y, z, causal.value, mean_curvature(fld, y, z, tol)))
+        causal, j, w = _classify_jet(fld, y, z, tol)
+        H = math.nan if j is None else _mean_curvature_from_jet(j, w)
+        rows.append((y, z, causal.value, H))
     return rows
 
 

@@ -6,10 +6,17 @@ function f(a, b) at a point, with complex coefficients.  Propagating jets
 through an expression built from the primitives below yields derivatives
 that are exact up to roundoff (no truncation error).
 
+Jet coefficients are either Python ``complex`` numbers (one point) or numpy
+``complex128`` arrays (one entry per point, as in Taylor-mode propagation
+over a whole grid); the arithmetic below broadcasts, and a jet may mix
+scalar and array coefficients.
+
 The module-level functions (``exp``, ``log``, ``atan``, ...) dispatch on
-their argument: a plain number goes through :mod:`cmath`, a ``TJet`` through
-the chain rule.  Field evaluators written against these functions can
-therefore be called with numbers, complex numbers, or jets interchangeably.
+their argument: a plain number goes through :mod:`cmath`, an array through
+the numpy ufunc of the same function, and a ``TJet`` through the chain
+rule, which evaluates with :mod:`cmath` or numpy to match its coefficients.
+Field evaluators written against these functions can therefore be called
+with numbers, complex numbers, arrays or jets interchangeably.
 
 ``conj``, ``re`` and ``im`` act coefficient-wise; this is valid because the
 jet variables are real, so conjugation commutes with differentiation.
@@ -19,13 +26,35 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 _NUMBER = (int, float, complex)
+
+# numpy's ufuncs under cmath's names, for array coefficients.
+_NP = SimpleNamespace(
+    exp=np.exp, log=np.log, sqrt=np.sqrt, sin=np.sin, cos=np.cos, tan=np.tan,
+    sinh=np.sinh, cosh=np.cosh, tanh=np.tanh,
+    atan=np.arctan, atanh=np.arctanh, asinh=np.arcsinh,
+)
+
+
+def _math(c):
+    """The function library for a coefficient: numpy for arrays, else cmath."""
+    return _NP if isinstance(c, np.ndarray) else cmath
+
+
+def _real_coef(x):
+    """A real coefficient as a complex one, keeping the sign of zero."""
+    return x.astype(complex) if isinstance(x, np.ndarray) else complex(x)
 
 
 @dataclass(frozen=True, slots=True)
 class TJet:
-    """Order-2 Taylor jet of f(a, b): value, gradient and Hessian entries."""
+    """Order-2 Taylor jet of f(a, b): value, gradient and Hessian entries.
+
+    Each coefficient is a ``complex`` or a ``complex128`` array."""
 
     f: complex
     fx: complex = 0j  # d/da
@@ -35,14 +64,20 @@ class TJet:
     ftt: complex = 0j
 
     @staticmethod
+    def coef(x):
+        """``x`` as a jet coefficient: an array becomes ``complex128``, anything
+        else a Python ``complex``."""
+        return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
+
+    @staticmethod
     def seed_a(a) -> "TJet":
-        """Jet of the coordinate function (a, b) -> a."""
-        return TJet(complex(a), 1.0 + 0j)
+        """Jet of the coordinate function (a, b) -> a; ``a`` may be an array."""
+        return TJet(TJet.coef(a), 1.0 + 0j)
 
     @staticmethod
     def seed_b(b) -> "TJet":
-        """Jet of the coordinate function (a, b) -> b."""
-        return TJet(complex(b), 0j, 1.0 + 0j)
+        """Jet of the coordinate function (a, b) -> b; ``b`` may be an array."""
+        return TJet(TJet.coef(b), 0j, 1.0 + 0j)
 
     # -- ring operations -------------------------------------------------
 
@@ -122,7 +157,9 @@ class TJet:
         )
 
     def _reciprocal(self) -> "TJet":
-        w = 1.0 / self.f  # ZeroDivisionError propagates, by design
+        # A scalar 1/0 raises ZeroDivisionError, by design; an array entry
+        # becomes inf/nan and is caught by the finiteness check of the caller.
+        w = 1.0 / self.f
         return self._compose(w, -w * w, 2 * w * w * w)
 
     def _int_pow(self, n: int) -> "TJet":
@@ -142,111 +179,118 @@ class TJet:
                     self.fxx.conjugate(), self.fxt.conjugate(), self.ftt.conjugate())
 
     def real_part(self) -> "TJet":
-        return TJet(complex(self.f.real), complex(self.fx.real), complex(self.ft.real),
-                    complex(self.fxx.real), complex(self.fxt.real), complex(self.ftt.real))
+        return TJet(_real_coef(self.f.real), _real_coef(self.fx.real), _real_coef(self.ft.real),
+                    _real_coef(self.fxx.real), _real_coef(self.fxt.real),
+                    _real_coef(self.ftt.real))
 
     def imag_part(self) -> "TJet":
-        return TJet(complex(self.f.imag), complex(self.fx.imag), complex(self.ft.imag),
-                    complex(self.fxx.imag), complex(self.fxt.imag), complex(self.ftt.imag))
+        return TJet(_real_coef(self.f.imag), _real_coef(self.fx.imag), _real_coef(self.ft.imag),
+                    _real_coef(self.fxx.imag), _real_coef(self.fxt.imag),
+                    _real_coef(self.ftt.imag))
 
 
-def _dispatch(z, jet_rule, num_fn):
+def _dispatch(z, jet_rule, num_fn, array_fn):
     if isinstance(z, TJet):
-        return jet_rule(z)
+        return jet_rule(z, _math(z.f))
     if isinstance(z, _NUMBER):
         return num_fn(complex(z))
+    if isinstance(z, np.ndarray):
+        return array_fn(np.asarray(z, dtype=complex))
     raise TypeError(f"unsupported operand type {type(z).__name__!r}")
 
 
 def exp(z):
-    return _dispatch(z, lambda j: j._compose(*(cmath.exp(j.f),) * 3), cmath.exp)
+    def rule(j, m):
+        w = m.exp(j.f)
+        return j._compose(w, w, w)
+    return _dispatch(z, rule, cmath.exp, np.exp)
 
 
 def log(z):
-    def rule(j):
+    def rule(j, m):
         w = 1.0 / j.f
-        return j._compose(cmath.log(j.f), w, -w * w)
-    return _dispatch(z, rule, cmath.log)
+        return j._compose(m.log(j.f), w, -w * w)
+    return _dispatch(z, rule, cmath.log, np.log)
 
 
 def sqrt(z):
-    def rule(j):
-        r = cmath.sqrt(j.f)
+    def rule(j, m):
+        r = m.sqrt(j.f)
         d1 = 0.5 / r
         return j._compose(r, d1, -0.25 / (j.f * r))
-    return _dispatch(z, rule, cmath.sqrt)
+    return _dispatch(z, rule, cmath.sqrt, np.sqrt)
 
 
 def sin(z):
-    def rule(j):
-        s, c = cmath.sin(j.f), cmath.cos(j.f)
+    def rule(j, m):
+        s, c = m.sin(j.f), m.cos(j.f)
         return j._compose(s, c, -s)
-    return _dispatch(z, rule, cmath.sin)
+    return _dispatch(z, rule, cmath.sin, np.sin)
 
 
 def cos(z):
-    def rule(j):
-        s, c = cmath.sin(j.f), cmath.cos(j.f)
+    def rule(j, m):
+        s, c = m.sin(j.f), m.cos(j.f)
         return j._compose(c, -s, -c)
-    return _dispatch(z, rule, cmath.cos)
+    return _dispatch(z, rule, cmath.cos, np.cos)
 
 
 def tan(z):
-    def rule(j):
-        t = cmath.tan(j.f)
+    def rule(j, m):
+        t = m.tan(j.f)
         sec2 = 1 + t * t
         return j._compose(t, sec2, 2 * t * sec2)
-    return _dispatch(z, rule, cmath.tan)
+    return _dispatch(z, rule, cmath.tan, np.tan)
 
 
 def sinh(z):
-    def rule(j):
-        s, c = cmath.sinh(j.f), cmath.cosh(j.f)
+    def rule(j, m):
+        s, c = m.sinh(j.f), m.cosh(j.f)
         return j._compose(s, c, s)
-    return _dispatch(z, rule, cmath.sinh)
+    return _dispatch(z, rule, cmath.sinh, np.sinh)
 
 
 def cosh(z):
-    def rule(j):
-        s, c = cmath.sinh(j.f), cmath.cosh(j.f)
+    def rule(j, m):
+        s, c = m.sinh(j.f), m.cosh(j.f)
         return j._compose(c, s, c)
-    return _dispatch(z, rule, cmath.cosh)
+    return _dispatch(z, rule, cmath.cosh, np.cosh)
 
 
 def tanh(z):
-    def rule(j):
-        t = cmath.tanh(j.f)
+    def rule(j, m):
+        t = m.tanh(j.f)
         sech2 = 1 - t * t
         return j._compose(t, sech2, -2 * t * sech2)
-    return _dispatch(z, rule, cmath.tanh)
+    return _dispatch(z, rule, cmath.tanh, np.tanh)
 
 
 def atan(z):
-    def rule(j):
+    def rule(j, m):
         d = 1 + j.f * j.f
-        return j._compose(cmath.atan(j.f), 1 / d, -2 * j.f / (d * d))
-    return _dispatch(z, rule, cmath.atan)
+        return j._compose(m.atan(j.f), 1 / d, -2 * j.f / (d * d))
+    return _dispatch(z, rule, cmath.atan, np.arctan)
 
 
 def atanh(z):
-    def rule(j):
+    def rule(j, m):
         d = 1 - j.f * j.f
-        return j._compose(cmath.atanh(j.f), 1 / d, 2 * j.f / (d * d))
-    return _dispatch(z, rule, cmath.atanh)
+        return j._compose(m.atanh(j.f), 1 / d, 2 * j.f / (d * d))
+    return _dispatch(z, rule, cmath.atanh, np.arctanh)
 
 
 def asinh(z):
-    def rule(j):
+    def rule(j, m):
         d = 1 + j.f * j.f
-        r = cmath.sqrt(d)
-        return j._compose(cmath.asinh(j.f), 1 / r, -j.f / (d * r))
-    return _dispatch(z, rule, cmath.asinh)
+        r = m.sqrt(d)
+        return j._compose(m.asinh(j.f), 1 / r, -j.f / (d * r))
+    return _dispatch(z, rule, cmath.asinh, np.arcsinh)
 
 
 def power(z, p):
     if isinstance(z, TJet):
         return z ** p
-    return complex(z) ** p
+    return TJet.coef(z) ** p
 
 
 def conj(z):
@@ -256,10 +300,14 @@ def conj(z):
 def re(z):
     if isinstance(z, TJet):
         return z.real_part()
+    if isinstance(z, np.ndarray):
+        return z.real
     return complex(z).real
 
 
 def im(z):
     if isinstance(z, TJet):
         return z.imag_part()
+    if isinstance(z, np.ndarray):
+        return z.imag
     return complex(z).imag

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import jetmath as jm
 from .core import Backend, ExactJet, Jet2, ScalarField2, jet
@@ -153,7 +154,7 @@ class GridSpec:
 @dataclass
 class ResidualReport:
     grid: list
-    residuals: list
+    residuals: np.ndarray
     max_abs: float
     backend: str
     excluded_count: int
@@ -174,39 +175,78 @@ class ResidualReport:
         }
 
 
-def _worker_count() -> int:
+def summarize(points: list, residuals, backend: str, excluded_count: int,
+              name: str = "", equation: str = "", grid_spec: str = "") -> ResidualReport:
+    """The report of residuals evaluated at ``points``.  A non-finite
+    residual counts as infinitely large, so it fails every tolerance; the
+    worst point is the last maximum in the order of ``points``."""
+    residuals = np.asarray(residuals, dtype=complex)
+    max_abs, worst = 0.0, None
+    if len(points):
+        mags = np.abs(residuals)
+        mags[np.isnan(mags)] = np.inf
+        last = len(mags) - 1 - int(np.argmax(mags[::-1]))
+        max_abs, worst = float(mags[last]), points[last]
+    return ResidualReport(points, residuals, max_abs, backend, excluded_count,
+                          name=name, equation=equation, grid_spec=grid_spec,
+                          worst_point=worst)
+
+
+# Points per array pass of a sweep: bounds the memory its temporaries take.
+_BLOCK = 4096
+_NAN = complex(math.nan, math.nan)
+
+
+def _point_residual(fld: ScalarField2, equation: Equation, a: float, b: float,
+                    used: set) -> complex:
+    """Residual at one point; a point where the jet is singular yields NaN."""
     try:
-        return max(1, int(os.environ.get("SOLITON_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
+        j = jet(fld, a, b)
+        used.add(j.backend_used)
+        return _residual_from_jet(j, equation)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return _NAN
+
+
+def _block_residuals(fld: ScalarField2, equation: Equation, a: np.ndarray,
+                     b: np.ndarray, used: set):
+    """Residuals at the points (a[i], b[i]) in one array pass, or point by
+    point when the evaluator does not accept arrays."""
+    with np.errstate(all="ignore"):
+        try:
+            j = jet(fld, a, b)
+        except (TypeError, ValueError):
+            # An evaluator written for numbers fails on arrays with TypeError
+            # (math.cos of an array) or ValueError (the truth of an array).
+            pass
+        else:
+            used.add(j.backend_used)
+            return _residual_from_jet(j, equation)
+    return [_point_residual(fld, equation, pa, pb, used)
+            for pa, pb in zip(a.tolist(), b.tolist())]
 
 
 def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
                    name: str = "") -> ResidualReport:
     """Evaluate the residual of ``equation`` over the grid, skipping excluded
-    points.  Deterministic: output order is grid order regardless of workers."""
+    points.  Kept points are evaluated in array passes of ``_BLOCK`` points;
+    the residuals come back in grid order."""
     pts = grid.points()
-    kept = [p for p in pts if not fld.excluded(*p)]
-    excluded = len(pts) - len(kept)
-
-    def one(p):
-        return equation_residual(fld, equation, p[0], p[1])
-
-    workers = _worker_count()
-    if workers > 1 and len(kept) > 64:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            residuals = list(ex.map(one, kept))
+    is_excluded = fld.domain_exclusions
+    kept = pts if is_excluded is None else [p for p in pts if not is_excluded(*p)]
+    coords = np.fromiter(chain.from_iterable(kept), float, 2 * len(kept)).reshape(-1, 2)
+    residuals = np.empty(len(kept), dtype=complex)
+    used = set()
+    for s in range(0, len(kept), _BLOCK):
+        block = coords[s:s + _BLOCK]
+        residuals[s:s + len(block)] = _block_residuals(fld, equation, block[:, 0],
+                                                       block[:, 1], used)
+    if isinstance(fld.backend, ExactJet):
+        backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
-        residuals = [one(p) for p in kept]
-
-    max_abs, worst = 0.0, None
-    for p, r in zip(kept, residuals):
-        if abs(r) >= max_abs:
-            max_abs, worst = abs(r), p
-    backend = "exact" if isinstance(fld.backend, ExactJet) else f"central(h={fld.backend.h:g})"
-    return ResidualReport(kept, residuals, max_abs, backend, excluded,
-                          name=name, equation=equation.value,
-                          grid_spec=grid.as_text(), worst_point=worst)
+        backend = f"central(h={fld.backend.h:g})"
+    return summarize(kept, residuals, backend, len(pts) - len(kept), name=name,
+                     equation=equation.value, grid_spec=grid.as_text())
 
 
 # -- catalog ---------------------------------------------------------------

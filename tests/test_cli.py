@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,34 @@ def test_residual_pass_and_fail_exit_codes(capsys):
                           "--tolerance", "1e-30"], capsys)
     assert code == 1
     assert err.startswith("FAIL") and "\n" == err[-1] and err.count("\n") == 1
+
+
+def test_singular_grid_point_fails_without_traceback(capsys):
+    # a negative margin keeps the helicoid's singular line a = 0 on the grid
+    code, out, err = run(["residual", "--solution", "helicoid_minimal", "--margin", "-1",
+                          "--grid", "-1:1:-1:1:5:5"], capsys)
+    assert code == 1
+    assert '"max_abs": inf' in out and '"worst_point": [\n    0,\n    1\n  ]' in out
+    assert err.startswith("FAIL max_abs=inf > tolerance=") and err.count("\n") == 1
+
+
+def _recorded_cli_digests() -> dict:
+    """The CLI_DIGESTS literal that the benchmark gates its CLI outputs on."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "CLI_DIGESTS":
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no CLI_DIGESTS in {path}")
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("residual", ["residual", "--solution", "wick_scherk", "--grid", "-1:1:-1:1:21:21"]),
+    ("geometry", ["geometry", "classify", "--solution", "example1"]),
+])
+def test_stdout_matches_recorded_digest(name, argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _recorded_cli_digests()[name]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -148,3 +149,47 @@ def test_complex_valued_field_is_first_class():
     fld = ScalarField2(lambda a, b: 1j * a * jm.tanh(b))
     j = jet(fld, 0.7, 0.2)
     assert abs(j.vx - 1j * math.tanh(0.2)) < 1e-14
+
+
+# Points on and next to the branch cuts, with both signs of a zero part: the
+# cuts of log and sqrt lie on the negative real axis, those of atanh on the
+# real axis beyond +-1, and those of atan and asinh on the imaginary axis
+# beyond +-i.
+_CUT_POINTS = [complex(x, y) for x in (-2.0, -0.5, 0.0, -0.0, 0.5, 2.0)
+               for y in (-2.0, -0.5, 0.0, -0.0, 0.5, 2.0) if x or y]
+
+
+@pytest.mark.parametrize("name,ref", [
+    ("log", cmath.log), ("sqrt", cmath.sqrt), ("atan", cmath.atan),
+    ("atanh", cmath.atanh), ("asinh", cmath.asinh),
+])
+def test_array_branch_cuts_match_cmath(name, ref):
+    fn = getattr(jm, name)
+    z = np.array(_CUT_POINTS)
+    want = [ref(p) for p in _CUT_POINTS]
+    for got in (fn(z), fn(jm.TJet(z)).f):
+        for p, g, w in zip(_CUT_POINTS, got, want):
+            # a wrong branch is off by O(1), an ulp difference is not
+            assert abs(g - w) <= 1e-15 * (1 + abs(w)), (name, p, g, w)
+
+
+def test_array_jet_matches_scalar_jets():
+    fld = ScalarField2(
+        lambda a, b: jm.tan(a) * jm.atanh(b) + jm.power(jm.cosh(a), 3) - jm.atan(a * b)
+        + jm.re(jm.log(a + 1j * b)) - 2j * jm.im(jm.sqrt(b - 1j * a)))
+    a = np.array([0.4, -0.7, 1.1])
+    b = np.array([0.3, 0.2, -0.6])
+    ja = jet(fld, a, b)
+    for i in range(len(a)):
+        js = jet(fld, float(a[i]), float(b[i]))
+        for attr in ("v", "vx", "vt", "vxx", "vxt", "vtt"):
+            want = getattr(js, attr)
+            assert abs(getattr(ja, attr)[i] - want) <= 1e-14 * (1 + abs(want))
+
+
+def test_array_jets_check_every_point_and_stencil():
+    fld = ScalarField2(lambda a, b: a * b, domain_exclusions=lambda a, b: a > 1.0)
+    with pytest.raises(DomainError):
+        jet(fld, np.array([0.0, 1.5]), np.array([0.0, 0.0]))
+    with pytest.raises(DomainError):
+        jet(with_backend(fld, CentralDiff(0.1)), np.array([0.0, 0.95]), np.array([0.0, 0.0]))

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from solitonlab import jetmath as jm
@@ -13,11 +14,13 @@ from solitonlab.pde import (
     GridSpec,
     born_infeld_residual,
     catalog_names,
+    equation_residual,
     gradient_spacelike,
     maximal_residual,
     minimal_residual,
     residual_sweep,
     solution,
+    summarize,
     wick_rotate_t,
     wick_rotate_x,
     wick_scherk_field,
@@ -181,3 +184,84 @@ def test_report_json_fields():
     assert set(d) == {"name", "equation", "backend", "grid_spec", "max_abs",
                       "worst_point", "excluded_count"}
     assert d["equation"] == "maximal"
+
+
+# -- array sweeps against the per-point scalar path ---------------------------
+
+def _sweep_cases():
+    for name in catalog_names():
+        e = solution(name)
+        yield name, e.field, e.equation, DEFAULT_GRIDS[name]
+    for name, grid in WICK_GRIDS.items():
+        yield f"wick_x {name}", wick_rotate_x(solution(name).field), Equation.BORN_INFELD, grid
+
+
+_BIT_IDENTICAL = {"scherk_first_kind", "scherk_minimal", "wick_scherk"}
+
+
+@pytest.mark.parametrize("backend,tol", [(None, 1e-13), (CentralDiff(1e-4), 1e-6)],
+                         ids=["exact", "central"])
+@pytest.mark.parametrize("label,fld,equation,grid",
+                         [pytest.param(*case, id=case[0]) for case in _sweep_cases()])
+def test_array_sweep_matches_per_point_residuals(label, fld, equation, grid, backend, tol):
+    if backend is not None:
+        fld = with_backend(fld, backend)
+    rep = residual_sweep(fld, equation, grid)
+    want = np.array([equation_residual(fld, equation, a, b) for (a, b) in rep.grid])
+    assert isinstance(rep.residuals, np.ndarray)
+    if backend is None and label in _BIT_IDENTICAL:
+        assert np.array_equal(rep.residuals, want)
+    else:
+        # numpy's ufuncs and complex products differ from cmath in the last
+        # ulp; central differences amplify that by about eps/h^2
+        assert np.max(np.abs(rep.residuals - want)) <= tol
+
+
+def test_worst_point_is_last_maximum_in_grid_order():
+    rep = summarize([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)],
+                    [1.0, -3.0, 3j, 2.0, 0.5], "exact", 0)
+    assert (rep.max_abs, rep.worst_point) == (3.0, (1, 0))
+    # u = a^2 has maximal residual 2 everywhere: every point ties
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 3)
+    rep = residual_sweep(ScalarField2(lambda a, b: a * a), Equation.MAXIMAL, grid)
+    assert rep.max_abs == 2.0
+    assert rep.worst_point == grid.points()[-1]
+
+
+def test_nan_residual_fails_the_sweep():
+    rep = summarize([(0, 0), (0, 1), (1, 0)], [1.0, complex(math.nan, 0), 2.0], "exact", 0)
+    assert (rep.max_abs, rep.worst_point) == (math.inf, (0, 1))
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    rep = residual_sweep(ScalarField2(lambda a, b: math.nan * a * b), Equation.MAXIMAL, grid)
+    assert rep.max_abs == math.inf
+    assert rep.worst_point == grid.points()[-1]
+    assert rep.to_json_dict()["max_abs"] == math.inf
+
+
+def test_division_by_zero_fails_the_sweep():
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    # a = 0 is not excluded: the three points on it are singular
+    rep = residual_sweep(ScalarField2(lambda a, b: b / a), Equation.MAXIMAL, grid)
+    assert rep.max_abs == math.inf
+    assert rep.worst_point == (0.0, 1.0)
+    assert len(rep.residuals) == 9 and rep.excluded_count == 0
+    # the same through the per-point path of an evaluator that rejects arrays
+    fld = ScalarField2(lambda a, b: math.cos(a) + b / a)
+    rep = residual_sweep(fld, Equation.MAXIMAL, grid)
+    assert rep.max_abs == math.inf
+    assert rep.worst_point == (0.0, 1.0)
+
+
+def test_backend_label_names_the_central_fallback():
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11)
+    with_math = ScalarField2(lambda a, b: math.log(math.cosh(b)) - math.log(math.cos(a)))
+    rep = residual_sweep(with_math, Equation.BORN_INFELD, grid)
+    assert rep.backend == "exact+central-fallback"
+    assert rep.to_json_dict()["backend"] == "exact+central-fallback"
+    assert rep.max_abs <= 1e-5
+    # branching on the argument fails on jets and on arrays, but not on numbers
+    branching = ScalarField2(lambda a, b: a * a if a > 0 else -a * a)
+    rep = residual_sweep(branching, Equation.MAXIMAL, GridSpec(0.5, 1.0, 0.5, 1.0, 3, 3))
+    assert rep.backend == "exact+central-fallback"
+    assert rep.max_abs == pytest.approx(2.0, abs=1e-5)
+    assert residual_sweep(wick_scherk_field(), Equation.BORN_INFELD, grid).backend == "exact"
