@@ -221,7 +221,6 @@ def build_parser() -> _Parser:
     r.add_argument("--k", type=float, default=1.0, help="helicoid family parameter")
     r.add_argument("--margin", type=float, default=pde.DEFAULT_MARGIN)
     r.add_argument("--tolerance", type=float, default=1e-6)
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", default=None)
     r.set_defaults(fn=_cmd_residual)
 

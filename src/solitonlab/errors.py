@@ -31,3 +31,8 @@ class ExcludedPoint(SolitonLabError):
 
 class JacobianSingular(SolitonLabError):
     """Graph projection of a parametrized surface degenerates at a point."""
+
+
+class QuadratureError(SolitonLabError):
+    """Contour quadrature met a non-finite integrand value or could not reach
+    its tolerance within the subinterval budget."""

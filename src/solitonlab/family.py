@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import jetmath as jm
 from .errors import DomainError, JacobianSingular
 from .jetmath import TJet
@@ -213,17 +215,17 @@ def whitham_constraint_defect(wp: WhithamPair, zeta: complex) -> float:
     return abs(g.conjugate() + h)
 
 
-def holomorphic_derivative(fn: Callable, z: complex) -> complex:
-    """f'(z) by first-order jet propagation; falls back to a five-point
-    stencil for evaluators that reject jets."""
+def holomorphic_derivative(fn: Callable, z):
+    """f'(z) by first-order jet propagation; ``z`` may be a complex number or
+    an array of them.  Falls back to a five-point stencil, for a number
+    ``z``, when the evaluator rejects jets."""
     try:
-        out = fn(TJet(complex(z), 1.0 + 0j))
+        out = fn(TJet(TJet.coef(z), 1.0 + 0j))
     except TypeError:
         h = 1e-3
         return complex(-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12 * h)
-    if isinstance(out, TJet):
-        return out.fx
-    return 0j
+    d = out.fx if isinstance(out, TJet) else 0j
+    return np.broadcast_to(d, z.shape) if isinstance(z, np.ndarray) else d
 
 
 def calibrate_offsets(wp: WhithamPair, pair: ConjugatePair) -> WhithamPair:
@@ -257,13 +259,15 @@ def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint,
     path_h = build_path(base, z, poles, margin)
     path_g = build_path(baseb, zb, polesb, margin)
 
-    hp = lambda w: holomorphic_derivative(wp.Hfun, w)
-    gp = lambda w: holomorphic_derivative(wp.Gfun, w)
+    def moments(fn):
+        # (w^2 f'(w), w f'(w)), with f' computed once per array of nodes
+        def fvec(w):
+            d = holomorphic_derivative(fn, w)
+            return w * w * d, w * d
+        return fvec
 
-    q1 = integrate_segments(lambda w: [w * w * hp(w)], path_h)[0]
-    q3h = integrate_segments(lambda w: [w * hp(w)], path_h)[0]
-    q2 = integrate_segments(lambda w: [w * w * gp(w)], path_g)[0]
-    q3g = integrate_segments(lambda w: [w * gp(w)], path_g)[0]
+    q1, q3h = integrate_segments(moments(wp.Hfun), path_h)
+    q2, q3g = integrate_segments(moments(wp.Gfun), path_g)
 
     c1, c2, c3 = wp.offsets
     d1 = abs((point.xs - point.ts) - (complex(wp.Gfun(zb)) - q1) - c1)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import ExcludedPoint
 
@@ -256,7 +255,21 @@ def ram_cos_product(X: complex, A: complex, K: int) -> TruncationResult:
 def arctan_tail(X: float, A: float, K: int) -> float:
     """Closed-form estimate of the omitted tail: the paired terms behave like
     -2XA/(pi^2 k^2), and sum_{k>K} 1/k^2 = psi'(K + 1)."""
-    return -2.0 * X * A / math.pi ** 2 * float(polygamma(1, K + 1))
+    return -2.0 * X * A / math.pi ** 2 * _trigamma(K + 1)
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x + 1) + 1/x^2 up to
+    x >= 20, then the asymptotic series
+    1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7) - 1/(30x^9) + 5/(66x^11)."""
+    x = float(x)
+    head = 0.0
+    while x < 20.0:
+        head += 1.0 / (x * x)
+        x += 1.0
+    y = 1.0 / (x * x)
+    tail = y * (1 / 6 - y * (1 / 30 - y * (1 / 42 - y * (1 / 30 - y * 5 / 66))))
+    return head + (1.0 + 0.5 / x + tail) / x
 
 
 def ram_arctan_sum(X: float, A: float, K: int,

@@ -1,11 +1,17 @@
 import ast
+import dataclasses
 import hashlib
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from solitonlab import cli, weierstrass
 from solitonlab.cli import main
+from solitonlab.family import WhithamPair
 
 
 def run(argv, capsys):
@@ -162,3 +168,39 @@ def test_thread_env_var_does_not_change_output(tmp_path):
         else:
             os.environ["SOLITON_LAB_THREADS"] = old
     assert a.read_bytes() == b.read_bytes()
+
+
+def _nan_whitham(theta):
+    return WhithamPair(lambda xb: math.nan * xb, lambda z: math.nan * z, theta)
+
+
+def _nan_we_surface(name):
+    # a surface sampled by Weierstrass quadrature of data that is NaN everywhere
+    datum = weierstrass.WEData(lambda w: math.nan * w, weierstrass.Variant.STANDARD, 1 + 0j)
+    return weierstrass.SurfaceMap(
+        lambda u, v: dataclasses.astuple(weierstrass.we_integrate(datum, complex(u, v))))
+
+
+@pytest.mark.parametrize("argv,module,name,replacement", [
+    (["family", "--num-points", "2"], cli, "catalog_whitham", _nan_whitham),
+    (["surface", "sample", "--name", "scherk_first_kind", "--grid", "1:2:1:2:2:2"],
+     weierstrass, "catalog_surface", _nan_we_surface),
+])
+def test_quadrature_error_exits_1_without_traceback(argv, module, name, replacement,
+                                                    monkeypatch, capsys):
+    monkeypatch.setattr(module, name, replacement)
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: non-finite integrand value") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, solitonlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from solitonlab.errors import ExcludedPoint
 from solitonlab.identities import (
     REGISTRY,
+    _trigamma,
     arctan_tail,
     convergence_order,
     helicoid2_identity,
@@ -90,6 +91,14 @@ def test_arctan_sum_convergence_and_tail_correction():
     # the paired terms decay like 1/k^2, so the raw error tracks the
     # closed-form tail estimate
     assert raw.abs_err == pytest.approx(abs(arctan_tail(1.0, 0.7, 10 ** 4)), rel=0.05)
+
+
+def test_trigamma_matches_scipy():
+    polygamma = pytest.importorskip("scipy.special").polygamma
+    xs = np.concatenate([np.linspace(1.0, 30.0, 581), np.logspace(0.0, 9.0, 181)])
+    for x in xs:
+        ref = float(polygamma(1, x))
+        assert abs(_trigamma(x) - ref) <= 1e-15 * ref, x
 
 
 def test_arctan_sum_against_high_K_oracle():

@@ -1,0 +1,127 @@
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from solitonlab.errors import QuadratureError
+from solitonlab.family import catalog_whitham, holomorphic_derivative
+from solitonlab.quadrature import build_path, integrate_segments
+from solitonlab.weierstrass import closed_form_point, integrand, we_catalog, we_integrate
+
+# A catenoid detour target just across the negative real axis: next to the
+# pole at 0 the per-length share of the tolerance is below round-off, so
+# only the round-off guard lets the bisection stop.
+CATENOID_DETOUR = -1.1870758570702595 + 0.003661878734459316j
+
+# (datum, target, expected path length): straight, detour and near-pole paths
+_PATHS = [
+    ("scherk_first_kind", 2.0 + 0.7j, 2),
+    ("scherk_first_kind", 1.4 - 0.5j, 2),
+    ("scherk_first_kind", 0.5 + 0.001j, 3),
+    ("scherk_first_kind", 0.35 - 0.003j, 3),
+    ("scherk_first_kind", 1.001 + 0.0005j, 2),
+    ("lorentzian_catenoid", 1.0 + 0.6j, 2),
+    ("lorentzian_catenoid", 0.5 - 0.3j, 2),
+    ("lorentzian_catenoid", CATENOID_DETOUR, 3),
+    ("lorentzian_catenoid", -0.5 - 0.002j, 3),
+    ("lorentzian_catenoid", 0.02 + 0.01j, 2),
+]
+
+
+def _counted(fvec):
+    calls = []
+
+    def f(w):
+        calls.append(np.size(w))
+        return fvec(w)
+    return f, calls
+
+
+def _quad_vec_reference(fvec, path):
+    quad_vec = pytest.importorskip("scipy.integrate").quad_vec
+    total = 0j
+    for a, b in zip(path[:-1], path[1:]):
+        d = b - a
+        val, _err = quad_vec(lambda s: np.asarray(fvec(a + s * d), dtype=complex) * d,
+                             0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
+        total = total + val
+    return total
+
+
+@pytest.mark.parametrize("name,target,n_points", _PATHS)
+def test_gk21_matches_quad_vec_on_catalog_paths(name, target, n_points):
+    datum = we_catalog(name)
+    path = build_path(complex(datum.base), target, datum.pole_set)
+    assert len(path) == n_points
+    ours = integrate_segments(integrand(datum), path)
+    ref = _quad_vec_reference(integrand(datum), path)
+    assert np.max(np.abs(ours - ref)) <= 1e-13
+
+
+def test_scalar_only_integrand_takes_per_node_path():
+    path = [0.3 + 0.1j, 1.2 - 0.4j, 2.0 + 0.5j]
+    arr, arr_calls = _counted(lambda w: (np.exp(w), 1 / (w + 2), w * w))
+    scal, scal_calls = _counted(lambda w: (cmath.exp(w), 1 / (w + 2), w * w))
+    a = integrate_segments(arr, path)
+    s = integrate_segments(scal, path)
+    assert np.max(np.abs(a - s)) <= 1e-14
+    # one array call per round; the cmath integrand rejects the first array
+    # and is then called once per node
+    assert all(n > 1 for n in arr_calls)
+    assert scal_calls[0] > 1 and all(n == 1 for n in scal_calls[1:])
+    assert len(scal_calls) - 1 == sum(arr_calls)
+    exact = cmath.exp(path[-1]) - cmath.exp(path[0])
+    assert abs(a[0] - exact) <= 1e-13
+
+
+def test_scalar_components_broadcast():
+    a, b = 0.5 - 0.25j, 2.0 + 1.0j
+    out = integrate_segments(lambda w: (0j, w, 2.0), [a, 0.1 + 0.3j, b])
+    assert out.shape == (3,)
+    assert out[0] == 0
+    assert abs(out[1] - (b * b - a * a) / 2) <= 1e-14
+    assert abs(out[2] - 2 * (b - a)) <= 1e-14
+
+
+def test_holomorphic_derivative_on_arrays_matches_points():
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+    wp = catalog_whitham(0.7)
+    for fn in (wp.Hfun, wp.Gfun, lambda w: w ** 3 - 2 * w, lambda w: 0j):
+        arr = holomorphic_derivative(fn, z)
+        assert arr.shape == z.shape
+        pts = np.array([holomorphic_derivative(fn, complex(p)) for p in z])
+        assert np.max(np.abs(arr - pts)) <= 1e-14
+
+
+def test_near_pole_detour_stops_at_round_off():
+    datum = we_catalog("lorentzian_catenoid")
+    path = build_path(complex(datum.base), CATENOID_DETOUR, datum.pole_set)
+    f, calls = _counted(integrand(datum))
+    vec = integrate_segments(f, path)
+    # with the round-off guard this takes 8 rounds of at most a few hundred
+    # nodes; without it the subintervals next to the pole double each round
+    assert len(calls) <= 12 and sum(calls) <= 10_000
+    base = closed_form_point(datum, complex(datum.base))
+    exact = closed_form_point(datum, CATENOID_DETOUR)
+    assert abs(base.x + vec[0].real - exact.x) <= 1e-8
+    assert we_integrate(datum, CATENOID_DETOUR).z == pytest.approx(exact.z, abs=1e-8)
+
+
+@pytest.mark.parametrize("fvec,path,message", [
+    (lambda w: (w, np.nan * w), [0j, 1 + 1j], "non-finite"),
+    (lambda w: (cmath.sqrt(w), math.nan), [0j, 1 + 1j], "non-finite"),
+    # poles on the path, not declared to build_path: a node on the pole, and
+    # a pole between nodes that bisection never isolates
+    (lambda w: [1 / w], build_path(-1 + 0j, 1 + 0j, poles=()), "non-finite"),
+    (lambda w: [1 / w], build_path(-1 + 0j, 1.3 + 0j, poles=()), "subintervals"),
+    (lambda w: [1 / (w * w)], build_path(-1 + 0j, 1.3 + 0j, poles=()), "subintervals"),
+])
+def test_non_finite_or_unresolvable_integrand_raises(fvec, path, message):
+    f, calls = _counted(fvec)
+    with pytest.raises(QuadratureError, match=message):
+        integrate_segments(f, path)
+    # the subinterval cap bounds the work: at most 10,000 subintervals of
+    # 21 nodes each are ever evaluated in one round
+    assert max(calls) <= 21 * 10_000 and len(calls) <= 64
