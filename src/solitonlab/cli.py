@@ -88,21 +88,13 @@ def _cmd_surface(args) -> int:
     surf = weierstrass.catalog_surface(args.name)
     grid = GridSpec.parse(args.grid) if args.grid else GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
     pts = grid.points()
-    values, excluded = [], []
-    for (u, v) in pts:
-        zeta = complex(u, v)
-        if surf.excluded(zeta):
-            values.append((math.nan,) * 3)
-            excluded.append(True)
-            continue
-        p = surf.eval(zeta)
-        values.append((p.x, p.y, p.z))
-        excluded.append(False)
+    values, excluded = surf.sample(pts)
     kind = args.format or ("obj" if args.out and args.out.endswith(".obj") else "csv")
     if kind == "obj":
         text = obj_mesh_text(pts, values, excluded, grid.na, grid.nb)
     else:
-        rows = [(u, v, *val) for (u, v), val, ex in zip(pts, values, excluded) if not ex]
+        rows = [(u, v, *val) for (u, v), val, ex in zip(pts, values.tolist(), excluded)
+                if not ex]
         text = csv_text(("u", "v", "x", "y", "z"), rows)
     _write(args.out, text)
     return 0
@@ -183,10 +175,13 @@ def _cmd_identity(args) -> int:
             return 2
         ident_args = (complex(args.zeta),)
     K_list = [int(k) for k in args.K.split(",")]
-    results = identities.convergence_order(spec, ident_args, K_list)
     if args.name == "ram_arctan_sum" and args.tail_correction:
-        results = [identities.ram_arctan_sum(*ident_args, K=r.K, tail_correction=True)
-                   for r in results]
+        if K_list != sorted(K_list):
+            raise ValueError("K_list must be increasing")
+        results = [identities.ram_arctan_sum(*ident_args, K=K, tail_correction=True)
+                   for K in K_list]
+    else:
+        results = identities.convergence_order(spec, ident_args, K_list)
     table = [{
         "K": r.K,
         "partial_re": r.partial.real,

@@ -12,9 +12,13 @@ over a whole grid); the arithmetic below broadcasts, and a jet may mix
 scalar and array coefficients.
 
 The module-level functions (``exp``, ``log``, ``atan``, ...) dispatch on
-their argument: a plain number goes through :mod:`cmath`, an array through
-the numpy ufunc of the same function, and a ``TJet`` through the chain
-rule, which evaluates with :mod:`cmath` or numpy to match its coefficients.
+their argument, testing in this order: a plain number (``int``, ``float``,
+``complex``) goes straight to :mod:`cmath`, a ``TJet`` through the chain
+rule, which evaluates with :mod:`cmath` or numpy to match its coefficients,
+and an array through the numpy ufunc of the same function.  The number test
+comes first and the chain rules are module-level functions, so a scalar call
+costs one ``isinstance`` test on top of :mod:`cmath`; ``re`` and ``im`` of a
+Python ``complex`` return its ``.real``/``.imag`` at once.
 Field evaluators written against these functions can therefore be called
 with numbers, complex numbers, arrays or jets interchangeably.
 
@@ -189,102 +193,152 @@ class TJet:
                     _real_coef(self.ftt.imag))
 
 
-def _dispatch(z, jet_rule, num_fn, array_fn):
+def _dispatch(z, jet_rule, array_fn):
+    """A primitive at a non-number (each primitive handles numbers itself):
+    a jet through its chain rule, an array through the numpy ufunc."""
     if isinstance(z, TJet):
         return jet_rule(z, _math(z.f))
-    if isinstance(z, _NUMBER):
-        return num_fn(complex(z))
     if isinstance(z, np.ndarray):
         return array_fn(np.asarray(z, dtype=complex))
     raise TypeError(f"unsupported operand type {type(z).__name__!r}")
 
 
+# Chain rules, rule(jet, library): g(jet) from g, g' and g'' at jet.f, with
+# the library (cmath or the numpy names in _NP) that matches jet.f.
+
+def _exp_rule(j, m):
+    w = m.exp(j.f)
+    return j._compose(w, w, w)
+
+
+def _log_rule(j, m):
+    w = 1.0 / j.f
+    return j._compose(m.log(j.f), w, -w * w)
+
+
+def _sqrt_rule(j, m):
+    r = m.sqrt(j.f)
+    return j._compose(r, 0.5 / r, -0.25 / (j.f * r))
+
+
+def _sin_rule(j, m):
+    s, c = m.sin(j.f), m.cos(j.f)
+    return j._compose(s, c, -s)
+
+
+def _cos_rule(j, m):
+    s, c = m.sin(j.f), m.cos(j.f)
+    return j._compose(c, -s, -c)
+
+
+def _tan_rule(j, m):
+    t = m.tan(j.f)
+    sec2 = 1 + t * t
+    return j._compose(t, sec2, 2 * t * sec2)
+
+
+def _sinh_rule(j, m):
+    s, c = m.sinh(j.f), m.cosh(j.f)
+    return j._compose(s, c, s)
+
+
+def _cosh_rule(j, m):
+    s, c = m.sinh(j.f), m.cosh(j.f)
+    return j._compose(c, s, c)
+
+
+def _tanh_rule(j, m):
+    t = m.tanh(j.f)
+    sech2 = 1 - t * t
+    return j._compose(t, sech2, -2 * t * sech2)
+
+
+def _atan_rule(j, m):
+    d = 1 + j.f * j.f
+    return j._compose(m.atan(j.f), 1 / d, -2 * j.f / (d * d))
+
+
+def _atanh_rule(j, m):
+    d = 1 - j.f * j.f
+    return j._compose(m.atanh(j.f), 1 / d, 2 * j.f / (d * d))
+
+
+def _asinh_rule(j, m):
+    d = 1 + j.f * j.f
+    r = m.sqrt(d)
+    return j._compose(m.asinh(j.f), 1 / r, -j.f / (d * r))
+
+
 def exp(z):
-    def rule(j, m):
-        w = m.exp(j.f)
-        return j._compose(w, w, w)
-    return _dispatch(z, rule, cmath.exp, np.exp)
+    if isinstance(z, _NUMBER):
+        return cmath.exp(z)
+    return _dispatch(z, _exp_rule, np.exp)
 
 
 def log(z):
-    def rule(j, m):
-        w = 1.0 / j.f
-        return j._compose(m.log(j.f), w, -w * w)
-    return _dispatch(z, rule, cmath.log, np.log)
+    if isinstance(z, _NUMBER):
+        return cmath.log(z)
+    return _dispatch(z, _log_rule, np.log)
 
 
 def sqrt(z):
-    def rule(j, m):
-        r = m.sqrt(j.f)
-        d1 = 0.5 / r
-        return j._compose(r, d1, -0.25 / (j.f * r))
-    return _dispatch(z, rule, cmath.sqrt, np.sqrt)
+    if isinstance(z, _NUMBER):
+        return cmath.sqrt(z)
+    return _dispatch(z, _sqrt_rule, np.sqrt)
 
 
 def sin(z):
-    def rule(j, m):
-        s, c = m.sin(j.f), m.cos(j.f)
-        return j._compose(s, c, -s)
-    return _dispatch(z, rule, cmath.sin, np.sin)
+    if isinstance(z, _NUMBER):
+        return cmath.sin(z)
+    return _dispatch(z, _sin_rule, np.sin)
 
 
 def cos(z):
-    def rule(j, m):
-        s, c = m.sin(j.f), m.cos(j.f)
-        return j._compose(c, -s, -c)
-    return _dispatch(z, rule, cmath.cos, np.cos)
+    if isinstance(z, _NUMBER):
+        return cmath.cos(z)
+    return _dispatch(z, _cos_rule, np.cos)
 
 
 def tan(z):
-    def rule(j, m):
-        t = m.tan(j.f)
-        sec2 = 1 + t * t
-        return j._compose(t, sec2, 2 * t * sec2)
-    return _dispatch(z, rule, cmath.tan, np.tan)
+    if isinstance(z, _NUMBER):
+        return cmath.tan(z)
+    return _dispatch(z, _tan_rule, np.tan)
 
 
 def sinh(z):
-    def rule(j, m):
-        s, c = m.sinh(j.f), m.cosh(j.f)
-        return j._compose(s, c, s)
-    return _dispatch(z, rule, cmath.sinh, np.sinh)
+    if isinstance(z, _NUMBER):
+        return cmath.sinh(z)
+    return _dispatch(z, _sinh_rule, np.sinh)
 
 
 def cosh(z):
-    def rule(j, m):
-        s, c = m.sinh(j.f), m.cosh(j.f)
-        return j._compose(c, s, c)
-    return _dispatch(z, rule, cmath.cosh, np.cosh)
+    if isinstance(z, _NUMBER):
+        return cmath.cosh(z)
+    return _dispatch(z, _cosh_rule, np.cosh)
 
 
 def tanh(z):
-    def rule(j, m):
-        t = m.tanh(j.f)
-        sech2 = 1 - t * t
-        return j._compose(t, sech2, -2 * t * sech2)
-    return _dispatch(z, rule, cmath.tanh, np.tanh)
+    if isinstance(z, _NUMBER):
+        return cmath.tanh(z)
+    return _dispatch(z, _tanh_rule, np.tanh)
 
 
 def atan(z):
-    def rule(j, m):
-        d = 1 + j.f * j.f
-        return j._compose(m.atan(j.f), 1 / d, -2 * j.f / (d * d))
-    return _dispatch(z, rule, cmath.atan, np.arctan)
+    if isinstance(z, _NUMBER):
+        return cmath.atan(z)
+    return _dispatch(z, _atan_rule, np.arctan)
 
 
 def atanh(z):
-    def rule(j, m):
-        d = 1 - j.f * j.f
-        return j._compose(m.atanh(j.f), 1 / d, 2 * j.f / (d * d))
-    return _dispatch(z, rule, cmath.atanh, np.arctanh)
+    if isinstance(z, _NUMBER):
+        return cmath.atanh(z)
+    return _dispatch(z, _atanh_rule, np.arctanh)
 
 
 def asinh(z):
-    def rule(j, m):
-        d = 1 + j.f * j.f
-        r = m.sqrt(d)
-        return j._compose(m.asinh(j.f), 1 / r, -j.f / (d * r))
-    return _dispatch(z, rule, cmath.asinh, np.arcsinh)
+    if isinstance(z, _NUMBER):
+        return cmath.asinh(z)
+    return _dispatch(z, _asinh_rule, np.arcsinh)
 
 
 def power(z, p):
@@ -298,6 +352,8 @@ def conj(z):
 
 
 def re(z):
+    if type(z) is complex:
+        return z.real
     if isinstance(z, TJet):
         return z.real_part()
     if isinstance(z, np.ndarray):
@@ -306,6 +362,8 @@ def re(z):
 
 
 def im(z):
+    if type(z) is complex:
+        return z.imag
     if isinstance(z, TJet):
         return z.imag_part()
     if isinstance(z, np.ndarray):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from io import StringIO
 
+import numpy as np
+
 
 def fmt(x) -> str:
     """17-significant-digit rendering of one number."""
@@ -82,25 +84,19 @@ def csv_text(header, rows) -> str:
 def obj_mesh_text(grid_points, values, excluded_mask, na: int, nb: int) -> str:
     """Wavefront OBJ for a rectangular parameter grid (row-major in the first
     index).  Excluded vertices are dropped and every triangle touching one is
-    skipped."""
-    index = {}
-    lines = []
-    n = 0
-    for i in range(na):
-        for j in range(nb):
-            k = i * nb + j
-            if excluded_mask[k]:
-                continue
-            n += 1
-            index[(i, j)] = n
-            x, y, z = values[k]
-            lines.append(f"v {fmt(x)} {fmt(y)} {fmt(z)}")
-    for i in range(na - 1):
-        for j in range(nb - 1):
-            quad = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if any(q not in index for q in quad):
-                continue
-            a, b, c, d = (index[q] for q in quad)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n"
+    skipped.
+
+    Kept vertices are numbered 1, 2, ... in grid order; each quad of four kept
+    vertices a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1) gives the
+    faces (a, b, c) and (a, c, d).  ``%.17g`` prints a float as ``fmt`` does,
+    ``nan``, ``inf``, ``-inf`` and ``-0`` included."""
+    keep = ~np.asarray(excluded_mask, dtype=bool).reshape(na, nb)
+    xyz = np.asarray(values, dtype=float).reshape(na * nb, 3)[keep.ravel()]
+    number = np.cumsum(keep).reshape(na, nb)
+    quad = keep[:-1, :-1] & keep[1:, :-1] & keep[1:, 1:] & keep[:-1, 1:]
+    a, b = number[:-1, :-1][quad], number[1:, :-1][quad]
+    c, d = number[1:, 1:][quad], number[:-1, 1:][quad]
+    faces = np.stack([a, b, c, a, c, d], axis=1)
+    text = (("v %.17g %.17g %.17g\n" * len(xyz)) % tuple(xyz.ravel().tolist())
+            + ("f %d %d %d\nf %d %d %d\n" * len(faces)) % tuple(faces.ravel().tolist()))
+    return text or "\n"

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import jetmath as jm
 from .core import LVec3
 from .errors import DomainError, UnknownSurface
@@ -51,7 +53,7 @@ class SurfaceMap:
 
     ``components(u, v)`` accepts numbers or Taylor jets and returns the three
     coordinates; ``eval`` wraps it for plain complex parameters and checks
-    the result is real.
+    the result is real, and ``sample`` does the same over many parameters.
     """
 
     components: Callable
@@ -63,15 +65,31 @@ class SurfaceMap:
 
     def eval(self, zeta: complex) -> LVec3:
         zeta = complex(zeta)
-        if self.excluded(zeta):
+        values, excluded = self.sample([(zeta.real, zeta.imag)])
+        if excluded[0]:
             raise DomainError(f"parameter {zeta} is outside the surface domain")
-        vals = []
-        for c in self.components(zeta.real, zeta.imag):
-            c = complex(c)
-            if abs(c.imag) > _REAL_TOL * (1.0 + abs(c.real)):
-                raise DomainError(f"surface component not real at {zeta}: {c}")
-            vals.append(c.real)
-        return LVec3(*vals)
+        return LVec3(*values[0].tolist())
+
+    def sample(self, points):
+        """Surface points over a sequence of (u, v) parameters, as an (n, 3)
+        float array with NaN rows at excluded parameters, and the excluded
+        mask.  Each parameter is tested for exclusion once and evaluated as
+        a scalar; the realness check runs once over all points, and the first
+        point with a non-real component raises ``DomainError``."""
+        is_excluded = self.domain_exclusions
+        comps = np.full((len(points), 3), complex(math.nan, 0.0))
+        excluded = np.zeros(len(points), dtype=bool)
+        for k, (u, v) in enumerate(points):
+            if is_excluded is not None and is_excluded(complex(u, v)):
+                excluded[k] = True
+            else:
+                comps[k] = self.components(u, v)
+        not_real = np.abs(comps.imag) > _REAL_TOL * (1.0 + np.abs(comps.real))
+        if not_real.any():
+            k, i = np.argwhere(not_real)[0]
+            raise DomainError(f"surface component not real at {complex(*points[k])}: "
+                              f"{complex(comps[k, i])}")
+        return comps.real, excluded
 
 
 def integrand(data: WEData) -> Callable:
@@ -132,10 +150,6 @@ def we_data_rotation(data: WEData, theta: float) -> WEData:
 
 # -- catalog surfaces -------------------------------------------------------
 
-def _near(zeta: complex, p: complex, margin: float) -> bool:
-    return abs(zeta - p) <= margin
-
-
 def _on_negative_axis(zeta: complex, margin: float) -> bool:
     return zeta.real <= 0.0 and abs(zeta.imag) <= margin
 
@@ -172,7 +186,8 @@ def catalog_surface(name: str, margin: float = DEFAULT_POLE_MARGIN) -> SurfaceMa
                     jm.re(jm.log((z * z - 1) / (z * z + 1))))
         return SurfaceMap(
             comps,
-            lambda z: any(_near(z, p, margin) for p in (1, -1, 1j, -1j)),
+            lambda z: (abs(z - 1) <= margin or abs(z + 1) <= margin
+                       or abs(z - 1j) <= margin or abs(z + 1j) <= margin),
             "real parts of logs are single-valued off the four punctures")
     if name == "helicoid_second_kind":
         def comps(u, v):

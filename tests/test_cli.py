@@ -61,6 +61,9 @@ def _recorded_cli_digests() -> dict:
 @pytest.mark.parametrize("name,argv", [
     ("residual", ["residual", "--solution", "wick_scherk", "--grid", "-1:1:-1:1:21:21"]),
     ("geometry", ["geometry", "classify", "--solution", "example1"]),
+    ("catalog", ["catalog", "list"]),
+    ("surface", ["surface", "sample", "--name", "scherk_first_kind",
+                 "--grid", "-2:2:-2:2:201:201", "--format", "obj"]),
 ])
 def test_stdout_matches_recorded_digest(name, argv, capsys):
     code, out, err = run(argv, capsys)
@@ -83,6 +86,20 @@ def test_identity_convergence_table(capsys):
                           "--X", "1", "--A", "0.7", "--K", "100,1000,10000"], capsys)
     assert code == 0
     assert '"K": 10000' in out and '"est_order"' in out
+
+
+def test_identity_tail_correction_table(capsys):
+    argv = ["identity", "--name", "ram_arctan_sum", "--X", "1", "--A", "0.7",
+            "--K", "100,1000,10000", "--tail-correction"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    # sha256 of the table as first recorded, when the uncorrected table was
+    # also computed and then discarded
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4bddddd9e4fcdb49018c17b9670401d5af87bd389abc862905f623a2fb543ac8")
+    code, out, err = run(argv[:-2] + ["1000,100", "--tail-correction"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: K_list must be increasing\n"
 
 
 def test_identity_zeta_argument(capsys):

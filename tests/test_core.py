@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -193,3 +194,56 @@ def test_array_jets_check_every_point_and_stencil():
         jet(fld, np.array([0.0, 1.5]), np.array([0.0, 0.0]))
     with pytest.raises(DomainError):
         jet(with_backend(fld, CentralDiff(0.1)), np.array([0.0, 0.95]), np.array([0.0, 0.0]))
+
+
+_PRIMITIVES = ("exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh",
+               "atan", "atanh", "asinh")
+_SCALARS = ([0, 1, -2, 3, True, 0.0, -0.0, 0.5, -2.0, 1.0, -1.0, 710.0,
+             complex(0.0, -0.0), complex(-0.0, -0.0), 1j, -1j]
+            + _CUT_POINTS)
+
+
+def _outcome(fn, z):
+    """fn(z) as the bytes of its value, or the type of the exception it raised."""
+    try:
+        w = complex(fn(z))
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+    return struct.pack("<dd", w.real, w.imag)
+
+
+@pytest.mark.parametrize("name", _PRIMITIVES)
+def test_scalar_primitives_are_bit_identical_to_cmath(name):
+    fn, ref = getattr(jm, name), getattr(cmath, name)
+    for z in _SCALARS:
+        want = _outcome(ref, z)
+        assert _outcome(fn, z) == want, (name, z)
+        if isinstance(want, bytes):
+            assert type(fn(z)) is complex
+    # arrays go through numpy, jets through the chain rule with cmath or numpy
+    z = np.array(_CUT_POINTS)
+    ufunc = {"atan": np.arctan, "atanh": np.arctanh,
+             "asinh": np.arcsinh}.get(name) or getattr(np, name)
+    assert np.array_equal(fn(z), ufunc(z), equal_nan=True)
+    assert np.array_equal(fn(jm.TJet(z)).f, ufunc(z), equal_nan=True)
+    for p in _CUT_POINTS:
+        assert _outcome(lambda q: fn(jm.TJet(q)).f, p) == _outcome(ref, p), (name, p)
+
+
+def test_re_im_of_numbers_are_bit_identical():
+    for z in _SCALARS:
+        for fn, want in ((jm.re, complex(z).real), (jm.im, complex(z).imag)):
+            got = fn(z)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", want), (fn, z)
+    z = np.array(_CUT_POINTS)
+    assert np.array_equal(jm.re(z), z.real) and np.array_equal(jm.im(z), z.imag)
+    j = jm.re(jm.TJet(z, 2j * z))
+    assert np.array_equal(j.f, z.real.astype(complex)) and np.array_equal(j.fx, -2 * z.imag)
+    assert np.array_equal(jm.im(jm.TJet(z, 2j * z)).fx, 2 * z.real)
+
+
+def test_primitives_reject_other_types():
+    for name in _PRIMITIVES:
+        with pytest.raises(TypeError):
+            getattr(jm, name)("1.0")

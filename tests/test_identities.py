@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from solitonlab.errors import ExcludedPoint
 from solitonlab.identities import (
+    _CHUNK,
+    HELICOID2_IDENTITY,
+    RAM_COS_PRODUCT,
     REGISTRY,
+    _accumulate,
     _trigamma,
     arctan_tail,
     convergence_order,
@@ -277,3 +281,37 @@ def test_convergence_order_rejects_excluded_and_unsorted():
         convergence_order(REGISTRY["scherk_identity"], (1j,), [10, 100])
     with pytest.raises(ValueError):
         convergence_order(REGISTRY["ram_arctan_sum"], (1.0, 0.7), [100, 10])
+
+
+# -- product-log accumulation -------------------------------------------------
+
+def _complex_log_sum(spec, args, K):
+    """Reference: the sum of numpy's complex log over all K factors."""
+    factors = np.asarray(spec.rhs_term(np.arange(1, K + 1), args), dtype=complex)
+    return complex(np.sum(np.log(factors)))
+
+
+@pytest.mark.parametrize("spec,args", [
+    (HELICOID2_IDENTITY, (1.2 + 0.9j,)),
+    (HELICOID2_IDENTITY, (0.3 - 0.2j,)),
+    (HELICOID2_IDENTITY, (5 + 1j,)),
+    # early factors far from 1
+    (RAM_COS_PRODUCT, (0.7 + 0.2j, 0.3 + 0.1j)),
+    (RAM_COS_PRODUCT, (20 + 5j, 0.4 - 1j)),
+])
+def test_product_log_accumulation_matches_complex_log(spec, args):
+    assert 10 ** 6 >= 3 * _CHUNK  # the largest K spans several chunks
+    for K in (10, 10 ** 3, 10 ** 6):
+        got = _accumulate(spec, args, 1, K)
+        assert abs(got - _complex_log_sum(spec, args, K)) <= 1e-13, K
+
+
+def test_product_with_a_zero_factor_is_zero():
+    # X = pi/2 - A makes the k = 1 factor 1 - X/(pi/2 - A) exactly 0
+    A = 0.2 + 0j
+    X = complex(0.5 * math.pi - 0.2)
+    assert RAM_COS_PRODUCT.rhs_term(np.arange(1, 2), (X, A))[0] == 0
+    for K in (1, 10, 3 * _CHUNK):
+        r = ram_cos_product(X, A, K)
+        assert r.partial == 0
+        assert r.abs_err == abs(r.lhs)

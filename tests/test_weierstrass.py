@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from solitonlab.core import LVec3
 from solitonlab.errors import DomainError, PathError, UnknownSurface
 from solitonlab.geometry import isothermal_check
+from solitonlab.pde import GridSpec
 from solitonlab.quadrature import build_path, contour_integral
 from solitonlab.weierstrass import (
     SURFACE_NAMES,
@@ -201,3 +204,35 @@ def test_contour_integral_residue():
     for a, b in zip(corners[:-1], corners[1:]):
         total += contour_integral(lambda w: 1 / w, a, b)
     assert abs(total - 2j * math.pi) <= 1e-10
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_sample_evaluates_each_kept_point_as_a_scalar(name):
+    surf = catalog_surface(name)
+    # a grid through the origin, both axes and the points +-1, +-i
+    pts = GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9).points()
+    values, excluded = surf.sample(pts)
+    assert values.shape == (81, 3) and excluded.any()
+    for (u, v), row, ex in zip(pts, values.tolist(), excluded):
+        assert ex == bool(surf.domain_exclusions(complex(u, v)))
+        if ex:
+            assert all(math.isnan(x) for x in row)
+        else:
+            assert row == [complex(c).real for c in surf.components(u, v)]
+            assert row == list(dataclasses.astuple(surf.eval(complex(u, v))))
+
+
+def test_sample_and_eval_reject_a_non_real_component():
+    surf = SurfaceMap(lambda u, v: (u, v, 1j if u > 0.5 else 0.0),
+                      lambda z: abs(z) < 0.1)
+    pts = [(0.0, 0.0), (0.3, 0.0), (0.7, 0.0), (0.9, 0.0)]
+    for call in (lambda: surf.sample(pts), lambda: surf.eval(0.7 + 0j)):
+        with pytest.raises(DomainError, match=r"^surface component not real at "
+                                              r"\(0\.7\+0j\): 1j$"):
+            call()
+    with pytest.raises(DomainError, match="outside the surface domain"):
+        surf.eval(0j)
+    values, excluded = surf.sample(pts[:2])
+    assert excluded.tolist() == [True, False]
+    assert values[1].tolist() == [0.3, 0.0, 0.0]
+    assert surf.eval(0.3 + 0j) == LVec3(0.3, 0.0, 0.0)
