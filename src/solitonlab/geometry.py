@@ -16,15 +16,18 @@ the graph variables.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import Jet2, LVec3, ScalarField2, jet, lorentz_inner
 from .errors import DegenerateError, DomainError
 from .jetmath import TJet
-from .pde import GridSpec, wick_lorentzian_catenoid_field
+from .pde import GridSpec, kept_points, sweep_blocks, wick_lorentzian_catenoid_field
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
 _REAL_TOL = 1e-9
@@ -69,8 +72,19 @@ class GraphPointReport:
         }
 
 
+def _nonreal(v):
+    """Whether ``v``, a number or an array, has an imaginary part above
+    ``_REAL_TOL`` relative to its real part."""
+    return abs(v.imag) > _REAL_TOL * (1.0 + abs(v.real))
+
+
+def _indicator(j: Jet2):
+    """W = 1 + phi_y^2 - phi_z^2 of a jet, complex."""
+    return 1 + j.vx ** 2 - j.vt ** 2
+
+
 def _real(v: complex, what: str) -> float:
-    if abs(v.imag) > _REAL_TOL * (1.0 + abs(v.real)):
+    if _nonreal(v):
         raise DomainError(f"{what} is not real-valued here (imag={v.imag:g})")
     return v.real
 
@@ -83,8 +97,7 @@ def _real_jet(fld: ScalarField2, y: float, z: float) -> Jet2:
 
 def timelike_indicator(fld: ScalarField2, y: float, z: float) -> float:
     """W = 1 + phi_y^2 - phi_z^2; sign gives the causal character."""
-    j = _real_jet(fld, y, z)
-    return _real(1 + j.vx ** 2 - j.vt ** 2, "causal indicator")
+    return _real(_indicator(_real_jet(fld, y, z)), "causal indicator")
 
 
 def _jet_off_degenerate(fld: ScalarField2, y: float, z: float, tol: float):
@@ -93,7 +106,7 @@ def _jet_off_degenerate(fld: ScalarField2, y: float, z: float, tol: float):
     the tangent plane degenerates)."""
     try:
         j = _real_jet(fld, y, z)
-        w = _real(1 + j.vx ** 2 - j.vt ** 2, "causal indicator")
+        w = _real(_indicator(j), "causal indicator")
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise DegenerateError(f"jet is singular at ({y}, {z}); gradient blows up "
                               "on the degenerate set") from exc
@@ -103,9 +116,7 @@ def _jet_off_degenerate(fld: ScalarField2, y: float, z: float, tol: float):
     return j, w
 
 
-def fundamental_forms(fld: ScalarField2, y: float, z: float,
-                      tol: float = TOL_DEGENERATE) -> FundForms:
-    j, w = _jet_off_degenerate(fld, y, z, tol)
+def _forms_from_jet(j: Jet2, w: float) -> FundForms:
     py, pz = j.vx.real, j.vt.real
     s = math.sqrt(abs(w))
     E = py * py + 1.0
@@ -116,14 +127,21 @@ def fundamental_forms(fld: ScalarField2, y: float, z: float,
                      disc=E * G - F * F)
 
 
+def fundamental_forms(fld: ScalarField2, y: float, z: float,
+                      tol: float = TOL_DEGENERATE) -> FundForms:
+    return _forms_from_jet(*_jet_off_degenerate(fld, y, z, tol))
+
+
 def _classify_jet(fld: ScalarField2, y: float, z: float, tol: float):
-    """(class, jet, W) at (y, z); the jet and W are None at lightlike points."""
+    """(class, jet, W) at (y, z); the jet and W are None at lightlike points:
+    where the jet is singular or not finite, or W is not real or |W| <= tol."""
     try:
         j = jet(fld, y, z)
-        w = 1 + j.vx ** 2 - j.vt ** 2
+        w = _indicator(j)
     except (DomainError, ZeroDivisionError, ValueError, OverflowError):
         return CausalClass.LIGHTLIKE, None, None
-    if abs(w.imag) > _REAL_TOL * (1.0 + abs(w.real)) or not math.isfinite(w.real):
+    if (_nonreal(w) or not math.isfinite(w.real)
+            or not all(map(cmath.isfinite, (j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)))):
         return CausalClass.LIGHTLIKE, None, None
     if w.real > tol:
         return CausalClass.TIMELIKE, j, w.real
@@ -147,7 +165,10 @@ def unit_normal(fld: ScalarField2, y: float, z: float,
                 tol: float = TOL_DEGENERATE) -> LVec3:
     """N = (1, -phi_y, phi_z)/sqrt|W|; <N,N> = +1 on timelike points, -1 on
     spacelike ones."""
-    j, w = _jet_off_degenerate(fld, y, z, tol)
+    return _normal_from_jet(*_jet_off_degenerate(fld, y, z, tol))
+
+
+def _normal_from_jet(j: Jet2, w: float) -> LVec3:
     s = math.sqrt(abs(w))
     return LVec3(1.0 / s, -j.vx.real / s, j.vt.real / s)
 
@@ -177,25 +198,77 @@ def mean_curvature(fld: ScalarField2, y: float, z: float,
 
 def graph_point_report(fld: ScalarField2, y: float, z: float,
                        tol: float = TOL_DEGENERATE) -> GraphPointReport:
-    causal = causal_classify(fld, y, z, tol)
-    if causal is CausalClass.LIGHTLIKE:
+    """Class, forms, normal and H at (y, z), from one jet."""
+    causal, j, w = _classify_jet(fld, y, z, tol)
+    if j is None:
         return GraphPointReport((y, z), None, causal, None, None)
-    return GraphPointReport((y, z), fundamental_forms(fld, y, z, tol), causal,
-                            unit_normal(fld, y, z, tol), mean_curvature(fld, y, z, tol))
+    _real(j.v, "field value")
+    return GraphPointReport((y, z), _forms_from_jet(j, w), causal,
+                            _normal_from_jet(j, w), _mean_curvature_from_jet(j, w))
+
+
+# Class codes of classify_grid's blocks: indexes into _CLASSES.
+_CLASSES = tuple(CausalClass)
+_CODE = {c: i for i, c in enumerate(_CLASSES)}
+
+
+def _classify_point(fld: ScalarField2, y: float, z: float, tol: float) -> tuple:
+    """(class code, H) at one point."""
+    causal, j, w = _classify_jet(fld, y, z, tol)
+    return _CODE[causal], (math.nan if j is None else _mean_curvature_from_jet(j, w))
+
+
+def _classify_block(j: Jet2, tol: float) -> np.ndarray:
+    """(class code, H) columns for the array jet of a block of points, with
+    the rules and the rounding of ``_classify_jet`` and
+    ``_mean_curvature_from_jet`` at each point."""
+    coefs = (j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)
+    w = _indicator(j)
+    ok = np.isfinite(w.real) & ~_nonreal(w)
+    for c in coefs:
+        ok &= np.isfinite(c)
+    timelike = ok & (w.real > tol)
+    spacelike = ok & (w.real < -tol)
+    live = np.flatnonzero(timelike | spacelike)
+    num = _numerator_from_jet(j)
+    bad = _nonreal(j.v[live]) | _nonreal(num[live])
+    if bad.any():
+        # the error of the scalar path at the first such point
+        i = live[np.argmax(bad)]
+        _mean_curvature_from_jet(Jet2(*(complex(c[i]) for c in coefs)), float(w.real[i]))
+    out = np.empty((len(w), 2))
+    out[:, 0] = _CODE[CausalClass.LIGHTLIKE]
+    out[timelike, 0] = _CODE[CausalClass.TIMELIKE]
+    out[spacelike, 0] = _CODE[CausalClass.SPACELIKE]
+    out[:, 1] = math.nan
+    # |W| ** 1.5 with Python floats: libm's pow, as at a single point
+    scale = [x ** 1.5 for x in np.abs(w.real[live]).tolist()]
+    out[live, 1] = -0.5 * num.real[live] / np.array(scale, dtype=float)
+    return out
 
 
 def classify_grid(fld: ScalarField2, grid: GridSpec,
                   tol: float = TOL_DEGENERATE) -> list:
     """Rows (y, z, class, H) for a grid sweep; H is NaN off non-degenerate
-    points and excluded points are skipped entirely.  One jet per point."""
-    rows = []
-    for (y, z) in grid.points():
-        if fld.excluded(y, z):
-            continue
-        causal, j, w = _classify_jet(fld, y, z, tol)
-        H = math.nan if j is None else _mean_curvature_from_jet(j, w)
-        rows.append((y, z, causal.value, H))
-    return rows
+    points and excluded points are skipped entirely.
+
+    Kept points are evaluated in array blocks (``pde.sweep_blocks``), or one
+    at a time when the evaluator rejects arrays.  The rows are bit-identical
+    to the point-by-point ones (``_classify_jet``) where the jet arithmetic
+    is real, as for ``example1_graph``: ``jetmath`` divides arrays as CPython
+    divides complex numbers, and |W| ** 1.5 is taken with Python floats,
+    because numpy's ``** 1.5`` is not libm's ``pow``.  numpy's ufuncs (``tanh``)
+    and its product of two non-real numbers (a fused multiply-add on CPUs
+    that have one) may still differ from cmath in the last ulp.  A non-real
+    field value or numerator at a timelike or spacelike point raises
+    ``DomainError``, at the first such point in grid order."""
+    kept, _ = kept_points(fld, grid)
+    out = np.empty((len(kept), 2))
+    sweep_blocks(fld, kept, out, lambda j: _classify_block(j, tol),
+                 lambda y, z: _classify_point(fld, y, z, tol))
+    names = [c.value for c in _CLASSES]
+    return [(y, z, names[c], h) for (y, z), c, h in
+            zip(kept, out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
 
 
 # -- Example-1 graph: x = asinh(sqrt(z^2 - y^2)) ---------------------------

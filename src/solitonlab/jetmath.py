@@ -22,6 +22,16 @@ Python ``complex`` return its ``.real``/``.imag`` at once.
 Field evaluators written against these functions can therefore be called
 with numbers, complex numbers, arrays or jets interchangeably.
 
+Divisions in the chain rules and in ``TJet`` reciprocals go through the
+coefficient's library: Python's ``/`` for numbers, and for arrays ``_cdiv``,
+which rounds each entry as CPython's complex division does (Smith's
+algorithm, R. L. Smith, CACM 5(8), 1962, as in ``_Py_c_quot``), signed zeros
+included.  numpy divides by scaling with the divisor's reciprocal, which
+differs in the last ulp.  With ``_cdiv``, an array jet rounds as the scalar
+jets of its points wherever numpy's ufuncs agree with cmath and no product
+has two non-real factors: numpy fuses that product into a multiply-add on
+CPUs that have one, CPython does not.
+
 ``conj``, ``re`` and ``im`` act coefficient-wise; this is valid because the
 jet variables are real, so conjugation commutes with differentiation.
 """
@@ -29,6 +39,7 @@ jet variables are real, so conjugation commutes with differentiation.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -36,17 +47,61 @@ import numpy as np
 
 _NUMBER = (int, float, complex)
 
-# numpy's ufuncs under cmath's names, for array coefficients.
+# Below this many divisors, dividing a number by each of them in Python is
+# faster than the dozen array operations of _cdiv's vector form.
+_SMALL = 100
+
+
+def _cdiv(a, d):
+    """``a / d`` for a complex array ``d`` (``a`` a number or an array), rounded
+    entry by entry as CPython divides two complex numbers (``_Py_c_quot``:
+    Smith's algorithm, including its signed zeros).  numpy scales by the
+    reciprocal of the divisor instead, which differs in the last ulp.  A zero
+    divisor gives nan where CPython raises ``ZeroDivisionError``."""
+    if isinstance(a, np.ndarray):
+        ar, ai = a.real, a.imag
+    else:
+        a = complex(a)
+        if d.size < _SMALL:
+            try:
+                return np.array([a / x for x in d.ravel().tolist()], dtype=complex).reshape(d.shape)
+            except ZeroDivisionError:
+                pass
+        ar, ai = a.real, a.imag
+    p, q = d.real, d.imag
+    swap = np.abs(q) > np.abs(p)  # CPython's second branch
+    if np.count_nonzero(swap):
+        # a / d = (a / i) / (d / i) takes the second branch to the first,
+        # exactly: dividing by i swaps the parts and negates one.
+        p, q = np.where(swap, q, p), np.where(swap, -p, q)
+        ar, ai = np.where(swap, ai, ar), np.where(swap, -ar, ai)
+    ratio = q / p
+    denom = p + q * ratio
+    re_ = (ar + ai * ratio) / denom
+    out = np.empty(re_.shape, dtype=complex)
+    out.real = re_
+    out.imag = (ai - ar * ratio) / denom
+    return out
+
+
+# The function library of a coefficient, under cmath's names: cmath and
+# Python's division for numbers, numpy's ufuncs and _cdiv for arrays.
+_CM = SimpleNamespace(
+    exp=cmath.exp, log=cmath.log, sqrt=cmath.sqrt, sin=cmath.sin, cos=cmath.cos,
+    tan=cmath.tan, sinh=cmath.sinh, cosh=cmath.cosh, tanh=cmath.tanh,
+    atan=cmath.atan, atanh=cmath.atanh, asinh=cmath.asinh, div=operator.truediv,
+)
 _NP = SimpleNamespace(
     exp=np.exp, log=np.log, sqrt=np.sqrt, sin=np.sin, cos=np.cos, tan=np.tan,
     sinh=np.sinh, cosh=np.cosh, tanh=np.tanh,
-    atan=np.arctan, atanh=np.arctanh, asinh=np.arcsinh,
+    atan=np.arctan, atanh=np.arctanh, asinh=np.arcsinh, div=_cdiv,
 )
 
 
 def _math(c):
-    """The function library for a coefficient: numpy for arrays, else cmath."""
-    return _NP if isinstance(c, np.ndarray) else cmath
+    """The function library for a coefficient: numpy for arrays, else cmath
+    (each with its division)."""
+    return _NP if isinstance(c, np.ndarray) else _CM
 
 
 def _real_coef(x):
@@ -163,7 +218,8 @@ class TJet:
     def _reciprocal(self) -> "TJet":
         # A scalar 1/0 raises ZeroDivisionError, by design; an array entry
         # becomes inf/nan and is caught by the finiteness check of the caller.
-        w = 1.0 / self.f
+        f = self.f
+        w = _cdiv(1.0, f) if isinstance(f, np.ndarray) else 1.0 / f
         return self._compose(w, -w * w, 2 * w * w * w)
 
     def _int_pow(self, n: int) -> "TJet":
@@ -212,13 +268,13 @@ def _exp_rule(j, m):
 
 
 def _log_rule(j, m):
-    w = 1.0 / j.f
+    w = m.div(1.0, j.f)
     return j._compose(m.log(j.f), w, -w * w)
 
 
 def _sqrt_rule(j, m):
     r = m.sqrt(j.f)
-    return j._compose(r, 0.5 / r, -0.25 / (j.f * r))
+    return j._compose(r, m.div(0.5, r), m.div(-0.25, j.f * r))
 
 
 def _sin_rule(j, m):
@@ -255,18 +311,18 @@ def _tanh_rule(j, m):
 
 def _atan_rule(j, m):
     d = 1 + j.f * j.f
-    return j._compose(m.atan(j.f), 1 / d, -2 * j.f / (d * d))
+    return j._compose(m.atan(j.f), m.div(1, d), m.div(-2 * j.f, d * d))
 
 
 def _atanh_rule(j, m):
     d = 1 - j.f * j.f
-    return j._compose(m.atanh(j.f), 1 / d, 2 * j.f / (d * d))
+    return j._compose(m.atanh(j.f), m.div(1, d), m.div(2 * j.f, d * d))
 
 
 def _asinh_rule(j, m):
     d = 1 + j.f * j.f
     r = m.sqrt(d)
-    return j._compose(m.asinh(j.f), 1 / r, -j.f / (d * r))
+    return j._compose(m.asinh(j.f), m.div(1, r), m.div(-j.f, d * r))
 
 
 def exp(z):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jetmath as jm
 from .core import Backend, ExactJet, Jet2, ScalarField2, jet
-from .errors import UnknownSurface, UnsupportedEvaluator
+from .errors import DomainError, UnknownSurface, UnsupportedEvaluator
 
 DEFAULT_MARGIN = 1e-2
 
@@ -197,6 +197,46 @@ _BLOCK = 4096
 _NAN = complex(math.nan, math.nan)
 
 
+def kept_points(fld: ScalarField2, grid: GridSpec) -> tuple:
+    """The points of ``grid`` that ``fld`` does not exclude, in grid order, and
+    the number it excludes."""
+    pts = grid.points()
+    is_excluded = fld.domain_exclusions
+    kept = pts if is_excluded is None else [p for p in pts if not is_excluded(*p)]
+    return kept, len(pts) - len(kept)
+
+
+def sweep_blocks(fld: ScalarField2, points: list, out: np.ndarray, from_jet, at_point) -> None:
+    """Evaluate ``fld`` at ``points`` in blocks of ``_BLOCK``, filling ``out``.
+
+    ``out[i:i + n] = from_jet(j)`` for the array jet ``j`` of each block of
+    ``n`` points (every entry of ``j`` an array of length ``n``), under
+    ``np.errstate(all="ignore")``.  When the evaluator rejects arrays, or a
+    central-difference stencil of the block touches an excluded point, each
+    point of the block is evaluated by ``at_point(a, b)`` instead, with
+    Python floats.  Blocks are evaluated in order, so the first point at
+    which ``from_jet`` or ``at_point`` raises is the first in ``points``."""
+    coords = np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
+    for s in range(0, len(points), _BLOCK):
+        block = coords[s:s + _BLOCK]
+        a, b = block[:, 0], block[:, 1]
+        with np.errstate(all="ignore"):
+            try:
+                j = jet(fld, a, b)
+            except (TypeError, ValueError, DomainError):
+                # An evaluator written for numbers fails on arrays with
+                # TypeError (math.cos of an array) or ValueError (the truth of
+                # an array); a stencil that reaches an excluded point fails
+                # the whole block with DomainError.
+                pass
+            else:
+                j = Jet2(*(np.broadcast_to(c, a.shape) for c in
+                           (j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)), j.backend_used)
+                out[s:s + len(block)] = from_jet(j)
+                continue
+        out[s:s + len(block)] = [at_point(pa, pb) for pa, pb in zip(a.tolist(), b.tolist())]
+
+
 def _point_residual(fld: ScalarField2, equation: Equation, a: float, b: float,
                     used: set) -> complex:
     """Residual at one point; a point where the jet is singular yields NaN."""
@@ -208,44 +248,26 @@ def _point_residual(fld: ScalarField2, equation: Equation, a: float, b: float,
         return _NAN
 
 
-def _block_residuals(fld: ScalarField2, equation: Equation, a: np.ndarray,
-                     b: np.ndarray, used: set):
-    """Residuals at the points (a[i], b[i]) in one array pass, or point by
-    point when the evaluator does not accept arrays."""
-    with np.errstate(all="ignore"):
-        try:
-            j = jet(fld, a, b)
-        except (TypeError, ValueError):
-            # An evaluator written for numbers fails on arrays with TypeError
-            # (math.cos of an array) or ValueError (the truth of an array).
-            pass
-        else:
-            used.add(j.backend_used)
-            return _residual_from_jet(j, equation)
-    return [_point_residual(fld, equation, pa, pb, used)
-            for pa, pb in zip(a.tolist(), b.tolist())]
-
-
 def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
                    name: str = "") -> ResidualReport:
     """Evaluate the residual of ``equation`` over the grid, skipping excluded
-    points.  Kept points are evaluated in array passes of ``_BLOCK`` points;
-    the residuals come back in grid order."""
-    pts = grid.points()
-    is_excluded = fld.domain_exclusions
-    kept = pts if is_excluded is None else [p for p in pts if not is_excluded(*p)]
-    coords = np.fromiter(chain.from_iterable(kept), float, 2 * len(kept)).reshape(-1, 2)
+    points.  Kept points are evaluated in array passes of ``_BLOCK`` points
+    (``sweep_blocks``); the residuals come back in grid order."""
+    kept, excluded_count = kept_points(fld, grid)
     residuals = np.empty(len(kept), dtype=complex)
     used = set()
-    for s in range(0, len(kept), _BLOCK):
-        block = coords[s:s + _BLOCK]
-        residuals[s:s + len(block)] = _block_residuals(fld, equation, block[:, 0],
-                                                       block[:, 1], used)
+
+    def from_jet(j):
+        used.add(j.backend_used)
+        return _residual_from_jet(j, equation)
+
+    sweep_blocks(fld, kept, residuals, from_jet,
+                 lambda a, b: _point_residual(fld, equation, a, b, used))
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
         backend = f"central(h={fld.backend.h:g})"
-    return summarize(kept, residuals, backend, len(pts) - len(kept), name=name,
+    return summarize(kept, residuals, backend, excluded_count, name=name,
                      equation=equation.value, grid_spec=grid.as_text())
 
 

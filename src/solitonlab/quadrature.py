@@ -52,6 +52,12 @@ _SIDES = np.array([-1.0, 1.0])
 _ROUNDOFF = 50 * np.finfo(float).eps
 # Subintervals, over all segments, before the quadrature gives up.
 _MAX_INTERVALS = 10_000
+# QUADPACK's round-off test (qagse, ier = 2): bisections after which the two
+# halves of a subinterval have a larger error estimate than the whole, counted
+# once there are more than 10 subintervals.  After this many, bisection is
+# stuck on the round-off of the integrand or of the nodes next to a singular
+# point.
+_MAX_NO_GAIN = 20
 
 
 def _seg_distance(a: complex, b: complex, p: complex) -> float:
@@ -141,8 +147,10 @@ def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12)
     ``ds`` is accepted when its Kronrod-Gauss difference (2-norm over the
     components) is at most ``tol * ds / n_segments``, with ``tol =
     max(epsabs, epsrel * |integral|)``, or is at round-off level; the others
-    are bisected.  Raises ``QuadratureError`` on a non-finite integrand value
-    or when the subintervals would exceed ``_MAX_INTERVALS``.
+    are bisected.  Raises ``QuadratureError`` on a non-finite integrand value,
+    when ``_MAX_NO_GAIN`` bisections have left the error estimate larger than
+    before (QUADPACK's round-off test), or when the subintervals would exceed
+    ``_MAX_INTERVALS``.
     """
     starts = np.array(path[:-1], dtype=complex)
     steps = np.array(path[1:], dtype=complex) - starts
@@ -154,6 +162,7 @@ def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12)
     n_intervals = n_seg
     done = 0j
     per_node = False
+    parent_err, no_gain = None, 0
     while True:
         nodes = starts[seg, None] + (mid[:, None] + half[:, None] * _XK) * steps[seg, None]
         vals, per_node = _node_values(fvec, nodes.ravel(), per_node)
@@ -174,10 +183,18 @@ def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12)
         if ok.all():
             return done
         split = ~ok
+        if parent_err is not None:
+            # the subintervals are the halves of last round's, side by side
+            no_gain += int(np.count_nonzero(err[0::2] + err[1::2] > parent_err))
+            if no_gain >= _MAX_NO_GAIN:
+                raise QuadratureError(f"bisecting the subintervals no longer reduces the error "
+                                      f"on the path from {path[0]} to {path[-1]}: the "
+                                      "integrand is singular or too noisy there")
         n_intervals += int(split.sum())
         if n_intervals > _MAX_INTERVALS:
             raise QuadratureError(f"quadrature needs more than {_MAX_INTERVALS} subintervals "
                                   f"on the path from {path[0]} to {path[-1]}")
+        parent_err = err[split] if n_intervals > 10 else None
         child_half = half[split] / 2
         mid = (mid[split, None] + child_half[:, None] * _SIDES).ravel()
         half = np.repeat(child_half, 2)

@@ -71,6 +71,17 @@ def test_stdout_matches_recorded_digest(name, argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _recorded_cli_digests()[name]
 
 
+@pytest.mark.parametrize("grid,digest", [
+    ("-2:2:-2:2:101:101", "7a52354d9c0fd75327364528f17ffc2836841c0fa7acd1742b65b99c98453940"),
+    ("-2:2:-2:2:201:201", "cc97c7ac90d7d9756808e0910eb26c3bb661e98b652260d3c4f16394c4c8af33"),
+])
+def test_geometry_classify_csv_digest_on_fine_grids(grid, digest, capsys):
+    # sha256 of the CSV as the point-by-point sweep wrote it
+    code, out, err = run(["geometry", "classify", "--solution", "example1", "--grid", grid], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_errors_exit_2(capsys):
     code, out, err = run(["residual", "--solution", "not_a_solution"], capsys)
     assert code == 2

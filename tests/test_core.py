@@ -247,3 +247,87 @@ def test_primitives_reject_other_types():
     for name in _PRIMITIVES:
         with pytest.raises(TypeError):
             getattr(jm, name)("1.0")
+
+
+# Parts of dividends and divisors: signed zeros, both orders of magnitude of
+# the real and imaginary parts (the two branches of Smith's algorithm), real
+# and imaginary divisors, infinities and nan.
+_DIV_PARTS = (0.0, -0.0, 1.5, -2.0, 3e-300, -7e300, math.inf, -math.inf, math.nan)
+_DIV_VALUES = [complex(x, y) for x in _DIV_PARTS for y in _DIV_PARTS]
+
+
+def _bits(z):
+    """The bytes of each part of z; nan parts compare equal whatever their sign."""
+    z = complex(z)
+    return tuple("nan" if math.isnan(p) else struct.pack("<d", p) for p in (z.real, z.imag))
+
+
+def _python_quotients(a, d):
+    """a / q for each q of d as Python divides complex numbers; None where it raises."""
+    out = []
+    for q in d.tolist():
+        try:
+            out.append(a / q)
+        except ZeroDivisionError:
+            out.append(None)
+    return out
+
+
+def test_array_division_is_bit_identical_to_python():
+    # A number over fewer divisors than _SMALL is divided in Python, unless a
+    # divisor is zero; over more, and an array over any, take the vector form.
+    nonzero = [v for v in _DIV_VALUES if v != 0]
+    assert len(nonzero) < jm._SMALL < 2 * len(_DIV_VALUES)
+    for d in (np.array(nonzero), np.array(_DIV_VALUES), np.array(_DIV_VALUES * 2)):
+        with np.errstate(all="ignore"):
+            for a in _DIV_VALUES + [1, 1.0, -0.25]:
+                want = _python_quotients(a, d)
+                for got in (jm._cdiv(a, d), jm._cdiv(np.full(d.shape, complex(a)), d)):
+                    for q, g, w in zip(d.tolist(), got.tolist(), want):
+                        if w is None:
+                            assert not cmath.isfinite(g), (a, q, g)
+                        else:
+                            assert _bits(g) == _bits(w), (a, q, g, w)
+    rng = np.random.default_rng(12)
+    scale = 10.0 ** rng.integers(-5, 6, (4, 2000))
+    a = rng.normal(size=2000) * scale[0] + 1j * rng.normal(size=2000) * scale[1]
+    d = rng.normal(size=2000) * scale[2] + 1j * rng.normal(size=2000) * scale[3]
+    want = np.array([x / y for x, y in zip(a.tolist(), d.tolist())])
+    assert np.array_equal(jm._cdiv(a, d).view(float), want.view(float))
+    assert jm._cdiv(a[:5, None], d[:3]).shape == (5, 3)
+    # numpy's own division rounds differently, so the comparison has teeth
+    assert not np.array_equal((a / d).view(float), want.view(float))
+
+
+def test_array_jet_divisions_match_scalar_jets():
+    # Each coefficient real or imaginary: divisors take both branches, and
+    # every product has a factor with a zero part, so numpy's complex multiply
+    # (a fused multiply-add on CPUs that have one) rounds as CPython's does.
+    rng = np.random.default_rng(8)
+    unit = np.where(rng.uniform(size=(6, 300)) < 0.5, 1.0, 1j)
+    coefs = list(rng.normal(size=(6, 300)) * 10.0 ** rng.integers(-3, 4, (6, 300)) * unit)
+    coefs[0][:4] = [complex(0.0, 3.0), complex(-0.0, -0.5), complex(2.0, -0.0), -0.25]
+    arr = jm.TJet(*coefs)
+    names = ("f", "fx", "ft", "fxx", "fxt", "ftt")
+    for i in range(300):
+        one = jm.TJet(*(complex(c[i]) for c in coefs))
+        got, want = arr._reciprocal(), one._reciprocal()
+        for name in names:
+            assert _bits(getattr(got, name)[i]) == _bits(getattr(want, name)), (i, name)
+        # the rules that divide by a function of the value; their values come
+        # from numpy's ufuncs, their derivatives only from jet arithmetic
+        for fn in (jm.log, jm.atan, jm.atanh):
+            got, want = fn(arr), fn(one)
+            for name in names[1:]:
+                assert _bits(getattr(got, name)[i]) == _bits(getattr(want, name)), (fn, i, name)
+    # General complex coefficients: the value of the reciprocal is one division
+    # and is bit-identical; products of two non-real numbers may differ from
+    # CPython's in the last ulp.
+    z = [rng.normal(size=300) + 1j * rng.normal(size=300) for _ in range(6)]
+    got = jm.TJet(*z)._reciprocal()
+    for i in range(300):
+        want = jm.TJet(*(complex(c[i]) for c in z))._reciprocal()
+        assert _bits(got.f[i]) == _bits(want.f)
+        for name in names[1:]:
+            w = getattr(want, name)
+            assert abs(getattr(got, name)[i] - w) <= 1e-14 * abs(w), (i, name)

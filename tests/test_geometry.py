@@ -1,11 +1,18 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from solitonlab import geometry
 from solitonlab import jetmath as jm
-from solitonlab.core import LVec3, ScalarField2, jet, lorentz_inner
-from solitonlab.errors import DegenerateError
+from solitonlab.core import CentralDiff, LVec3, ScalarField2, jet, lorentz_inner
+from solitonlab.errors import DegenerateError, DomainError
 from solitonlab.geometry import (
+    TOL_DEGENERATE,
     CausalClass,
+    _classify_jet,
+    _mean_curvature_from_jet,
     born_infeld_numerator,
     causal_classify,
     classify_grid,
@@ -17,7 +24,7 @@ from solitonlab.geometry import (
     timelike_indicator,
     unit_normal,
 )
-from solitonlab.pde import GridSpec
+from solitonlab.pde import DEFAULT_GRIDS, GridSpec, catalog_names, solution
 from solitonlab.weierstrass import SurfaceMap, catalog_surface
 
 
@@ -218,3 +225,127 @@ def test_isothermal_check_on_catalog_surfaces():
 def test_isothermal_check_affine_surface():
     affine = SurfaceMap(lambda u, v: (u, v, 0.0 * u))
     assert isothermal_check(affine, 0.3 + 0.8j) == (0.0, 0.0, 0.0)
+
+
+def _point_rows(fld, grid, tol=TOL_DEGENERATE):
+    """classify_grid computed one point at a time: the reference."""
+    rows = []
+    for (y, z) in grid.points():
+        if fld.excluded(y, z):
+            continue
+        causal, j, w = _classify_jet(fld, y, z, tol)
+        rows.append((y, z, causal.value, math.nan if j is None else _mean_curvature_from_jet(j, w)))
+    return rows
+
+
+def _row_bits(rows):
+    return [(y, z, c, "nan" if math.isnan(h) else struct.pack("<d", h)) for (y, z, c, h) in rows]
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21),
+    GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101),
+    GridSpec(-2.0, 2.0, -2.0, 2.0, 201, 201),
+    GridSpec(-1.37, 2.11, -1.93, 1.71, 157, 143),
+])
+def test_classify_grid_is_bit_identical_to_point_by_point(grid):
+    g = example1_graph()
+    assert _row_bits(classify_grid(g, grid)) == _row_bits(_point_rows(g, grid))
+
+
+def _rows_or_error(fn):
+    try:
+        return fn()
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_classify_grid_agrees_with_point_by_point_on_the_catalog(name):
+    fld = solution(name).field
+    for grid, tol in ((DEFAULT_GRIDS[name], 1e-12), (GridSpec(-2.0, 2.0, -2.0, 2.0, 41, 41), None)):
+        got = _rows_or_error(lambda: classify_grid(fld, grid))
+        want = _rows_or_error(lambda: _point_rows(fld, grid))
+        if isinstance(want, str):
+            # a non-real field value: the same error, at the same point
+            assert got == want
+            continue
+        assert [r[:3] for r in got] == [r[:3] for r in want]
+        for g, w in zip(got, want):
+            bound = 1e-12 * (1 + abs(w[3])) if tol is None else tol
+            assert math.isnan(g[3]) == math.isnan(w[3])
+            assert not abs(g[3] - w[3]) > bound, (g, w)
+        if name != "helicoid_second_kind":  # numpy's tanh is not cmath's
+            assert _row_bits(got) == _row_bits(want)
+
+
+def test_classify_grid_raises_at_the_first_non_real_point():
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 41, 41)
+    for name, g in (("scherk_minimal", grid), ("wick_scherk", grid),
+                    ("wick_helicoid_first_kind", DEFAULT_GRIDS["wick_helicoid_first_kind"]),
+                    ("wick_helicoid_second_kind", DEFAULT_GRIDS["wick_helicoid_second_kind"])):
+        fld = solution(name).field
+        with pytest.raises(DomainError) as want:
+            _point_rows(fld, g)
+        with pytest.raises(DomainError) as got:
+            classify_grid(fld, g)
+        assert str(got.value) == str(want.value) and "not real-valued" in str(got.value)
+
+
+def test_classify_grid_takes_the_point_path_for_math_evaluators():
+    seen = set()
+
+    def ev(y, z):
+        seen.add(type(y))
+        return 0.1 * math.sin(y) + z * z / 4
+
+    fld = ScalarField2(ev)
+    grid = GridSpec(-1.0, 1.0, -2.5, 2.5, 15, 17)
+    rows = classify_grid(fld, grid)
+    assert float in seen
+    assert _row_bits(rows) == _row_bits(_point_rows(fld, grid))
+    assert {r[2] for r in rows} == {"timelike", "spacelike"}
+
+
+def test_classify_grid_central_stencils_next_to_an_exclusion_are_lightlike():
+    fld = ScalarField2(lambda y, z: 0.3 * y * y + 0.2 * z * z, backend=CentralDiff(0.05),
+                       domain_exclusions=lambda y, z: y < 0.0)
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)
+    rows = classify_grid(fld, grid)
+    assert _row_bits(rows) == _row_bits(_point_rows(fld, grid))
+    # the kept column y = 0 has stencils at y = -0.05: those points are lightlike
+    edge = [r for r in rows if r[0] == 0.0]
+    assert len(edge) == 21 and all(r[2] == "lightlike" and math.isnan(r[3]) for r in edge)
+    assert all(r[2] == "timelike" for r in rows if r[0] > 0.0)
+
+
+def test_graph_point_report_builds_one_jet(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "jet", lambda *a: calls.append(a) or jet(*a))
+    g = example1_graph()
+    for (y, z) in [(0.5, 1.5), (1.0, 1.0), (0.3, -1.2)]:
+        calls.clear()
+        rep = graph_point_report(g, y, z)
+        assert len(calls) == 1
+        want = (None, None, None) if rep.causal is CausalClass.LIGHTLIKE else (
+            fundamental_forms(g, y, z), unit_normal(g, y, z), mean_curvature(g, y, z))
+        assert (rep.forms, rep.normal, rep.H) == want
+        assert rep.causal is causal_classify(g, y, z)
+    # a non-real value, then a non-real numerator: the errors of the parts
+    for fld, y, z, what in ((solution("scherk_minimal").field, 0.3, 2.0, "field value"),
+                            (ScalarField2(lambda y, z: y + 0.01j * z * z), 0.2, 0.0,
+                             "Born-Infeld numerator")):
+        with pytest.raises(DomainError, match=what):
+            graph_point_report(fld, y, z)
+        with pytest.raises(DomainError, match=what):
+            fundamental_forms(fld, y, z) if what == "field value" else mean_curvature(fld, y, z)
+
+
+def test_non_finite_jet_is_lightlike():
+    # finite slopes, so W = 1.24 > 0, but an infinite value
+    fld = ScalarField2(lambda y, z: 0.5 * y + 0.1 * z + math.inf)
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    rows = classify_grid(fld, grid)
+    assert _row_bits(rows) == _row_bits(_point_rows(fld, grid))
+    assert all(r[2] == "lightlike" and math.isnan(r[3]) for r in rows)
+    assert graph_point_report(fld, 0.2, 0.3).causal is CausalClass.LIGHTLIKE

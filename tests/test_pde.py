@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from solitonlab import jetmath as jm
-from solitonlab.core import CentralDiff, ScalarField2, with_backend
-from solitonlab.errors import UnsupportedEvaluator
+from solitonlab.core import CentralDiff, ScalarField2, jet, with_backend
+from solitonlab.errors import DomainError, UnsupportedEvaluator
 from solitonlab.pde import (
     DEFAULT_GRIDS,
     WICK_GRIDS,
@@ -265,3 +265,15 @@ def test_backend_label_names_the_central_fallback():
     assert rep.backend == "exact+central-fallback"
     assert rep.max_abs == pytest.approx(2.0, abs=1e-5)
     assert residual_sweep(wick_scherk_field(), Equation.BORN_INFELD, grid).backend == "exact"
+
+
+def test_sweep_stencil_on_an_exclusion_raises_at_the_first_such_point():
+    # the block's stencils touch the excluded half-plane, so the block is
+    # evaluated point by point and the first such point in grid order raises
+    fld = ScalarField2(lambda a, b: a * a + b, backend=CentralDiff(0.05),
+                       domain_exclusions=lambda a, b: a < 0.0)
+    with pytest.raises(DomainError) as want:
+        jet(fld, 0.0, -1.0)
+    with pytest.raises(DomainError) as got:
+        residual_sweep(fld, Equation.MAXIMAL, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
+    assert str(got.value) == str(want.value) == "stencil point (-0.05, -1.0) is excluded"

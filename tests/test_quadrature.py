@@ -125,3 +125,18 @@ def test_non_finite_or_unresolvable_integrand_raises(fvec, path, message):
     # the subinterval cap bounds the work: at most 10,000 subintervals of
     # 21 nodes each are ever evaluated in one round
     assert max(calls) <= 21 * 10_000 and len(calls) <= 64
+
+
+@pytest.mark.parametrize("fvec,max_calls,max_nodes", [
+    # one call per node; without the round-off test it made 327,874 calls
+    # before the subinterval cap stopped it
+    (lambda w: [1 / cmath.sqrt(w)], 10_000, 10_000),
+    (lambda w: [1 / np.sqrt(w)], 24, 10_000),
+    # a pole between the nodes: 28 rounds and 379,323 nodes under the cap alone
+    (lambda w: [1 / w], 24, 10_000),
+])
+def test_singular_integrand_stops_when_bisection_no_longer_helps(fvec, max_calls, max_nodes):
+    f, calls = _counted(fvec)
+    with pytest.raises(QuadratureError, match="no longer reduces the error"):
+        integrate_segments(f, build_path(-1 + 0j, 1.3 + 0j, poles=()))
+    assert len(calls) <= max_calls and sum(calls) <= max_nodes
