@@ -6,7 +6,8 @@ Conventions used throughout the package:
   (signature +, +, -; the third slot is the timelike axis).
 * A ``ScalarField2`` is a complex-valued function of two *real* variables
   (a, b).  "Vanishes" for any residual built from one always means modulus
-  below tolerance.
+  below tolerance.  Its exclusion predicate is called with coordinate arrays,
+  a whole block or stencil at once, and returns a bool array.
 * ``Jet2`` holds the value and the five partials up to order 2; ``vx`` and
   ``vxx`` differentiate with respect to the first variable, ``vt``/``vtt``
   with respect to the second.  ``jet`` takes one point as two numbers or many
@@ -95,50 +96,50 @@ class ScalarField2:
     :mod:`solitonlab.jetmath` primitives additionally accept jets, numpy
     arrays, jets with array coefficients and complex substitutions, which is
     what the ``ExactJet`` backend, vectorized sweeps and the Wick rotations
-    rely on.  ``domain_exclusions(a, b)`` returns True at points that must
-    not be evaluated; it is called with one point (two floats) at a time.
+    rely on.  ``domain_exclusions(a, b)`` is True at points that must not be
+    evaluated.  Called with float arrays it returns a bool array, or one bool
+    for all points; write ``|`` and ``np.cos``, not ``or`` and ``math.cos``.
+    One that rejects arrays (``TypeError``, ``ValueError``) is called per point.
     """
 
     evaluator: Callable
     backend: Backend = field(default_factory=ExactJet)
-    domain_exclusions: Optional[Callable[[float, float], bool]] = None
+    domain_exclusions: Optional[Callable] = None
 
     def excluded(self, a: float, b: float) -> bool:
         return self.domain_exclusions is not None and bool(self.domain_exclusions(a, b))
 
-    def value(self, a: float, b: float) -> complex:
-        if self.excluded(a, b):
-            raise DomainError(f"point ({a}, {b}) is outside the field domain")
-        return complex(self.evaluator(a, b))
+    def excluded_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Bool array of ``a.shape``, True where the points (a, b) are excluded."""
+        is_excluded = self.domain_exclusions
+        if is_excluded is None:
+            return np.zeros(a.shape, dtype=bool)
+        try:
+            mask = is_excluded(a, b)
+        except (TypeError, ValueError):
+            mask = np.reshape([bool(is_excluded(pa, pb)) for pa, pb in
+                               zip(a.ravel().tolist(), b.ravel().tolist())], a.shape)
+        return np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
 
 
-def _points(a, b):
-    """The (a, b) points of scalar or array coordinates, as Python floats."""
-    if isinstance(a, np.ndarray):
-        return zip(a.tolist(), b.tolist())
-    return ((a, b),)
-
-
-def _require_kept(fld: ScalarField2, points, message: str) -> None:
-    """DomainError naming the first of ``points`` that ``fld`` excludes."""
-    excluded = fld.domain_exclusions
-    if excluded is not None:
-        for (pa, pb) in points:
-            if excluded(pa, pb):
-                raise DomainError(message.format(pa, pb))
-
-
-def _stencil(a, b, h):
-    return [(a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h),
-            (a + h, b + h), (a + h, b - h), (a - h, b + h), (a - h, b - h)]
+def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
+    """DomainError naming the first point that ``fld`` excludes among (a, b),
+    two numbers or two arrays of equal shape read in C order."""
+    a, b = np.asarray(a), np.asarray(b)
+    mask = fld.excluded_mask(a, b).ravel()
+    if mask.any():
+        i = int(np.argmax(mask))
+        raise DomainError(message.format(a.flat[i].item(), b.flat[i].item()))
 
 
 def _central_jet(fld: ScalarField2, a, b, h: float, tag: str) -> Jet2:
-    _require_kept(fld, (s for p in _points(a, b) for s in _stencil(*p, h)),
+    sa = (a, a + h, a - h, a, a, a + h, a + h, a - h, a - h)
+    sb = (b, b, b, b + h, b - h, b + h, b - h, b + h, b - h)
+    # stencil on the last axis: the first hit lies in the first (a, b) that has one
+    _require_kept(fld, np.stack(sa, axis=-1), np.stack(sb, axis=-1),
                   "stencil point ({}, {}) is excluded")
-    ev = fld.evaluator
     f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = (
-        TJet.coef(ev(sa, sb)) for (sa, sb) in _stencil(a, b, h))
+        TJet.coef(fld.evaluator(pa, pb)) for pa, pb in zip(sa, sb))
     return Jet2(
         v=f00,
         vx=(fp0 - fm0) / (2 * h),
@@ -154,14 +155,14 @@ def jet(fld: ScalarField2, a, b) -> Jet2:
     """Value and all partials to order 2 of ``fld`` at (a, b).
 
     ``a`` and ``b`` are numbers, or float arrays of equal shape for many
-    points at once; the evaluator then runs on arrays.  With the
-    ``ExactJet`` backend the evaluator is run on Taylor jets; if it uses
-    primitives outside the supported set (raising ``TypeError``) the
-    computation falls back to central differences and the returned jet is
-    flagged ``backend_used="central-fallback"``.
+    points at once; the evaluator and the exclusion predicate then run on
+    arrays.  With the ``ExactJet`` backend the evaluator is run on Taylor
+    jets; if it uses primitives outside the supported set (raising
+    ``TypeError``) the computation falls back to central differences and the
+    returned jet is flagged ``backend_used="central-fallback"``.
     """
     if isinstance(fld.backend, ExactJet):
-        _require_kept(fld, _points(a, b), "point ({}, {}) is outside the field domain")
+        _require_kept(fld, a, b, "point ({}, {}) is outside the field domain")
         try:
             out = fld.evaluator(TJet.seed_a(a), TJet.seed_b(b))
         except TypeError:

@@ -27,7 +27,8 @@ import numpy as np
 from .core import Jet2, LVec3, ScalarField2, jet, lorentz_inner
 from .errors import DegenerateError, DomainError
 from .jetmath import TJet
-from .pde import GridSpec, kept_points, sweep_blocks, wick_lorentzian_catenoid_field
+from .pde import (Equation, GridSpec, _residual_from_jet, kept_points, sweep_blocks,
+                  wick_lorentzian_catenoid_field)
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
 _REAL_TOL = 1e-9
@@ -173,19 +174,15 @@ def _normal_from_jet(j: Jet2, w: float) -> LVec3:
     return LVec3(1.0 / s, -j.vx.real / s, j.vt.real / s)
 
 
-def _numerator_from_jet(j: Jet2) -> complex:
-    return (1 + j.vx ** 2) * j.vtt - 2 * j.vx * j.vt * j.vxt + (j.vt ** 2 - 1) * j.vxx
-
-
 def born_infeld_numerator(fld: ScalarField2, y: float, z: float) -> float:
     """(1 + phi_y^2) phi_zz - 2 phi_y phi_z phi_yz + (phi_z^2 - 1) phi_yy."""
     j = _real_jet(fld, y, z)
-    return _real(_numerator_from_jet(j), "Born-Infeld numerator")
+    return _real(_residual_from_jet(j, Equation.BORN_INFELD), "Born-Infeld numerator")
 
 
 def _mean_curvature_from_jet(j: Jet2, w: float) -> float:
     _real(j.v, "field value")
-    num = _real(_numerator_from_jet(j), "Born-Infeld numerator")
+    num = _real(_residual_from_jet(j, Equation.BORN_INFELD), "Born-Infeld numerator")
     return -0.5 * num / abs(w) ** 1.5
 
 
@@ -230,7 +227,7 @@ def _classify_block(j: Jet2, tol: float) -> np.ndarray:
     timelike = ok & (w.real > tol)
     spacelike = ok & (w.real < -tol)
     live = np.flatnonzero(timelike | spacelike)
-    num = _numerator_from_jet(j)
+    num = _residual_from_jet(j, Equation.BORN_INFELD)
     bad = _nonreal(j.v[live]) | _nonreal(num[live])
     if bad.any():
         # the error of the scalar path at the first such point
@@ -262,13 +259,13 @@ def classify_grid(fld: ScalarField2, grid: GridSpec,
     that have one) may still differ from cmath in the last ulp.  A non-real
     field value or numerator at a timelike or spacelike point raises
     ``DomainError``, at the first such point in grid order."""
-    kept, _ = kept_points(fld, grid)
-    out = np.empty((len(kept), 2))
-    sweep_blocks(fld, kept, out, lambda j: _classify_block(j, tol),
+    ys, zs, _ = kept_points(fld, grid)
+    out = np.empty((len(ys), 2))
+    sweep_blocks(fld, ys, zs, out, lambda j: _classify_block(j, tol),
                  lambda y, z: _classify_point(fld, y, z, tol))
     names = [c.value for c in _CLASSES]
-    return [(y, z, names[c], h) for (y, z), c, h in
-            zip(kept, out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
+    return [(y, z, names[c], h) for y, z, c, h in
+            zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
 
 
 # -- Example-1 graph: x = asinh(sqrt(z^2 - y^2)) ---------------------------

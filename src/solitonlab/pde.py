@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,8 +94,7 @@ def _require_exact(fld: ScalarField2, what: str) -> None:
         )
 
 
-def wick_rotate_x(fld: ScalarField2,
-                  exclusions: Optional[Callable[[float, float], bool]] = None) -> ScalarField2:
+def wick_rotate_x(fld: ScalarField2, exclusions: Optional[Callable] = None) -> ScalarField2:
     """The field (a, b) -> fld(i a, b).  Maps maximal solutions to Born-Infeld
     solutions and conversely."""
     _require_exact(fld, "wick_rotate_x")
@@ -104,8 +102,7 @@ def wick_rotate_x(fld: ScalarField2,
     return ScalarField2(lambda a, b: ev(1j * a, b), fld.backend, exclusions)
 
 
-def wick_rotate_t(fld: ScalarField2,
-                  exclusions: Optional[Callable[[float, float], bool]] = None) -> ScalarField2:
+def wick_rotate_t(fld: ScalarField2, exclusions: Optional[Callable] = None) -> ScalarField2:
     """The field (a, b) -> fld(a, i b).  Maps Born-Infeld solutions to minimal
     solutions and conversely."""
     _require_exact(fld, "wick_rotate_t")
@@ -128,11 +125,16 @@ class GridSpec:
         if self.na < 2 or self.nb < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
-    def points(self):
+    def coords(self) -> tuple:
+        """The a and b coordinates of the points, float arrays in grid order."""
         da = (self.a_max - self.a_min) / (self.na - 1)
         db = (self.b_max - self.b_min) / (self.nb - 1)
-        return [(self.a_min + i * da, self.b_min + j * db)
-                for i in range(self.na) for j in range(self.nb)]
+        return (np.repeat(self.a_min + np.arange(self.na) * da, self.nb),
+                np.tile(self.b_min + np.arange(self.nb) * db, self.na))
+
+    def points(self) -> list:
+        """The grid points as (a, b) pairs of Python floats, in grid order."""
+        return list(zip(*(c.tolist() for c in self.coords())))
 
     def step(self) -> float:
         return max((self.a_max - self.a_min) / (self.na - 1),
@@ -153,7 +155,7 @@ class GridSpec:
 
 @dataclass
 class ResidualReport:
-    grid: list
+    points: np.ndarray  # (n, 2): the evaluated (a, b) points, in order
     residuals: np.ndarray
     max_abs: float
     backend: str
@@ -162,6 +164,10 @@ class ResidualReport:
     equation: str = ""
     grid_spec: str = ""
     worst_point: Optional[tuple] = None
+
+    @property
+    def grid(self) -> list:  # (a, b) pairs of Python floats
+        return list(map(tuple, self.points.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,18 +181,19 @@ class ResidualReport:
         }
 
 
-def summarize(points: list, residuals, backend: str, excluded_count: int,
+def summarize(points, residuals, backend: str, excluded_count: int,
               name: str = "", equation: str = "", grid_spec: str = "") -> ResidualReport:
-    """The report of residuals evaluated at ``points``.  A non-finite
-    residual counts as infinitely large, so it fails every tolerance; the
-    worst point is the last maximum in the order of ``points``."""
+    """The report of residuals evaluated at ``points``, (a, b) pairs.  A
+    non-finite residual counts as infinitely large, so it fails every
+    tolerance; the worst point is the last maximum in the order of ``points``."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
     residuals = np.asarray(residuals, dtype=complex)
     max_abs, worst = 0.0, None
     if len(points):
         mags = np.abs(residuals)
         mags[np.isnan(mags)] = np.inf
         last = len(mags) - 1 - int(np.argmax(mags[::-1]))
-        max_abs, worst = float(mags[last]), points[last]
+        max_abs, worst = float(mags[last]), tuple(points[last].tolist())
     return ResidualReport(points, residuals, max_abs, backend, excluded_count,
                           name=name, equation=equation, grid_spec=grid_spec,
                           worst_point=worst)
@@ -198,16 +205,15 @@ _NAN = complex(math.nan, math.nan)
 
 
 def kept_points(fld: ScalarField2, grid: GridSpec) -> tuple:
-    """The points of ``grid`` that ``fld`` does not exclude, in grid order, and
-    the number it excludes."""
-    pts = grid.points()
-    is_excluded = fld.domain_exclusions
-    kept = pts if is_excluded is None else [p for p in pts if not is_excluded(*p)]
-    return kept, len(pts) - len(kept)
+    """(a, b, excluded): the coordinates of the points of ``grid`` that ``fld``
+    keeps, in grid order, from one predicate call, and the number it excludes."""
+    a, b = grid.coords()
+    kept = ~fld.excluded_mask(a, b)
+    return a[kept], b[kept], a.size - int(np.count_nonzero(kept))
 
 
-def sweep_blocks(fld: ScalarField2, points: list, out: np.ndarray, from_jet, at_point) -> None:
-    """Evaluate ``fld`` at ``points`` in blocks of ``_BLOCK``, filling ``out``.
+def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, at_point) -> None:
+    """Evaluate ``fld`` at the points (a, b) in blocks of ``_BLOCK``, filling ``out``.
 
     ``out[i:i + n] = from_jet(j)`` for the array jet ``j`` of each block of
     ``n`` points (every entry of ``j`` an array of length ``n``), under
@@ -215,14 +221,12 @@ def sweep_blocks(fld: ScalarField2, points: list, out: np.ndarray, from_jet, at_
     central-difference stencil of the block touches an excluded point, each
     point of the block is evaluated by ``at_point(a, b)`` instead, with
     Python floats.  Blocks are evaluated in order, so the first point at
-    which ``from_jet`` or ``at_point`` raises is the first in ``points``."""
-    coords = np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
-    for s in range(0, len(points), _BLOCK):
-        block = coords[s:s + _BLOCK]
-        a, b = block[:, 0], block[:, 1]
+    which ``from_jet`` or ``at_point`` raises is the first in (a, b)."""
+    for s in range(0, len(a), _BLOCK):
+        ba, bb = a[s:s + _BLOCK], b[s:s + _BLOCK]
         with np.errstate(all="ignore"):
             try:
-                j = jet(fld, a, b)
+                j = jet(fld, ba, bb)
             except (TypeError, ValueError, DomainError):
                 # An evaluator written for numbers fails on arrays with
                 # TypeError (math.cos of an array) or ValueError (the truth of
@@ -230,11 +234,11 @@ def sweep_blocks(fld: ScalarField2, points: list, out: np.ndarray, from_jet, at_
                 # the whole block with DomainError.
                 pass
             else:
-                j = Jet2(*(np.broadcast_to(c, a.shape) for c in
+                j = Jet2(*(np.broadcast_to(c, ba.shape) for c in
                            (j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)), j.backend_used)
-                out[s:s + len(block)] = from_jet(j)
+                out[s:s + len(ba)] = from_jet(j)
                 continue
-        out[s:s + len(block)] = [at_point(pa, pb) for pa, pb in zip(a.tolist(), b.tolist())]
+        out[s:s + len(ba)] = [at_point(pa, pb) for pa, pb in zip(ba.tolist(), bb.tolist())]
 
 
 def _point_residual(fld: ScalarField2, equation: Equation, a: float, b: float,
@@ -253,21 +257,21 @@ def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
     """Evaluate the residual of ``equation`` over the grid, skipping excluded
     points.  Kept points are evaluated in array passes of ``_BLOCK`` points
     (``sweep_blocks``); the residuals come back in grid order."""
-    kept, excluded_count = kept_points(fld, grid)
-    residuals = np.empty(len(kept), dtype=complex)
+    a, b, excluded_count = kept_points(fld, grid)
+    residuals = np.empty(len(a), dtype=complex)
     used = set()
 
     def from_jet(j):
         used.add(j.backend_used)
         return _residual_from_jet(j, equation)
 
-    sweep_blocks(fld, kept, residuals, from_jet,
+    sweep_blocks(fld, a, b, residuals, from_jet,
                  lambda a, b: _point_residual(fld, equation, a, b, used))
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
         backend = f"central(h={fld.backend.h:g})"
-    return summarize(kept, residuals, backend, excluded_count, name=name,
+    return summarize(np.column_stack((a, b)), residuals, backend, excluded_count, name=name,
                      equation=equation.value, grid_spec=grid.as_text())
 
 
@@ -297,7 +301,7 @@ def scherk_first_kind_field() -> ScalarField2:
 
 def wick_helicoid_first_kind_field(k: float = 1.0, margin: float = DEFAULT_MARGIN) -> ScalarField2:
     return _field(lambda a, b: -1j / k * jm.atanh(b / a),
-                  lambda a, b: abs(a) <= margin or abs(b) >= abs(a) * (1 - margin))
+                  lambda a, b: (abs(a) <= margin) | (abs(b) >= abs(a) * (1 - margin)))
 
 
 def wick_helicoid_second_kind_field(k: float = 1.0) -> ScalarField2:
@@ -306,7 +310,7 @@ def wick_helicoid_second_kind_field(k: float = 1.0) -> ScalarField2:
 
 def wick_scherk_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
     return _field(lambda a, b: jm.log(jm.cosh(b)) - jm.log(jm.cos(a)),
-                  lambda a, b: abs(math.cos(a)) <= margin)
+                  lambda a, b: abs(np.cos(a)) <= margin)
 
 
 def wick_lorentzian_catenoid_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
@@ -322,33 +326,34 @@ def helicoid_minimal_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
 
 def scherk_minimal_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
     return _field(lambda a, b: jm.log(jm.cos(b)) - jm.log(jm.cos(a)),
-                  lambda a, b: abs(math.cos(a)) <= margin or abs(math.cos(b)) <= margin)
+                  lambda a, b: (abs(np.cos(a)) <= margin) | (abs(np.cos(b)) <= margin))
 
 
+# name -> (builder, the arguments of ``solution`` it takes, equation, domain, realness)
 _CATALOG_BUILDERS = {
     "helicoid_first_kind": (
-        helicoid_first_kind_field, Equation.MAXIMAL,
+        helicoid_first_kind_field, ("k", "margin"), Equation.MAXIMAL,
         "a != 0; k != 0 (default 1)", REAL),
     "helicoid_second_kind": (
-        helicoid_second_kind_field, Equation.MAXIMAL, "entire plane", REAL),
+        helicoid_second_kind_field, ("k",), Equation.MAXIMAL, "entire plane", REAL),
     "lorentzian_catenoid": (
-        lorentzian_catenoid_field, Equation.MAXIMAL, "(a, b) != (0, 0)", REAL),
+        lorentzian_catenoid_field, ("margin",), Equation.MAXIMAL, "(a, b) != (0, 0)", REAL),
     "scherk_first_kind": (
-        scherk_first_kind_field, Equation.MAXIMAL, "entire plane", REAL),
+        scherk_first_kind_field, (), Equation.MAXIMAL, "entire plane", REAL),
     "wick_helicoid_first_kind": (
-        wick_helicoid_first_kind_field, Equation.BORN_INFELD,
+        wick_helicoid_first_kind_field, ("k", "margin"), Equation.BORN_INFELD,
         "|b| < |a| (conservative implementation choice)", COMPLEX),
     "wick_helicoid_second_kind": (
-        wick_helicoid_second_kind_field, Equation.BORN_INFELD, "entire plane", COMPLEX),
+        wick_helicoid_second_kind_field, ("k",), Equation.BORN_INFELD, "entire plane", COMPLEX),
     "wick_scherk": (
-        wick_scherk_field, Equation.BORN_INFELD, "cos a != 0",
-        Realness("conditional", lambda a, b: math.cos(a) > 0)),
+        wick_scherk_field, ("margin",), Equation.BORN_INFELD, "cos a != 0",
+        Realness("conditional", lambda a, b: np.cos(a) > 0)),
     "wick_lorentzian_catenoid": (
-        wick_lorentzian_catenoid_field, Equation.BORN_INFELD, "|b| > |a|", REAL),
+        wick_lorentzian_catenoid_field, ("margin",), Equation.BORN_INFELD, "|b| > |a|", REAL),
     "helicoid_minimal": (
-        helicoid_minimal_field, Equation.MINIMAL, "a != 0", REAL),
+        helicoid_minimal_field, ("margin",), Equation.MINIMAL, "a != 0", REAL),
     "scherk_minimal": (
-        scherk_minimal_field, Equation.MINIMAL, "cos a != 0, cos b != 0", REAL),
+        scherk_minimal_field, ("margin",), Equation.MINIMAL, "cos a != 0, cos b != 0", REAL),
 }
 
 # Default sweep grids keep a safe distance from each entry's singular locus.
@@ -379,18 +384,14 @@ def catalog_names() -> list:
 
 
 def solution(name: str, k: float = 1.0, margin: float = DEFAULT_MARGIN) -> SolutionEntry:
-    """Build a catalog entry; ``k`` feeds the helicoid families, others ignore it."""
+    """Build a catalog entry; ``k`` feeds the helicoid families and ``margin``
+    the entries with exclusions, others ignore them."""
     try:
-        builder, eqn, note, realness = _CATALOG_BUILDERS[name]
+        builder, takes, eqn, note, realness = _CATALOG_BUILDERS[name]
     except KeyError:
         raise UnknownSurface(f"no catalog solution named {name!r}") from None
-    kwargs = {}
-    code = builder.__code__
-    if "k" in code.co_varnames[:code.co_argcount]:
-        kwargs["k"] = k
-    if "margin" in code.co_varnames[:code.co_argcount]:
-        kwargs["margin"] = margin
-    return SolutionEntry(name, builder(**kwargs), eqn, note, realness)
+    params = {"k": k, "margin": margin}
+    return SolutionEntry(name, builder(**{p: params[p] for p in takes}), eqn, note, realness)
 
 
 def catalog() -> list:

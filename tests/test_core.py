@@ -331,3 +331,56 @@ def test_array_jet_divisions_match_scalar_jets():
         for name in names[1:]:
             w = getattr(want, name)
             assert abs(getattr(got, name)[i] - w) <= 1e-14 * abs(w), (i, name)
+
+
+# -- exclusion masks on arrays ------------------------------------------------
+
+def test_array_stencil_names_the_first_excluded_point_point_by_point():
+    # Point 0's stencil is excluded only at its 4th offset, (a, b + h); point
+    # 1's already at its 2nd, (a + h, b).  The first excluded stencil point
+    # is point 0's: points first, then offsets in stencil order.
+    fld = ScalarField2(lambda a, b: a * b, backend=CentralDiff(0.1),
+                       domain_exclusions=lambda a, b: ((b > 0.05) & (a < 0.25)) | (a > 0.55))
+    a, b = np.array([0.0, 0.5, 0.9]), np.array([0.0, 0.0, 0.0])
+    with pytest.raises(DomainError) as got:
+        jet(fld, a, b)
+    with pytest.raises(DomainError) as want:
+        jet(fld, 0.0, 0.0)
+    assert str(got.value) == str(want.value) == "stencil point (0.0, 0.1) is excluded"
+    with pytest.raises(DomainError, match=r"^stencil point \(0\.6, 0\.0\) is excluded$"):
+        jet(fld, a[1:], b[1:])
+
+
+def test_array_jet_names_the_first_excluded_point():
+    fld = ScalarField2(lambda a, b: a * b, domain_exclusions=lambda a, b: a > 0.55)
+    a, b = np.array([0.0, 0.7, 0.3, 0.9]), np.array([0.25, -0.5, 0.0, 1.0])
+    with pytest.raises(DomainError) as got:
+        jet(fld, a, b)
+    assert str(got.value) == "point (0.7, -0.5) is outside the field domain"
+    with pytest.raises(DomainError, match=r"^point \(0\.9, 1\.0\) is outside"):
+        jet(fld, a[2:], b[2:])
+
+
+_A = np.array([-1.5, -0.0, 0.0, 0.4, 1.2])
+_B = np.array([0.3, 0.0, -0.0, -0.9, 2.0])
+
+
+@pytest.mark.parametrize("predicate", [
+    lambda a, b: abs(math.cos(a)) <= 0.4,          # TypeError on arrays
+    lambda a, b: a < 0.0 or b > 1.0,               # ValueError on arrays
+    lambda a, b: np.cos(a) + b if a > 0 else 0.0,  # ValueError, non-bool values
+], ids=["math.cos", "or", "branch"])
+def test_mask_of_a_predicate_that_rejects_arrays_is_taken_per_point(predicate):
+    fld = ScalarField2(lambda a, b: a + b, domain_exclusions=predicate)
+    want = [bool(predicate(a, b)) for a, b in zip(_A.tolist(), _B.tolist())]
+    assert fld.excluded_mask(_A, _B).tolist() == want
+    grid = (_A.reshape(5, 1) + np.zeros(3), _B.reshape(5, 1) + np.zeros(3))
+    assert fld.excluded_mask(*grid).tolist() == [[w] * 3 for w in want]
+
+
+@pytest.mark.parametrize("value", [False, True, np.False_])
+def test_mask_of_a_single_bool_is_broadcast(value):
+    fld = ScalarField2(lambda a, b: a + b, domain_exclusions=lambda a, b: value)
+    mask = fld.excluded_mask(_A, _B)
+    assert mask.dtype == bool and mask.tolist() == [bool(value)] * len(_A)
+    assert ScalarField2(lambda a, b: a).excluded_mask(_A, _B).tolist() == [False] * len(_A)

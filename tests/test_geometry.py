@@ -4,9 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from solitonlab import geometry
+from solitonlab import geometry, pde
 from solitonlab import jetmath as jm
-from solitonlab.core import CentralDiff, LVec3, ScalarField2, jet, lorentz_inner
+from solitonlab.core import CentralDiff, LVec3, ScalarField2, jet, lorentz_inner, with_backend
 from solitonlab.errors import DegenerateError, DomainError
 from solitonlab.geometry import (
     TOL_DEGENERATE,
@@ -349,3 +349,28 @@ def test_non_finite_jet_is_lightlike():
     assert _row_bits(rows) == _row_bits(_point_rows(fld, grid))
     assert all(r[2] == "lightlike" and math.isnan(r[3]) for r in rows)
     assert graph_point_report(fld, 0.2, 0.3).causal is CausalClass.LIGHTLIKE
+
+
+def _counting(fld):
+    """The field with an exclusion predicate that counts its calls."""
+    calls = []
+
+    def predicate(y, z):
+        calls.append(1)
+        return fld.domain_exclusions(y, z)
+    return ScalarField2(fld.evaluator, fld.backend, predicate), calls
+
+
+def test_classify_grid_tests_exclusions_once_per_block():
+    fld, calls = _counting(example1_graph())
+    rows = classify_grid(fld, GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101))
+    blocks = -(-len(rows) // pde._BLOCK)
+    assert len(rows) == 5179 and blocks == 2
+    assert len(calls) <= 1 + blocks
+    # a central-difference sweep tests all nine stencil points of a block at once
+    fld, calls = _counting(with_backend(solution("wick_lorentzian_catenoid").field,
+                                        CentralDiff(1e-4)))
+    grid = GridSpec(-0.8, 0.8, 1.0, 3.0, 81, 81)
+    rep = pde.residual_sweep(fld, pde.Equation.BORN_INFELD, grid)
+    assert len(rep.residuals) == 81 * 81
+    assert len(calls) <= 1 + -(-len(rep.residuals) // pde._BLOCK)

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonlab import jetmath as jm
 from solitonlab.core import CentralDiff, ScalarField2, jet, with_backend
 from solitonlab.errors import DomainError, UnsupportedEvaluator
+from solitonlab.geometry import classify_grid, example1_graph
 from solitonlab.pde import (
     DEFAULT_GRIDS,
     WICK_GRIDS,
@@ -16,6 +19,7 @@ from solitonlab.pde import (
     catalog_names,
     equation_residual,
     gradient_spacelike,
+    kept_points,
     maximal_residual,
     minimal_residual,
     residual_sweep,
@@ -23,6 +27,7 @@ from solitonlab.pde import (
     summarize,
     wick_rotate_t,
     wick_rotate_x,
+    wick_helicoid_first_kind_field,
     wick_scherk_field,
 )
 
@@ -277,3 +282,110 @@ def test_sweep_stencil_on_an_exclusion_raises_at_the_first_such_point():
     with pytest.raises(DomainError) as got:
         residual_sweep(fld, Equation.MAXIMAL, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
     assert str(got.value) == str(want.value) == "stencil point (-0.05, -1.0) is excluded"
+
+
+# -- exclusion predicates on arrays ---------------------------------------------
+
+def _predicates():
+    """(label, predicate, margin) of every exclusion predicate the package
+    defines, with the margin its boundary points are drawn around."""
+    for margin in (1e-2, 0.3):
+        for name in catalog_names():
+            pred = solution(name, margin=margin).field.domain_exclusions
+            if pred is not None:
+                yield f"{name}(margin={margin})", pred, margin
+    yield "example1_graph", example1_graph().domain_exclusions, 0.0
+    yield "wick_scherk realness", solution("wick_scherk").realness.predicate, 0.0
+
+
+def _coordinates(margin):
+    # random values, signed zeros and the values the boundaries pass through:
+    # |a| = margin, |cos a| = margin, a^2 + b^2 = margin^2 (with 0)
+    edges = [0.0, -0.0, margin, -margin, 2.0 * margin, math.pi / 2, -math.pi / 2]
+    if margin <= 1.0:
+        edges += [math.acos(margin), -math.acos(margin), math.acos(-margin)]
+    x = st.floats(-4.0, 4.0) | st.sampled_from(edges)
+    return st.one_of(
+        st.tuples(x, x),
+        x.map(lambda a: (a, a)), x.map(lambda a: (a, -a)),    # z^2 = y^2
+        x.map(lambda a: (a, abs(a) + margin)),                # |b| - |a| = margin
+        x.map(lambda a: (a, -(abs(a) + margin))),
+        x.map(lambda a: (a, abs(a) * (1 - margin))),          # |b| = |a| (1 - margin)
+    )
+
+
+def _boundary_points(margin):
+    """Points on every boundary: signed zeros, |a| = margin, a^2 + b^2 =
+    margin^2, |b| - |a| = margin, z^2 = y^2, and the floats nearest to
+    |cos a| = margin and |cos b| = margin."""
+    pts = [(0.0, -0.0), (-0.0, 0.0), (margin, 0.0), (-margin, -0.0), (0.0, margin),
+           (-0.0, -margin), (0.5, 0.5 + margin), (-1.25, -1.25), (1.25, -1.25)]
+    if margin <= 1.0:
+        for x in (math.acos(margin), math.acos(-margin)):
+            for k in range(-2, 3):
+                c = x + k * math.ulp(x)
+                pts += [(c, 0.25), (-c, -0.0), (0.25, c), (c, -c)]
+    return pts
+
+
+@pytest.mark.parametrize("label,predicate,margin",
+                         [pytest.param(*p, id=p[0]) for p in _predicates()])
+def test_array_predicates_match_their_scalar_calls(label, predicate, margin):
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_coordinates(margin), max_size=40))
+    def check(points):
+        points = _boundary_points(margin) + points
+        a, b = (np.array(c, dtype=float) for c in zip(*points))
+        got = predicate(a, b)
+        assert isinstance(got, np.ndarray) and got.dtype == bool and got.shape == a.shape
+        assert got.tolist() == [bool(predicate(pa, pb)) for pa, pb in points]
+    check()
+
+
+def test_grid_coords_are_the_python_expression():
+    g = GridSpec(-1.3, 2.7, 0.1, 0.9, 37, 11)
+    da, db = (g.a_max - g.a_min) / (g.na - 1), (g.b_max - g.b_min) / (g.nb - 1)
+    want = [(g.a_min + i * da, g.b_min + j * db) for i in range(g.na) for j in range(g.nb)]
+    a, b = g.coords()
+    assert list(zip(a.tolist(), b.tolist())) == g.points() == want
+
+
+def _fallback_cases():
+    # (array predicate, the same written for numbers, field, equation, grid)
+    margin = 0.1
+    yield ("math.cos", lambda a, b: abs(np.cos(a)) <= margin,
+           lambda a, b: abs(math.cos(a)) <= margin, wick_scherk_field(margin),
+           Equation.BORN_INFELD, GridSpec(-2.5, 2.5, -1.0, 1.0, 41, 21))
+    yield ("or", lambda a, b: (abs(a) <= margin) | (abs(b) >= abs(a) * (1 - margin)),
+           lambda a, b: abs(a) <= margin or abs(b) >= abs(a) * (1 - margin),
+           wick_helicoid_first_kind_field(1.0, margin), Equation.BORN_INFELD,
+           GridSpec(-3.0, 3.0, -2.0, 2.0, 31, 21))
+    yield ("bare False", None, lambda a, b: False, wick_scherk_field(margin),
+           Equation.BORN_INFELD, GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11))
+
+
+@pytest.mark.parametrize("backend", [None, CentralDiff(1e-4)], ids=["exact", "central"])
+@pytest.mark.parametrize("label,array_pred,scalar_pred,fld,equation,grid",
+                         [pytest.param(*c, id=c[0]) for c in _fallback_cases()])
+def test_predicates_that_reject_arrays_sweep_like_array_predicates(
+        label, array_pred, scalar_pred, fld, equation, grid, backend):
+    if backend is not None:
+        fld = with_backend(fld, backend)
+    fields = [ScalarField2(fld.evaluator, fld.backend, p) for p in (array_pred, scalar_pred)]
+    (a1, b1, n1), (a2, b2, n2) = (kept_points(f, grid) for f in fields)
+    assert np.array_equal(a1, a2) and np.array_equal(b1, b2) and n1 == n2
+    assert n1 > 0 or label == "bare False"
+    r1, r2 = (residual_sweep(f, equation, grid) for f in fields)
+    assert np.array_equal(r1.residuals, r2.residuals)
+    assert (r1.max_abs, r1.worst_point, r1.excluded_count, r1.backend) == \
+        (r2.max_abs, r2.worst_point, r2.excluded_count, r2.backend)
+
+
+def test_classify_grid_with_a_predicate_that_rejects_arrays():
+    fld = example1_graph()
+    scalar = ScalarField2(fld.evaluator, fld.backend,
+                          lambda y, z: z * z - y * y < 0.0 or math.isnan(y))
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17)
+    rows = classify_grid(fld, grid)
+    assert len(rows) < 17 * 17
+    assert repr(classify_grid(scalar, grid)) == repr(rows)  # nan != nan
