@@ -6,7 +6,6 @@ integration, conjugate/associate families, and Ramanujan-derived identities.
 from .core import (
     CentralDiff,
     ExactJet,
-    Jet2,
     LVec3,
     ScalarField2,
     jet,

@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def count(text: str) -> int:
+    """Argument type of a count: an int of at least 1 (argparse names it in errors)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _write(path, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -174,10 +182,8 @@ def _cmd_identity(args) -> int:
             print("error: this identity needs --zeta", file=sys.stderr)
             return 2
         ident_args = (complex(args.zeta),)
-    K_list = [int(k) for k in args.K.split(",")]
+    K_list = identities.increasing(args.K.split(","))
     if args.name == "ram_arctan_sum" and args.tail_correction:
-        if K_list != sorted(K_list):
-            raise ValueError("K_list must be increasing")
         results = [identities.ram_arctan_sum(*ident_args, K=K, tail_correction=True)
                    for K in K_list]
     else:
@@ -231,7 +237,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("geometry", description="causal classification sweeps")
     gsub = g.add_subparsers(dest="subcommand", required=True)
     gc = gsub.add_parser("classify")
-    gc.add_argument("--solution", default="example1")
+    gc.add_argument("--solution", default="example1",
+                    choices=("example1", *pde.catalog_names()))
     gc.add_argument("--grid", default=None)
     gc.add_argument("--k", type=float, default=1.0)
     gc.add_argument("--margin", type=float, default=pde.DEFAULT_MARGIN)
@@ -242,7 +249,7 @@ def build_parser() -> _Parser:
     f.add_argument("--pair", default="helicoid-catenoid")
     f.add_argument("--theta-list", default="0,0.5235987755982988,0.7853981633974483,"
                                            "1.0471975511965976,1.5707963267948966")
-    f.add_argument("--num-points", type=int, default=20)
+    f.add_argument("--num-points", type=count, default=20)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--tolerance", type=float, default=1e-6)
     f.add_argument("--out", default=None)

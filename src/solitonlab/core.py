@@ -8,11 +8,12 @@ Conventions used throughout the package:
   (a, b).  "Vanishes" for any residual built from one always means modulus
   below tolerance.  Its exclusion predicate is called with coordinate arrays,
   a whole block or stencil at once, and returns a bool array.
-* ``Jet2`` holds the value and the five partials up to order 2; ``vx`` and
-  ``vxx`` differentiate with respect to the first variable, ``vt``/``vtt``
-  with respect to the second.  ``jet`` takes one point as two numbers or many
-  points as two arrays; each entry of the result is then a number or an
-  array (or a number that holds for every point).
+* ``jet`` returns the value and the five partials up to order 2 as a
+  :class:`~solitonlab.jetmath.TJet` (``fx`` and ``fxx`` differentiate with
+  respect to the first variable, ``ft``/``ftt`` with respect to the second),
+  together with the name of the backend that computed them.  It takes one
+  point as two numbers or many points as two arrays; each coefficient is then
+  a number or an array (or a number that holds for every point).
 """
 
 from __future__ import annotations
@@ -75,19 +76,6 @@ def lorentz_inner(a: LVec3, b: LVec3):
     return a.x * b.x + a.y * b.y - a.z * b.z
 
 
-@dataclass(frozen=True, slots=True)
-class Jet2:
-    """Value and partials to order 2 of a field at a point."""
-
-    v: complex
-    vx: complex
-    vt: complex
-    vxx: complex
-    vxt: complex
-    vtt: complex
-    backend_used: str = "exact"
-
-
 @dataclass(frozen=True)
 class ScalarField2:
     """A function of two real variables with a derivative backend.
@@ -132,7 +120,7 @@ def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
         raise DomainError(message.format(a.flat[i].item(), b.flat[i].item()))
 
 
-def _central_jet(fld: ScalarField2, a, b, h: float, tag: str) -> Jet2:
+def _central_jet(fld: ScalarField2, a, b, h: float) -> TJet:
     sa = (a, a + h, a - h, a, a, a + h, a + h, a - h, a - h)
     sb = (b, b, b, b + h, b - h, b + h, b - h, b + h, b - h)
     # stencil on the last axis: the first hit lies in the first (a, b) that has one
@@ -140,37 +128,36 @@ def _central_jet(fld: ScalarField2, a, b, h: float, tag: str) -> Jet2:
                   "stencil point ({}, {}) is excluded")
     f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = (
         TJet.coef(fld.evaluator(pa, pb)) for pa, pb in zip(sa, sb))
-    return Jet2(
-        v=f00,
-        vx=(fp0 - fm0) / (2 * h),
-        vt=(f0p - f0m) / (2 * h),
-        vxx=(fp0 - 2 * f00 + fm0) / (h * h),
-        vxt=(fpp - fpm - fmp + fmm) / (4 * h * h),
-        vtt=(f0p - 2 * f00 + f0m) / (h * h),
-        backend_used=tag,
+    return TJet(
+        f=f00,
+        fx=(fp0 - fm0) / (2 * h),
+        ft=(f0p - f0m) / (2 * h),
+        fxx=(fp0 - 2 * f00 + fm0) / (h * h),
+        fxt=(fpp - fpm - fmp + fmm) / (4 * h * h),
+        ftt=(f0p - 2 * f00 + f0m) / (h * h),
     )
 
 
-def jet(fld: ScalarField2, a, b) -> Jet2:
-    """Value and all partials to order 2 of ``fld`` at (a, b).
+def jet(fld: ScalarField2, a, b) -> tuple:
+    """``(j, backend)``: the value and all partials to order 2 of ``fld`` at
+    (a, b) as a ``TJet`` ``j``, and the backend that computed them, one of
+    ``"exact"``, ``"central"`` and ``"central-fallback"``.
 
     ``a`` and ``b`` are numbers, or float arrays of equal shape for many
     points at once; the evaluator and the exclusion predicate then run on
     arrays.  With the ``ExactJet`` backend the evaluator is run on Taylor
     jets; if it uses primitives outside the supported set (raising
-    ``TypeError``) the computation falls back to central differences and the
-    returned jet is flagged ``backend_used="central-fallback"``.
+    ``TypeError``) the computation falls back to central differences with
+    step ``DEFAULT_CENTRAL_H`` and the backend is ``"central-fallback"``.
     """
     if isinstance(fld.backend, ExactJet):
         _require_kept(fld, a, b, "point ({}, {}) is outside the field domain")
         try:
             out = fld.evaluator(TJet.seed_a(a), TJet.seed_b(b))
         except TypeError:
-            return _central_jet(fld, a, b, DEFAULT_CENTRAL_H, "central-fallback")
-        if isinstance(out, TJet):
-            return Jet2(out.f, out.fx, out.ft, out.fxx, out.fxt, out.ftt)
-        return Jet2(TJet.coef(out), 0j, 0j, 0j, 0j, 0j)
-    return _central_jet(fld, a, b, fld.backend.h, "central")
+            return _central_jet(fld, a, b, DEFAULT_CENTRAL_H), "central-fallback"
+        return TJet.lift(out), "exact"
+    return _central_jet(fld, a, b, fld.backend.h), "central"
 
 
 def with_backend(fld: ScalarField2, backend: Backend) -> ScalarField2:

@@ -21,7 +21,7 @@ import numpy as np
 from . import jetmath as jm
 from .errors import DomainError, JacobianSingular
 from .jetmath import TJet
-from .pde import ResidualReport, summarize
+from .pde import Equation, ResidualReport, _residual_from_jet, summarize
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
 from .weierstrass import SurfaceMap
 
@@ -148,10 +148,8 @@ def conjugacy_check(pair: ConjugatePair, zeta: complex) -> float:
     b = pair.comps2(tau, sigma)
     worst = 0.0
     for ai, bi in zip(a, b):
-        w = ai + 1j * bi
-        wu = w.fx if isinstance(w, TJet) else 0j
-        wv = w.ft if isinstance(w, TJet) else 0j
-        worst = max(worst, 0.5 * abs(wu + 1j * wv))
+        w = TJet.lift(ai + 1j * bi)
+        worst = max(worst, 0.5 * abs(w.fx + 1j * w.ft))
     return worst
 
 
@@ -224,7 +222,7 @@ def holomorphic_derivative(fn: Callable, z):
     except TypeError:
         h = 1e-3
         return complex(-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12 * h)
-    d = out.fx if isinstance(out, TJet) else 0j
+    d = TJet.lift(out).fx
     return np.broadcast_to(d, z.shape) if isinstance(z, np.ndarray) else d
 
 
@@ -284,8 +282,8 @@ def _family_jets(pair: ConjugatePair, theta: float, zeta: complex):
     zj = ju + 1j * jv
     xij = ju - 1j * jv
     c1, c2 = pair.zeta_comps()
-    x1, t1, f1 = (w if isinstance(w, TJet) else TJet(complex(w)) for w in c1(zj, xij))
-    x2, t2, f2 = (w if isinstance(w, TJet) else TJet(complex(w)) for w in c2(zj, xij))
+    x1, t1, f1 = map(TJet.lift, c1(zj, xij))
+    x2, t2, f2 = map(TJet.lift, c2(zj, xij))
     ct, st = math.cos(theta), math.sin(theta)
     xs = 1j * (x1 * ct + x2 * st)
     ts = t1 * ct + t2 * st
@@ -326,7 +324,7 @@ def graph_residual_from_jets(xs: TJet, ts: TJet, ps: TJet,
     pxx = px_u * b11 + px_v * b21
     pxt = px_u * b12 + px_v * b22
     ptt = pt_u * b12 + pt_v * b22
-    return (1 + px * px) * ptt - 2 * px * pt * pxt + (pt * pt - 1) * pxx
+    return _residual_from_jet(TJet(ps.f, px, pt, pxx, pxt, ptt), Equation.BORN_INFELD)
 
 
 def complex_bi_residual_on_family(pair: ConjugatePair, theta: float, grid,

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Jet2, LVec3, ScalarField2, jet, lorentz_inner
+from .core import LVec3, ScalarField2, jet, lorentz_inner
 from .errors import DegenerateError, DomainError
 from .jetmath import TJet
 from .pde import (Equation, GridSpec, _residual_from_jet, kept_points, sweep_blocks,
@@ -79,9 +79,9 @@ def _nonreal(v):
     return abs(v.imag) > _REAL_TOL * (1.0 + abs(v.real))
 
 
-def _indicator(j: Jet2):
+def _indicator(j: TJet):
     """W = 1 + phi_y^2 - phi_z^2 of a jet, complex."""
-    return 1 + j.vx ** 2 - j.vt ** 2
+    return 1 + j.fx ** 2 - j.ft ** 2
 
 
 def _real(v: complex, what: str) -> float:
@@ -90,9 +90,9 @@ def _real(v: complex, what: str) -> float:
     return v.real
 
 
-def _real_jet(fld: ScalarField2, y: float, z: float) -> Jet2:
-    j = jet(fld, y, z)
-    _real(j.v, "field value")
+def _real_jet(fld: ScalarField2, y: float, z: float) -> TJet:
+    j, _ = jet(fld, y, z)
+    _real(j.f, "field value")
     return j
 
 
@@ -117,14 +117,14 @@ def _jet_off_degenerate(fld: ScalarField2, y: float, z: float, tol: float):
     return j, w
 
 
-def _forms_from_jet(j: Jet2, w: float) -> FundForms:
-    py, pz = j.vx.real, j.vt.real
+def _forms_from_jet(j: TJet, w: float) -> FundForms:
+    py, pz = j.fx.real, j.ft.real
     s = math.sqrt(abs(w))
     E = py * py + 1.0
     G = pz * pz - 1.0
     F = py * pz
     return FundForms(E=E, F=F, G=G,
-                     e=j.vxx.real / s, f2=j.vxt.real / s, g=j.vtt.real / s,
+                     e=j.fxx.real / s, f2=j.fxt.real / s, g=j.ftt.real / s,
                      disc=E * G - F * F)
 
 
@@ -137,12 +137,12 @@ def _classify_jet(fld: ScalarField2, y: float, z: float, tol: float):
     """(class, jet, W) at (y, z); the jet and W are None at lightlike points:
     where the jet is singular or not finite, or W is not real or |W| <= tol."""
     try:
-        j = jet(fld, y, z)
+        j, _ = jet(fld, y, z)
         w = _indicator(j)
     except (DomainError, ZeroDivisionError, ValueError, OverflowError):
         return CausalClass.LIGHTLIKE, None, None
     if (_nonreal(w) or not math.isfinite(w.real)
-            or not all(map(cmath.isfinite, (j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)))):
+            or not all(map(cmath.isfinite, (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))):
         return CausalClass.LIGHTLIKE, None, None
     if w.real > tol:
         return CausalClass.TIMELIKE, j, w.real
@@ -169,9 +169,9 @@ def unit_normal(fld: ScalarField2, y: float, z: float,
     return _normal_from_jet(*_jet_off_degenerate(fld, y, z, tol))
 
 
-def _normal_from_jet(j: Jet2, w: float) -> LVec3:
+def _normal_from_jet(j: TJet, w: float) -> LVec3:
     s = math.sqrt(abs(w))
-    return LVec3(1.0 / s, -j.vx.real / s, j.vt.real / s)
+    return LVec3(1.0 / s, -j.fx.real / s, j.ft.real / s)
 
 
 def born_infeld_numerator(fld: ScalarField2, y: float, z: float) -> float:
@@ -180,8 +180,8 @@ def born_infeld_numerator(fld: ScalarField2, y: float, z: float) -> float:
     return _real(_residual_from_jet(j, Equation.BORN_INFELD), "Born-Infeld numerator")
 
 
-def _mean_curvature_from_jet(j: Jet2, w: float) -> float:
-    _real(j.v, "field value")
+def _mean_curvature_from_jet(j: TJet, w: float) -> float:
+    _real(j.f, "field value")
     num = _real(_residual_from_jet(j, Equation.BORN_INFELD), "Born-Infeld numerator")
     return -0.5 * num / abs(w) ** 1.5
 
@@ -199,7 +199,6 @@ def graph_point_report(fld: ScalarField2, y: float, z: float,
     causal, j, w = _classify_jet(fld, y, z, tol)
     if j is None:
         return GraphPointReport((y, z), None, causal, None, None)
-    _real(j.v, "field value")
     return GraphPointReport((y, z), _forms_from_jet(j, w), causal,
                             _normal_from_jet(j, w), _mean_curvature_from_jet(j, w))
 
@@ -215,11 +214,11 @@ def _classify_point(fld: ScalarField2, y: float, z: float, tol: float) -> tuple:
     return _CODE[causal], (math.nan if j is None else _mean_curvature_from_jet(j, w))
 
 
-def _classify_block(j: Jet2, tol: float) -> np.ndarray:
+def _classify_block(j: TJet, tol: float) -> np.ndarray:
     """(class code, H) columns for the array jet of a block of points, with
     the rules and the rounding of ``_classify_jet`` and
     ``_mean_curvature_from_jet`` at each point."""
-    coefs = (j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)
+    coefs = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
     w = _indicator(j)
     ok = np.isfinite(w.real) & ~_nonreal(w)
     for c in coefs:
@@ -228,11 +227,11 @@ def _classify_block(j: Jet2, tol: float) -> np.ndarray:
     spacelike = ok & (w.real < -tol)
     live = np.flatnonzero(timelike | spacelike)
     num = _residual_from_jet(j, Equation.BORN_INFELD)
-    bad = _nonreal(j.v[live]) | _nonreal(num[live])
+    bad = _nonreal(j.f[live]) | _nonreal(num[live])
     if bad.any():
         # the error of the scalar path at the first such point
         i = live[np.argmax(bad)]
-        _mean_curvature_from_jet(Jet2(*(complex(c[i]) for c in coefs)), float(w.real[i]))
+        _mean_curvature_from_jet(TJet(*(complex(c[i]) for c in coefs)), float(w.real[i]))
     out = np.empty((len(w), 2))
     out[:, 0] = _CODE[CausalClass.LIGHTLIKE]
     out[timelike, 0] = _CODE[CausalClass.TIMELIKE]
@@ -261,7 +260,7 @@ def classify_grid(fld: ScalarField2, grid: GridSpec,
     ``DomainError``, at the first such point in grid order."""
     ys, zs, _ = kept_points(fld, grid)
     out = np.empty((len(ys), 2))
-    sweep_blocks(fld, ys, zs, out, lambda j: _classify_block(j, tol),
+    sweep_blocks(fld, ys, zs, out, lambda j, _: _classify_block(j, tol),
                  lambda y, z: _classify_point(fld, y, z, tol))
     names = [c.value for c in _CLASSES]
     return [(y, z, names[c], h) for y, z, c, h in
@@ -288,13 +287,7 @@ def surface_jets(surface, zeta: complex):
         raise DomainError(f"parameter {zeta} is outside the surface domain")
     ju = TJet.seed_a(zeta.real)
     jv = TJet.seed_b(zeta.imag)
-    comps = surface.components(ju, jv)
-    out = []
-    for c in comps:
-        if not isinstance(c, TJet):
-            c = TJet(complex(c))
-        out.append(Jet2(c.f, c.fx, c.ft, c.fxx, c.fxt, c.ftt))
-    return tuple(out)
+    return tuple(map(TJet.lift, surface.components(ju, jv)))
 
 
 def isothermal_check(surface, zeta: complex):
@@ -305,9 +298,9 @@ def isothermal_check(surface, zeta: complex):
     isothermal maximal immersion at the point.
     """
     jx, jy, jz = surface_jets(surface, zeta)
-    xu = LVec3(jx.vx, jy.vx, jz.vx)
-    xv = LVec3(jx.vt, jy.vt, jz.vt)
+    xu = LVec3(jx.fx, jy.fx, jz.fx)
+    xv = LVec3(jx.ft, jy.ft, jz.ft)
     conformal = abs(lorentz_inner(xu, xu) - lorentz_inner(xv, xv))
     cross = abs(lorentz_inner(xu, xv))
-    harmonic = max(abs(jx.vxx + jx.vtt), abs(jy.vxx + jy.vtt), abs(jz.vxx + jz.vtt))
+    harmonic = max(abs(jx.fxx + jx.ftt), abs(jy.fxx + jy.ftt), abs(jz.fxx + jz.ftt))
     return conformal, cross, harmonic

@@ -315,12 +315,18 @@ def lorentz_helicoid_identity(zeta: complex, K: int) -> TruncationResult:
     return evaluate(LORENTZ_HELICOID_IDENTITY, (complex(zeta),), K)
 
 
-def convergence_order(spec: IdentitySpec, args, K_list) -> list:
-    """Run the identity at each K (increasing); est_order between consecutive
-    runs replaces the single-run K-vs-2K estimate."""
-    if list(K_list) != sorted(K_list):
+def increasing(K_list) -> list:
+    """``K_list`` as a list of ints; ValueError unless it strictly increases."""
+    Ks = [int(K) for K in K_list]
+    if any(k >= nxt for k, nxt in zip(Ks, Ks[1:])):
         raise ValueError("K_list must be increasing")
-    results = [evaluate(spec, args, int(K)) for K in K_list]
+    return Ks
+
+
+def convergence_order(spec: IdentitySpec, args, K_list) -> list:
+    """Run the identity at each K (strictly increasing); est_order between
+    consecutive runs replaces the single-run K-vs-2K estimate."""
+    results = [evaluate(spec, args, K) for K in increasing(K_list)]
     out = []
     for i, r in enumerate(results):
         if i == 0:

@@ -129,6 +129,11 @@ class TJet:
         return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
 
     @staticmethod
+    def lift(x) -> "TJet":
+        """``x`` if it is a jet, else the constant jet of ``x``."""
+        return x if isinstance(x, TJet) else TJet(TJet.coef(x))
+
+    @staticmethod
     def seed_a(a) -> "TJet":
         """Jet of the coordinate function (a, b) -> a; ``a`` may be an array."""
         return TJet(TJet.coef(a), 1.0 + 0j)

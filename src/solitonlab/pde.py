@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jetmath as jm
-from .core import Backend, ExactJet, Jet2, ScalarField2, jet
+from .core import Backend, ExactJet, ScalarField2, jet
 from .errors import DomainError, UnknownSurface, UnsupportedEvaluator
 
 DEFAULT_MARGIN = 1e-2
@@ -54,34 +54,36 @@ class SolutionEntry:
     realness: Realness
 
 
-def _residual_from_jet(j: Jet2, equation: Equation) -> complex:
+def _residual_from_jet(j: jm.TJet, equation: Equation) -> complex:
+    """The residual of ``equation`` from the coefficients of ``j``, the jet
+    of u in (a, b); the one formula behind every residual in the package."""
     if equation is Equation.BORN_INFELD:
-        return (1 + j.vx ** 2) * j.vtt - 2 * j.vx * j.vt * j.vxt + (j.vt ** 2 - 1) * j.vxx
+        return (1 + j.fx ** 2) * j.ftt - 2 * j.fx * j.ft * j.fxt + (j.ft ** 2 - 1) * j.fxx
     if equation is Equation.MAXIMAL:
-        return (1 - j.vx ** 2) * j.vtt + 2 * j.vx * j.vt * j.vxt + (1 - j.vt ** 2) * j.vxx
-    return (1 + j.vx ** 2) * j.vtt - 2 * j.vx * j.vt * j.vxt + (1 + j.vt ** 2) * j.vxx
+        return (1 - j.fx ** 2) * j.ftt + 2 * j.fx * j.ft * j.fxt + (1 - j.ft ** 2) * j.fxx
+    return (1 + j.fx ** 2) * j.ftt - 2 * j.fx * j.ft * j.fxt + (1 + j.ft ** 2) * j.fxx
 
 
 def born_infeld_residual(fld: ScalarField2, a: float, b: float) -> complex:
-    return _residual_from_jet(jet(fld, a, b), Equation.BORN_INFELD)
+    return equation_residual(fld, Equation.BORN_INFELD, a, b)
 
 
 def maximal_residual(fld: ScalarField2, a: float, b: float) -> complex:
-    return _residual_from_jet(jet(fld, a, b), Equation.MAXIMAL)
+    return equation_residual(fld, Equation.MAXIMAL, a, b)
 
 
 def minimal_residual(fld: ScalarField2, a: float, b: float) -> complex:
-    return _residual_from_jet(jet(fld, a, b), Equation.MINIMAL)
+    return equation_residual(fld, Equation.MINIMAL, a, b)
 
 
 def gradient_spacelike(fld: ScalarField2, a: float, b: float) -> bool:
     """Whether u_a^2 + u_b^2 < 1 at (a, b); meaningful for real-valued fields."""
-    j = jet(fld, a, b)
-    return j.vx.real ** 2 + j.vt.real ** 2 < 1.0
+    j, _ = jet(fld, a, b)
+    return j.fx.real ** 2 + j.ft.real ** 2 < 1.0
 
 
 def equation_residual(fld: ScalarField2, equation: Equation, a: float, b: float) -> complex:
-    return _residual_from_jet(jet(fld, a, b), equation)
+    return _residual_from_jet(jet(fld, a, b)[0], equation)
 
 
 # -- Wick rotations -------------------------------------------------------
@@ -215,8 +217,9 @@ def kept_points(fld: ScalarField2, grid: GridSpec) -> tuple:
 def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, at_point) -> None:
     """Evaluate ``fld`` at the points (a, b) in blocks of ``_BLOCK``, filling ``out``.
 
-    ``out[i:i + n] = from_jet(j)`` for the array jet ``j`` of each block of
-    ``n`` points (every entry of ``j`` an array of length ``n``), under
+    ``out[i:i + n] = from_jet(j, backend)`` for the array jet ``j`` of each
+    block of ``n`` points (every coefficient of ``j`` an array of length
+    ``n``) and the backend ``core.jet`` names for it, under
     ``np.errstate(all="ignore")``.  When the evaluator rejects arrays, or a
     central-difference stencil of the block touches an excluded point, each
     point of the block is evaluated by ``at_point(a, b)`` instead, with
@@ -226,7 +229,7 @@ def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, at_point) -
         ba, bb = a[s:s + _BLOCK], b[s:s + _BLOCK]
         with np.errstate(all="ignore"):
             try:
-                j = jet(fld, ba, bb)
+                j, backend = jet(fld, ba, bb)
             except (TypeError, ValueError, DomainError):
                 # An evaluator written for numbers fails on arrays with
                 # TypeError (math.cos of an array) or ValueError (the truth of
@@ -234,22 +237,11 @@ def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, at_point) -
                 # the whole block with DomainError.
                 pass
             else:
-                j = Jet2(*(np.broadcast_to(c, ba.shape) for c in
-                           (j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)), j.backend_used)
-                out[s:s + len(ba)] = from_jet(j)
+                j = jm.TJet(*(np.broadcast_to(c, ba.shape) for c in
+                              (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))
+                out[s:s + len(ba)] = from_jet(j, backend)
                 continue
         out[s:s + len(ba)] = [at_point(pa, pb) for pa, pb in zip(ba.tolist(), bb.tolist())]
-
-
-def _point_residual(fld: ScalarField2, equation: Equation, a: float, b: float,
-                    used: set) -> complex:
-    """Residual at one point; a point where the jet is singular yields NaN."""
-    try:
-        j = jet(fld, a, b)
-        used.add(j.backend_used)
-        return _residual_from_jet(j, equation)
-    except (ZeroDivisionError, OverflowError, ValueError):
-        return _NAN
 
 
 def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
@@ -261,12 +253,18 @@ def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
     residuals = np.empty(len(a), dtype=complex)
     used = set()
 
-    def from_jet(j):
-        used.add(j.backend_used)
+    def from_jet(j, backend):
+        used.add(backend)
         return _residual_from_jet(j, equation)
 
-    sweep_blocks(fld, a, b, residuals, from_jet,
-                 lambda a, b: _point_residual(fld, equation, a, b, used))
+    def at_point(a, b):
+        # a point where the jet is singular yields NaN
+        try:
+            return from_jet(*jet(fld, a, b))
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return _NAN
+
+    sweep_blocks(fld, a, b, residuals, from_jet, at_point)
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:

@@ -113,6 +113,15 @@ def test_identity_tail_correction_table(capsys):
     assert err == "error: K_list must be increasing\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--tail-correction"]])
+@pytest.mark.parametrize("K", ["10,10", "100,1000,1000"])
+def test_identity_K_list_must_strictly_increase(K, extra, capsys):
+    code, out, err = run(["identity", "--name", "ram_arctan_sum", "--X", "1", "--A", "0.7",
+                          "--K", K, *extra], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: K_list must be increasing\n"
+
+
 def test_identity_zeta_argument(capsys):
     code, out, err = run(["identity", "--name", "scherk_identity",
                           "--zeta", "2+0j", "--K", "100,1000"], capsys)
@@ -157,6 +166,25 @@ def test_geometry_classify_csv(capsys):
     assert lines[0] == "y,z,class,H"
     assert any(",lightlike," in line for line in lines)
     assert any(",timelike," in line for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "classify", "--solution", "nope"],
+    ["residual", "--solution", "nope"],
+    ["family", "--num-points", "0"],
+    ["family", "--num-points", "-2"],
+    ["family", "--num-points", "two"],
+])
+def test_usage_errors_exit_2_with_one_line(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument --") and err.count("\n") == 1
+
+
+def test_geometry_classify_catalog_solution(capsys):
+    code, out, err = run(["geometry", "classify", "--solution", "scherk_first_kind",
+                          "--grid", "-1:1:-1:1:3:3"], capsys)
+    assert code == 0 and out.count("\n") == 10
 
 
 def test_family_command(capsys):

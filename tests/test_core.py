@@ -59,33 +59,33 @@ def test_complex_division_by_zero_raises():
 
 def test_jet_bilinear_field():
     fld = ScalarField2(lambda a, b: a * b)
-    j = jet(fld, 2.0, 3.0)
-    assert j.v == 6 and j.vx == 3 and j.vt == 2
-    assert j.vxt == 1 and j.vxx == 0 and j.vtt == 0
+    j, _ = jet(fld, 2.0, 3.0)
+    assert j.f == 6 and j.fx == 3 and j.ft == 2
+    assert j.fxt == 1 and j.fxx == 0 and j.ftt == 0
 
 
 def test_jet_constant_field():
     fld = ScalarField2(lambda a, b: 4.25)
-    j = jet(fld, 0.3, -1.2)
-    assert j.v == 4.25
-    assert j.vx == j.vt == j.vxx == j.vxt == j.vtt == 0
+    j, _ = jet(fld, 0.3, -1.2)
+    assert j.f == 4.25
+    assert j.fx == j.ft == j.fxx == j.fxt == j.ftt == 0
 
 
 def test_jet_quadratic_exact():
     # degree <= 2 polynomials are exact under the jet backend
     fld = ScalarField2(lambda a, b: 3 * a * a - 2 * a * b + 5 * b * b + a - 7)
-    j = jet(fld, 1.5, -0.5)
-    assert j.v == 3 * 2.25 - 2 * 1.5 * -0.5 + 5 * 0.25 + 1.5 - 7
-    assert j.vx == 6 * 1.5 - 2 * -0.5 + 1
-    assert j.vt == -2 * 1.5 + 10 * -0.5
-    assert (j.vxx, j.vxt, j.vtt) == (6, -2, 10)
+    j, _ = jet(fld, 1.5, -0.5)
+    assert j.f == 3 * 2.25 - 2 * 1.5 * -0.5 + 5 * 0.25 + 1.5 - 7
+    assert j.fx == 6 * 1.5 - 2 * -0.5 + 1
+    assert j.ft == -2 * 1.5 + 10 * -0.5
+    assert (j.fxx, j.fxt, j.ftt) == (6, -2, 10)
 
 
 def test_jet_backends_agree_on_catenoid_profile():
     fld = ScalarField2(lambda a, b: jm.asinh(jm.sqrt(a * a + b * b)))
-    je = jet(fld, 1.0, 1.0)
-    jc = jet(with_backend(fld, CentralDiff(1e-4)), 1.0, 1.0)
-    assert abs(je.vx - jc.vx) <= 1e-6
+    je, _ = jet(fld, 1.0, 1.0)
+    jc, _ = jet(with_backend(fld, CentralDiff(1e-4)), 1.0, 1.0)
+    assert abs(je.fx - jc.fx) <= 1e-6
 
 
 def test_backends_agree_on_all_catalog_fields():
@@ -100,20 +100,20 @@ def test_backends_agree_on_all_catalog_fields():
             if fld.excluded(a, b):
                 continue
             pts += 1
-            je = jet(fld, a, b)
-            jc = jet(with_backend(fld, CentralDiff(1e-4)), a, b)
-            for attr in ("v", "vx", "vt", "vxx", "vxt", "vtt"):
+            je, _ = jet(fld, a, b)
+            jc, _ = jet(with_backend(fld, CentralDiff(1e-4)), a, b)
+            for attr in ("f", "fx", "ft", "fxx", "fxt", "ftt"):
                 assert abs(getattr(je, attr) - getattr(jc, attr)) <= 1e-6, (name, attr, a, b)
 
 
 def test_central_diff_second_order_convergence():
     fld = ScalarField2(lambda a, b: jm.exp(a + b))
-    exact = jet(fld, 0.3, 0.4)
+    exact, _ = jet(fld, 0.3, 0.4)
 
     def err(h):
-        j = jet(with_backend(fld, CentralDiff(h)), 0.3, 0.4)
+        j, _ = jet(with_backend(fld, CentralDiff(h)), 0.3, 0.4)
         return max(abs(getattr(j, k) - getattr(exact, k))
-                   for k in ("vx", "vt", "vxx", "vxt", "vtt"))
+                   for k in ("fx", "ft", "fxx", "fxt", "ftt"))
 
     e1, e2, e3 = err(1e-2), err(5e-3), err(2.5e-3)
     assert math.log2(e1 / e2) >= 1.9
@@ -131,25 +131,43 @@ def test_domain_error_when_stencil_touches_exclusion():
 
 def test_exact_jet_fallback_for_foreign_primitives():
     fld = ScalarField2(lambda a, b: math.sin(a) + b)
-    j = jet(fld, 0.3, 0.1)
-    assert j.backend_used == "central-fallback"
-    assert abs(j.vx - math.cos(0.3)) <= 1e-8
+    j, backend = jet(fld, 0.3, 0.1)
+    assert backend == "central-fallback"
+    assert abs(j.fx - math.cos(0.3)) <= 1e-8
+    # the backend is named for jetmath primitives, stencils and array blocks too
+    native = ScalarField2(lambda a, b: jm.sin(a) + b)
+    assert jet(native, 0.3, 0.1)[1] == "exact"
+    assert jet(with_backend(native, CentralDiff(1e-4)), 0.3, 0.1)[1] == "central"
+    pts = np.array([0.3, 0.5])
+    assert jet(native, pts, pts)[1] == "exact"
+    assert jet(with_backend(native, CentralDiff(1e-4)), pts, pts)[1] == "central"
+
+
+def test_tjet_lift():
+    j = jm.TJet.seed_a(0.5)
+    assert jm.TJet.lift(j) is j
+    c = jm.TJet.lift(2)
+    assert c == jm.TJet(2 + 0j) and type(c.f) is complex
+    assert (c.fx, c.ft, c.fxx, c.fxt, c.ftt) == (0j,) * 5
+    arr = jm.TJet.lift(np.array([1.0, -0.5]))
+    assert arr.f.dtype == complex and list(arr.f) == [1.0, -0.5]
+    assert (arr.fx, arr.ft, arr.fxx, arr.fxt, arr.ftt) == (0j,) * 5
 
 
 def test_jetmath_primitives_against_cmath():
     # spot-check first/second derivative rules on a nontrivial composite
     fld = ScalarField2(
         lambda a, b: jm.tan(a) * jm.atanh(b) + jm.power(jm.cosh(a), 3) - jm.atan(a * b))
-    je = jet(fld, 0.4, 0.3)
-    jc = jet(with_backend(fld, CentralDiff(1e-4)), 0.4, 0.3)
-    for attr in ("v", "vx", "vt", "vxx", "vxt", "vtt"):
+    je, _ = jet(fld, 0.4, 0.3)
+    jc, _ = jet(with_backend(fld, CentralDiff(1e-4)), 0.4, 0.3)
+    for attr in ("f", "fx", "ft", "fxx", "fxt", "ftt"):
         assert abs(getattr(je, attr) - getattr(jc, attr)) <= 1e-6
 
 
 def test_complex_valued_field_is_first_class():
     fld = ScalarField2(lambda a, b: 1j * a * jm.tanh(b))
-    j = jet(fld, 0.7, 0.2)
-    assert abs(j.vx - 1j * math.tanh(0.2)) < 1e-14
+    j, _ = jet(fld, 0.7, 0.2)
+    assert abs(j.fx - 1j * math.tanh(0.2)) < 1e-14
 
 
 # Points on and next to the branch cuts, with both signs of a zero part: the
@@ -180,10 +198,10 @@ def test_array_jet_matches_scalar_jets():
         + jm.re(jm.log(a + 1j * b)) - 2j * jm.im(jm.sqrt(b - 1j * a)))
     a = np.array([0.4, -0.7, 1.1])
     b = np.array([0.3, 0.2, -0.6])
-    ja = jet(fld, a, b)
+    ja, _ = jet(fld, a, b)
     for i in range(len(a)):
-        js = jet(fld, float(a[i]), float(b[i]))
-        for attr in ("v", "vx", "vt", "vxx", "vxt", "vtt"):
+        js, _ = jet(fld, float(a[i]), float(b[i]))
+        for attr in ("f", "fx", "ft", "fxx", "fxt", "ftt"):
             want = getattr(js, attr)
             assert abs(getattr(ja, attr)[i] - want) <= 1e-14 * (1 + abs(want))
 

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -155,8 +156,7 @@ def test_graph_residual_machinery_against_direct_residual():
     ]
     for fld in flds:
         for (u, v) in [(0.7, 0.2), (-0.4, 1.1)]:
-            j = jet(fld, u, v)
-            ps = TJet(j.v, j.vx, j.vt, j.vxx, j.vxt, j.vtt)
+            ps, _ = jet(fld, u, v)
             xs = TJet.seed_a(u)
             ts = TJet.seed_b(v)
             got = graph_residual_from_jets(xs, ts, ps)
@@ -180,6 +180,25 @@ def test_complex_bi_residual_wick_helicoid_and_catenoid():
         rep = complex_bi_residual_on_family(pair, theta, grid)
         assert rep.max_abs <= 1e-6, theta
         assert len(rep.residuals) + rep.excluded_count == len(grid)
+
+
+# sha256 of the residual bytes of complex_bi_residual_on_family over THETAS,
+# recorded when the family kept its own copy of the Born-Infeld formula: the
+# shared pde formula must reproduce it bit for bit.  The zeta points stay off
+# the band 0.95 < |zeta| < 1.05 around the unit circle.
+_FAMILY_DIGEST = "e23e5dc118cab8818312863baffad319d0f51b2575075c144a7eeae66acdc483"
+
+
+def test_complex_bi_residual_is_bit_identical_to_the_recorded_digest():
+    pair = helicoid_catenoid_pair()
+    zetas = [r * cmath.exp(1j * a) for r in (0.5, 0.7, 0.9, 1.1, 1.4, 2.0)
+             for a in (-2.6, -1.3, -0.4, 0.3, 1.2, 2.5)]
+    h = hashlib.sha256()
+    for theta in THETAS:
+        rep = complex_bi_residual_on_family(pair, theta, zetas)
+        assert rep.excluded_count == 0 and np.isfinite(rep.residuals).all()
+        h.update(rep.residuals.tobytes())
+    assert h.hexdigest() == _FAMILY_DIGEST
 
 
 def _affine_pair(alpha: complex, beta: complex) -> ConjugatePair:

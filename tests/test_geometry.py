@@ -43,8 +43,8 @@ def test_flat_timelike_plane():
 def test_example1_disc_two_ways():
     g = example1_graph()
     ff = fundamental_forms(g, 0.5, 1.5)
-    j = jet(g, 0.5, 1.5)
-    formula = -j.vx.real ** 2 + j.vt.real ** 2 - 1.0
+    j, _ = jet(g, 0.5, 1.5)
+    formula = -j.fx.real ** 2 + j.ft.real ** 2 - 1.0
     assert abs(ff.disc - formula) <= 1e-10
 
 
@@ -78,10 +78,10 @@ def test_normal_is_orthogonal_to_tangents():
         if g.excluded(y, z):
             continue
         done += 1
-        j = jet(g, y, z)
+        j, _ = jet(g, y, z)
         n = unit_normal(g, y, z)
-        xy = LVec3(j.vx.real, 1.0, 0.0)  # d/dy of (phi, y, z)
-        xz = LVec3(j.vt.real, 0.0, 1.0)
+        xy = LVec3(j.fx.real, 1.0, 0.0)  # d/dy of (phi, y, z)
+        xz = LVec3(j.ft.real, 0.0, 1.0)
         assert abs(lorentz_inner(n, xy)) <= 1e-8
         assert abs(lorentz_inner(n, xz)) <= 1e-8
 
@@ -102,17 +102,17 @@ def test_mean_curvature_closed_form_oracle():
 def test_printed_mean_curvature_forms():
     # the two closed forms of the proof, kept as oracles
     def timelike_H(fld, y, z):
-        j = jet(fld, y, z)
-        py, pz = j.vx.real, j.vt.real
-        num = ((1 + py * py) * j.vtt.real - 2 * py * pz * j.vxt.real
-               + (pz * pz - 1) * j.vxx.real)
+        j, _ = jet(fld, y, z)
+        py, pz = j.fx.real, j.ft.real
+        num = ((1 + py * py) * j.ftt.real - 2 * py * pz * j.fxt.real
+               + (pz * pz - 1) * j.fxx.real)
         return -0.5 * num / (1 + py * py - pz * pz) ** 1.5
 
     def spacelike_H(fld, y, z):
-        j = jet(fld, y, z)
-        py, pz = j.vx.real, j.vt.real
-        num = ((1 + py * py) * j.vtt.real - 2 * py * pz * j.vxt.real
-               + (pz * pz - 1) * j.vxx.real)
+        j, _ = jet(fld, y, z)
+        py, pz = j.fx.real, j.ft.real
+        num = ((1 + py * py) * j.ftt.real - 2 * py * pz * j.fxt.real
+               + (pz * pz - 1) * j.fxx.real)
         return -0.5 * num / (-1 - py * py + pz * pz) ** 1.5
 
     bowl = ScalarField2(lambda y, z: 0.1 * jm.sin(y) + z * z / 4)  # timelike at origin-ish

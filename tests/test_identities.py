@@ -279,8 +279,10 @@ def test_convergence_order_monotone_errors():
 def test_convergence_order_rejects_excluded_and_unsorted():
     with pytest.raises(ExcludedPoint):
         convergence_order(REGISTRY["scherk_identity"], (1j,), [10, 100])
-    with pytest.raises(ValueError):
-        convergence_order(REGISTRY["ram_arctan_sum"], (1.0, 0.7), [100, 10])
+    # a repeated K would divide by log(K / K) = 0
+    for K_list in ([100, 10], [10, 10], [100, 1000, 1000]):
+        with pytest.raises(ValueError, match="K_list must be increasing"):
+            convergence_order(REGISTRY["ram_arctan_sum"], (1.0, 0.7), K_list)
 
 
 # -- product-log accumulation -------------------------------------------------
