@@ -9,6 +9,7 @@ seed, output files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import re
 import sys
@@ -51,6 +52,35 @@ def count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def finite(text: str) -> float:
+    """Argument type of a finite float: NaN would pass every tolerance test."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
+def tolerance(text: str) -> float:
+    """Argument type of a tolerance: a finite float of at least 0."""
+    x = finite(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return x
+
+
+def finite_complex(text: str) -> complex:
+    """Argument type of a complex number with finite parts."""
+    z = complex(text)
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return z
+
+
+def finite_list(text: str) -> list:
+    """Argument type of a comma-separated list of finite floats."""
+    return [finite(t) for t in text.split(",")]
 
 
 def _write(path, text: str) -> None:
@@ -124,7 +154,7 @@ def _cmd_family(args) -> int:
         print(f"error: unknown pair {args.pair!r}", file=sys.stderr)
         return 2
     pair = helicoid_catenoid_pair()
-    thetas = [float(t) for t in args.theta_list.split(",")]
+    thetas = args.theta_list
     rng = np.random.default_rng(args.seed)
     # sample points in an annulus avoiding the puncture and the branch cut
     radii = rng.uniform(0.5, 2.0, args.num_points)
@@ -174,14 +204,18 @@ def _cmd_identity(args) -> int:
         if args.X is None or args.A is None:
             print("error: this identity needs --X and --A", file=sys.stderr)
             return 2
-        ident_args = ((complex(args.X), complex(args.A))
-                      if args.name == "ram_cos_product"
-                      else (float(args.X), float(args.A)))
+        if args.name == "ram_cos_product":
+            ident_args = (args.X, args.A)
+        elif args.X.imag or args.A.imag:
+            print("error: ram_arctan_sum needs real --X and --A", file=sys.stderr)
+            return 2
+        else:
+            ident_args = (args.X.real, args.A.real)
     else:
         if args.zeta is None:
             print("error: this identity needs --zeta", file=sys.stderr)
             return 2
-        ident_args = (complex(args.zeta),)
+        ident_args = (args.zeta,)
     K_list = identities.increasing(args.K.split(","))
     if args.name == "ram_arctan_sum" and args.tail_correction:
         results = [identities.ram_arctan_sum(*ident_args, K=K, tail_correction=True)
@@ -218,10 +252,10 @@ def build_parser() -> _Parser:
     r.add_argument("--grid", default=None,
                    help="a_min:a_max:b_min:b_max:na:nb (default: per solution)")
     r.add_argument("--backend", choices=("exact", "central"), default="exact")
-    r.add_argument("--h", type=float, default=1e-4, help="central-difference step")
-    r.add_argument("--k", type=float, default=1.0, help="helicoid family parameter")
-    r.add_argument("--margin", type=float, default=pde.DEFAULT_MARGIN)
-    r.add_argument("--tolerance", type=float, default=1e-6)
+    r.add_argument("--h", type=finite, default=1e-4, help="central-difference step")
+    r.add_argument("--k", type=finite, default=1.0, help="helicoid family parameter")
+    r.add_argument("--margin", type=finite, default=pde.DEFAULT_MARGIN)
+    r.add_argument("--tolerance", type=tolerance, default=1e-6)
     r.add_argument("--out", default=None)
     r.set_defaults(fn=_cmd_residual)
 
@@ -240,26 +274,27 @@ def build_parser() -> _Parser:
     gc.add_argument("--solution", default="example1",
                     choices=("example1", *pde.catalog_names()))
     gc.add_argument("--grid", default=None)
-    gc.add_argument("--k", type=float, default=1.0)
-    gc.add_argument("--margin", type=float, default=pde.DEFAULT_MARGIN)
+    gc.add_argument("--k", type=finite, default=1.0)
+    gc.add_argument("--margin", type=finite, default=pde.DEFAULT_MARGIN)
     gc.add_argument("--out", default=None)
     gc.set_defaults(fn=_cmd_geometry)
 
     f = sub.add_parser("family", description="associate family and Whitham checks")
     f.add_argument("--pair", default="helicoid-catenoid")
-    f.add_argument("--theta-list", default="0,0.5235987755982988,0.7853981633974483,"
-                                           "1.0471975511965976,1.5707963267948966")
+    f.add_argument("--theta-list", type=finite_list,
+                   default="0,0.5235987755982988,0.7853981633974483,"
+                           "1.0471975511965976,1.5707963267948966")
     f.add_argument("--num-points", type=count, default=20)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--tolerance", type=float, default=1e-6)
+    f.add_argument("--tolerance", type=tolerance, default=1e-6)
     f.add_argument("--out", default=None)
     f.set_defaults(fn=_cmd_family)
 
     i = sub.add_parser("identity", description="identity convergence tables")
     i.add_argument("--name", required=True)
-    i.add_argument("--X", default=None)
-    i.add_argument("--A", default=None)
-    i.add_argument("--zeta", default=None)
+    i.add_argument("--X", type=finite_complex, default=None)
+    i.add_argument("--A", type=finite_complex, default=None)
+    i.add_argument("--zeta", type=finite_complex, default=None)
     i.add_argument("--K", default="100,1000,10000", help="comma-separated K list")
     i.add_argument("--tail-correction", action="store_true")
     i.add_argument("--out", default=None)

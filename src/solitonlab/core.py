@@ -14,6 +14,10 @@ Conventions used throughout the package:
   together with the name of the backend that computed them.  It takes one
   point as two numbers or many points as two arrays; each coefficient is then
   a number or an array (or a number that holds for every point).
+* The central-difference backend calls the evaluator on the nine shifted
+  float arrays of its stencil.  The :mod:`~solitonlab.jetmath` primitives keep
+  real arrays real until they leave the real domain, so a real field's stencil
+  runs in real arithmetic; the jet's coefficients are complex all the same.
 """
 
 from __future__ import annotations
@@ -84,7 +88,9 @@ class ScalarField2:
     :mod:`solitonlab.jetmath` primitives additionally accept jets, numpy
     arrays, jets with array coefficients and complex substitutions, which is
     what the ``ExactJet`` backend, vectorized sweeps and the Wick rotations
-    rely on.  ``domain_exclusions(a, b)`` is True at points that must not be
+    rely on.  On float arrays (the ``CentralDiff`` stencils) the primitives
+    return float arrays while the values stay real, and complex ones where
+    they do not.  ``domain_exclusions(a, b)`` is True at points that must not be
     evaluated.  Called with float arrays it returns a bool array, or one bool
     for all points; write ``|`` and ``np.cos``, not ``or`` and ``math.cos``.
     One that rejects arrays (``TypeError``, ``ValueError``) is called per point.
@@ -99,15 +105,23 @@ class ScalarField2:
 
     def excluded_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Bool array of ``a.shape``, True where the points (a, b) are excluded."""
-        is_excluded = self.domain_exclusions
-        if is_excluded is None:
-            return np.zeros(a.shape, dtype=bool)
-        try:
-            mask = is_excluded(a, b)
-        except (TypeError, ValueError):
-            mask = np.reshape([bool(is_excluded(pa, pb)) for pa, pb in
-                               zip(a.ravel().tolist(), b.ravel().tolist())], a.shape)
-        return np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+        return exclusion_mask(self.domain_exclusions, a, b)
+
+
+def exclusion_mask(is_excluded: Optional[Callable], *coords: np.ndarray) -> np.ndarray:
+    """Bool array of ``coords[0].shape``, True where ``is_excluded`` holds at
+    the points given by the arrays ``coords`` (none where it is ``None``):
+    one call on the arrays, or one per point, with Python numbers, for a
+    predicate that rejects arrays (``TypeError``, ``ValueError``)."""
+    shape = coords[0].shape
+    if is_excluded is None:
+        return np.zeros(shape, dtype=bool)
+    try:
+        mask = is_excluded(*coords)
+    except (TypeError, ValueError):
+        mask = np.reshape([bool(is_excluded(*p)) for p in
+                           zip(*(c.ravel().tolist() for c in coords))], shape)
+    return np.broadcast_to(np.asarray(mask, dtype=bool), shape)
 
 
 def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
@@ -123,9 +137,10 @@ def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
 def _central_jet(fld: ScalarField2, a, b, h: float) -> TJet:
     sa = (a, a + h, a - h, a, a, a + h, a + h, a - h, a - h)
     sb = (b, b, b, b + h, b - h, b + h, b - h, b + h, b - h)
-    # stencil on the last axis: the first hit lies in the first (a, b) that has one
-    _require_kept(fld, np.stack(sa, axis=-1), np.stack(sb, axis=-1),
-                  "stencil point ({}, {}) is excluded")
+    if fld.domain_exclusions is not None:
+        # stencil on the last axis: the first hit lies in the first (a, b) that has one
+        _require_kept(fld, np.stack(sa, axis=-1), np.stack(sb, axis=-1),
+                      "stencil point ({}, {}) is excluded")
     f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = (
         TJet.coef(fld.evaluator(pa, pb)) for pa, pb in zip(sa, sb))
     return TJet(

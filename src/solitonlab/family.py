@@ -110,7 +110,7 @@ def helicoid_catenoid_pair(margin: float = DEFAULT_POLE_MARGIN) -> ConjugatePair
                 -0.5 * (jm.log(zeta) + jm.log(xi)))
 
     def excl(z):
-        return abs(z) <= margin or (z.real <= 0.0 and abs(z.imag) <= margin)
+        return (abs(z) <= margin) | ((z.real <= 0.0) & (abs(z.imag) <= margin))
 
     return ConjugatePair("helicoid_catenoid", comps1, comps2,
                          comps1_zeta, comps2_zeta,

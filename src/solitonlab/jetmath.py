@@ -22,6 +22,18 @@ Python ``complex`` return its ``.real``/``.imag`` at once.
 Field evaluators written against these functions can therefore be called
 with numbers, complex numbers, arrays or jets interchangeably.
 
+Arrays follow :mod:`numpy.emath`: a real array stays real until it leaves
+the real domain.  An integer or float array goes through the real ufunc
+(``power`` too); only if that gives NaN where the input has none (log or sqrt
+of a negative, atanh beyond +-1) is the whole array evaluated again, by the
+complex ufunc on the array as ``complex128``.  Real ufuncs cost a fraction of
+complex ones, which is what makes the nine stencil evaluations of a
+central-difference jet cheap.  One consequence: a real intermediate carries
+no ``-0j`` imaginary part, so ``log`` of a negative entry is the principal
+``+i pi``, as ``cmath.log(-1.0)`` gives; derivatives do not change.  Complex
+arrays go straight to the complex ufunc, and jet coefficients are always
+complex (``TJet.coef``), so the chain rules never take the real path.
+
 Divisions in the chain rules and in ``TJet`` reciprocals go through the
 coefficient's library: Python's ``/`` for numbers, and for arrays ``_cdiv``,
 which rounds each entry as CPython's complex division does (Smith's
@@ -254,13 +266,29 @@ class TJet:
                     _real_coef(self.ftt.imag))
 
 
+def _real_first(array_fn, z, *args):
+    """``array_fn(z, *args)`` for an array ``z``, as :mod:`numpy.emath` does:
+    in real arithmetic when ``z`` is an integer or float array and the result
+    stays real (no NaN where ``z`` has none), else, and for any other array,
+    in complex arithmetic on ``z`` as ``complex128``."""
+    if z.dtype.kind in "iuf":
+        x = z.astype(float) if z.dtype.kind != "f" else z
+        with np.errstate(invalid="ignore"):
+            w = array_fn(x, *args)
+        nan = np.isnan(w)
+        if not (nan.any() and (nan & ~np.isnan(x)).any()):
+            return w
+    return array_fn(np.asarray(z, dtype=complex), *args)
+
+
 def _dispatch(z, jet_rule, array_fn):
     """A primitive at a non-number (each primitive handles numbers itself):
-    a jet through its chain rule, an array through the numpy ufunc."""
+    a jet through its chain rule, an array through the numpy ufunc
+    (``_real_first``)."""
     if isinstance(z, TJet):
         return jet_rule(z, _math(z.f))
     if isinstance(z, np.ndarray):
-        return array_fn(np.asarray(z, dtype=complex))
+        return _real_first(array_fn, z)
     raise TypeError(f"unsupported operand type {type(z).__name__!r}")
 
 
@@ -405,7 +433,9 @@ def asinh(z):
 def power(z, p):
     if isinstance(z, TJet):
         return z ** p
-    return TJet.coef(z) ** p
+    if isinstance(z, np.ndarray):
+        return _real_first(operator.pow, z, p)
+    return complex(z) ** p
 
 
 def conj(z):

@@ -126,6 +126,8 @@ class GridSpec:
     def __post_init__(self):
         if self.na < 2 or self.nb < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if not all(map(math.isfinite, (self.a_min, self.a_max, self.b_min, self.b_max))):
+            raise ValueError("grid bounds must be finite")
 
     def coords(self) -> tuple:
         """The a and b coordinates of the points, float arrays in grid order."""

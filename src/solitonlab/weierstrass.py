@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jetmath as jm
-from .core import LVec3
+from .core import LVec3, exclusion_mask
 from .errors import DomainError, UnknownSurface
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
 
@@ -54,10 +55,14 @@ class SurfaceMap:
     ``components(u, v)`` accepts numbers or Taylor jets and returns the three
     coordinates; ``eval`` wraps it for plain complex parameters and checks
     the result is real, and ``sample`` does the same over many parameters.
+    ``domain_exclusions(zeta)`` is True at parameters that must not be
+    evaluated; called with a complex array it returns a bool array, so write
+    it with ``|`` and ``&``, not ``or`` and ``and``.  One that rejects arrays
+    (``TypeError``, ``ValueError``) is called per parameter.
     """
 
     components: Callable
-    domain_exclusions: Optional[Callable[[complex], bool]] = None
+    domain_exclusions: Optional[Callable] = None
     branch_note: str = ""
 
     def excluded(self, zeta: complex) -> bool:
@@ -73,17 +78,18 @@ class SurfaceMap:
     def sample(self, points):
         """Surface points over a sequence of (u, v) parameters, as an (n, 3)
         float array with NaN rows at excluded parameters, and the excluded
-        mask.  Each parameter is tested for exclusion once and evaluated as
-        a scalar; the realness check runs once over all points, and the first
-        point with a non-real component raises ``DomainError``."""
-        is_excluded = self.domain_exclusions
+        mask.  All parameters are tested for exclusion in one predicate call
+        (``core.exclusion_mask``) and each kept one is evaluated as a scalar;
+        the realness check runs once over all points, and the first point
+        with a non-real component raises ``DomainError``."""
         comps = np.full((len(points), 3), complex(math.nan, 0.0))
-        excluded = np.zeros(len(points), dtype=bool)
-        for k, (u, v) in enumerate(points):
-            if is_excluded is not None and is_excluded(complex(u, v)):
-                excluded[k] = True
-            else:
-                comps[k] = self.components(u, v)
+        # (u, v) pairs of float64 read as complex128: zetas[k] == complex(u, v)
+        zetas = np.fromiter(itertools.chain.from_iterable(points), float,
+                            2 * len(points)).view(complex)
+        excluded = np.array(exclusion_mask(self.domain_exclusions, zetas))  # writable
+        for k in np.flatnonzero(~excluded):
+            u, v = points[k]
+            comps[k] = self.components(u, v)
         not_real = np.abs(comps.imag) > _REAL_TOL * (1.0 + np.abs(comps.real))
         if not_real.any():
             k, i = np.argwhere(not_real)[0]
@@ -150,8 +156,8 @@ def we_data_rotation(data: WEData, theta: float) -> WEData:
 
 # -- catalog surfaces -------------------------------------------------------
 
-def _on_negative_axis(zeta: complex, margin: float) -> bool:
-    return zeta.real <= 0.0 and abs(zeta.imag) <= margin
+def _on_negative_axis(zeta, margin: float):
+    return (zeta.real <= 0.0) & (abs(zeta.imag) <= margin)
 
 
 def catalog_surface(name: str, margin: float = DEFAULT_POLE_MARGIN) -> SurfaceMap:
@@ -169,7 +175,7 @@ def catalog_surface(name: str, margin: float = DEFAULT_POLE_MARGIN) -> SurfaceMa
             return (0.5 * jm.im(tau - 1 / tau), -0.5 * jm.re(tau + 1 / tau), jm.im(w))
         return SurfaceMap(
             comps,
-            lambda z: abs(z) <= margin or _on_negative_axis(z, margin),
+            lambda z: (abs(z) <= margin) | _on_negative_axis(z, margin),
             "arg on the principal branch; the ray arg = pi is excluded")
     if name == "lorentzian_catenoid":
         def comps(u, v):
@@ -186,8 +192,8 @@ def catalog_surface(name: str, margin: float = DEFAULT_POLE_MARGIN) -> SurfaceMa
                     jm.re(jm.log((z * z - 1) / (z * z + 1))))
         return SurfaceMap(
             comps,
-            lambda z: (abs(z - 1) <= margin or abs(z + 1) <= margin
-                       or abs(z - 1j) <= margin or abs(z + 1j) <= margin),
+            lambda z: ((abs(z - 1) <= margin) | (abs(z + 1) <= margin)
+                       | (abs(z - 1j) <= margin) | (abs(z + 1j) <= margin)),
             "real parts of logs are single-valued off the four punctures")
     if name == "helicoid_second_kind":
         def comps(u, v):

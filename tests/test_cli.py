@@ -260,3 +260,40 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# A NaN tolerance would let every check pass, and NaN or infinite inputs
+# print NaN tables or fail deep inside a command.
+@pytest.mark.parametrize("argv,message", [
+    (["residual", "--solution", "scherk_minimal", "--backend", "central", "--h", "0.5",
+      "--tolerance", "nan"], "error: argument --tolerance: must be finite, got nan\n"),
+    (["residual", "--solution", "scherk_minimal", "--tolerance", "-1e-6"],
+     "error: argument --tolerance: must be at least 0, got -1e-6\n"),
+    (["residual", "--solution", "scherk_minimal", "--backend", "central", "--h", "inf"],
+     "error: argument --h: must be finite, got inf\n"),
+    (["residual", "--solution", "helicoid_first_kind", "--k", "nan"],
+     "error: argument --k: must be finite, got nan\n"),
+    (["residual", "--solution", "scherk_minimal", "--margin=-inf"],
+     "error: argument --margin: must be finite, got -inf\n"),
+    (["geometry", "classify", "--margin", "nan"],
+     "error: argument --margin: must be finite, got nan\n"),
+    (["family", "--tolerance", "nan"], "error: argument --tolerance: must be finite, got nan\n"),
+    (["family", "--theta-list", "inf"], "error: argument --theta-list: must be finite, got inf\n"),
+    (["family", "--theta-list", "0,nan"],
+     "error: argument --theta-list: must be finite, got nan\n"),
+    (["identity", "--name", "helicoid2_identity", "--zeta", "inf+1j"],
+     "error: argument --zeta: must be finite, got inf+1j\n"),
+    (["identity", "--name", "ram_cos_product", "--X", "nan", "--A", "0.2"],
+     "error: argument --X: must be finite, got nan\n"),
+    (["identity", "--name", "ram_arctan_sum", "--X", "1", "--A", "1+nanj"],
+     "error: argument --A: must be finite, got 1+nanj\n"),
+    (["identity", "--name", "ram_arctan_sum", "--X", "1+2j", "--A", "0.7"],
+     "error: ram_arctan_sum needs real --X and --A\n"),
+    (["surface", "sample", "--name", "scherk_first_kind", "--grid", "0:nan:0:1:3:3"],
+     "error: grid bounds must be finite\n"),
+    (["residual", "--solution", "scherk_minimal", "--grid=-inf:1:0:1:3:3"],
+     "error: grid bounds must be finite\n"),
+])
+def test_numeric_arguments_must_be_finite(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", message)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from solitonlab.core import (
     with_backend,
 )
 from solitonlab.errors import DomainError
-from solitonlab.pde import DEFAULT_GRIDS, catalog_names, solution
+from solitonlab.pde import DEFAULT_GRIDS, GridSpec, catalog_names, residual_sweep, solution
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -402,3 +403,108 @@ def test_mask_of_a_single_bool_is_broadcast(value):
     mask = fld.excluded_mask(_A, _B)
     assert mask.dtype == bool and mask.tolist() == [bool(value)] * len(_A)
     assert ScalarField2(lambda a, b: a).excluded_mask(_A, _B).tolist() == [False] * len(_A)
+
+
+# Real arrays: every primitive and power in real arithmetic while the result
+# stays real, else the complex ufunc on the whole array (numpy.emath's rule).
+_UFUNCS = {"atan": np.arctan, "atanh": np.arctanh, "asinh": np.arcsinh}
+_IN_DOMAIN = np.array([0.0, -0.0, 0.25, -0.5, 0.75, 1e-300, -3e-5])
+_OUT_OF_DOMAIN = {
+    "log": np.array([0.5, -1.0, -0.25, 2.0, -3e-300]),
+    "sqrt": np.array([0.5, -1.0, 0.0, 2.0, -4.0]),
+    "atanh": np.array([0.5, -2.0, 0.0, 1.5, -0.25]),
+}
+
+
+def _ufunc(name):
+    return _UFUNCS.get(name) or getattr(np, name)
+
+
+def _domain(name):
+    # log and sqrt take the magnitudes of _IN_DOMAIN, zero excepted for log
+    if name == "log":
+        return np.abs(_IN_DOMAIN[2:])
+    return np.abs(_IN_DOMAIN) if name == "sqrt" else _IN_DOMAIN
+
+
+@pytest.mark.parametrize("name", _PRIMITIVES)
+def test_real_array_stays_real_and_bit_equal_to_the_real_ufunc(name):
+    x = _domain(name)
+    got = getattr(jm, name)(x)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _ufunc(name)(x).tobytes()
+    # an integer array is a float array of the same values
+    n = np.array([0] if name == "atanh" else [1, 2, 3])
+    got = getattr(jm, name)(n)
+    assert got.dtype == np.float64
+    assert got.tobytes() == getattr(jm, name)(n.astype(float)).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_DOMAIN))
+def test_real_array_out_of_the_real_domain_is_evaluated_complex(name):
+    x = _OUT_OF_DOMAIN[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = getattr(jm, name)(x)
+        from_int = getattr(jm, name)(np.array([-2, 3]))
+    # as the whole array was evaluated before: the complex ufunc on x + 0j
+    assert got.dtype == np.complex128
+    assert got.tobytes() == _ufunc(name)(x.astype(complex)).tobytes()
+    assert from_int.tobytes() == _ufunc(name)(np.array([-2 + 0j, 3 + 0j])).tobytes()
+    if name == "log":
+        # no -0j imaginary part is carried: the principal value, as cmath
+        assert got[1] == cmath.log(-1.0) == complex(0.0, math.pi)
+
+
+def test_real_array_nan_input_stays_real():
+    x = np.array([math.nan, 0.5])
+    assert jm.log(x).dtype == np.float64 and jm.sqrt(x).dtype == np.float64
+    with np.errstate(invalid="ignore"):
+        # sin(inf) is nan: the array leaves the real domain
+        got = jm.sin(np.array([math.inf, 0.5]))
+        want = np.sin(np.array([math.inf + 0j, 0.5 + 0j]))
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_power_of_real_arrays():
+    x = np.array([0.5, 2.0, 0.0, 3.0])
+    for p in (2, 3, -1, 0.5, 1.5, -2.5):
+        with np.errstate(divide="ignore"):
+            got, want = jm.power(x, p), x ** p
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert jm.power(np.array([1, 2]), -1).tolist() == [1.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = jm.power(np.array([4.0, -4.0]), 0.5)
+    assert got.tobytes() == (np.array([4 + 0j, -4 + 0j]) ** 0.5).tobytes()
+    # complex arrays, complex exponents and numbers are as before
+    z = np.array([1 + 1j, -2 + 0j])
+    assert jm.power(z, 0.5).tobytes() == (z ** 0.5).tobytes()
+    assert jm.power(x[:2], 1j).tobytes() == (x[:2].astype(complex) ** 1j).tobytes()
+    assert jm.power(-4.0, 0.5) == complex(-4.0) ** 0.5
+
+
+def test_array_jets_keep_complex_coefficients():
+    a = np.array([0.5, -1.0, 2.0])
+    j = jm.log(jm.cosh(jm.TJet.seed_a(a)))
+    for c in (j.f, j.fx, j.fxx):
+        assert c.dtype == np.complex128
+    assert j.f.tobytes() == np.log(np.cosh(a.astype(complex))).tobytes()
+
+
+def test_central_sweep_evaluates_real_arrays():
+    # a guard on the fast path that does not time anything: the stencil
+    # evaluations of a real field come back as float arrays
+    e = solution("scherk_first_kind")
+    dtypes = []
+
+    def ev(a, b):
+        out = e.field.evaluator(a, b)
+        dtypes.append(out.dtype)
+        return out
+
+    fld = ScalarField2(ev, CentralDiff(1e-4), e.field.domain_exclusions)
+    rep = residual_sweep(fld, e.equation, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
+    assert rep.max_abs < 1e-5
+    assert len(dtypes) == 9 and set(dtypes) == {np.dtype(np.float64)}

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonlab.core import LVec3
 from solitonlab.errors import DomainError, PathError, UnknownSurface
+from solitonlab.family import helicoid_catenoid_pair
 from solitonlab.geometry import isothermal_check
 from solitonlab.pde import GridSpec
-from solitonlab.quadrature import build_path, contour_integral
+from solitonlab.quadrature import DEFAULT_POLE_MARGIN, build_path, contour_integral
 from solitonlab.weierstrass import (
     SURFACE_NAMES,
     SurfaceMap,
@@ -236,3 +239,56 @@ def test_sample_and_eval_reject_a_non_real_component():
     assert excluded.tolist() == [True, False]
     assert values[1].tolist() == [0.3, 0.0, 0.0]
     assert surf.eval(0.3 + 0j) == LVec3(0.3, 0.0, 0.0)
+
+
+# Parameters on and next to every margin of the catalog predicates (the
+# punctures 0, +-1, +-i and the negative real axis), with signed zeros.
+_M = DEFAULT_POLE_MARGIN
+_EDGE_PARTS = (0.0, -0.0, _M, -_M, 1.0, -1.0, 1.0 + _M, 1.0 - _M, -1.0 + _M, -1.0 - _M,
+               np.nextafter(_M, 1.0), np.nextafter(-_M, -1.0), 0.5, -2.0)
+_part = st.one_of(st.sampled_from(_EDGE_PARTS),
+                  st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+
+
+_PREDICATES = dict({name: catalog_surface(name).domain_exclusions for name in SURFACE_NAMES},
+                   helicoid_catenoid_pair=helicoid_catenoid_pair().tau_exclusions)
+
+
+@pytest.mark.parametrize("name,predicate", _PREDICATES.items(), ids=list(_PREDICATES))
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_part, _part), min_size=1, max_size=30))
+def test_surface_predicates_on_arrays_match_scalars(name, predicate, parts):
+    zetas = np.empty(len(parts), dtype=complex)
+    zetas.real, zetas.imag = [p[0] for p in parts], [p[1] for p in parts]
+    want = [bool(predicate(complex(u, v))) for u, v in parts]
+    got = predicate(zetas)
+    assert got.dtype == bool and got.tolist() == want
+
+
+def test_sample_tests_exclusions_in_one_call():
+    surf = catalog_surface("scherk_first_kind")
+    calls = []
+
+    def predicate(z):
+        calls.append(z)
+        return surf.domain_exclusions(z)
+
+    counted = SurfaceMap(surf.components, predicate)
+    pts = GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21).points()
+    values, excluded = counted.sample(pts)
+    assert len(calls) == 1 and np.count_nonzero(excluded) == 4
+    assert np.array_equal(values, surf.sample(pts)[0], equal_nan=True)
+
+
+@pytest.mark.parametrize("predicate", [
+    lambda z: z.real < 0.0 or abs(z) > 1.5,   # ValueError on arrays
+    lambda z: math.hypot(z.real, z.imag) < 0.5,  # TypeError on arrays
+], ids=["or", "math.hypot"])
+def test_sample_of_a_predicate_that_rejects_arrays_is_taken_per_point(predicate):
+    surf = SurfaceMap(lambda u, v: (u, v, 0.0), predicate)
+    pts = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5).points()
+    values, excluded = surf.sample(pts)
+    want = [bool(predicate(complex(u, v))) for u, v in pts]
+    assert excluded.tolist() == want and any(want) and not all(want)
+    assert np.isnan(values[excluded]).all() and not np.isnan(values[~excluded]).any()
+    excluded[0] = not excluded[0]  # the mask is the caller's to keep
