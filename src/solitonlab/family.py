@@ -23,7 +23,7 @@ from .errors import DomainError, JacobianSingular
 from .jetmath import TJet
 from .pde import Equation, ResidualReport, _residual_from_jet, summarize
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
-from .weierstrass import SurfaceMap
+from .weierstrass import SurfaceMap, lorentzian_helicoid_exclusions
 
 Comps = Callable  # (tau, sigma) -> (x, t, f), jet-friendly
 
@@ -79,38 +79,34 @@ def helicoid_catenoid_pair(margin: float = DEFAULT_POLE_MARGIN) -> ConjugatePair
     they absorb the constant that a raw substitution into the tau forms picks
     up from log(i).
     """
+    # Each reciprocal is taken once and shared by the sum and the difference.
     def comps1(tau, sigma):
-        p = tau - 1 / tau
-        q = sigma - 1 / sigma
-        r = tau + 1 / tau
-        s = sigma + 1 / sigma
+        it, i_s = 1 / tau, 1 / sigma
+        p, q = tau - it, sigma - i_s
+        r, s = tau + it, sigma + i_s
         return (-0.25j * (p - q), -0.25 * (r + s), -0.5j * (jm.log(tau) - jm.log(sigma)))
 
     def comps2(tau, sigma):
-        p = tau - 1 / tau
-        q = sigma - 1 / sigma
-        r = tau + 1 / tau
-        s = sigma + 1 / sigma
+        it, i_s = 1 / tau, 1 / sigma
+        p, q = tau - it, sigma - i_s
+        r, s = tau + it, sigma + i_s
         return (-0.25 * (p + q), 0.25j * (r - s), -0.5 * (jm.log(tau) + jm.log(sigma)))
 
     def comps1_zeta(zeta, xi):
-        A = zeta + 1 / zeta
-        Ab = xi + 1 / xi
-        B = zeta - 1 / zeta
-        Bb = xi - 1 / xi
+        iz, ix = 1 / zeta, 1 / xi
+        A, Ab = zeta + iz, xi + ix
+        B, Bb = zeta - iz, xi - ix
         return (0.25 * (A + Ab), -0.25j * (B - Bb),
                 -0.5j * (jm.log(zeta) - jm.log(xi)))
 
     def comps2_zeta(zeta, xi):
-        A = zeta + 1 / zeta
-        Ab = xi + 1 / xi
-        B = zeta - 1 / zeta
-        Bb = xi - 1 / xi
+        iz, ix = 1 / zeta, 1 / xi
+        A, Ab = zeta + iz, xi + ix
+        B, Bb = zeta - iz, xi - ix
         return (-0.25j * (A - Ab), -0.25 * (B + Bb),
                 -0.5 * (jm.log(zeta) + jm.log(xi)))
 
-    def excl(z):
-        return (abs(z) <= margin) | ((z.real <= 0.0) & (abs(z.imag) <= margin))
+    excl = lorentzian_helicoid_exclusions(margin)
 
     return ConjugatePair("helicoid_catenoid", comps1, comps2,
                          comps1_zeta, comps2_zeta,
@@ -223,7 +219,9 @@ def holomorphic_derivative(fn: Callable, z):
         h = 1e-3
         return complex(-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12 * h)
     d = TJet.lift(out).fx
-    return np.broadcast_to(d, z.shape) if isinstance(z, np.ndarray) else d
+    if isinstance(z, np.ndarray) and not isinstance(d, np.ndarray):
+        return np.broadcast_to(d, z.shape)
+    return d
 
 
 def calibrate_offsets(wp: WhithamPair, pair: ConjugatePair) -> WhithamPair:

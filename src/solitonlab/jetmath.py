@@ -11,6 +11,15 @@ Jet coefficients are either Python ``complex`` numbers (one point) or numpy
 over a whole grid); the arithmetic below broadcasts, and a jet may mix
 scalar and array coefficients.
 
+Jets are values.  Every operation returns a new jet and leaves its operands
+as they were; a result may share a coefficient, array or number, with an
+operand, so code never assigns to a coefficient or writes into its array.
+``TJet`` is a plain slots class rather than a frozen dataclass because a
+check at one point builds thousands of scalar jets, and a frozen
+``__init__``, which sets each of the six slots through
+``object.__setattr__``, costs about four times a plain one.  Jets compare
+coefficient by coefficient and are not hashable.
+
 The module-level functions (``exp``, ``log``, ``atan``, ...) dispatch on
 their argument, testing in this order: a plain number (``int``, ``float``,
 ``complex``) goes straight to :mod:`cmath`, a ``TJet`` through the chain
@@ -121,11 +130,13 @@ def _real_coef(x):
     return x.astype(complex) if isinstance(x, np.ndarray) else complex(x)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TJet:
     """Order-2 Taylor jet of f(a, b): value, gradient and Hessian entries.
 
-    Each coefficient is a ``complex`` or a ``complex128`` array."""
+    Each coefficient is a ``complex`` or a ``complex128`` array.  A jet is a
+    value (see the module notes): never assign to a coefficient.  Jets are
+    not hashable."""
 
     f: complex
     fx: complex = 0j  # d/da
@@ -170,14 +181,20 @@ class TJet:
     def __neg__(self):
         return TJet(-self.f, -self.fx, -self.ft, -self.fxx, -self.fxt, -self.ftt)
 
+    # Subtraction builds its jet directly: IEEE a - b is a + (-b), bit for
+    # bit, so these round as adding the negation does.
     def __sub__(self, other):
-        if isinstance(other, (TJet,) + _NUMBER):
-            return self + (-other if isinstance(other, TJet) else -complex(other))
+        if isinstance(other, TJet):
+            return TJet(self.f - other.f, self.fx - other.fx, self.ft - other.ft,
+                        self.fxx - other.fxx, self.fxt - other.fxt, self.ftt - other.ftt)
+        if isinstance(other, _NUMBER):
+            return TJet(self.f - complex(other), self.fx, self.ft, self.fxx, self.fxt, self.ftt)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
-            return (-self) + complex(other)
+            return TJet(complex(other) - self.f, -self.fx, -self.ft,
+                        -self.fxx, -self.fxt, -self.ftt)
         return NotImplemented
 
     def __mul__(self, other):

@@ -12,6 +12,9 @@ Springer 1983) on the pulled-back integrand, vectorized with numpy: each
 round evaluates the integrand once, on one array holding the 21 nodes of
 every unfinished subinterval of every segment, and bisects the subintervals
 whose Kronrod-Gauss difference is above their share of the tolerance.
+QUADPACK's round-off guard (the difference against the Kronrod integral of
+|f|) is evaluated only for the subintervals that fail that test, so a round
+in which every subinterval converges pays for none of it.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ _XK = np.array(_X_HALF + (0.0,) + tuple(-x for x in reversed(_X_HALF)))
 _WK = np.array(_WK_HALF + (_WK_MID,) + _WK_HALF[::-1])
 _WG = np.zeros(21)
 _WG[1::2] = _WG_HALF + _WG_HALF[::-1]
-# columns: the Kronrod rule and the Kronrod-minus-Gauss difference rule
-_RULES = np.stack([_WK, _WK - _WG], axis=1)
+# columns: the Kronrod rule and the Kronrod-minus-Gauss difference rule,
+# stored as the complex128 that numpy would cast them to for each round
+_RULES = np.stack([_WK, _WK - _WG], axis=1).astype(complex)
 _SIDES = np.array([-1.0, 1.0])
 
 # QUADPACK's round-off level: a Kronrod-Gauss difference below this share of
@@ -115,19 +119,18 @@ def _node_values(fvec, nodes: np.ndarray, per_node: bool):
     """The integrand at a 1-D array of nodes as a (components, nodes) array,
     and whether ``fvec`` had to be called node by node."""
     if not per_node:
-        with np.errstate(all="ignore"):
-            try:
-                out = fvec(nodes)
-            except (TypeError, ValueError):
-                # An integrand written for numbers fails on arrays with
-                # TypeError (cmath of an array) or ValueError (the truth of
-                # an array); it is then called one node at a time.
-                pass
-            else:
-                vals = np.empty((len(out), len(nodes)), dtype=complex)
-                for row, v in zip(vals, out):
-                    row[...] = v
-                return vals, False
+        try:
+            out = fvec(nodes)
+        except (TypeError, ValueError):
+            # An integrand written for numbers fails on arrays with
+            # TypeError (cmath of an array) or ValueError (the truth of an
+            # array); it is then called one node at a time.
+            pass
+        else:
+            vals = np.empty((len(out), len(nodes)), dtype=complex)
+            for row, v in zip(vals, out):
+                row[...] = v
+            return vals, False
     try:
         rows = [fvec(w) for w in nodes.tolist()]
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
@@ -142,6 +145,8 @@ def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12)
     value per component, each an array over the nodes or a scalar (which is
     broadcast).  An integrand that rejects arrays is called node by node with
     complex numbers.  The result is the componentwise contour integral.
+    Floating-point warnings are off for the whole integral (the integrand
+    included): non-finite values are caught by the finiteness test instead.
 
     Each segment is parametrized over s in [0, 1].  A subinterval of width
     ``ds`` is accepted when its Kronrod-Gauss difference (2-norm over the
@@ -152,53 +157,59 @@ def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12)
     before (QUADPACK's round-off test), or when the subintervals would exceed
     ``_MAX_INTERVALS``.
     """
-    starts = np.array(path[:-1], dtype=complex)
-    steps = np.array(path[1:], dtype=complex) - starts
-    n_seg = len(starts)
-    # unfinished subintervals: segment index, centre and half-width in s
+    n_seg = len(path) - 1
+    # unfinished subintervals: segment index, the segment's start and step,
+    # and the subinterval's centre and half-width in s
     seg = np.arange(n_seg)
+    start = np.array(path[:-1], dtype=complex)
+    step = np.array(path[1:], dtype=complex) - start
     mid = np.full(n_seg, 0.5)
     half = np.full(n_seg, 0.5)
     n_intervals = n_seg
     done = 0j
     per_node = False
     parent_err, no_gain = None, 0
-    while True:
-        nodes = starts[seg, None] + (mid[:, None] + half[:, None] * _XK) * steps[seg, None]
-        vals, per_node = _node_values(fvec, nodes.ravel(), per_node)
-        vals = vals.reshape(-1, *nodes.shape)
-        finite = np.isfinite(vals).all(axis=(0, 2))
-        if not finite.all():
-            i = seg[np.argmin(finite)]
-            raise QuadratureError(f"non-finite integrand value on the segment "
-                                  f"{path[i]} -> {path[i + 1]}")
-        vals = vals * (half * steps[seg])[:, None]
-        rules = vals @ _RULES
-        kronrod = rules[..., 0]
-        err = _norm(rules[..., 1])
-        roundoff = _ROUNDOFF * _norm(np.abs(vals) @ _WK)
-        tol = max(epsabs, epsrel * float(_norm(done + kronrod.sum(axis=1))))
-        ok = (err <= tol * 2 * half / n_seg) | (err <= roundoff)
-        done = done + kronrod[:, ok].sum(axis=1)
-        if ok.all():
-            return done
-        split = ~ok
-        if parent_err is not None:
-            # the subintervals are the halves of last round's, side by side
-            no_gain += int(np.count_nonzero(err[0::2] + err[1::2] > parent_err))
-            if no_gain >= _MAX_NO_GAIN:
-                raise QuadratureError(f"bisecting the subintervals no longer reduces the error "
-                                      f"on the path from {path[0]} to {path[-1]}: the "
-                                      "integrand is singular or too noisy there")
-        n_intervals += int(split.sum())
-        if n_intervals > _MAX_INTERVALS:
-            raise QuadratureError(f"quadrature needs more than {_MAX_INTERVALS} subintervals "
-                                  f"on the path from {path[0]} to {path[-1]}")
-        parent_err = err[split] if n_intervals > 10 else None
-        child_half = half[split] / 2
-        mid = (mid[split, None] + child_half[:, None] * _SIDES).ravel()
-        half = np.repeat(child_half, 2)
-        seg = np.repeat(seg[split], 2)
+    with np.errstate(all="ignore"):
+        while True:
+            nodes = start[:, None] + (mid[:, None] + half[:, None] * _XK) * step[:, None]
+            vals, per_node = _node_values(fvec, nodes.ravel(), per_node)
+            vals = vals.reshape(-1, *nodes.shape)
+            if not np.isfinite(vals).all():
+                i = seg[np.argmin(np.isfinite(vals).all(axis=(0, 2)))]
+                raise QuadratureError(f"non-finite integrand value on the segment "
+                                      f"{path[i]} -> {path[i + 1]}")
+            vals = vals * (half * step)[:, None]
+            rules = vals @ _RULES
+            kronrod = rules[..., 0]
+            err = _norm(rules[..., 1])
+            tol = max(epsabs, epsrel * float(_norm(done + kronrod.sum(axis=1))))
+            ok = err <= tol * 2 * half / n_seg
+            if not ok.all():
+                # the round-off guard, for the subintervals above their tolerance
+                above = ~ok
+                ok[above] = err[above] <= _ROUNDOFF * _norm(np.abs(vals[:, above]) @ _WK)
+            done = done + kronrod[:, ok].sum(axis=1)
+            if ok.all():
+                return done
+            split = ~ok
+            if parent_err is not None:
+                # the subintervals are the halves of last round's, side by side
+                no_gain += int(np.count_nonzero(err[0::2] + err[1::2] > parent_err))
+                if no_gain >= _MAX_NO_GAIN:
+                    raise QuadratureError(f"bisecting the subintervals no longer reduces the error "
+                                          f"on the path from {path[0]} to {path[-1]}: the "
+                                          "integrand is singular or too noisy there")
+            n_intervals += int(split.sum())
+            if n_intervals > _MAX_INTERVALS:
+                raise QuadratureError(f"quadrature needs more than {_MAX_INTERVALS} subintervals "
+                                      f"on the path from {path[0]} to {path[-1]}")
+            parent_err = err[split] if n_intervals > 10 else None
+            child_half = half[split] / 2
+            mid = (mid[split, None] + child_half[:, None] * _SIDES).ravel()
+            half = np.repeat(child_half, 2)
+            seg = np.repeat(seg[split], 2)
+            start = np.repeat(start[split], 2)
+            step = np.repeat(step[split], 2)
 
 
 def contour_integral(f, start: complex, end: complex, poles=(),

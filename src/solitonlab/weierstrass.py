@@ -101,9 +101,17 @@ class SurfaceMap:
 def integrand(data: WEData) -> Callable:
     """The three holomorphic integrands of the representation, as a vector."""
     M = data.M
+    # M is evaluated once per call and shared by the three components.
     if data.variant is Variant.STANDARD:
-        return lambda w: (M(w) * (1 + w * w), 1j * M(w) * (1 - w * w), -2 * M(w) * w)
-    return lambda w: (M(w) * (1 + w * w), 2j * M(w) * w, M(w) * (w * w - 1))
+        def standard(w):
+            m = M(w)
+            return m * (1 + w * w), 1j * m * (1 - w * w), -2 * m * w
+        return standard
+
+    def alternate(w):
+        m = M(w)
+        return m * (1 + w * w), 2j * m * w, m * (w * w - 1)
+    return alternate
 
 
 def closed_form_point(data: WEData, zeta: complex) -> LVec3:
@@ -156,8 +164,12 @@ def we_data_rotation(data: WEData, theta: float) -> WEData:
 
 # -- catalog surfaces -------------------------------------------------------
 
-def _on_negative_axis(zeta, margin: float):
-    return (zeta.real <= 0.0) & (abs(zeta.imag) <= margin)
+def lorentzian_helicoid_exclusions(margin: float = DEFAULT_POLE_MARGIN) -> Callable:
+    """The domain predicate of the Lorentzian helicoid's principal branch,
+    shared with the helicoid/catenoid pair of ``family``: the puncture at 0
+    and the negative real axis (the cut of arg), each within ``margin``.  It
+    takes a number or a complex array, as ``SurfaceMap`` describes."""
+    return lambda z: (abs(z) <= margin) | ((z.real <= 0.0) & (abs(z.imag) <= margin))
 
 
 def catalog_surface(name: str, margin: float = DEFAULT_POLE_MARGIN) -> SurfaceMap:
@@ -173,10 +185,8 @@ def catalog_surface(name: str, margin: float = DEFAULT_POLE_MARGIN) -> SurfaceMa
             tau = u + 1j * v
             w = jm.log(tau)
             return (0.5 * jm.im(tau - 1 / tau), -0.5 * jm.re(tau + 1 / tau), jm.im(w))
-        return SurfaceMap(
-            comps,
-            lambda z: (abs(z) <= margin) | _on_negative_axis(z, margin),
-            "arg on the principal branch; the ray arg = pi is excluded")
+        return SurfaceMap(comps, lorentzian_helicoid_exclusions(margin),
+                          "arg on the principal branch; the ray arg = pi is excluded")
     if name == "lorentzian_catenoid":
         def comps(u, v):
             tau = u + 1j * v

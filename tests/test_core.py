@@ -155,6 +155,84 @@ def test_tjet_lift():
     assert (arr.fx, arr.ft, arr.fxx, arr.fxt, arr.ftt) == (0j,) * 5
 
 
+# -- TJet subtraction and jets as values ---------------------------------------
+
+_SPECIALS = (0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan)
+_SPECIAL_Z = np.array([complex(p, q) for p in _SPECIALS for q in _SPECIALS])
+
+
+def _coef_bits(c):
+    """The bits of a coefficient's parts, with every NaN read as one NaN.
+    IEEE a - b is a + (-b) bit for bit except for the sign of a NaN result
+    when b is a NaN; printing, ``float.hex`` and comparisons do not see it."""
+    parts = np.asarray(c, dtype=complex).reshape(-1).view(float)
+    return np.where(np.isnan(parts), math.nan, parts).tobytes()
+
+
+def _jet_bits(j):
+    return tuple(_coef_bits(c) for c in (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt))
+
+
+def _special_jets(n_shift):
+    """Two jets whose coefficients run over every pair of special parts
+    (0, -0, +-inf, nan and two finite ones), one coefficient slot rolled
+    against the next."""
+    a_vals = np.repeat(_SPECIAL_Z, len(_SPECIAL_Z))
+    b_vals = np.tile(_SPECIAL_Z, len(_SPECIAL_Z))
+    a = jm.TJet(*(np.roll(a_vals, k * n_shift) for k in range(6)))
+    b = jm.TJet(*(np.roll(b_vals, k * n_shift) for k in range(6)))
+    return a, b
+
+
+@pytest.mark.parametrize("n_shift", [0, 1, 7])
+def test_tjet_subtraction_is_bit_equal_to_adding_the_negation(n_shift):
+    a, b = _special_jets(n_shift)
+    numbers = (0, 3, -0.0, 0.0, 2.5, math.inf, -math.inf, math.nan,
+               complex(-0.0, 0.0), complex(0.0, -0.0), complex(1.5, math.nan))
+    with np.errstate(all="ignore"):
+        assert _jet_bits(a - b) == _jet_bits(a + (-b))
+        for c in numbers:
+            assert _jet_bits(a - c) == _jet_bits(a + (-complex(c))), c
+            assert _jet_bits(c - a) == _jet_bits((-a) + complex(c)), c
+        # scalar coefficients: one jet per entry, against the same pairs
+        for k in range(0, a.f.size, 11):
+            sa = jm.TJet(*(complex(c[k]) for c in (a.f, a.fx, a.ft, a.fxx, a.fxt, a.ftt)))
+            sb = jm.TJet(*(complex(c[k]) for c in (b.f, b.fx, b.ft, b.fxx, b.fxt, b.ftt)))
+            assert _jet_bits(sa - sb) == _jet_bits(sa + (-sb))
+            for c in numbers:
+                assert _jet_bits(sa - c) == _jet_bits(sa + (-complex(c)))
+                assert _jet_bits(c - sa) == _jet_bits((-sa) + complex(c))
+        # a scalar jet minus an array jet, and the other way round
+        assert _jet_bits(sa - b) == _jet_bits(sa + (-b))
+        assert _jet_bits(a - sb) == _jet_bits(a + (-sb))
+
+
+def _jet_operations(a, b):
+    yield from (a + b, a - b, a * b, a / b, -a, a ** 2, a ** -1, a ** 0.5)
+    yield from (a + 2, 2 + a, a - 2j, 2j - a, a * 1.5, 1.5 * a, a / 3, 3 / a)
+    yield from (a.conjugate(), a.real_part(), a.imag_part(), jm.TJet.lift(a))
+    for fn in (jm.exp, jm.log, jm.sqrt, jm.sin, jm.cos, jm.tan, jm.sinh, jm.cosh,
+               jm.tanh, jm.atan, jm.atanh, jm.asinh, jm.conj, jm.re, jm.im):
+        yield fn(a)
+    yield jm.power(a, 1.5)
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["scalar", "array"])
+def test_jet_operations_leave_their_operands_unchanged(arrays):
+    u = np.array([0.3, -1.2, 2.0])
+    v = np.array([0.7, 0.4, -0.9])
+    if not arrays:
+        u, v = u[0], v[0]
+    a = jm.cosh(jm.TJet.seed_a(u) + 1j * jm.TJet.seed_b(v))
+    b = jm.TJet.seed_a(u) * jm.TJet.seed_b(v) + 0.5
+    before = (_jet_bits(a), _jet_bits(b))
+    results = list(_jet_operations(a, b)) + list(_jet_operations(b, a))
+    assert (_jet_bits(a), _jet_bits(b)) == before
+    assert all(isinstance(r, jm.TJet) for r in results)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def test_jetmath_primitives_against_cmath():
     # spot-check first/second derivative rules on a nontrivial composite
     fld = ScalarField2(

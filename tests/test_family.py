@@ -201,6 +201,32 @@ def test_complex_bi_residual_is_bit_identical_to_the_recorded_digest():
     assert h.hexdigest() == _FAMILY_DIGEST
 
 
+# sha256 of the float.hex values of isothermal_check, conjugacy_check and
+# whitham_verify at every theta in THETAS and four zeta points off the band
+# around |zeta| = 1: it pins the scalar-jet rounding and the quadrature
+# subdivision of the pointwise checks.
+_POINTWISE_ZETAS = (0.6 * cmath.exp(0.4j), 1.3 * cmath.exp(-2.1j),
+                    1.8 * cmath.exp(1.7j), 0.8 * cmath.exp(-0.9j))
+_POINTWISE_DIGEST = "d03e40d58e51cdd73dff3bc180900d906587567f503ab5e9c3502d7083e819e7"
+
+
+def _pointwise_digest():
+    pair = helicoid_catenoid_pair()
+    h = hashlib.sha256()
+    for theta in THETAS:
+        surf = associate_family(pair, theta)
+        wp = calibrate_offsets(catalog_whitham(theta), pair)
+        for z in _POINTWISE_ZETAS:
+            values = (*isothermal_check(surf, z), conjugacy_check(pair, z),
+                      *whitham_verify(wp, soliton_family(pair, theta, z)))
+            h.update(" ".join(float(v).hex() for v in values).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_pointwise_checks_are_bit_identical_to_the_recorded_digest():
+    assert _pointwise_digest() == _POINTWISE_DIGEST
+
+
 def _affine_pair(alpha: complex, beta: complex) -> ConjugatePair:
     """Pair generated by the affine holomorphic datum F(tau) = alpha+beta tau;
     all components are cubic polynomials in (tau, sigma)."""

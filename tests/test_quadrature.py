@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -57,6 +58,24 @@ def test_gk21_matches_quad_vec_on_catalog_paths(name, target, n_points):
     ours = integrate_segments(integrand(datum), path)
     ref = _quad_vec_reference(integrand(datum), path)
     assert np.max(np.abs(ours - ref)) <= 1e-13
+
+
+# sha256 of the integrals on the ten _PATHS as complex128 bytes: it pins
+# the subdivision and the order of the sums.
+_PATHS_DIGEST = "c112d2f2c4046cfa01f97bef386765c9fa33133f71f8b8b5540b7c01391103e1"
+
+
+def _paths_digest():
+    h = hashlib.sha256()
+    for name, target, _n in _PATHS:
+        datum = we_catalog(name)
+        path = build_path(complex(datum.base), target, datum.pole_set)
+        h.update(np.asarray(integrate_segments(integrand(datum), path), dtype=complex).tobytes())
+    return h.hexdigest()
+
+
+def test_gk21_integrals_are_bit_identical_to_the_recorded_digest():
+    assert _paths_digest() == _PATHS_DIGEST
 
 
 def test_scalar_only_integrand_takes_per_node_path():

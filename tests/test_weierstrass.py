@@ -265,6 +265,18 @@ def test_surface_predicates_on_arrays_match_scalars(name, predicate, parts):
     assert got.dtype == bool and got.tolist() == want
 
 
+def test_helicoid_pair_and_catalog_helicoid_share_one_predicate():
+    parts = [(u, v) for u in _EDGE_PARTS for v in _EDGE_PARTS]
+    zetas = np.empty(len(parts), dtype=complex)
+    zetas.real, zetas.imag = [p[0] for p in parts], [p[1] for p in parts]
+    pair = helicoid_catenoid_pair()
+    catalog = catalog_surface("lorentzian_helicoid").domain_exclusions
+    want = catalog(zetas)
+    assert pair.tau_exclusions(zetas).tolist() == want.tolist()
+    assert pair.zeta_exclusions(zetas).tolist() == want.tolist()
+    assert want.any() and not want.all()
+
+
 def test_sample_tests_exclusions_in_one_call():
     surf = catalog_surface("scherk_first_kind")
     calls = []
