@@ -129,7 +129,7 @@ def _cmd_surface(args) -> int:
     values, excluded = surf.sample(pts)
     kind = args.format or ("obj" if args.out and args.out.endswith(".obj") else "csv")
     if kind == "obj":
-        text = obj_mesh_text(pts, values, excluded, grid.na, grid.nb)
+        text = obj_mesh_text(values, excluded, grid.na, grid.nb)
     else:
         rows = [(u, v, *val) for (u, v), val, ex in zip(pts, values.tolist(), excluded)
                 if not ex]

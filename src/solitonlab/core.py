@@ -75,6 +75,16 @@ class LVec3:
         yield self.z
 
 
+# Imaginary parts at or below this share of 1 + |real part| count as roundoff.
+_REAL_TOL = 1e-9
+
+
+def nonreal(v):
+    """Whether ``v``, a complex number or array (entry by entry), has an
+    imaginary part above ``_REAL_TOL`` relative to its real part."""
+    return abs(v.imag) > _REAL_TOL * (1.0 + abs(v.real))
+
+
 def lorentz_inner(a: LVec3, b: LVec3):
     """Inner product of signature (+, +, -): a.x b.x + a.y b.y - a.z b.z."""
     return a.x * b.x + a.y * b.y - a.z * b.z

@@ -39,7 +39,6 @@ class ConjugatePair:
     comps2_zeta: Optional[Comps] = None
     tau_exclusions: Optional[Callable[[complex], bool]] = None
     zeta_exclusions: Optional[Callable[[complex], bool]] = None
-    F: Optional[Callable] = None
 
     def zeta_comps(self):
         c1 = self.comps1_zeta or isothermal_substitution(self.comps1)
@@ -120,14 +119,12 @@ def associate_family(pair: ConjugatePair, theta: float) -> SurfaceMap:
     every real theta."""
     ct, st = math.cos(theta), math.sin(theta)
 
-    def components(u, v):
-        tau = u + 1j * v
-        sigma = u - 1j * v
+    def comps(tau, sigma):
         a = pair.comps1(tau, sigma)
         b = pair.comps2(tau, sigma)
         return tuple(ct * ai + st * bi for ai, bi in zip(a, b))
 
-    return SurfaceMap(components, pair.tau_exclusions)
+    return _surface_from_comps(comps, pair.tau_exclusions)
 
 
 def conjugacy_check(pair: ConjugatePair, zeta: complex) -> float:
@@ -289,12 +286,17 @@ def _family_jets(pair: ConjugatePair, theta: float, zeta: complex):
     return xs, ts, ps
 
 
-def graph_residual_from_jets(xs: TJet, ts: TJet, ps: TJet,
-                             det_tol: float = 1e-10) -> complex:
+# |det J| at or below which the graph projection (u, v) -> (xs, ts) counts
+# as singular.
+_DET_TOL = 1e-10
+
+
+def graph_residual_from_jets(xs: TJet, ts: TJet, ps: TJet) -> complex:
     """Born-Infeld residual of phi as a function of the graph variables
-    (x, t) = (xs, ts), via the chain rule through the (u, v) parametrization."""
+    (x, t) = (xs, ts), via the chain rule through the (u, v) parametrization.
+    Raises ``JacobianSingular`` where |det J| <= ``_DET_TOL``."""
     det = xs.fx * ts.ft - xs.ft * ts.fx
-    if abs(det) <= det_tol:
+    if abs(det) <= _DET_TOL:
         raise JacobianSingular(f"graph projection degenerates (|det| = {abs(det):g})")
     # B = J^{-1}; columns (u_x, v_x) and (u_t, v_t)
     b11, b12 = ts.ft / det, -xs.ft / det
@@ -325,8 +327,8 @@ def graph_residual_from_jets(xs: TJet, ts: TJet, ps: TJet,
     return _residual_from_jet(TJet(ps.f, px, pt, pxx, pxt, ptt), Equation.BORN_INFELD)
 
 
-def complex_bi_residual_on_family(pair: ConjugatePair, theta: float, grid,
-                                  det_tol: float = 1e-10) -> ResidualReport:
+def complex_bi_residual_on_family(pair: ConjugatePair, theta: float,
+                                  grid) -> ResidualReport:
     """Born-Infeld residual of phi_theta^s as a function of its complex graph
     variables, over a list of zeta points."""
     kept, residuals = [], []
@@ -337,7 +339,7 @@ def complex_bi_residual_on_family(pair: ConjugatePair, theta: float, grid,
             excluded += 1
             continue
         xs, ts, ps = _family_jets(pair, theta, zeta)
-        residuals.append(graph_residual_from_jets(xs, ts, ps, det_tol))
+        residuals.append(graph_residual_from_jets(xs, ts, ps))
         kept.append((zeta.real, zeta.imag))
     return summarize(kept, residuals, "exact", excluded,
                      name=f"{pair.name} soliton family",

@@ -24,14 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LVec3, ScalarField2, jet, lorentz_inner
+from .core import LVec3, ScalarField2, jet, lorentz_inner, nonreal
 from .errors import DegenerateError, DomainError
 from .jetmath import TJet
 from .pde import (Equation, GridSpec, _residual_from_jet, kept_points, sweep_blocks,
                   wick_lorentzian_catenoid_field)
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
-_REAL_TOL = 1e-9
 
 
 class CausalClass(enum.Enum):
@@ -73,19 +72,13 @@ class GraphPointReport:
         }
 
 
-def _nonreal(v):
-    """Whether ``v``, a number or an array, has an imaginary part above
-    ``_REAL_TOL`` relative to its real part."""
-    return abs(v.imag) > _REAL_TOL * (1.0 + abs(v.real))
-
-
 def _indicator(j: TJet):
     """W = 1 + phi_y^2 - phi_z^2 of a jet, complex."""
     return 1 + j.fx ** 2 - j.ft ** 2
 
 
 def _real(v: complex, what: str) -> float:
-    if _nonreal(v):
+    if nonreal(v):
         raise DomainError(f"{what} is not real-valued here (imag={v.imag:g})")
     return v.real
 
@@ -141,7 +134,7 @@ def _classify_jet(fld: ScalarField2, y: float, z: float, tol: float):
         w = _indicator(j)
     except (DomainError, ZeroDivisionError, ValueError, OverflowError):
         return CausalClass.LIGHTLIKE, None, None
-    if (_nonreal(w) or not math.isfinite(w.real)
+    if (nonreal(w) or not math.isfinite(w.real)
             or not all(map(cmath.isfinite, (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))):
         return CausalClass.LIGHTLIKE, None, None
     if w.real > tol:
@@ -220,14 +213,14 @@ def _classify_block(j: TJet, tol: float) -> np.ndarray:
     ``_mean_curvature_from_jet`` at each point."""
     coefs = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
     w = _indicator(j)
-    ok = np.isfinite(w.real) & ~_nonreal(w)
+    ok = np.isfinite(w.real) & ~nonreal(w)
     for c in coefs:
         ok &= np.isfinite(c)
     timelike = ok & (w.real > tol)
     spacelike = ok & (w.real < -tol)
     live = np.flatnonzero(timelike | spacelike)
     num = _residual_from_jet(j, Equation.BORN_INFELD)
-    bad = _nonreal(j.f[live]) | _nonreal(num[live])
+    bad = nonreal(j.f[live]) | nonreal(num[live])
     if bad.any():
         # the error of the scalar path at the first such point
         i = live[np.argmax(bad)]

@@ -20,16 +20,16 @@ check at one point builds thousands of scalar jets, and a frozen
 ``object.__setattr__``, costs about four times a plain one.  Jets compare
 coefficient by coefficient and are not hashable.
 
-The module-level functions (``exp``, ``log``, ``atan``, ...) dispatch on
-their argument, testing in this order: a plain number (``int``, ``float``,
-``complex``) goes straight to :mod:`cmath`, a ``TJet`` through the chain
-rule, which evaluates with :mod:`cmath` or numpy to match its coefficients,
-and an array through the numpy ufunc of the same function.  The number test
-comes first and the chain rules are module-level functions, so a scalar call
-costs one ``isinstance`` test on top of :mod:`cmath`; ``re`` and ``im`` of a
-Python ``complex`` return its ``.real``/``.imag`` at once.
-Field evaluators written against these functions can therefore be called
-with numbers, complex numbers, arrays or jets interchangeably.
+Each primitive (``exp``, ``log``, ``atan``, ...) is made by ``_primitive``,
+the one place the dispatch order is written: a plain number (``int``,
+``float``, ``complex``) goes straight to :mod:`cmath`, a ``TJet`` through the
+chain rule, which evaluates with :mod:`cmath` or numpy to match its
+coefficients, and an array through the numpy ufunc of the same function.
+The number test comes first, so a scalar call costs one ``isinstance`` test
+on top of :mod:`cmath`; ``re`` and ``im`` of a Python ``complex`` return its
+``.real``/``.imag`` at once.  Field evaluators written against these
+functions can therefore be called with numbers, complex numbers, arrays or
+jets interchangeably.
 
 Arrays follow :mod:`numpy.emath`: a real array stays real until it leaves
 the real domain.  An integer or float array goes through the real ufunc
@@ -107,16 +107,9 @@ def _cdiv(a, d):
 
 # The function library of a coefficient, under cmath's names: cmath and
 # Python's division for numbers, numpy's ufuncs and _cdiv for arrays.
-_CM = SimpleNamespace(
-    exp=cmath.exp, log=cmath.log, sqrt=cmath.sqrt, sin=cmath.sin, cos=cmath.cos,
-    tan=cmath.tan, sinh=cmath.sinh, cosh=cmath.cosh, tanh=cmath.tanh,
-    atan=cmath.atan, atanh=cmath.atanh, asinh=cmath.asinh, div=operator.truediv,
-)
-_NP = SimpleNamespace(
-    exp=np.exp, log=np.log, sqrt=np.sqrt, sin=np.sin, cos=np.cos, tan=np.tan,
-    sinh=np.sinh, cosh=np.cosh, tanh=np.tanh,
-    atan=np.arctan, atanh=np.arctanh, asinh=np.arcsinh, div=_cdiv,
-)
+# ``_primitive`` enters each primitive's pair; only the division is set here.
+_CM = SimpleNamespace(div=operator.truediv)
+_NP = SimpleNamespace(div=_cdiv)
 
 
 def _math(c):
@@ -252,8 +245,7 @@ class TJet:
     def _reciprocal(self) -> "TJet":
         # A scalar 1/0 raises ZeroDivisionError, by design; an array entry
         # becomes inf/nan and is caught by the finiteness check of the caller.
-        f = self.f
-        w = _cdiv(1.0, f) if isinstance(f, np.ndarray) else 1.0 / f
+        w = _math(self.f).div(1.0, self.f)
         return self._compose(w, -w * w, 2 * w * w * w)
 
     def _int_pow(self, n: int) -> "TJet":
@@ -298,15 +290,26 @@ def _real_first(array_fn, z, *args):
     return array_fn(np.asarray(z, dtype=complex), *args)
 
 
-def _dispatch(z, jet_rule, array_fn):
-    """A primitive at a non-number (each primitive handles numbers itself):
-    a jet through its chain rule, an array through the numpy ufunc
-    (``_real_first``)."""
-    if isinstance(z, TJet):
-        return jet_rule(z, _math(z.f))
-    if isinstance(z, np.ndarray):
-        return _real_first(array_fn, z)
-    raise TypeError(f"unsupported operand type {type(z).__name__!r}")
+def _primitive(name, number_fn, array_fn, rule):
+    """The primitive ``name``, the one place the dispatch order is written: a
+    plain number goes to ``number_fn`` (from :mod:`cmath`), a ``TJet`` to
+    ``rule(jet, library)`` with the library of its coefficients, an array to
+    the ufunc ``array_fn`` through ``_real_first``.  Enters ``number_fn`` and
+    ``array_fn`` into ``_CM`` and ``_NP`` under ``name``."""
+    setattr(_CM, name, number_fn)
+    setattr(_NP, name, array_fn)
+
+    def primitive(z):
+        if isinstance(z, _NUMBER):
+            return number_fn(z)
+        if isinstance(z, TJet):
+            return rule(z, _math(z.f))
+        if isinstance(z, np.ndarray):
+            return _real_first(array_fn, z)
+        raise TypeError(f"unsupported operand type {type(z).__name__!r}")
+
+    primitive.__name__ = primitive.__qualname__ = name
+    return primitive
 
 
 # Chain rules, rule(jet, library): g(jet) from g, g' and g'' at jet.f, with
@@ -375,76 +378,18 @@ def _asinh_rule(j, m):
     return j._compose(m.asinh(j.f), m.div(1, r), m.div(-j.f, d * r))
 
 
-def exp(z):
-    if isinstance(z, _NUMBER):
-        return cmath.exp(z)
-    return _dispatch(z, _exp_rule, np.exp)
-
-
-def log(z):
-    if isinstance(z, _NUMBER):
-        return cmath.log(z)
-    return _dispatch(z, _log_rule, np.log)
-
-
-def sqrt(z):
-    if isinstance(z, _NUMBER):
-        return cmath.sqrt(z)
-    return _dispatch(z, _sqrt_rule, np.sqrt)
-
-
-def sin(z):
-    if isinstance(z, _NUMBER):
-        return cmath.sin(z)
-    return _dispatch(z, _sin_rule, np.sin)
-
-
-def cos(z):
-    if isinstance(z, _NUMBER):
-        return cmath.cos(z)
-    return _dispatch(z, _cos_rule, np.cos)
-
-
-def tan(z):
-    if isinstance(z, _NUMBER):
-        return cmath.tan(z)
-    return _dispatch(z, _tan_rule, np.tan)
-
-
-def sinh(z):
-    if isinstance(z, _NUMBER):
-        return cmath.sinh(z)
-    return _dispatch(z, _sinh_rule, np.sinh)
-
-
-def cosh(z):
-    if isinstance(z, _NUMBER):
-        return cmath.cosh(z)
-    return _dispatch(z, _cosh_rule, np.cosh)
-
-
-def tanh(z):
-    if isinstance(z, _NUMBER):
-        return cmath.tanh(z)
-    return _dispatch(z, _tanh_rule, np.tanh)
-
-
-def atan(z):
-    if isinstance(z, _NUMBER):
-        return cmath.atan(z)
-    return _dispatch(z, _atan_rule, np.arctan)
-
-
-def atanh(z):
-    if isinstance(z, _NUMBER):
-        return cmath.atanh(z)
-    return _dispatch(z, _atanh_rule, np.arctanh)
-
-
-def asinh(z):
-    if isinstance(z, _NUMBER):
-        return cmath.asinh(z)
-    return _dispatch(z, _asinh_rule, np.arcsinh)
+exp = _primitive("exp", cmath.exp, np.exp, _exp_rule)
+log = _primitive("log", cmath.log, np.log, _log_rule)
+sqrt = _primitive("sqrt", cmath.sqrt, np.sqrt, _sqrt_rule)
+sin = _primitive("sin", cmath.sin, np.sin, _sin_rule)
+cos = _primitive("cos", cmath.cos, np.cos, _cos_rule)
+tan = _primitive("tan", cmath.tan, np.tan, _tan_rule)
+sinh = _primitive("sinh", cmath.sinh, np.sinh, _sinh_rule)
+cosh = _primitive("cosh", cmath.cosh, np.cosh, _cosh_rule)
+tanh = _primitive("tanh", cmath.tanh, np.tanh, _tanh_rule)
+atan = _primitive("atan", cmath.atan, np.arctan, _atan_rule)
+atanh = _primitive("atanh", cmath.atanh, np.arctanh, _atanh_rule)
+asinh = _primitive("asinh", cmath.asinh, np.arcsinh, _asinh_rule)
 
 
 def power(z, p):

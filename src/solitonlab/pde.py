@@ -222,21 +222,24 @@ def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, at_point) -
     ``out[i:i + n] = from_jet(j, backend)`` for the array jet ``j`` of each
     block of ``n`` points (every coefficient of ``j`` an array of length
     ``n``) and the backend ``core.jet`` names for it, under
-    ``np.errstate(all="ignore")``.  When the evaluator rejects arrays, or a
-    central-difference stencil of the block touches an excluded point, each
-    point of the block is evaluated by ``at_point(a, b)`` instead, with
-    Python floats.  Blocks are evaluated in order, so the first point at
-    which ``from_jet`` or ``at_point`` raises is the first in (a, b)."""
+    ``np.errstate(all="ignore")``.  When the evaluator rejects arrays, a
+    central-difference stencil of the block touches an excluded point, or the
+    block raises ``ZeroDivisionError`` or ``OverflowError``, each point of the
+    block is evaluated by ``at_point(a, b)`` instead, with Python floats.
+    Blocks are evaluated in order, so the first point at which ``from_jet``
+    or ``at_point`` raises is the first in (a, b)."""
     for s in range(0, len(a), _BLOCK):
         ba, bb = a[s:s + _BLOCK], b[s:s + _BLOCK]
         with np.errstate(all="ignore"):
             try:
                 j, backend = jet(fld, ba, bb)
-            except (TypeError, ValueError, DomainError):
+            except (TypeError, ValueError, DomainError, ZeroDivisionError, OverflowError):
                 # An evaluator written for numbers fails on arrays with
                 # TypeError (math.cos of an array) or ValueError (the truth of
                 # an array); a stencil that reaches an excluded point fails
-                # the whole block with DomainError.
+                # the whole block with DomainError.  A division by a scalar
+                # zero (a jet / 0.0) or an overflow fails the block as it
+                # fails each point, and at_point decides what that means.
                 pass
             else:
                 j = jm.TJet(*(np.broadcast_to(c, ba.shape) for c in
@@ -281,7 +284,13 @@ def _field(ev, exclusions=None, backend: Backend = None) -> ScalarField2:
     return ScalarField2(ev, backend or ExactJet(), exclusions)
 
 
+def _nonzero_k(k: float, name: str) -> None:
+    if k == 0:
+        raise ValueError(f"{name} needs k != 0")
+
+
 def helicoid_first_kind_field(k: float = 1.0, margin: float = DEFAULT_MARGIN) -> ScalarField2:
+    _nonzero_k(k, "helicoid_first_kind")
     return _field(lambda a, b: jm.atan(b / a) / k,
                   lambda a, b: abs(a) <= margin)
 
@@ -300,6 +309,7 @@ def scherk_first_kind_field() -> ScalarField2:
 
 
 def wick_helicoid_first_kind_field(k: float = 1.0, margin: float = DEFAULT_MARGIN) -> ScalarField2:
+    _nonzero_k(k, "wick_helicoid_first_kind")
     return _field(lambda a, b: -1j / k * jm.atanh(b / a),
                   lambda a, b: (abs(a) <= margin) | (abs(b) >= abs(a) * (1 - margin)))
 

@@ -51,6 +51,8 @@ _WG[1::2] = _WG_HALF + _WG_HALF[::-1]
 _RULES = np.stack([_WK, _WK - _WG], axis=1).astype(complex)
 _SIDES = np.array([-1.0, 1.0])
 
+# Absolute and relative tolerance of every contour integral.
+_EPSABS = _EPSREL = 1e-12
 # QUADPACK's round-off level: a Kronrod-Gauss difference below this share of
 # the integral of |f| over the subinterval cannot be reduced by bisecting.
 _ROUNDOFF = 50 * np.finfo(float).eps
@@ -138,7 +140,7 @@ def _node_values(fvec, nodes: np.ndarray, per_node: bool):
     return np.asarray(rows, dtype=complex).T, True
 
 
-def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12):
+def integrate_segments(fvec, path):
     """Integrate the complex-vector integrand ``fvec`` along the polyline.
 
     ``fvec(w)`` is called with a 1-D complex array of nodes and returns one
@@ -151,7 +153,7 @@ def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12)
     Each segment is parametrized over s in [0, 1].  A subinterval of width
     ``ds`` is accepted when its Kronrod-Gauss difference (2-norm over the
     components) is at most ``tol * ds / n_segments``, with ``tol =
-    max(epsabs, epsrel * |integral|)``, or is at round-off level; the others
+    max(_EPSABS, _EPSREL * |integral|)``, or is at round-off level; the others
     are bisected.  Raises ``QuadratureError`` on a non-finite integrand value,
     when ``_MAX_NO_GAIN`` bisections have left the error estimate larger than
     before (QUADPACK's round-off test), or when the subintervals would exceed
@@ -182,7 +184,7 @@ def integrate_segments(fvec, path, epsabs: float = 1e-12, epsrel: float = 1e-12)
             rules = vals @ _RULES
             kronrod = rules[..., 0]
             err = _norm(rules[..., 1])
-            tol = max(epsabs, epsrel * float(_norm(done + kronrod.sum(axis=1))))
+            tol = max(_EPSABS, _EPSREL * float(_norm(done + kronrod.sum(axis=1))))
             ok = err <= tol * 2 * half / n_seg
             if not ok.all():
                 # the round-off guard, for the subintervals above their tolerance

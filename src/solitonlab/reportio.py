@@ -81,7 +81,7 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def obj_mesh_text(grid_points, values, excluded_mask, na: int, nb: int) -> str:
+def obj_mesh_text(values, excluded_mask, na: int, nb: int) -> str:
     """Wavefront OBJ for a rectangular parameter grid (row-major in the first
     index).  Excluded vertices are dropped and every triangle touching one is
     skipped.

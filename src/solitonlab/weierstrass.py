@@ -23,11 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jetmath as jm
-from .core import LVec3, exclusion_mask
+from .core import LVec3, exclusion_mask, nonreal
 from .errors import DomainError, UnknownSurface
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
-
-_REAL_TOL = 1e-9
 
 
 class Variant(enum.Enum):
@@ -90,7 +88,7 @@ class SurfaceMap:
         for k in np.flatnonzero(~excluded):
             u, v = points[k]
             comps[k] = self.components(u, v)
-        not_real = np.abs(comps.imag) > _REAL_TOL * (1.0 + np.abs(comps.real))
+        not_real = nonreal(comps)
         if not_real.any():
             k, i = np.argwhere(not_real)[0]
             raise DomainError(f"surface component not real at {complex(*points[k])}: "

@@ -293,6 +293,14 @@ def test_cli_import_does_not_load_scipy():
      "error: grid bounds must be finite\n"),
     (["residual", "--solution", "scherk_minimal", "--grid=-inf:1:0:1:3:3"],
      "error: grid bounds must be finite\n"),
+    (["residual", "--solution", "helicoid_first_kind", "--k", "0"],
+     "error: helicoid_first_kind needs k != 0\n"),
+    (["residual", "--solution", "wick_helicoid_first_kind", "--k", "0"],
+     "error: wick_helicoid_first_kind needs k != 0\n"),
+    (["geometry", "classify", "--solution", "helicoid_first_kind", "--k", "0"],
+     "error: helicoid_first_kind needs k != 0\n"),
+    (["geometry", "classify", "--solution", "wick_helicoid_first_kind", "--k", "-0.0"],
+     "error: wick_helicoid_first_kind needs k != 0\n"),
 ])
 def test_numeric_arguments_must_be_finite(argv, message, capsys):
     code, out, err = run(argv, capsys)

@@ -346,6 +346,47 @@ def test_primitives_reject_other_types():
             getattr(jm, name)("1.0")
 
 
+# Closed-form first and second derivatives of each primitive.
+_DERIVATIVES = {
+    "exp": (cmath.exp, cmath.exp),
+    "log": (lambda u: 1 / u, lambda u: -1 / u ** 2),
+    "sqrt": (lambda u: 0.5 / cmath.sqrt(u), lambda u: -0.25 / cmath.sqrt(u) ** 3),
+    "sin": (cmath.cos, lambda u: -cmath.sin(u)),
+    "cos": (lambda u: -cmath.sin(u), lambda u: -cmath.cos(u)),
+    "tan": (lambda u: 1 / cmath.cos(u) ** 2, lambda u: 2 * cmath.sin(u) / cmath.cos(u) ** 3),
+    "sinh": (cmath.cosh, cmath.sinh),
+    "cosh": (cmath.sinh, cmath.cosh),
+    "tanh": (lambda u: 1 / cmath.cosh(u) ** 2,
+             lambda u: -2 * cmath.sinh(u) / cmath.cosh(u) ** 3),
+    "atan": (lambda u: 1 / (1 + u * u), lambda u: -2 * u / (1 + u * u) ** 2),
+    "atanh": (lambda u: 1 / (1 - u * u), lambda u: 2 * u / (1 - u * u) ** 2),
+    "asinh": (lambda u: (1 + u * u) ** -0.5, lambda u: -u * (1 + u * u) ** -1.5),
+}
+
+
+@pytest.mark.parametrize("name", _PRIMITIVES)
+def test_chain_rule_of_every_primitive(name):
+    # g(0.7a + 0.3b + c): the derivatives are g' and g'' times those of the
+    # linear argument
+    fn = getattr(jm, name)
+    assert fn.__name__ == name and fn.__module__ == jm.__name__
+    d1, d2 = _DERIVATIVES[name]
+    c = 0.2 + 0.1j
+    fld = ScalarField2(lambda a, b: fn(0.7 * a + 0.3 * b + c))
+    a = np.array([0.4, -0.5, 0.9])
+    b = np.array([-0.3, 0.6, 0.1])
+    ja, _ = jet(fld, a, b)
+    for i in range(len(a)):
+        js, _ = jet(fld, float(a[i]), float(b[i]))
+        u = 0.7 * float(a[i]) + 0.3 * float(b[i]) + c
+        g1, g2 = d1(u), d2(u)
+        want = {"fx": 0.7 * g1, "ft": 0.3 * g1,
+                "fxx": 0.49 * g2, "fxt": 0.21 * g2, "ftt": 0.09 * g2}
+        for attr, w in want.items():
+            for got in (getattr(js, attr), getattr(ja, attr)[i]):
+                assert abs(got - w) <= 1e-14 * (1 + abs(w)), (name, attr, i, got, w)
+
+
 # Parts of dividends and divisors: signed zeros, both orders of magnitude of
 # the real and imaginary parts (the two branches of Smith's algorithm), real
 # and imaginary divisors, infinities and nan.

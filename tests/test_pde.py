@@ -255,6 +255,15 @@ def test_division_by_zero_fails_the_sweep():
     rep = residual_sweep(fld, Equation.MAXIMAL, grid)
     assert rep.max_abs == math.inf
     assert rep.worst_point == (0.0, 1.0)
+    # a scalar zero divisor fails every point, whether or not the evaluator
+    # takes arrays: the block that raises is evaluated point by point
+    for ev in (lambda a, b: a * a / 0.0, lambda a, b: math.cos(a) / 0.0):
+        rep = residual_sweep(ScalarField2(ev), Equation.MAXIMAL, grid)
+        assert rep.max_abs == math.inf
+        assert rep.worst_point == (1.0, 1.0)
+        rows = classify_grid(ScalarField2(ev), grid)
+        assert [r[2] for r in rows] == ["lightlike"] * 9
+        assert all(math.isnan(r[3]) for r in rows)
 
 
 def test_backend_label_names_the_central_fallback():

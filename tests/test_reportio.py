@@ -8,17 +8,16 @@ from solitonlab.reportio import fmt, obj_mesh_text
 
 def _grid_3x3(z):
     """Vertex (i, j) of a 3x3 grid at (i, j, z[3i + j])."""
-    pts = [(float(i), float(j)) for i in range(3) for j in range(3)]
-    return pts, [(u, v, w) for (u, v), w in zip(pts, z)]
+    return [(float(i), float(j), z[3 * i + j]) for i in range(3) for j in range(3)]
 
 
 _Z = [0.5, -0.0, 1 / 3, 2.0, 1e-300, -1.5, 0.1, 1e22, 7.0]
 
 
 def test_obj_mesh_drops_an_excluded_corner_and_its_quad():
-    pts, values = _grid_3x3(_Z)
+    values = _grid_3x3(_Z)
     excluded = [True] + [False] * 8
-    assert obj_mesh_text(pts, values, excluded, 3, 3) == (
+    assert obj_mesh_text(values, excluded, 3, 3) == (
         "v 0 1 -0\n"
         "v 0 2 0.33333333333333331\n"
         "v 1 0 2\n"
@@ -36,10 +35,10 @@ def test_obj_mesh_drops_an_excluded_corner_and_its_quad():
 
 
 def test_obj_mesh_with_an_excluded_centre_has_no_faces():
-    pts, values = _grid_3x3(_Z)
+    values = _grid_3x3(_Z)
     excluded = np.zeros(9, dtype=bool)
     excluded[4] = True
-    assert obj_mesh_text(pts, values, excluded, 3, 3) == (
+    assert obj_mesh_text(values, excluded, 3, 3) == (
         "v 0 0 0.5\n"
         "v 0 1 -0\n"
         "v 0 2 0.33333333333333331\n"
@@ -52,8 +51,8 @@ def test_obj_mesh_with_an_excluded_centre_has_no_faces():
 
 def test_obj_mesh_keeps_non_finite_values():
     z = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0, 3.0]
-    pts, values = _grid_3x3(z)
-    assert obj_mesh_text(pts, values, [False] * 9, 3, 3) == (
+    values = _grid_3x3(z)
+    assert obj_mesh_text(values, [False] * 9, 3, 3) == (
         "v 0 0 nan\n"
         "v 0 1 nan\n"
         "v 0 2 inf\n"
@@ -74,8 +73,8 @@ def test_obj_mesh_keeps_non_finite_values():
 
 
 def test_obj_mesh_of_all_excluded_points_is_one_newline():
-    pts, values = _grid_3x3(_Z)
-    assert obj_mesh_text(pts, values, [True] * 9, 3, 3) == "\n"
+    values = _grid_3x3(_Z)
+    assert obj_mesh_text(values, [True] * 9, 3, 3) == "\n"
 
 
 @pytest.mark.parametrize("x", [0.5, -0.0, 0.0, 1 / 3, 1e-300, 5e-324, 1e22, -1.5e308,
