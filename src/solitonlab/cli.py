@@ -54,6 +54,14 @@ def count(text: str) -> int:
     return n
 
 
+def seed(text: str) -> int:
+    """Argument type of a random seed: an int of at least 0, as numpy requires."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def finite(text: str) -> float:
     """Argument type of a finite float: NaN would pass every tolerance test."""
     x = float(text)
@@ -285,7 +293,7 @@ def build_parser() -> _Parser:
                    default="0,0.5235987755982988,0.7853981633974483,"
                            "1.0471975511965976,1.5707963267948966")
     f.add_argument("--num-points", type=count, default=20)
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=seed, default=0)
     f.add_argument("--tolerance", type=tolerance, default=1e-6)
     f.add_argument("--out", default=None)
     f.set_defaults(fn=_cmd_family)

@@ -128,13 +128,15 @@ def associate_family(pair: ConjugatePair, theta: float) -> SurfaceMap:
 
 
 def conjugacy_check(pair: ConjugatePair, zeta: complex) -> float:
-    """Max over components of the Cauchy-Riemann defect of X1 + i X2 at zeta,
-    |(d/du + i d/dv)(X1 + iX2)| / 2, estimated from exact jets."""
+    """Max over the three components of the Cauchy-Riemann defect of
+    X1 + i X2 at tau = zeta = u + iv, a point of the pair's tau domain:
+    |(d/du + i d/dv)(X1 + i X2)| / 2, zero where X1 + i X2 is holomorphic.
+    The derivatives come from order-1 jets in (u, v), exact up to roundoff."""
     zeta = complex(zeta)
     if pair.tau_exclusions is not None and pair.tau_exclusions(zeta):
         raise DomainError(f"{zeta} is outside the pair's common domain")
-    ju = TJet.seed_a(zeta.real)
-    jv = TJet.seed_b(zeta.imag)
+    ju = TJet(complex(zeta.real), 1.0 + 0j, 0j, None, None, None)
+    jv = TJet(complex(zeta.imag), 0j, 1.0 + 0j, None, None, None)
     tau = ju + 1j * jv
     sigma = ju - 1j * jv
     a = pair.comps1(tau, sigma)
@@ -207,11 +209,11 @@ def whitham_constraint_defect(wp: WhithamPair, zeta: complex) -> float:
 
 
 def holomorphic_derivative(fn: Callable, z):
-    """f'(z) by first-order jet propagation; ``z`` may be a complex number or
+    """f'(z) by propagating an order-1 jet; ``z`` may be a complex number or
     an array of them.  Falls back to a five-point stencil, for a number
-    ``z``, when the evaluator rejects jets."""
+    ``z``, when the evaluator rejects jets (raises ``TypeError``)."""
     try:
-        out = fn(TJet(TJet.coef(z), 1.0 + 0j))
+        out = fn(TJet(TJet.coef(z), 1.0 + 0j, 0j, None, None, None))
     except TypeError:
         h = 1e-3
         return complex(-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12 * h)

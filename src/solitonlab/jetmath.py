@@ -1,10 +1,17 @@
-"""Second-order Taylor-jet arithmetic for complex-valued functions of two
+"""Taylor-jet arithmetic of order 2 or 1 for complex-valued functions of two
 real variables.
 
 A ``TJet`` carries the value and all partial derivatives up to order 2 of a
 function f(a, b) at a point, with complex coefficients.  Propagating jets
 through an expression built from the primitives below yields derivatives
 that are exact up to roundoff (no truncation error).
+
+A jet whose second-order slots are ``None`` has order 1: value and gradient
+only, for callers that read no more.  An operation fills the second-order
+slots only when every jet operand has them: an order-1 operand with an
+order-2 jet, a number or a ``TJet.lift`` constant gives order 1, with the
+bits of ``f``, ``fx`` and ``ft`` that order 2 gives.  A second-order slot of
+an order-1 jet reads ``None``, and arithmetic on it raises ``TypeError``.
 
 Jet coefficients are either Python ``complex`` numbers (one point) or numpy
 ``complex128`` arrays (one entry per point, as in Taylor-mode propagation
@@ -125,7 +132,8 @@ def _real_coef(x):
 
 @dataclass(slots=True)
 class TJet:
-    """Order-2 Taylor jet of f(a, b): value, gradient and Hessian entries.
+    """Taylor jet of f(a, b): value, gradient and Hessian entries, or value
+    and gradient only (order 1: ``fxx``, ``fxt`` and ``ftt`` are ``None``).
 
     Each coefficient is a ``complex`` or a ``complex128`` array.  A jet is a
     value (see the module notes): never assign to a coefficient.  Jets are
@@ -163,6 +171,9 @@ class TJet:
 
     def __add__(self, other):
         if isinstance(other, TJet):
+            if self.fxx is None or other.fxx is None:
+                return TJet(self.f + other.f, self.fx + other.fx, self.ft + other.ft,
+                            None, None, None)
             return TJet(self.f + other.f, self.fx + other.fx, self.ft + other.ft,
                         self.fxx + other.fxx, self.fxt + other.fxt, self.ftt + other.ftt)
         if isinstance(other, _NUMBER):
@@ -172,12 +183,15 @@ class TJet:
     __radd__ = __add__
 
     def __neg__(self):
-        return TJet(-self.f, -self.fx, -self.ft, -self.fxx, -self.fxt, -self.ftt)
+        return self._map(operator.neg)
 
     # Subtraction builds its jet directly: IEEE a - b is a + (-b), bit for
     # bit, so these round as adding the negation does.
     def __sub__(self, other):
         if isinstance(other, TJet):
+            if self.fxx is None or other.fxx is None:
+                return TJet(self.f - other.f, self.fx - other.fx, self.ft - other.ft,
+                            None, None, None)
             return TJet(self.f - other.f, self.fx - other.fx, self.ft - other.ft,
                         self.fxx - other.fxx, self.fxt - other.fxt, self.ftt - other.ftt)
         if isinstance(other, _NUMBER):
@@ -186,6 +200,8 @@ class TJet:
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
+            if self.fxx is None:
+                return TJet(complex(other) - self.f, -self.fx, -self.ft, None, None, None)
             return TJet(complex(other) - self.f, -self.fx, -self.ft,
                         -self.fxx, -self.fxt, -self.ftt)
         return NotImplemented
@@ -193,6 +209,9 @@ class TJet:
     def __mul__(self, other):
         if isinstance(other, TJet):
             s, o = self, other
+            if s.fxx is None or o.fxx is None:
+                return TJet(s.f * o.f, s.fx * o.f + s.f * o.fx, s.ft * o.f + s.f * o.ft,
+                            None, None, None)
             return TJet(
                 s.f * o.f,
                 s.fx * o.f + s.f * o.fx,
@@ -203,6 +222,8 @@ class TJet:
             )
         if isinstance(other, _NUMBER):
             c = complex(other)
+            if self.fxx is None:
+                return TJet(self.f * c, self.fx * c, self.ft * c, None, None, None)
             return TJet(self.f * c, self.fx * c, self.ft * c,
                         self.fxx * c, self.fxt * c, self.ftt * c)
         return NotImplemented
@@ -226,13 +247,16 @@ class TJet:
             return self._int_pow(int(p))
         if isinstance(p, _NUMBER):
             w = self.f ** p
-            return self._compose(w, p * self.f ** (p - 1), p * (p - 1) * self.f ** (p - 2))
+            g2 = None if self.fxx is None else p * (p - 1) * self.f ** (p - 2)
+            return self._compose(w, p * self.f ** (p - 1), g2)
         return NotImplemented
 
     # -- composition helpers ----------------------------------------------
 
     def _compose(self, g0, g1, g2) -> "TJet":
-        """Chain rule for g(self) given g, g', g'' at self.f."""
+        """Chain rule for g(self) given g, g', g'' at self.f (order 1: not g'')."""
+        if self.fxx is None:
+            return TJet(g0, g1 * self.fx, g1 * self.ft, None, None, None)
         return TJet(
             g0,
             g1 * self.fx,
@@ -246,10 +270,12 @@ class TJet:
         # A scalar 1/0 raises ZeroDivisionError, by design; an array entry
         # becomes inf/nan and is caught by the finiteness check of the caller.
         w = _math(self.f).div(1.0, self.f)
-        return self._compose(w, -w * w, 2 * w * w * w)
+        return self._compose(w, -w * w, None if self.fxx is None else 2 * w * w * w)
 
     def _int_pow(self, n: int) -> "TJet":
         if n == 0:
+            if self.fxx is None:
+                return TJet(1.0 + 0j, 0j, 0j, None, None, None)
             return TJet(1.0 + 0j)
         if n < 0:
             return self._int_pow(-n)._reciprocal()
@@ -260,19 +286,20 @@ class TJet:
 
     # -- coefficient-wise maps (valid for real jet variables) -------------
 
+    def _map(self, g) -> "TJet":
+        """``g`` of each coefficient; an order-1 jet stays order 1."""
+        if self.fxx is None:
+            return TJet(g(self.f), g(self.fx), g(self.ft), None, None, None)
+        return TJet(g(self.f), g(self.fx), g(self.ft), g(self.fxx), g(self.fxt), g(self.ftt))
+
     def conjugate(self) -> "TJet":
-        return TJet(self.f.conjugate(), self.fx.conjugate(), self.ft.conjugate(),
-                    self.fxx.conjugate(), self.fxt.conjugate(), self.ftt.conjugate())
+        return self._map(lambda c: c.conjugate())
 
     def real_part(self) -> "TJet":
-        return TJet(_real_coef(self.f.real), _real_coef(self.fx.real), _real_coef(self.ft.real),
-                    _real_coef(self.fxx.real), _real_coef(self.fxt.real),
-                    _real_coef(self.ftt.real))
+        return self._map(lambda c: _real_coef(c.real))
 
     def imag_part(self) -> "TJet":
-        return TJet(_real_coef(self.f.imag), _real_coef(self.fx.imag), _real_coef(self.ft.imag),
-                    _real_coef(self.fxx.imag), _real_coef(self.fxt.imag),
-                    _real_coef(self.ftt.imag))
+        return self._map(lambda c: _real_coef(c.imag))
 
 
 def _real_first(array_fn, z, *args):

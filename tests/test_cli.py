@@ -251,15 +251,42 @@ def test_quadrature_error_exits_1_without_traceback(argv, module, name, replacem
     assert "Traceback" not in err
 
 
-def test_cli_import_does_not_load_scipy():
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def test_cli_import_does_not_load_scipy():
+    env = _src_env()
     code = ("import sys, solitonlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _readme_commands() -> list:
+    """The argv of each ``solitonlab ...`` line of the README's CLI examples."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [line.split()[1:] for line in readme.read_text().splitlines()
+            if line.startswith("solitonlab ")]
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    # The README says numpy is the only runtime dependency: every documented
+    # command exits 0 in an interpreter where importing scipy fails.
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"catalog", "residual", "surface", "geometry",
+                                              "family", "identity"}
+    env = _src_env()
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from solitonlab.cli import main; raise SystemExit(main(sys.argv[1:]))")
+    for argv in commands:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (argv, out.stderr)
 
 
 # A NaN tolerance would let every check pass, and NaN or infinite inputs
@@ -278,6 +305,7 @@ def test_cli_import_does_not_load_scipy():
     (["geometry", "classify", "--margin", "nan"],
      "error: argument --margin: must be finite, got nan\n"),
     (["family", "--tolerance", "nan"], "error: argument --tolerance: must be finite, got nan\n"),
+    (["family", "--seed", "-1"], "error: argument --seed: must be at least 0, got -1\n"),
     (["family", "--theta-list", "inf"], "error: argument --theta-list: must be finite, got inf\n"),
     (["family", "--theta-list", "0,nan"],
      "error: argument --theta-list: must be finite, got nan\n"),

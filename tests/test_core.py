@@ -18,7 +18,15 @@ from solitonlab.core import (
     with_backend,
 )
 from solitonlab.errors import DomainError
-from solitonlab.pde import DEFAULT_GRIDS, GridSpec, catalog_names, residual_sweep, solution
+from solitonlab.pde import (
+    DEFAULT_GRIDS,
+    Equation,
+    GridSpec,
+    _residual_from_jet,
+    catalog_names,
+    residual_sweep,
+    solution,
+)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -627,3 +635,99 @@ def test_central_sweep_evaluates_real_arrays():
     rep = residual_sweep(fld, e.equation, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
     assert rep.max_abs < 1e-5
     assert len(dtypes) == 9 and set(dtypes) == {np.dtype(np.float64)}
+
+
+# -- order-1 jets ----------------------------------------------------------------
+
+def _order1(j):
+    """The order-1 jet of ``j``: its value and gradient, no second-order slots."""
+    return jm.TJet(j.f, j.fx, j.ft, None, None, None)
+
+
+_UNARY = {
+    "neg": lambda a: -a,
+    "a+2.5": lambda a: a + 2.5, "2.5+a": lambda a: 2.5 + a,
+    "a-2j": lambda a: a - 2j, "2j-a": lambda a: 2j - a,
+    "a*1.5": lambda a: a * 1.5, "(0.5-1j)*a": lambda a: (0.5 - 1j) * a,
+    "a/3": lambda a: a / 3, "3/a": lambda a: 3 / a,
+    "a**0": lambda a: a ** 0, "a**1": lambda a: a ** 1, "a**3": lambda a: a ** 3,
+    "a**2.0": lambda a: a ** 2.0, "a**-2": lambda a: a ** -2,
+    "a**0.5": lambda a: a ** 0.5, "a**-1.5": lambda a: a ** -1.5,
+    "power(a, 2.5)": lambda a: jm.power(a, 2.5), "power(a, -1)": lambda a: jm.power(a, -1),
+    "conj": jm.conj, "re": jm.re, "im": jm.im,
+    **{name: getattr(jm, name) for name in _PRIMITIVES},
+}
+_BINARY = {
+    "a+b": lambda a, b: a + b, "a-b": lambda a, b: a - b,
+    "a*b": lambda a, b: a * b, "a/b": lambda a, b: a / b,
+}
+
+
+def _first_order_bits(op, *jets):
+    """The bytes of f, fx and ft of ``op(*jets)`` with the result, or the type
+    of the exception it raised and None."""
+    try:
+        with np.errstate(all="ignore"):
+            r = op(*jets)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), None
+    return tuple(np.asarray(c, dtype=complex).tobytes() for c in (r.f, r.fx, r.ft)), r
+
+
+def _check_order1_matches_order2(name, op, jets):
+    """``op`` on every mix of order-1 and order-2 operands: the result has
+    order 2 only when every operand does, and its f, fx and ft are the bits
+    of the all-order-2 result."""
+    want, full = _first_order_bits(op, *jets)
+    if full is None:
+        return  # order 2 raised; order 1 may not need the term that did
+    assert all(c is not None for c in (full.fxx, full.fxt, full.ftt))
+    for mask in range(1, 2 ** len(jets)):
+        mixed = [_order1(j) if mask >> k & 1 else j for k, j in enumerate(jets)]
+        got, r = _first_order_bits(op, *mixed)
+        assert got == want, (name, mask)
+        assert all(c is None for c in (r.fxx, r.fxt, r.ftt)), (name, mask)
+
+
+_COEF = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+def _jets_from(values, n):
+    return [jm.TJet(*values[6 * k:6 * k + 6]) for k in range(n)]
+
+
+@given(st.lists(_COEF, min_size=12, max_size=12))
+def test_order1_scalar_jets_match_order2_bit_for_bit(values):
+    a, b = _jets_from(values, 2)
+    for name, op in _UNARY.items():
+        _check_order1_matches_order2(name, op, [a])
+    for name, op in _BINARY.items():
+        _check_order1_matches_order2(name, op, [a, b])
+
+
+@given(st.lists(st.lists(_COEF, min_size=3, max_size=3), min_size=12, max_size=12))
+def test_order1_array_jets_match_order2_bit_for_bit(rows):
+    a, b = _jets_from([np.array(r) for r in rows], 2)
+    for name, op in _UNARY.items():
+        _check_order1_matches_order2(name, op, [a])
+    scalar = jm.TJet(*(complex(c[0]) for c in rows[:6]))
+    for name, op in _BINARY.items():
+        _check_order1_matches_order2(name, op, [a, b])
+        # a scalar jet with an array jet
+        _check_order1_matches_order2(name, op, [scalar, b])
+
+
+def test_order1_jet_never_reads_second_order_terms():
+    # g'' of x**1.5 at 0 is infinite, and a scalar 0j ** -0.5 raises; the
+    # order-1 jet does not form it
+    z = jm.TJet(0j, 1.0 + 0j, 2j)
+    with pytest.raises(ZeroDivisionError):
+        z ** 1.5
+    r = _order1(z) ** 1.5
+    assert (r.f, r.fx, r.ft, r.fxx) == (0j, 0j, 0j, None)
+    # a consumer that reads second order gets an error, never a zero
+    j = jm.sin(jm.TJet(0.3 + 0j, 1.0 + 0j, 0j, None, None, None))
+    with pytest.raises(TypeError):
+        j.fxx * j.fx
+    with pytest.raises(TypeError):
+        _residual_from_jet(j, Equation.BORN_INFELD)

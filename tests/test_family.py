@@ -147,6 +147,54 @@ def test_holomorphic_derivative_jet_and_stencil():
     assert abs(holomorphic_derivative(f, 0.3 + 0.2j) - cmath.exp(0.3 + 0.2j)) <= 1e-9
 
 
+# Compositions that use each jetmath primitive, the ring operations, integer
+# and real powers, and conj/re/im.  An operation that mishandled an order-1
+# jet would raise TypeError, which holomorphic_derivative takes for an
+# evaluator that rejects jets: it would return the five-point stencil instead.
+_COMPOSITIONS = {
+    **{name: (lambda w, fn=getattr(jm, name): fn(0.3 * w + 0.2j) * w - 1 / (w + 2))
+       for name in ("exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh",
+                    "atan", "atanh", "asinh")},
+    "ring": lambda w: (w * w - 2j * w + 1) / (w - 3) - (1 - w) / w + (-w) * 0.5,
+    "powers": lambda w: w ** 3 + w ** -2 + w ** 0 * w + w ** 2.0 + w ** 1.5
+    + jm.power(w, -0.5),
+    "conj_re_im": lambda w: jm.conj(w) * w + jm.re(w) - 2 * jm.im(w * w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPOSITIONS))
+def test_holomorphic_derivative_is_the_order2_jet_derivative_bit_for_bit(name):
+    fn = _COMPOSITIONS[name]
+    for z in (0.4 + 0.3j, np.array([0.4 + 0.3j, -0.7 + 1.1j, 1.6 - 0.2j])):
+        want = fn(TJet(TJet.coef(z), 1.0 + 0j)).fx  # an order-2 jet
+        got = holomorphic_derivative(fn, z)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, z)
+
+
+def test_whitham_and_cauchy_riemann_checks_build_only_order1_jets(monkeypatch):
+    # Both checks read first derivatives only, so no jet they build carries
+    # second-order slots.
+    pair = helicoid_catenoid_pair()
+    theta = 0.7
+    wp = calibrate_offsets(catalog_whitham(theta), pair)
+    points = [soliton_family(pair, theta, z) for z in _POINTWISE_ZETAS]
+    orders = []
+    init = TJet.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        orders.append(2 if any(c is not None for c in (self.fxx, self.fxt, self.ftt)) else 1)
+
+    monkeypatch.setattr(TJet, "__init__", recording_init)
+    for p in points:
+        whitham_verify(wp, p)
+    n_whitham = len(orders)
+    for z in _POINTWISE_ZETAS:
+        conjugacy_check(pair, z)
+    assert n_whitham > 0 and len(orders) > n_whitham
+    assert set(orders) == {1}
+
+
 def test_graph_residual_machinery_against_direct_residual():
     # trivial chart xs = u, ts = v: the chain rule must reproduce the plain
     # Born-Infeld residual of any field, solution or not
