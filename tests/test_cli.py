@@ -305,7 +305,6 @@ def test_readme_commands_run_without_scipy(tmp_path):
     (["geometry", "classify", "--margin", "nan"],
      "error: argument --margin: must be finite, got nan\n"),
     (["family", "--tolerance", "nan"], "error: argument --tolerance: must be finite, got nan\n"),
-    (["family", "--seed", "-1"], "error: argument --seed: must be at least 0, got -1\n"),
     (["family", "--theta-list", "inf"], "error: argument --theta-list: must be finite, got inf\n"),
     (["family", "--theta-list", "0,nan"],
      "error: argument --theta-list: must be finite, got nan\n"),
@@ -329,6 +328,7 @@ def test_readme_commands_run_without_scipy(tmp_path):
      "error: helicoid_first_kind needs k != 0\n"),
     (["geometry", "classify", "--solution", "wick_helicoid_first_kind", "--k", "-0.0"],
      "error: wick_helicoid_first_kind needs k != 0\n"),
+    (["family", "--seed", "-1"], "error: argument --seed: must be at least 0, got -1\n"),
 ])
 def test_numeric_arguments_must_be_finite(argv, message, capsys):
     code, out, err = run(argv, capsys)
