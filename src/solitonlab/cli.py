@@ -29,7 +29,7 @@ from .family import (
     whitham_constraint_defect,
     whitham_verify,
 )
-from .pde import GridSpec
+from .pde import GridSpec, worst
 from .reportio import csv_text, fmt, json_text, obj_mesh_text
 
 
@@ -169,35 +169,27 @@ def _cmd_family(args) -> int:
     angles = rng.uniform(-0.85 * math.pi, 0.85 * math.pi, args.num_points)
     zetas = [r * complex(math.cos(a), math.sin(a)) for r, a in zip(radii, angles)]
     out = []
-    worst = 0.0
+    defect = 0.0
     for theta in thetas:
         surf = associate_family(pair, theta)
-        iso = [geometry.isothermal_check(surf, z) for z in zetas]
+        conformal, cross, harmonic = zip(*(geometry.isothermal_check(surf, z) for z in zetas))
         cr = [conjugacy_check(pair, z) for z in zetas]
         wp = calibrate_offsets(catalog_whitham(theta), pair)
-        wh = [whitham_verify(wp, soliton_family(pair, theta, z)) for z in zetas]
+        d1, d2, d3 = zip(*(whitham_verify(wp, soliton_family(pair, theta, z)) for z in zetas))
         con = [whitham_constraint_defect(wp, z) for z in zetas]
         rec = {
             "theta": theta,
-            "max_defects": {
-                "conformal": max(d[0] for d in iso),
-                "cross": max(d[1] for d in iso),
-                "harmonic": max(d[2] for d in iso),
-                "cauchy_riemann": max(cr),
-            },
-            "whitham_defects": {
-                "d1": max(d[0] for d in wh),
-                "d2": max(d[1] for d in wh),
-                "d3": max(d[2] for d in wh),
-                "constraint": max(con),
-            },
+            "max_defects": {"conformal": worst(conformal), "cross": worst(cross),
+                            "harmonic": worst(harmonic), "cauchy_riemann": worst(cr)},
+            "whitham_defects": {"d1": worst(d1), "d2": worst(d2), "d3": worst(d3),
+                                "constraint": worst(con)},
         }
-        worst = max(worst, *rec["max_defects"].values(),
-                    *rec["whitham_defects"].values())
+        defect = worst([defect, *rec["max_defects"].values(),
+                        *rec["whitham_defects"].values()])
         out.append(rec)
     _write(args.out, json_text({"pair": args.pair, "seed": args.seed, "results": out}))
-    if worst > args.tolerance:
-        print(f"FAIL max defect={fmt(worst)} > tolerance={fmt(args.tolerance)}",
+    if defect > args.tolerance:
+        print(f"FAIL max defect={fmt(defect)} > tolerance={fmt(args.tolerance)}",
               file=sys.stderr)
         return 1
     return 0

@@ -21,8 +21,8 @@ import numpy as np
 from . import jetmath as jm
 from .errors import DomainError, JacobianSingular
 from .jetmath import TJet
-from .pde import Equation, ResidualReport, _residual_from_jet, summarize
-from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
+from .pde import Equation, ResidualReport, _residual_from_jet, summarize, worst
+from .quadrature import build_path, integrate_segments
 from .weierstrass import SurfaceMap, lorentzian_helicoid_exclusions
 
 Comps = Callable  # (tau, sigma) -> (x, t, f), jet-friendly
@@ -69,7 +69,7 @@ def _surface_from_comps(comps: Comps, exclusions) -> SurfaceMap:
     return SurfaceMap(components, exclusions)
 
 
-def helicoid_catenoid_pair(margin: float = DEFAULT_POLE_MARGIN) -> ConjugatePair:
+def helicoid_catenoid_pair() -> ConjugatePair:
     """The Lorentzian helicoid and Lorentzian catenoid, which are conjugate:
     X1 + i X2 = (-(i/2)(tau - 1/tau), -(1/2)(tau + 1/tau), -i log tau).
 
@@ -105,11 +105,9 @@ def helicoid_catenoid_pair(margin: float = DEFAULT_POLE_MARGIN) -> ConjugatePair
         return (-0.25j * (A - Ab), -0.25 * (B + Bb),
                 -0.5 * (jm.log(zeta) + jm.log(xi)))
 
-    excl = lorentzian_helicoid_exclusions(margin)
-
-    return ConjugatePair("helicoid_catenoid", comps1, comps2,
-                         comps1_zeta, comps2_zeta,
-                         tau_exclusions=excl, zeta_exclusions=excl)
+    return ConjugatePair("helicoid_catenoid", comps1, comps2, comps1_zeta, comps2_zeta,
+                         tau_exclusions=lorentzian_helicoid_exclusions,
+                         zeta_exclusions=lorentzian_helicoid_exclusions)
 
 
 # -- associate family and conjugacy ----------------------------------------
@@ -130,8 +128,9 @@ def associate_family(pair: ConjugatePair, theta: float) -> SurfaceMap:
 def conjugacy_check(pair: ConjugatePair, zeta: complex) -> float:
     """Max over the three components of the Cauchy-Riemann defect of
     X1 + i X2 at tau = zeta = u + iv, a point of the pair's tau domain:
-    |(d/du + i d/dv)(X1 + i X2)| / 2, zero where X1 + i X2 is holomorphic.
-    The derivatives come from order-1 jets in (u, v), exact up to roundoff."""
+    |(d/du + i d/dv)(X1 + i X2)| / 2, zero where X1 + i X2 is holomorphic,
+    and inf where one is NaN (``pde.worst``).  The derivatives come from
+    order-1 jets in (u, v), exact up to roundoff."""
     zeta = complex(zeta)
     if pair.tau_exclusions is not None and pair.tau_exclusions(zeta):
         raise DomainError(f"{zeta} is outside the pair's common domain")
@@ -141,11 +140,8 @@ def conjugacy_check(pair: ConjugatePair, zeta: complex) -> float:
     sigma = ju - 1j * jv
     a = pair.comps1(tau, sigma)
     b = pair.comps2(tau, sigma)
-    worst = 0.0
-    for ai, bi in zip(a, b):
-        w = TJet.lift(ai + 1j * bi)
-        worst = max(worst, 0.5 * abs(w.fx + 1j * w.ft))
-    return worst
+    return worst([0.5 * abs(w.fx + 1j * w.ft)
+                  for w in (TJet.lift(ai + 1j * bi) for ai, bi in zip(a, b))])
 
 
 # -- soliton family ----------------------------------------------------------
@@ -210,14 +206,9 @@ def whitham_constraint_defect(wp: WhithamPair, zeta: complex) -> float:
 
 def holomorphic_derivative(fn: Callable, z):
     """f'(z) by propagating an order-1 jet; ``z`` may be a complex number or
-    an array of them.  Falls back to a five-point stencil, for a number
-    ``z``, when the evaluator rejects jets (raises ``TypeError``)."""
-    try:
-        out = fn(TJet(TJet.coef(z), 1.0 + 0j, 0j, None, None, None))
-    except TypeError:
-        h = 1e-3
-        return complex(-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12 * h)
-    d = TJet.lift(out).fx
+    an array of them.  ``fn`` must take jets: one that rejects them raises
+    ``TypeError``, as a jet bug would, rather than being differenced."""
+    d = TJet.lift(fn(TJet(TJet.coef(z), 1.0 + 0j, 0j, None, None, None))).fx
     if isinstance(z, np.ndarray) and not isinstance(d, np.ndarray):
         return np.broadcast_to(d, z.shape)
     return d
@@ -233,8 +224,7 @@ def calibrate_offsets(wp: WhithamPair, pair: ConjugatePair) -> WhithamPair:
     return replace(wp, offsets=(c1, c2, c3))
 
 
-def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint,
-                   margin: float = DEFAULT_POLE_MARGIN):
+def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint):
     """Defects (d1, d2, d3) of the three Whitham equations at the point:
 
         d1 = |xs - ts - (G(zb) - Int z^2 H' dz)       - c1|
@@ -251,8 +241,8 @@ def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint,
     poles = wp.pole_set
     polesb = tuple(complex(p).conjugate() for p in poles)
 
-    path_h = build_path(base, z, poles, margin)
-    path_g = build_path(baseb, zb, polesb, margin)
+    path_h = build_path(base, z, poles)
+    path_g = build_path(baseb, zb, polesb)
 
     def moments(fn):
         # (w^2 f'(w), w f'(w)), with f' computed once per array of nodes

@@ -27,8 +27,8 @@ import numpy as np
 from .core import LVec3, ScalarField2, jet, lorentz_inner, nonreal
 from .errors import DegenerateError, DomainError
 from .jetmath import TJet
-from .pde import (Equation, GridSpec, _residual_from_jet, kept_points, sweep_blocks,
-                  wick_lorentzian_catenoid_field)
+from .pde import (SINGULAR, Equation, GridSpec, _residual_from_jet, kept_points,
+                  sweep_blocks, wick_lorentzian_catenoid_field, worst)
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
 
@@ -94,17 +94,17 @@ def timelike_indicator(fld: ScalarField2, y: float, z: float) -> float:
     return _real(_indicator(_real_jet(fld, y, z)), "causal indicator")
 
 
-def _jet_off_degenerate(fld: ScalarField2, y: float, z: float, tol: float):
-    """(jet, W) at a non-degenerate point; DegenerateError when |W| <= tol or
-    when the gradient itself blows up (which on a graph happens exactly where
+def _jet_off_degenerate(fld: ScalarField2, y: float, z: float):
+    """(jet, W) at a non-degenerate point; DegenerateError when |W| <=
+    TOL_DEGENERATE or when the gradient itself blows up (which on a graph happens exactly where
     the tangent plane degenerates)."""
     try:
         j = _real_jet(fld, y, z)
         w = _real(_indicator(j), "causal indicator")
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+    except SINGULAR as exc:
         raise DegenerateError(f"jet is singular at ({y}, {z}); gradient blows up "
                               "on the degenerate set") from exc
-    if abs(w) <= tol:
+    if abs(w) <= TOL_DEGENERATE:
         raise DegenerateError(f"tangent plane degenerates at ({y}, {z}): "
                               f"|1 + phi_y^2 - phi_z^2| = {abs(w):g}")
     return j, w
@@ -121,45 +121,43 @@ def _forms_from_jet(j: TJet, w: float) -> FundForms:
                      disc=E * G - F * F)
 
 
-def fundamental_forms(fld: ScalarField2, y: float, z: float,
-                      tol: float = TOL_DEGENERATE) -> FundForms:
-    return _forms_from_jet(*_jet_off_degenerate(fld, y, z, tol))
+def fundamental_forms(fld: ScalarField2, y: float, z: float) -> FundForms:
+    return _forms_from_jet(*_jet_off_degenerate(fld, y, z))
 
 
-def _classify_jet(fld: ScalarField2, y: float, z: float, tol: float):
+def _classify_jet(fld: ScalarField2, y: float, z: float):
     """(class, jet, W) at (y, z); the jet and W are None at lightlike points:
-    where the jet is singular or not finite, or W is not real or |W| <= tol."""
+    where the jet is singular or not finite, or W is not real or |W| <= TOL_DEGENERATE."""
     try:
         j, _ = jet(fld, y, z)
         w = _indicator(j)
-    except (DomainError, ZeroDivisionError, ValueError, OverflowError):
+    except SINGULAR + (DomainError,):
         return CausalClass.LIGHTLIKE, None, None
     if (nonreal(w) or not math.isfinite(w.real)
             or not all(map(cmath.isfinite, (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))):
         return CausalClass.LIGHTLIKE, None, None
-    if w.real > tol:
+    if w.real > TOL_DEGENERATE:
         return CausalClass.TIMELIKE, j, w.real
-    if w.real < -tol:
+    if w.real < -TOL_DEGENERATE:
         return CausalClass.SPACELIKE, j, w.real
     return CausalClass.LIGHTLIKE, None, None
 
 
-def causal_classify(fld: ScalarField2, y: float, z: float,
-                    tol: float = TOL_DEGENERATE) -> CausalClass:
-    """Timelike if W > tol, spacelike if W < -tol, else lightlike.
+def causal_classify(fld: ScalarField2, y: float, z: float) -> CausalClass:
+    """Timelike if W > tol, spacelike if W < -tol, else lightlike, with tol
+    = ``TOL_DEGENERATE``.
 
     Points where the jet cannot be computed as a finite real number (the
     gradient of a graph blows up exactly where its tangent plane degenerates)
     classify as lightlike rather than raising.
     """
-    return _classify_jet(fld, y, z, tol)[0]
+    return _classify_jet(fld, y, z)[0]
 
 
-def unit_normal(fld: ScalarField2, y: float, z: float,
-                tol: float = TOL_DEGENERATE) -> LVec3:
+def unit_normal(fld: ScalarField2, y: float, z: float) -> LVec3:
     """N = (1, -phi_y, phi_z)/sqrt|W|; <N,N> = +1 on timelike points, -1 on
     spacelike ones."""
-    return _normal_from_jet(*_jet_off_degenerate(fld, y, z, tol))
+    return _normal_from_jet(*_jet_off_degenerate(fld, y, z))
 
 
 def _normal_from_jet(j: TJet, w: float) -> LVec3:
@@ -179,17 +177,15 @@ def _mean_curvature_from_jet(j: TJet, w: float) -> float:
     return -0.5 * num / abs(w) ** 1.5
 
 
-def mean_curvature(fld: ScalarField2, y: float, z: float,
-                   tol: float = TOL_DEGENERATE) -> float:
+def mean_curvature(fld: ScalarField2, y: float, z: float) -> float:
     """H = (eps/2)(eG - 2 f F + g E)/(EG - F^2) with eps = +1 timelike,
     -1 spacelike; algebraically equal to -(1/2) N_BI / |W|^(3/2)."""
-    return _mean_curvature_from_jet(*_jet_off_degenerate(fld, y, z, tol))
+    return _mean_curvature_from_jet(*_jet_off_degenerate(fld, y, z))
 
 
-def graph_point_report(fld: ScalarField2, y: float, z: float,
-                       tol: float = TOL_DEGENERATE) -> GraphPointReport:
+def graph_point_report(fld: ScalarField2, y: float, z: float) -> GraphPointReport:
     """Class, forms, normal and H at (y, z), from one jet."""
-    causal, j, w = _classify_jet(fld, y, z, tol)
+    causal, j, w = _classify_jet(fld, y, z)
     if j is None:
         return GraphPointReport((y, z), None, causal, None, None)
     return GraphPointReport((y, z), _forms_from_jet(j, w), causal,
@@ -201,13 +197,7 @@ _CLASSES = tuple(CausalClass)
 _CODE = {c: i for i, c in enumerate(_CLASSES)}
 
 
-def _classify_point(fld: ScalarField2, y: float, z: float, tol: float) -> tuple:
-    """(class code, H) at one point."""
-    causal, j, w = _classify_jet(fld, y, z, tol)
-    return _CODE[causal], (math.nan if j is None else _mean_curvature_from_jet(j, w))
-
-
-def _classify_block(j: TJet, tol: float) -> np.ndarray:
+def _classify_block(j: TJet) -> np.ndarray:
     """(class code, H) columns for the array jet of a block of points, with
     the rules and the rounding of ``_classify_jet`` and
     ``_mean_curvature_from_jet`` at each point."""
@@ -216,8 +206,8 @@ def _classify_block(j: TJet, tol: float) -> np.ndarray:
     ok = np.isfinite(w.real) & ~nonreal(w)
     for c in coefs:
         ok &= np.isfinite(c)
-    timelike = ok & (w.real > tol)
-    spacelike = ok & (w.real < -tol)
+    timelike = ok & (w.real > TOL_DEGENERATE)
+    spacelike = ok & (w.real < -TOL_DEGENERATE)
     live = np.flatnonzero(timelike | spacelike)
     num = _residual_from_jet(j, Equation.BORN_INFELD)
     bad = nonreal(j.f[live]) | nonreal(num[live])
@@ -236,25 +226,26 @@ def _classify_block(j: TJet, tol: float) -> np.ndarray:
     return out
 
 
-def classify_grid(fld: ScalarField2, grid: GridSpec,
-                  tol: float = TOL_DEGENERATE) -> list:
+def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     """Rows (y, z, class, H) for a grid sweep; H is NaN off non-degenerate
     points and excluded points are skipped entirely.
 
-    Kept points are evaluated in array blocks (``pde.sweep_blocks``), or one
-    at a time when the evaluator rejects arrays.  The rows are bit-identical
-    to the point-by-point ones (``_classify_jet``) where the jet arithmetic
-    is real, as for ``example1_graph``: ``jetmath`` divides arrays as CPython
-    divides complex numbers, and |W| ** 1.5 is taken with Python floats,
-    because numpy's ``** 1.5`` is not libm's ``pow``.  numpy's ufuncs (``tanh``)
-    and its product of two non-real numbers (a fused multiply-add on CPUs
-    that have one) may still differ from cmath in the last ulp.  A non-real
-    field value or numerator at a timelike or spacelike point raises
-    ``DomainError``, at the first such point in grid order."""
+    Kept points are evaluated in array blocks (``pde.sweep_blocks``), each
+    reduced by ``_classify_block``, also where the block's jet is stacked
+    from single points; a point whose jet raises ``DomainError`` (a central
+    stencil next to an exclusion) or a ``pde.SINGULAR`` error is lightlike.
+    The rows are bit-identical to the point-by-point ones (``_classify_jet``)
+    where the jet arithmetic is real, as for ``example1_graph``: ``jetmath``
+    divides arrays as CPython divides complex numbers, and |W| ** 1.5 is
+    taken with Python floats, because numpy's ``** 1.5`` is not libm's
+    ``pow``.  numpy's ufuncs (``tanh``) and its product of two non-real
+    numbers (a fused multiply-add on CPUs that have one) may still differ
+    from cmath in the last ulp.  A non-real field value or numerator at a
+    timelike or spacelike point raises ``DomainError``, at the first such
+    point in grid order."""
     ys, zs, _ = kept_points(fld, grid)
     out = np.empty((len(ys), 2))
-    sweep_blocks(fld, ys, zs, out, lambda j, _: _classify_block(j, tol),
-                 lambda y, z: _classify_point(fld, y, z, tol))
+    sweep_blocks(fld, ys, zs, out, _classify_block, SINGULAR + (DomainError,))
     names = [c.value for c in _CLASSES]
     return [(y, z, names[c], h) for y, z, c, h in
             zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
@@ -287,13 +278,14 @@ def isothermal_check(surface, zeta: complex):
     """(conformal_defect, cross_defect, harmonic_defect) at zeta.
 
     conformal = |<X_u,X_u> - <X_v,X_v>|, cross = |<X_u,X_v>|, harmonic =
-    max component of |X_uu + X_vv|.  All three below tolerance certifies an
-    isothermal maximal immersion at the point.
+    max component of |X_uu + X_vv| (``pde.worst``: inf when one is NaN).  All
+    three below tolerance certifies an isothermal maximal immersion at the
+    point.
     """
     jx, jy, jz = surface_jets(surface, zeta)
     xu = LVec3(jx.fx, jy.fx, jz.fx)
     xv = LVec3(jx.ft, jy.ft, jz.ft)
     conformal = abs(lorentz_inner(xu, xu) - lorentz_inner(xv, xv))
     cross = abs(lorentz_inner(xu, xv))
-    harmonic = max(abs(jx.fxx + jx.ftt), abs(jy.fxx + jy.ftt), abs(jz.fxx + jz.ftt))
+    harmonic = worst([abs(c.fxx + c.ftt) for c in (jx, jy, jz)])
     return conformal, cross, harmonic

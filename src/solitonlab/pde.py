@@ -192,20 +192,34 @@ def summarize(points, residuals, backend: str, excluded_count: int,
     tolerance; the worst point is the last maximum in the order of ``points``."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     residuals = np.asarray(residuals, dtype=complex)
-    max_abs, worst = 0.0, None
+    max_abs, at = 0.0, None
     if len(points):
-        mags = np.abs(residuals)
-        mags[np.isnan(mags)] = np.inf
+        mags = _nan_as_inf(residuals)
         last = len(mags) - 1 - int(np.argmax(mags[::-1]))
-        max_abs, worst = float(mags[last]), tuple(points[last].tolist())
+        max_abs, at = float(mags[last]), tuple(points[last].tolist())
     return ResidualReport(points, residuals, max_abs, backend, excluded_count,
                           name=name, equation=equation, grid_spec=grid_spec,
-                          worst_point=worst)
+                          worst_point=at)
+
+
+def _nan_as_inf(values) -> np.ndarray:
+    """|values| as a float array, with NaN counted as infinitely large."""
+    mags = np.abs(np.asarray(values, dtype=complex))
+    mags[np.isnan(mags)] = np.inf
+    return mags
+
+
+def worst(mags) -> float:
+    """The largest of the magnitudes ``mags`` by the rule of ``summarize``:
+    NaN counts as infinitely large, so a check that went wrong fails every
+    tolerance.  0.0 for no magnitudes."""
+    return float(_nan_as_inf(mags).max(initial=0.0))
 
 
 # Points per array pass of a sweep: bounds the memory its temporaries take.
 _BLOCK = 4096
-_NAN = complex(math.nan, math.nan)
+# Errors that make a point singular (its jet NaN), not the sweep wrong.
+SINGULAR = (ZeroDivisionError, OverflowError, ValueError)
 
 
 def kept_points(fld: ScalarField2, grid: GridSpec) -> tuple:
@@ -216,60 +230,63 @@ def kept_points(fld: ScalarField2, grid: GridSpec) -> tuple:
     return a[kept], b[kept], a.size - int(np.count_nonzero(kept))
 
 
-def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, at_point) -> None:
-    """Evaluate ``fld`` at the points (a, b) in blocks of ``_BLOCK``, filling ``out``.
+def _point_jets(fld: ScalarField2, a, b, singular: tuple) -> tuple:
+    """(j, backends): the array jet of the points (a, b), stacked from one
+    ``core.jet`` call per point with Python floats, NaN where that call raises
+    one of ``singular``, and the backends that computed the other points."""
+    coefs = np.full((6, len(a)), complex(math.nan, math.nan))
+    backends = set()
+    for i, (pa, pb) in enumerate(zip(a.tolist(), b.tolist())):
+        try:
+            j, backend = jet(fld, pa, pb)
+        except singular:
+            continue
+        coefs[:, i] = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
+        backends.add(backend)
+    return jm.TJet(*coefs), backends
 
-    ``out[i:i + n] = from_jet(j, backend)`` for the array jet ``j`` of each
-    block of ``n`` points (every coefficient of ``j`` an array of length
-    ``n``) and the backend ``core.jet`` names for it, under
-    ``np.errstate(all="ignore")``.  When the evaluator rejects arrays, a
-    central-difference stencil of the block touches an excluded point, or the
-    block raises ``ZeroDivisionError`` or ``OverflowError``, each point of the
-    block is evaluated by ``at_point(a, b)`` instead, with Python floats.
-    Blocks are evaluated in order, so the first point at which ``from_jet``
-    or ``at_point`` raises is the first in (a, b)."""
+
+def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, singular: tuple) -> set:
+    """Fill ``out`` with ``from_jet(j)`` for the array jet ``j`` of each block
+    of ``_BLOCK`` points (a, b), under ``np.errstate(all="ignore")``, and
+    return the names of the backends ``core.jet`` used.
+
+    When the evaluator rejects arrays, a central-difference stencil of the
+    block touches an excluded point, or the block raises ``ZeroDivisionError``
+    or ``OverflowError``, ``j`` is stacked from single points instead
+    (``_point_jets``): NaN where a point raises one of ``singular``; any other
+    error raises.  So ``from_jet`` is the sweep's one reducer, and the first
+    point that raises is the first in (a, b)."""
+    used = set()
     for s in range(0, len(a), _BLOCK):
         ba, bb = a[s:s + _BLOCK], b[s:s + _BLOCK]
         with np.errstate(all="ignore"):
             try:
                 j, backend = jet(fld, ba, bb)
             except (TypeError, ValueError, DomainError, ZeroDivisionError, OverflowError):
-                # An evaluator written for numbers fails on arrays with
-                # TypeError (math.cos of an array) or ValueError (the truth of
-                # an array); a stencil that reaches an excluded point fails
-                # the whole block with DomainError.  A division by a scalar
-                # zero (a jet / 0.0) or an overflow fails the block as it
-                # fails each point, and at_point decides what that means.
-                pass
+                # math.cos or the truth of an array (TypeError, ValueError), a
+                # stencil on an excluded point, or a scalar zero divisor (a jet
+                # / 0.0) or an overflow, which fails each point too
+                j, backends = _point_jets(fld, ba, bb, singular)
             else:
                 j = jm.TJet(*(np.broadcast_to(c, ba.shape) for c in
                               (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))
-                out[s:s + len(ba)] = from_jet(j, backend)
-                continue
-        out[s:s + len(ba)] = [at_point(pa, pb) for pa, pb in zip(ba.tolist(), bb.tolist())]
+                backends = {backend}
+            out[s:s + len(ba)] = from_jet(j)
+        used |= backends
+    return used
 
 
 def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
                    name: str = "") -> ResidualReport:
     """Evaluate the residual of ``equation`` over the grid, skipping excluded
     points.  Kept points are evaluated in array passes of ``_BLOCK`` points
-    (``sweep_blocks``); the residuals come back in grid order."""
+    (``sweep_blocks``); the residuals come back in grid order, NaN at a
+    singular point.  A stencil that reaches an excluded point raises."""
     a, b, excluded_count = kept_points(fld, grid)
     residuals = np.empty(len(a), dtype=complex)
-    used = set()
-
-    def from_jet(j, backend):
-        used.add(backend)
-        return _residual_from_jet(j, equation)
-
-    def at_point(a, b):
-        # a point where the jet is singular yields NaN
-        try:
-            return from_jet(*jet(fld, a, b))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return _NAN
-
-    sweep_blocks(fld, a, b, residuals, from_jet, at_point)
+    used = sweep_blocks(fld, a, b, residuals, lambda j: _residual_from_jet(j, equation),
+                        SINGULAR)
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:

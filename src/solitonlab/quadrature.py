@@ -84,16 +84,16 @@ def _segment_ok(a: complex, b: complex, needs) -> bool:
     return True
 
 
-def build_path(start: complex, end: complex, poles,
-               margin: float = DEFAULT_POLE_MARGIN) -> list:
-    """Waypoints of a pole-avoiding polyline from start to end."""
+def build_path(start: complex, end: complex, poles) -> list:
+    """Waypoints of a polyline from start to end that clears every pole by
+    ``DEFAULT_POLE_MARGIN``."""
     poles = [complex(p) for p in poles]
     for p in poles:
         if abs(end - p) < 1e-12 or abs(start - p) < 1e-12:
             raise DomainError(f"integration endpoint coincides with pole {p}")
     # the clearance requirement relaxes per pole only when one of the *true*
     # endpoints sits close to it, keeping near-pole targets reachable
-    needs = [(p, min(margin, 0.45 * abs(start - p), 0.45 * abs(end - p)))
+    needs = [(p, min(DEFAULT_POLE_MARGIN, 0.45 * abs(start - p), 0.45 * abs(end - p)))
              for p in poles]
     if _segment_ok(start, end, needs):
         return [start, end]
@@ -103,13 +103,13 @@ def build_path(start: complex, end: complex, poles,
     perp = 1j * d / abs(d)
     mid = 0.5 * (start + end)
     for k in range(_MAX_DOUBLINGS):
-        off = margin * (2.0 ** (k + 1))
+        off = DEFAULT_POLE_MARGIN * (2.0 ** (k + 1))
         for sgn in (+1.0, -1.0):
             w = mid + sgn * off * perp
             if _segment_ok(start, w, needs) and _segment_ok(w, end, needs):
                 return [start, w, end]
     raise PathError(f"no pole-avoiding path from {start} to {end} within "
-                    f"the detour budget (margin {margin:g})")
+                    f"the detour budget (margin {DEFAULT_POLE_MARGIN:g})")
 
 
 def _norm(v: np.ndarray):
@@ -212,12 +212,3 @@ def integrate_segments(fvec, path):
             seg = np.repeat(seg[split], 2)
             start = np.repeat(start[split], 2)
             step = np.repeat(step[split], 2)
-
-
-def contour_integral(f, start: complex, end: complex, poles=(),
-                     margin: float = DEFAULT_POLE_MARGIN) -> complex:
-    """Scalar convenience wrapper: integral of f from start to end avoiding
-    the listed poles."""
-    path = build_path(complex(start), complex(end), poles, margin)
-    out = integrate_segments(lambda w: [f(w)], path)
-    return complex(out[0])

@@ -61,7 +61,6 @@ class SurfaceMap:
 
     components: Callable
     domain_exclusions: Optional[Callable] = None
-    branch_note: str = ""
 
     def excluded(self, zeta: complex) -> bool:
         return self.domain_exclusions is not None and bool(self.domain_exclusions(zeta))
@@ -120,21 +119,19 @@ def closed_form_point(data: WEData, zeta: complex) -> LVec3:
     return LVec3(a1(zeta).real, a2(zeta).real, a3(zeta).real)
 
 
-def we_integrate(data: WEData, zeta: complex,
-                 margin: float = DEFAULT_POLE_MARGIN,
-                 path: Optional[list] = None) -> LVec3:
+def we_integrate(data: WEData, zeta: complex, path: Optional[list] = None) -> LVec3:
     """Surface point at zeta by numeric quadrature from the base point.
 
-    A straight base->zeta segment is used when it clears the poles by the
-    margin; otherwise a polyline detour.  ``path`` overrides the automatic
-    choice (for path-independence checks).
+    A straight base->zeta segment is used when it clears the poles by
+    ``DEFAULT_POLE_MARGIN``; otherwise a polyline detour.  ``path``
+    overrides the automatic choice (for path-independence checks).
     """
     zeta = complex(zeta)
     for p in data.pole_set:
         if abs(zeta - p) < 1e-12:
             raise DomainError(f"{zeta} is a pole of the Weierstrass data")
     if path is None:
-        path = build_path(complex(data.base), zeta, data.pole_set, margin)
+        path = build_path(complex(data.base), zeta, data.pole_set)
     vec = integrate_segments(integrand(data), path)
     if data.antiderivatives is not None:
         base_val = closed_form_point(data, complex(data.base))
@@ -162,53 +159,51 @@ def we_data_rotation(data: WEData, theta: float) -> WEData:
 
 # -- catalog surfaces -------------------------------------------------------
 
-def lorentzian_helicoid_exclusions(margin: float = DEFAULT_POLE_MARGIN) -> Callable:
+def lorentzian_helicoid_exclusions(z):
     """The domain predicate of the Lorentzian helicoid's principal branch,
     shared with the helicoid/catenoid pair of ``family``: the puncture at 0
-    and the negative real axis (the cut of arg), each within ``margin``.  It
-    takes a number or a complex array, as ``SurfaceMap`` describes."""
-    return lambda z: (abs(z) <= margin) | ((z.real <= 0.0) & (abs(z.imag) <= margin))
+    and the negative real axis (the cut of arg), each within
+    ``DEFAULT_POLE_MARGIN``.  It takes a number or a complex array, as
+    ``SurfaceMap`` describes."""
+    margin = DEFAULT_POLE_MARGIN
+    return (abs(z) <= margin) | ((z.real <= 0.0) & (abs(z.imag) <= margin))
 
 
-def catalog_surface(name: str, margin: float = DEFAULT_POLE_MARGIN) -> SurfaceMap:
-    """Closed-form parametrizations used throughout the catalog.
+def catalog_surface(name: str) -> SurfaceMap:
+    """Closed-form parametrizations used throughout the catalog; punctures
+    and the helicoid's cut of arg are excluded within ``DEFAULT_POLE_MARGIN``.
 
     * lorentzian_helicoid:   (Im(t - 1/t)/2, -Re(t + 1/t)/2, arg t)
     * lorentzian_catenoid:   (-Re(t - 1/t)/2, -Im(t + 1/t)/2, -ln|t|)
     * scherk_first_kind:     (ln|(z+1)/(z-1)|, ln|(z-i)/(z+i)|, ln|(z^2-1)/(z^2+1)|)
     * helicoid_second_kind:  (-Im(z - 1/z)/2, -ln|z|, -Im(z + 1/z)/2)
     """
+    margin = DEFAULT_POLE_MARGIN
     if name == "lorentzian_helicoid":
         def comps(u, v):
             tau = u + 1j * v
             w = jm.log(tau)
             return (0.5 * jm.im(tau - 1 / tau), -0.5 * jm.re(tau + 1 / tau), jm.im(w))
-        return SurfaceMap(comps, lorentzian_helicoid_exclusions(margin),
-                          "arg on the principal branch; the ray arg = pi is excluded")
+        return SurfaceMap(comps, lorentzian_helicoid_exclusions)
     if name == "lorentzian_catenoid":
         def comps(u, v):
             tau = u + 1j * v
             return (-0.5 * jm.re(tau - 1 / tau), -0.5 * jm.im(tau + 1 / tau),
                     -jm.re(jm.log(tau)))
-        return SurfaceMap(comps, lambda z: abs(z) <= margin,
-                          "single-valued away from the puncture at 0")
+        return SurfaceMap(comps, lambda z: abs(z) <= margin)
     if name == "scherk_first_kind":
         def comps(u, v):
             z = u + 1j * v
             return (jm.re(jm.log((z + 1) / (z - 1))),
                     jm.re(jm.log((z - 1j) / (z + 1j))),
                     jm.re(jm.log((z * z - 1) / (z * z + 1))))
-        return SurfaceMap(
-            comps,
-            lambda z: ((abs(z - 1) <= margin) | (abs(z + 1) <= margin)
-                       | (abs(z - 1j) <= margin) | (abs(z + 1j) <= margin)),
-            "real parts of logs are single-valued off the four punctures")
+        return SurfaceMap(comps, lambda z: ((abs(z - 1) <= margin) | (abs(z + 1) <= margin)
+                                            | (abs(z - 1j) <= margin) | (abs(z + 1j) <= margin)))
     if name == "helicoid_second_kind":
         def comps(u, v):
             z = u + 1j * v
             return (-0.5 * jm.im(z - 1 / z), -jm.re(jm.log(z)), -0.5 * jm.im(z + 1 / z))
-        return SurfaceMap(comps, lambda z: abs(z) <= margin,
-                          "single-valued away from the puncture at 0")
+        return SurfaceMap(comps, lambda z: abs(z) <= margin)
     raise UnknownSurface(f"no catalog surface named {name!r}")
 
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -224,6 +225,32 @@ def test_thread_env_var_does_not_change_output(tmp_path):
         else:
             os.environ["SOLITON_LAB_THREADS"] = old
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_nan_cauchy_riemann_defect_fails_the_family_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "conjugacy_check", lambda pair, z: math.nan)
+    code, out, err = run(["family", "--theta-list", "0,0.7", "--num-points", "3"], capsys)
+    assert code == 1
+    assert out.count('"cauchy_riemann": inf') == 2
+    assert err.startswith("FAIL max defect=inf > tolerance=") and err.count("\n") == 1
+
+
+def _script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [["--tol-exact", "nan", "--tol-central", "nan"],
+                                  ["--tol-central", "-1"], ["--h", "inf"]])
+def test_residual_sweeps_script_rejects_non_finite_tolerances(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _script("residual_sweeps").main(argv)
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def _nan_whitham(theta):

@@ -27,6 +27,7 @@ from solitonlab.family import (
 from solitonlab.geometry import isothermal_check
 from solitonlab.jetmath import TJet
 from solitonlab.pde import born_infeld_residual
+from solitonlab.weierstrass import SurfaceMap
 
 THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
@@ -77,6 +78,14 @@ def test_conjugacy_constant_pair_is_zero():
     const = ConjugatePair("const", lambda t, s: (1.0, 2.0, 3.0),
                           lambda t, s: (4.0, 5.0, 6.0))
     assert conjugacy_check(const, 0.3 + 0.9j) == 0.0
+
+
+def test_nan_defects_are_infinite():
+    # a check that went wrong fails every tolerance: NaN never reads as a pass
+    nan_pair = ConjugatePair("nan", lambda t, s: (t, s, math.nan * t), lambda t, s: (t, s, t))
+    assert conjugacy_check(nan_pair, 0.3 + 0.9j) == math.inf
+    nan_surface = SurfaceMap(lambda u, v: (u, v, math.nan * u * v))
+    assert isothermal_check(nan_surface, 0.3 + 0.9j)[2] == math.inf
 
 
 def test_soliton_family_closed_form_points():
@@ -142,15 +151,14 @@ def test_whitham_trivial_pair():
 
 def test_holomorphic_derivative_jet_and_stencil():
     assert abs(holomorphic_derivative(lambda w: w * w * w, 1 + 1j) - 3 * (1 + 1j) ** 2) <= 1e-12
-    # cmath-based closure rejects jets, falls back to the stencil
-    f = lambda w: cmath.exp(w)
-    assert abs(holomorphic_derivative(f, 0.3 + 0.2j) - cmath.exp(0.3 + 0.2j)) <= 1e-9
+    # a cmath-based closure rejects jets: that is an error, never a stencil
+    with pytest.raises(TypeError):
+        holomorphic_derivative(lambda w: cmath.exp(w), 0.3 + 0.2j)
 
 
 # Compositions that use each jetmath primitive, the ring operations, integer
 # and real powers, and conj/re/im.  An operation that mishandled an order-1
-# jet would raise TypeError, which holomorphic_derivative takes for an
-# evaluator that rejects jets: it would return the five-point stencil instead.
+# jet would raise TypeError, or return a wrong derivative.
 _COMPOSITIONS = {
     **{name: (lambda w, fn=getattr(jm, name): fn(0.3 * w + 0.2j) * w - 1 / (w + 2))
        for name in ("exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh",

@@ -9,7 +9,6 @@ from solitonlab import jetmath as jm
 from solitonlab.core import CentralDiff, LVec3, ScalarField2, jet, lorentz_inner, with_backend
 from solitonlab.errors import DegenerateError, DomainError
 from solitonlab.geometry import (
-    TOL_DEGENERATE,
     CausalClass,
     _classify_jet,
     _mean_curvature_from_jet,
@@ -227,13 +226,13 @@ def test_isothermal_check_affine_surface():
     assert isothermal_check(affine, 0.3 + 0.8j) == (0.0, 0.0, 0.0)
 
 
-def _point_rows(fld, grid, tol=TOL_DEGENERATE):
+def _point_rows(fld, grid):
     """classify_grid computed one point at a time: the reference."""
     rows = []
     for (y, z) in grid.points():
         if fld.excluded(y, z):
             continue
-        causal, j, w = _classify_jet(fld, y, z, tol)
+        causal, j, w = _classify_jet(fld, y, z)
         rows.append((y, z, causal.value, math.nan if j is None else _mean_curvature_from_jet(j, w)))
     return rows
 

@@ -29,6 +29,7 @@ from solitonlab.pde import (
     wick_rotate_x,
     wick_helicoid_first_kind_field,
     wick_scherk_field,
+    worst,
 )
 
 
@@ -241,6 +242,15 @@ def test_nan_residual_fails_the_sweep():
     assert rep.max_abs == math.inf
     assert rep.worst_point == grid.points()[-1]
     assert rep.to_json_dict()["max_abs"] == math.inf
+
+
+def test_worst_counts_nan_as_inf_as_summarize_does():
+    assert worst(()) == 0.0
+    assert worst([math.nan]) == math.inf
+    assert worst([1.0, math.nan, 2.0]) == math.inf
+    assert worst((1.0, 3.0, 2.0)) == 3.0 and type(worst([1.0])) is float
+    mags = [1.0, math.nan, 2.0]
+    assert summarize([(0, 0), (0, 1), (1, 0)], mags, "exact", 0).max_abs == worst(mags)
 
 
 def test_division_by_zero_fails_the_sweep():
