@@ -4,7 +4,7 @@
 import argparse
 import sys
 
-from solitonlab.identities import REGISTRY, convergence_order, ram_arctan_sum
+from solitonlab.identities import REGISTRY, convergence_order, increasing, ram_arctan_sum
 
 CASES = [
     ("ram_cos_product", (0.3 + 0j, 0.2 + 0j)),
@@ -15,11 +15,12 @@ CASES = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--K", default="100,1000,10000")
-    args = ap.parse_args()
-    K_list = [int(k) for k in args.K.split(",")]
+    ap.add_argument("--K", type=increasing, default="100,1000,10000",
+                    help="comma-separated K list, strictly increasing")
+    args = ap.parse_args(argv)
+    K_list = args.K
 
     for name, ident_args in CASES:
         print(f"\n== {name}  args={ident_args}")

@@ -32,6 +32,9 @@ from .family import (
 from .pde import GridSpec, worst
 from .reportio import csv_text, fmt, json_text, obj_mesh_text
 
+# The conjugate pairs ``family --pair`` accepts.
+PAIR_NAMES = ("helicoid-catenoid",)
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *a, **kw):
@@ -67,6 +70,14 @@ def finite(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
+def positive(text: str) -> float:
+    """Argument type of a step: a finite float greater than 0."""
+    x = finite(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
     return x
 
 
@@ -110,7 +121,7 @@ def _cmd_catalog(args) -> int:
     lines.append("# identities")
     lines.extend(sorted(identities.REGISTRY))
     lines.append("# conjugate pairs")
-    lines.append("helicoid-catenoid")
+    lines.extend(PAIR_NAMES)
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -158,9 +169,6 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    if args.pair != "helicoid-catenoid":
-        print(f"error: unknown pair {args.pair!r}", file=sys.stderr)
-        return 2
     pair = helicoid_catenoid_pair()
     thetas = args.theta_list
     rng = np.random.default_rng(args.seed)
@@ -196,10 +204,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    spec = identities.REGISTRY.get(args.name)
-    if spec is None:
-        print(f"error: unknown identity {args.name!r}", file=sys.stderr)
-        return 2
+    spec = identities.REGISTRY[args.name]
     if args.name in ("ram_cos_product", "ram_arctan_sum"):
         if args.X is None or args.A is None:
             print("error: this identity needs --X and --A", file=sys.stderr)
@@ -216,7 +221,7 @@ def _cmd_identity(args) -> int:
             print("error: this identity needs --zeta", file=sys.stderr)
             return 2
         ident_args = (args.zeta,)
-    K_list = identities.increasing(args.K.split(","))
+    K_list = args.K
     if args.name == "ram_arctan_sum" and args.tail_correction:
         results = [identities.ram_arctan_sum(*ident_args, K=K, tail_correction=True)
                    for K in K_list]
@@ -252,7 +257,7 @@ def build_parser() -> _Parser:
     r.add_argument("--grid", default=None,
                    help="a_min:a_max:b_min:b_max:na:nb (default: per solution)")
     r.add_argument("--backend", choices=("exact", "central"), default="exact")
-    r.add_argument("--h", type=finite, default=1e-4, help="central-difference step")
+    r.add_argument("--h", type=positive, default=1e-4, help="central-difference step")
     r.add_argument("--k", type=finite, default=1.0, help="helicoid family parameter")
     r.add_argument("--margin", type=finite, default=pde.DEFAULT_MARGIN)
     r.add_argument("--tolerance", type=tolerance, default=1e-6)
@@ -280,7 +285,7 @@ def build_parser() -> _Parser:
     gc.set_defaults(fn=_cmd_geometry)
 
     f = sub.add_parser("family", description="associate family and Whitham checks")
-    f.add_argument("--pair", default="helicoid-catenoid")
+    f.add_argument("--pair", choices=PAIR_NAMES, default=PAIR_NAMES[0])
     f.add_argument("--theta-list", type=finite_list,
                    default="0,0.5235987755982988,0.7853981633974483,"
                            "1.0471975511965976,1.5707963267948966")
@@ -291,11 +296,12 @@ def build_parser() -> _Parser:
     f.set_defaults(fn=_cmd_family)
 
     i = sub.add_parser("identity", description="identity convergence tables")
-    i.add_argument("--name", required=True)
+    i.add_argument("--name", required=True, choices=sorted(identities.REGISTRY))
     i.add_argument("--X", type=finite_complex, default=None)
     i.add_argument("--A", type=finite_complex, default=None)
     i.add_argument("--zeta", type=finite_complex, default=None)
-    i.add_argument("--K", default="100,1000,10000", help="comma-separated K list")
+    i.add_argument("--K", type=identities.increasing, default="100,1000,10000",
+                   help="comma-separated K list, strictly increasing")
     i.add_argument("--tail-correction", action="store_true")
     i.add_argument("--out", default=None)
     i.set_defaults(fn=_cmd_identity)

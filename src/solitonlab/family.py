@@ -2,11 +2,11 @@
 of complex Born-Infeld solitons derived from it, and verification of the
 Whitham general-solution form.
 
-Surface components are stored in split form: functions of (tau, sigma) where
-sigma is an independent stand-in for the conjugate variable.  Evaluating at
-sigma = conj(tau) recovers the real surface; substituting tau = i zeta,
-sigma = -i conj(zeta) performs the isothermal change of coordinates in which
-the soliton family and the Whitham data G, H live.
+A conjugate pair is stored as its holomorphic map Phi = X1 + i X2: X1 = Re Phi
+and X2 = Im Phi, taken coefficient by coefficient (``jetmath.re``,
+``jetmath.im``), which is valid on jets because the jet variables are real.
+The soliton family and the Whitham data G, H live in the isothermal
+coordinate zeta = tau / i, where the pair gives Phi as a second map.
 """
 
 from __future__ import annotations
@@ -25,89 +25,53 @@ from .pde import Equation, ResidualReport, _residual_from_jet, summarize, worst
 from .quadrature import build_path, integrate_segments
 from .weierstrass import SurfaceMap, lorentzian_helicoid_exclusions
 
-Comps = Callable  # (tau, sigma) -> (x, t, f), jet-friendly
-
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """Isothermal parametrizations X1, X2 with X1 + i X2 holomorphic."""
+    """Conjugate isothermal maximal surfaces X1 = Re Phi and X2 = Im Phi, held
+    as the holomorphic map Phi.
+
+    ``phi(tau)`` returns the three components of Phi; ``phi_zeta(zeta)`` is
+    the same map in zeta = tau / i, normalized for the soliton family.  It may
+    differ from ``phi(1j * zeta)`` by a constant, and it must keep any cut of
+    a logarithm off the family's annulus.  Both take numbers or jets.
+    ``exclusions`` is the domain predicate of both coordinates, taking a
+    number or a complex array as ``SurfaceMap`` describes."""
 
     name: str
-    comps1: Comps
-    comps2: Comps
-    comps1_zeta: Optional[Comps] = None
-    comps2_zeta: Optional[Comps] = None
-    tau_exclusions: Optional[Callable[[complex], bool]] = None
-    zeta_exclusions: Optional[Callable[[complex], bool]] = None
+    phi: Callable
+    phi_zeta: Callable
+    exclusions: Optional[Callable[[complex], bool]] = None
 
-    def zeta_comps(self):
-        c1 = self.comps1_zeta or isothermal_substitution(self.comps1)
-        c2 = self.comps2_zeta or isothermal_substitution(self.comps2)
-        return c1, c2
-
-    def surface1(self) -> SurfaceMap:
-        return _surface_from_comps(self.comps1, self.tau_exclusions)
-
-    def surface2(self) -> SurfaceMap:
-        return _surface_from_comps(self.comps2, self.tau_exclusions)
-
-    def zeta_excluded(self, zeta: complex) -> bool:
-        return self.zeta_exclusions is not None and bool(self.zeta_exclusions(zeta))
-
-
-def isothermal_substitution(comps: Comps) -> Comps:
-    """The reparametrization tau = i zeta, sigma = -i xi applied to split-form
-    components (xi standing in for conj(zeta))."""
-    return lambda zeta, xi: comps(1j * zeta, -1j * xi)
-
-
-def _surface_from_comps(comps: Comps, exclusions) -> SurfaceMap:
-    def components(u, v):
-        tau = u + 1j * v
-        sigma = u - 1j * v
-        return comps(tau, sigma)
-    return SurfaceMap(components, exclusions)
+    def excluded(self, z: complex) -> bool:
+        return self.exclusions is not None and bool(self.exclusions(z))
 
 
 def helicoid_catenoid_pair() -> ConjugatePair:
-    """The Lorentzian helicoid and Lorentzian catenoid, which are conjugate:
-    X1 + i X2 = (-(i/2)(tau - 1/tau), -(1/2)(tau + 1/tau), -i log tau).
+    """The Lorentzian helicoid X1 and the Lorentzian catenoid X2, conjugate
+    through Phi(tau) = (-(i/2)(tau - 1/tau), -(1/2)(tau + 1/tau), -i log tau).
 
-    The zeta-space components are the normalized closed forms of the soliton
-    construction (f1 = -(i/2)(log zeta - log xi), f2 = -(1/2)(log zeta + log xi));
-    they absorb the constant that a raw substitution into the tau forms picks
-    up from log(i).
+    In zeta, Phi = ((zeta + 1/zeta)/2, -(i/2)(zeta - 1/zeta), -i log zeta):
+    ``phi(1j * zeta)`` less the constant pi/2 that log(i) adds to the third
+    component, with the cut of log on the negative real zeta axis, where
+    ``phi(1j * zeta)`` would put it on the positive imaginary one.
     """
     # Each reciprocal is taken once and shared by the sum and the difference.
-    def comps1(tau, sigma):
-        it, i_s = 1 / tau, 1 / sigma
-        p, q = tau - it, sigma - i_s
-        r, s = tau + it, sigma + i_s
-        return (-0.25j * (p - q), -0.25 * (r + s), -0.5j * (jm.log(tau) - jm.log(sigma)))
+    def phi(tau):
+        r = 1 / tau
+        return -0.5j * (tau - r), -0.5 * (tau + r), -1j * jm.log(tau)
 
-    def comps2(tau, sigma):
-        it, i_s = 1 / tau, 1 / sigma
-        p, q = tau - it, sigma - i_s
-        r, s = tau + it, sigma + i_s
-        return (-0.25 * (p + q), 0.25j * (r - s), -0.5 * (jm.log(tau) + jm.log(sigma)))
+    def phi_zeta(zeta):
+        r = 1 / zeta
+        return 0.5 * (zeta + r), -0.5j * (zeta - r), -1j * jm.log(zeta)
 
-    def comps1_zeta(zeta, xi):
-        iz, ix = 1 / zeta, 1 / xi
-        A, Ab = zeta + iz, xi + ix
-        B, Bb = zeta - iz, xi - ix
-        return (0.25 * (A + Ab), -0.25j * (B - Bb),
-                -0.5j * (jm.log(zeta) - jm.log(xi)))
+    return ConjugatePair("helicoid_catenoid", phi, phi_zeta, lorentzian_helicoid_exclusions)
 
-    def comps2_zeta(zeta, xi):
-        iz, ix = 1 / zeta, 1 / xi
-        A, Ab = zeta + iz, xi + ix
-        B, Bb = zeta - iz, xi - ix
-        return (-0.25j * (A - Ab), -0.25 * (B + Bb),
-                -0.5 * (jm.log(zeta) + jm.log(xi)))
 
-    return ConjugatePair("helicoid_catenoid", comps1, comps2, comps1_zeta, comps2_zeta,
-                         tau_exclusions=lorentzian_helicoid_exclusions,
-                         zeta_exclusions=lorentzian_helicoid_exclusions)
+def _rotated(w, ct: float, st: float):
+    """cos(theta) Re w + sin(theta) Im w for a component w of Phi: the
+    associate-family combination cos(theta) X1 + sin(theta) X2."""
+    return ct * jm.re(w) + st * jm.im(w)
 
 
 # -- associate family and conjugacy ----------------------------------------
@@ -117,31 +81,25 @@ def associate_family(pair: ConjugatePair, theta: float) -> SurfaceMap:
     every real theta."""
     ct, st = math.cos(theta), math.sin(theta)
 
-    def comps(tau, sigma):
-        a = pair.comps1(tau, sigma)
-        b = pair.comps2(tau, sigma)
-        return tuple(ct * ai + st * bi for ai, bi in zip(a, b))
+    def components(u, v):
+        return tuple(_rotated(w, ct, st) for w in pair.phi(u + 1j * v))
 
-    return _surface_from_comps(comps, pair.tau_exclusions)
+    return SurfaceMap(components, pair.exclusions)
 
 
 def conjugacy_check(pair: ConjugatePair, zeta: complex) -> float:
-    """Max over the three components of the Cauchy-Riemann defect of
-    X1 + i X2 at tau = zeta = u + iv, a point of the pair's tau domain:
-    |(d/du + i d/dv)(X1 + i X2)| / 2, zero where X1 + i X2 is holomorphic,
-    and inf where one is NaN (``pde.worst``).  The derivatives come from
-    order-1 jets in (u, v), exact up to roundoff."""
+    """Max over the three components of the Cauchy-Riemann defect of Phi at
+    tau = zeta = u + iv, a point of the pair's tau domain:
+    |(d/du + i d/dv) Phi| / 2, zero where Phi = X1 + i X2 is holomorphic, and
+    inf where one is NaN (``pde.worst``).  The derivatives come from order-1
+    jets in (u, v), exact up to roundoff."""
     zeta = complex(zeta)
-    if pair.tau_exclusions is not None and pair.tau_exclusions(zeta):
+    if pair.excluded(zeta):
         raise DomainError(f"{zeta} is outside the pair's common domain")
     ju = TJet(complex(zeta.real), 1.0 + 0j, 0j, None, None, None)
     jv = TJet(complex(zeta.imag), 0j, 1.0 + 0j, None, None, None)
-    tau = ju + 1j * jv
-    sigma = ju - 1j * jv
-    a = pair.comps1(tau, sigma)
-    b = pair.comps2(tau, sigma)
     return worst([0.5 * abs(w.fx + 1j * w.ft)
-                  for w in (TJet.lift(ai + 1j * bi) for ai, bi in zip(a, b))])
+                  for w in map(TJet.lift, pair.phi(ju + 1j * jv))])
 
 
 # -- soliton family ----------------------------------------------------------
@@ -157,21 +115,14 @@ class SolitonFamilyPoint:
 
 def soliton_family(pair: ConjugatePair, theta: float, zeta: complex) -> SolitonFamilyPoint:
     """The complex soliton X_theta^s = (i(x1 c + x2 s), t1 c + t2 s, f1 c + f2 s)
-    evaluated in the zeta coordinates (c = cos theta, s = sin theta)."""
+    evaluated in the zeta coordinates (c = cos theta, s = sin theta), where
+    (x1, t1, f1) = Re Phi and (x2, t2, f2) = Im Phi of ``pair.phi_zeta``."""
     zeta = complex(zeta)
-    if pair.zeta_excluded(zeta):
+    if pair.excluded(zeta):
         raise DomainError(f"{zeta} is outside the family's zeta domain")
-    c1, c2 = pair.zeta_comps()
-    xi = zeta.conjugate()
-    x1, t1, f1 = (complex(w) for w in c1(zeta, xi))
-    x2, t2, f2 = (complex(w) for w in c2(zeta, xi))
     ct, st = math.cos(theta), math.sin(theta)
-    return SolitonFamilyPoint(
-        theta, zeta,
-        xs=1j * (x1 * ct + x2 * st),
-        ts=t1 * ct + t2 * st,
-        phis=f1 * ct + f2 * st,
-    )
+    xs, ts, phis = (_rotated(complex(w), ct, st) for w in pair.phi_zeta(zeta))
+    return SolitonFamilyPoint(theta, zeta, xs=1j * xs, ts=complex(ts), phis=complex(phis))
 
 
 # -- Whitham form ------------------------------------------------------------
@@ -264,18 +215,10 @@ def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint):
 # -- Born-Infeld residual of the family as a complex graph ------------------
 
 def _family_jets(pair: ConjugatePair, theta: float, zeta: complex):
-    ju = TJet.seed_a(zeta.real)
-    jv = TJet.seed_b(zeta.imag)
-    zj = ju + 1j * jv
-    xij = ju - 1j * jv
-    c1, c2 = pair.zeta_comps()
-    x1, t1, f1 = map(TJet.lift, c1(zj, xij))
-    x2, t2, f2 = map(TJet.lift, c2(zj, xij))
+    zj = TJet.seed_a(zeta.real) + 1j * TJet.seed_b(zeta.imag)
     ct, st = math.cos(theta), math.sin(theta)
-    xs = 1j * (x1 * ct + x2 * st)
-    ts = t1 * ct + t2 * st
-    ps = f1 * ct + f2 * st
-    return xs, ts, ps
+    xs, ts, ps = (_rotated(TJet.lift(w), ct, st) for w in pair.phi_zeta(zj))
+    return 1j * xs, ts, ps
 
 
 # |det J| at or below which the graph projection (u, v) -> (xs, ts) counts
@@ -327,7 +270,7 @@ def complex_bi_residual_on_family(pair: ConjugatePair, theta: float,
     excluded = 0
     for zeta in grid:
         zeta = complex(zeta)
-        if pair.zeta_excluded(zeta):
+        if pair.excluded(zeta):
             excluded += 1
             continue
         xs, ts, ps = _family_jets(pair, theta, zeta)

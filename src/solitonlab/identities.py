@@ -18,6 +18,7 @@ Identity arguments are validity-gated: evaluation at an excluded point raises
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import enum
 import math
@@ -315,11 +316,22 @@ def lorentz_helicoid_identity(zeta: complex, K: int) -> TruncationResult:
     return evaluate(LORENTZ_HELICOID_IDENTITY, (complex(zeta),), K)
 
 
+class KListError(ValueError, argparse.ArgumentTypeError):
+    """A K list that ``increasing`` rejects; argparse reports its message
+    under the option's name."""
+
+
 def increasing(K_list) -> list:
-    """``K_list`` as a list of ints; ValueError unless it strictly increases."""
+    """``K_list`` (ints, or their comma-separated text) as a list of ints;
+    ``KListError`` unless each K is at least 1 and they strictly increase.
+    It is also the argparse type of ``--K``."""
+    if isinstance(K_list, str):
+        K_list = K_list.split(",")
     Ks = [int(K) for K in K_list]
+    if any(K < 1 for K in Ks):
+        raise KListError(f"K must be >= 1, got {min(Ks)}")
     if any(k >= nxt for k, nxt in zip(Ks, Ks[1:])):
-        raise ValueError("K_list must be increasing")
+        raise KListError("K_list must be increasing")
     return Ks
 
 

@@ -111,7 +111,7 @@ def test_identity_tail_correction_table(capsys):
         "4bddddd9e4fcdb49018c17b9670401d5af87bd389abc862905f623a2fb543ac8")
     code, out, err = run(argv[:-2] + ["1000,100", "--tail-correction"], capsys)
     assert code == 2 and out == ""
-    assert err == "error: K_list must be increasing\n"
+    assert err == "error: argument --K: K_list must be increasing\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--tail-correction"]])
@@ -120,7 +120,7 @@ def test_identity_K_list_must_strictly_increase(K, extra, capsys):
     code, out, err = run(["identity", "--name", "ram_arctan_sum", "--X", "1", "--A", "0.7",
                           "--K", K, *extra], capsys)
     assert code == 2 and out == ""
-    assert err == "error: K_list must be increasing\n"
+    assert err == "error: argument --K: K_list must be increasing\n"
 
 
 def test_identity_zeta_argument(capsys):
@@ -175,6 +175,10 @@ def test_geometry_classify_csv(capsys):
     ["family", "--num-points", "0"],
     ["family", "--num-points", "-2"],
     ["family", "--num-points", "two"],
+    ["family", "--pair", "nope"],
+    ["identity", "--name", "nope"],
+    ["residual", "--solution", "scherk_minimal", "--backend", "central", "--h", "0"],
+    ["residual", "--solution", "scherk_minimal", "--backend", "central", "--h", "-1e-4"],
 ])
 def test_usage_errors_exit_2_with_one_line(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -245,12 +249,27 @@ def _script(name: str):
 
 
 @pytest.mark.parametrize("argv", [["--tol-exact", "nan", "--tol-central", "nan"],
-                                  ["--tol-central", "-1"], ["--h", "inf"]])
+                                  ["--tol-central", "-1"], ["--h", "inf"],
+                                  ["--h", "0"], ["--h=-1e-4"]])
 def test_residual_sweeps_script_rejects_non_finite_tolerances(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         _script("residual_sweeps").main(argv)
     assert exc.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("K,message", [
+    ("100,50", "argument --K: K_list must be increasing"),
+    ("0", "argument --K: K must be >= 1, got 0"),
+    ("10,0,100", "argument --K: K must be >= 1, got 0"),
+])
+def test_identity_tables_script_rejects_bad_K_lists(K, message, capsys):
+    # the script parses --K with the type of ``identity --K``
+    with pytest.raises(SystemExit) as exc:
+        _script("identity_tables").main(["--K", K])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.rstrip().endswith(message)
 
 
 def _nan_whitham(theta):

@@ -19,7 +19,6 @@ from solitonlab.family import (
     graph_residual_from_jets,
     helicoid_catenoid_pair,
     holomorphic_derivative,
-    isothermal_substitution,
     soliton_family,
     whitham_constraint_defect,
     whitham_verify,
@@ -27,7 +26,7 @@ from solitonlab.family import (
 from solitonlab.geometry import isothermal_check
 from solitonlab.jetmath import TJet
 from solitonlab.pde import born_infeld_residual
-from solitonlab.weierstrass import SurfaceMap
+from solitonlab.weierstrass import SurfaceMap, catalog_surface
 
 THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
@@ -43,8 +42,8 @@ def test_associate_family_endpoints_are_the_pair():
     pair = helicoid_catenoid_pair()
     s0 = associate_family(pair, 0.0)
     s1 = associate_family(pair, math.pi / 2)
-    x1 = pair.surface1()
-    x2 = pair.surface2()
+    x1 = catalog_surface("lorentzian_helicoid")
+    x2 = catalog_surface("lorentzian_catenoid")
     for z in (1 + 1j, 2 - 0.5j, 0.7 + 0.1j):
         for got, want in ((s0, x1), (s1, x2)):
             a, b = got.eval(z), want.eval(z)
@@ -68,21 +67,28 @@ def test_conjugacy_of_helicoid_catenoid():
 
 
 def test_conjugacy_negative_control():
+    # Phi's first component x becomes x + conj(x) = 2 Re x, which is not
+    # holomorphic
     pair = helicoid_catenoid_pair()
-    fake = ConjugatePair("not-conjugate", pair.comps1, pair.comps1,
-                         tau_exclusions=pair.tau_exclusions)
+
+    def phi(tau):
+        x, t, f = pair.phi(tau)
+        return x + jm.conj(x), t, f
+
+    fake = ConjugatePair("not-conjugate", phi, phi, pair.exclusions)
     assert conjugacy_check(fake, 1.3 + 0.4j) > 0.1
 
 
 def test_conjugacy_constant_pair_is_zero():
-    const = ConjugatePair("const", lambda t, s: (1.0, 2.0, 3.0),
-                          lambda t, s: (4.0, 5.0, 6.0))
+    phi = lambda t: (1.0 + 4.0j, 2.0 + 5.0j, 3.0 + 6.0j)
+    const = ConjugatePair("const", phi, phi)
     assert conjugacy_check(const, 0.3 + 0.9j) == 0.0
 
 
 def test_nan_defects_are_infinite():
     # a check that went wrong fails every tolerance: NaN never reads as a pass
-    nan_pair = ConjugatePair("nan", lambda t, s: (t, s, math.nan * t), lambda t, s: (t, s, t))
+    phi = lambda t: (t, t, math.nan * t)
+    nan_pair = ConjugatePair("nan", phi, phi)
     assert conjugacy_check(nan_pair, 0.3 + 0.9j) == math.inf
     nan_surface = SurfaceMap(lambda u, v: (u, v, math.nan * u * v))
     assert isothermal_check(nan_surface, 0.3 + 0.9j)[2] == math.inf
@@ -284,25 +290,14 @@ def test_pointwise_checks_are_bit_identical_to_the_recorded_digest():
 
 
 def _affine_pair(alpha: complex, beta: complex) -> ConjugatePair:
-    """Pair generated by the affine holomorphic datum F(tau) = alpha+beta tau;
-    all components are cubic polynomials in (tau, sigma)."""
-    ab, bb = alpha.conjugate(), beta.conjugate()
-    F = lambda t: alpha + beta * t
-    Fs = lambda s: ab + bb * s
+    """Pair generated by the affine holomorphic datum F(tau) = alpha+beta tau:
+    Phi = (F + beta tau^3 / 3, i (F - beta tau^3 / 3), beta tau^2), polynomial,
+    so phi_zeta is phi(i zeta) itself."""
+    def phi(t):
+        F, c = alpha + beta * t, beta * t ** 3 / 3
+        return F + c, 1j * (F - c), beta * t * t
 
-    def comps1(t, s):
-        x = 0.5 * (F(t) + Fs(s) + beta * t ** 3 / 3 + bb * s ** 3 / 3)
-        tt = -0.5j * (Fs(s) - F(t) + beta * t ** 3 / 3 - bb * s ** 3 / 3)
-        f = beta * t * t / 2 + bb * s * s / 2
-        return (x, tt, f)
-
-    def comps2(t, s):
-        x = 0.5 * (-1j * F(t) + 1j * Fs(s) - 1j * beta * t ** 3 / 3 + 1j * bb * s ** 3 / 3)
-        tt = 0.5 * (Fs(s) + F(t) - beta * t ** 3 / 3 - bb * s ** 3 / 3)
-        f = -0.5j * beta * t * t + 0.5j * bb * s * s
-        return (x, tt, f)
-
-    return ConjugatePair("affine", comps1, comps2)
+    return ConjugatePair("affine", phi, lambda z: phi(1j * z))
 
 
 def test_affine_pair_is_conjugate_and_solves_born_infeld():
@@ -342,12 +337,14 @@ def test_affine_pair_whitham_form():
 def test_data_rotation_matches_associate_family():
     # rotating the helicoid's Weierstrass datum by e^{-i theta} integrates to
     # the associate family of the conjugate pair, here up to the datum's
-    # z -> -z isometry and with constants matched at the base point
+    # z -> -z isometry and with constants matched at the base point; at
+    # theta = 0 and pi/2 it checks X1 = Re Phi and X2 = Im Phi on their own
+    # against quadrature of the datum
     from solitonlab.weierstrass import we_catalog, we_data_rotation, we_integrate
 
     pair = helicoid_catenoid_pair()
     datum = we_catalog("lorentzian_helicoid")
-    for theta in (math.pi / 6, math.pi / 3):
+    for theta in (0.0, math.pi / 6, math.pi / 3, math.pi / 2):
         surf = associate_family(pair, theta)
         rot = we_data_rotation(datum, theta)
         for z in (1.4 + 0.3j, 0.8 + 0.7j, 1.1 - 0.6j):
@@ -358,20 +355,13 @@ def test_data_rotation_matches_associate_family():
             assert abs(got.z + want.z) <= 1e-6
 
 
-def test_isothermal_substitution_matches_explicit_zeta_forms():
+def test_phi_zeta_is_phi_of_i_zeta_less_the_log_constant():
+    # phi(1j * zeta) adds -i log(i) = pi/2 to the third component where
+    # arg zeta <= pi/2 (beyond, log(i zeta) wraps); phi_zeta drops it and
+    # keeps the cut of log on the negative real zeta axis
     pair = helicoid_catenoid_pair()
-    sub1 = isothermal_substitution(pair.comps1)
-    sub2 = isothermal_substitution(pair.comps2)
-    exp1, exp2 = pair.zeta_comps()
-    for z in (1.2 + 0.4j, 0.8 + 0.9j, 1.5 - 0.3j):
-        xi = z.conjugate()
-        a, b = sub1(z, xi), exp1(z, xi)
-        # x and t components agree exactly; the raw substitution of f1 picks
-        # up the constant (i/2)(log i - log(-i)) = pi/2 that the normalized
-        # zeta form drops
+    for z in (1.2 + 0.4j, 0.8 + 0.9j, 1.5 - 0.3j, -0.7 - 1.1j, 1j):
+        a, b = pair.phi(1j * z), pair.phi_zeta(z)
         assert abs(complex(a[0]) - complex(b[0])) <= 1e-14
         assert abs(complex(a[1]) - complex(b[1])) <= 1e-14
         assert abs(complex(a[2]) - complex(b[2]) - math.pi / 2) <= 1e-14
-        a, b = sub2(z, xi), exp2(z, xi)
-        for i in range(3):
-            assert abs(complex(a[i]) - complex(b[i])) <= 1e-14

@@ -251,7 +251,7 @@ _part = st.one_of(st.sampled_from(_EDGE_PARTS),
 
 
 _PREDICATES = dict({name: catalog_surface(name).domain_exclusions for name in SURFACE_NAMES},
-                   helicoid_catenoid_pair=helicoid_catenoid_pair().tau_exclusions)
+                   helicoid_catenoid_pair=helicoid_catenoid_pair().exclusions)
 
 
 @pytest.mark.parametrize("name,predicate", _PREDICATES.items(), ids=list(_PREDICATES))
@@ -272,8 +272,7 @@ def test_helicoid_pair_and_catalog_helicoid_share_one_predicate():
     pair = helicoid_catenoid_pair()
     catalog = catalog_surface("lorentzian_helicoid").domain_exclusions
     want = catalog(zetas)
-    assert pair.tau_exclusions(zetas).tolist() == want.tolist()
-    assert pair.zeta_exclusions(zetas).tolist() == want.tolist()
+    assert pair.exclusions(zetas).tolist() == want.tolist()
     assert want.any() and not want.all()
 
 
