@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Export the four catalog surfaces as OBJ meshes (plus CSV point clouds)."""
 
-import argparse
 import pathlib
 import sys
 
-from solitonlab.cli import main as cli_main
+from solitonlab.cli import Parser, main as cli_main
 from solitonlab.weierstrass import SURFACE_NAMES
 
 GRIDS = {
@@ -17,7 +16,7 @@ GRIDS = {
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--out-dir", default="surfaces")
     args = ap.parse_args()
     out = pathlib.Path(args.out_dir)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Convergence tables for the five identities at their reference arguments."""
 
-import argparse
 import sys
 
+from solitonlab.cli import Parser
 from solitonlab.identities import REGISTRY, convergence_order, increasing, ram_arctan_sum
 
 CASES = [
@@ -16,7 +16,7 @@ CASES = [
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--K", type=increasing, default="100,1000,10000",
                     help="comma-separated K list, strictly increasing")
     args = ap.parse_args(argv)

@@ -2,16 +2,15 @@
 """Sweep every catalog solution with both derivative backends and print a
 residual table; nonzero exit if any entry misses its tolerance."""
 
-import argparse
 import sys
 
-from solitonlab.cli import positive, tolerance
+from solitonlab.cli import Parser, positive, tolerance
 from solitonlab.core import CentralDiff, with_backend
 from solitonlab.pde import DEFAULT_GRIDS, catalog_names, residual_sweep, solution
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--h", type=positive, default=1e-4)
     ap.add_argument("--tol-exact", type=tolerance, default=1e-6)
     ap.add_argument("--tol-central", type=tolerance, default=1e-5)

@@ -36,7 +36,7 @@ from .reportio import csv_text, fmt, json_text, obj_mesh_text
 PAIR_NAMES = ("helicoid-catenoid",)
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     def __init__(self, *a, **kw):
         super().__init__(*a, **kw)
         # accept grid specs and complex literals that start with a minus sign
@@ -205,24 +205,29 @@ def _cmd_family(args) -> int:
 
 def _cmd_identity(args) -> int:
     spec = identities.REGISTRY[args.name]
-    if args.name in ("ram_cos_product", "ram_arctan_sum"):
+    ram = args.name in ("ram_cos_product", "ram_arctan_sum")
+    ignored = [opt for opt, given in (("--X", args.X is not None and not ram),
+                                      ("--A", args.A is not None and not ram),
+                                      ("--zeta", args.zeta is not None and ram),
+                                      ("--tail-correction", args.tail_correction
+                                       and args.name != "ram_arctan_sum")) if given]
+    if ignored:
+        raise ValueError(f"argument {ignored[0]}: not used by {args.name}")
+    if ram:
         if args.X is None or args.A is None:
-            print("error: this identity needs --X and --A", file=sys.stderr)
-            return 2
+            raise ValueError("this identity needs --X and --A")
         if args.name == "ram_cos_product":
             ident_args = (args.X, args.A)
         elif args.X.imag or args.A.imag:
-            print("error: ram_arctan_sum needs real --X and --A", file=sys.stderr)
-            return 2
+            raise ValueError("ram_arctan_sum needs real --X and --A")
         else:
             ident_args = (args.X.real, args.A.real)
     else:
         if args.zeta is None:
-            print("error: this identity needs --zeta", file=sys.stderr)
-            return 2
+            raise ValueError("this identity needs --zeta")
         ident_args = (args.zeta,)
     K_list = args.K
-    if args.name == "ram_arctan_sum" and args.tail_correction:
+    if args.tail_correction:  # ram_arctan_sum only
         results = [identities.ram_arctan_sum(*ident_args, K=K, tail_correction=True)
                    for K in K_list]
     else:
@@ -239,11 +244,11 @@ def _cmd_identity(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="solitonlab",
-                description="Born-Infeld solitons and maximal surfaces: "
-                            "residual sweeps, surface export, family and "
-                            "identity verification")
+def build_parser() -> Parser:
+    p = Parser(prog="solitonlab",
+               description="Born-Infeld solitons and maximal surfaces: "
+                           "residual sweeps, surface export, family and "
+                           "identity verification")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("catalog", parents=[], description="list catalog content")

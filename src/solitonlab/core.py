@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * A ``ScalarField2`` is a complex-valued function of two *real* variables
   (a, b).  "Vanishes" for any residual built from one always means modulus
   below tolerance.  Its exclusion predicate is called with coordinate arrays,
-  a whole block or stencil at once, and returns a bool array.
+  a whole block or stencil at once, never point by point, and returns a bool
+  array or one bool for all points.
 * ``jet`` returns the value and the five partials up to order 2 as a
   :class:`~solitonlab.jetmath.TJet` (``fx`` and ``fxx`` differentiate with
   respect to the first variable, ``ft``/``ftt`` with respect to the second),
@@ -101,9 +102,9 @@ class ScalarField2:
     rely on.  On float arrays (the ``CentralDiff`` stencils) the primitives
     return float arrays while the values stay real, and complex ones where
     they do not.  ``domain_exclusions(a, b)`` is True at points that must not be
-    evaluated.  Called with float arrays it returns a bool array, or one bool
-    for all points; write ``|`` and ``np.cos``, not ``or`` and ``math.cos``.
-    One that rejects arrays (``TypeError``, ``ValueError``) is called per point.
+    evaluated.  It is called with float arrays and returns a bool array, or
+    one bool for all points; write ``|`` and ``np.cos``, not ``or`` and
+    ``math.cos``, or the call raises numpy's ``TypeError`` or ``ValueError``.
     """
 
     evaluator: Callable
@@ -120,18 +121,12 @@ class ScalarField2:
 
 def exclusion_mask(is_excluded: Optional[Callable], *coords: np.ndarray) -> np.ndarray:
     """Bool array of ``coords[0].shape``, True where ``is_excluded`` holds at
-    the points given by the arrays ``coords`` (none where it is ``None``):
-    one call on the arrays, or one per point, with Python numbers, for a
-    predicate that rejects arrays (``TypeError``, ``ValueError``)."""
+    the points given by the arrays ``coords`` (none where it is ``None``),
+    from one call on the arrays; a single bool holds for every point."""
     shape = coords[0].shape
     if is_excluded is None:
         return np.zeros(shape, dtype=bool)
-    try:
-        mask = is_excluded(*coords)
-    except (TypeError, ValueError):
-        mask = np.reshape([bool(is_excluded(*p)) for p in
-                           zip(*(c.ravel().tolist() for c in coords))], shape)
-    return np.broadcast_to(np.asarray(mask, dtype=bool), shape)
+    return np.broadcast_to(np.asarray(is_excluded(*coords), dtype=bool), shape)
 
 
 def _require_kept(fld: ScalarField2, a, b, message: str) -> None:

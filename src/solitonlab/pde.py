@@ -169,10 +169,6 @@ class ResidualReport:
     grid_spec: str = ""
     worst_point: Optional[tuple] = None
 
-    @property
-    def grid(self) -> list:  # (a, b) pairs of Python floats
-        return list(map(tuple, self.points.tolist()))
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,

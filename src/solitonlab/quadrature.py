@@ -117,36 +117,14 @@ def _norm(v: np.ndarray):
     return np.hypot.reduce(np.abs(v), axis=0)
 
 
-def _node_values(fvec, nodes: np.ndarray, per_node: bool):
-    """The integrand at a 1-D array of nodes as a (components, nodes) array,
-    and whether ``fvec`` had to be called node by node."""
-    if not per_node:
-        try:
-            out = fvec(nodes)
-        except (TypeError, ValueError):
-            # An integrand written for numbers fails on arrays with
-            # TypeError (cmath of an array) or ValueError (the truth of an
-            # array); it is then called one node at a time.
-            pass
-        else:
-            vals = np.empty((len(out), len(nodes)), dtype=complex)
-            for row, v in zip(vals, out):
-                row[...] = v
-            return vals, False
-    try:
-        rows = [fvec(w) for w in nodes.tolist()]
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise QuadratureError(f"integrand is singular on the path: {exc}") from None
-    return np.asarray(rows, dtype=complex).T, True
-
-
 def integrate_segments(fvec, path):
     """Integrate the complex-vector integrand ``fvec`` along the polyline.
 
     ``fvec(w)`` is called with a 1-D complex array of nodes and returns one
     value per component, each an array over the nodes or a scalar (which is
-    broadcast).  An integrand that rejects arrays is called node by node with
-    complex numbers.  The result is the componentwise contour integral.
+    broadcast); one written for numbers (``cmath``, ``if``) raises numpy's
+    ``TypeError`` or ``ValueError`` on the first call.  The result is the
+    componentwise contour integral.
     Floating-point warnings are off for the whole integral (the integrand
     included): non-finite values are caught by the finiteness test instead.
 
@@ -169,12 +147,14 @@ def integrate_segments(fvec, path):
     half = np.full(n_seg, 0.5)
     n_intervals = n_seg
     done = 0j
-    per_node = False
     parent_err, no_gain = None, 0
     with np.errstate(all="ignore"):
         while True:
             nodes = start[:, None] + (mid[:, None] + half[:, None] * _XK) * step[:, None]
-            vals, per_node = _node_values(fvec, nodes.ravel(), per_node)
+            out = fvec(nodes.ravel())
+            vals = np.empty((len(out), nodes.size), dtype=complex)
+            for row, v in zip(vals, out):
+                row[...] = v  # a scalar component is broadcast
             vals = vals.reshape(-1, *nodes.shape)
             if not np.isfinite(vals).all():
                 i = seg[np.argmin(np.isfinite(vals).all(axis=(0, 2)))]

@@ -54,9 +54,9 @@ class SurfaceMap:
     coordinates; ``eval`` wraps it for plain complex parameters and checks
     the result is real, and ``sample`` does the same over many parameters.
     ``domain_exclusions(zeta)`` is True at parameters that must not be
-    evaluated; called with a complex array it returns a bool array, so write
-    it with ``|`` and ``&``, not ``or`` and ``and``.  One that rejects arrays
-    (``TypeError``, ``ValueError``) is called per parameter.
+    evaluated; it is called with a complex array and returns a bool array, so
+    write it with ``|`` and ``&``, not ``or`` and ``and``, or the call raises
+    numpy's ``TypeError`` or ``ValueError``.
     """
 
     components: Callable

@@ -179,11 +179,22 @@ def test_geometry_classify_csv(capsys):
     ["identity", "--name", "nope"],
     ["residual", "--solution", "scherk_minimal", "--backend", "central", "--h", "0"],
     ["residual", "--solution", "scherk_minimal", "--backend", "central", "--h", "-1e-4"],
+    # an option that the chosen identity does not read
+    ["identity", "--name", "scherk_identity", "--zeta", "2+0j", "--K", "10,100",
+     "--tail-correction"],
+    ["identity", "--name", "ram_cos_product", "--X", "0.3", "--A", "0.2", "--tail-correction"],
+    ["identity", "--name", "ram_cos_product", "--X", "0.3", "--A", "0.2", "--zeta", "2+0j"],
+    ["identity", "--name", "ram_arctan_sum", "--X", "1", "--A", "0.7", "--zeta", "2+0j"],
+    ["identity", "--name", "scherk_identity", "--zeta", "2+0j", "--X", "1"],
+    ["identity", "--name", "helicoid2_identity", "--zeta", "1+1j", "--A", "0.7"],
+    ["identity", "--name", "lorentz_helicoid_identity", "--zeta", "1+1j", "--X", "1"],
 ])
 def test_usage_errors_exit_2_with_one_line(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: argument --") and err.count("\n") == 1
+    # the message names an option of the command line
+    assert err.split(":")[1].split()[-1] in argv
 
 
 def test_geometry_classify_catalog_solution(capsys):
@@ -214,23 +225,6 @@ def test_repeated_runs_are_byte_identical(argv, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_env_var_does_not_change_output(tmp_path):
-    argv = ["residual", "--solution", "lorentzian_catenoid"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    old = os.environ.get("SOLITON_LAB_THREADS")
-    try:
-        os.environ["SOLITON_LAB_THREADS"] = "1"
-        assert main(argv + ["--out", str(a)]) == 0
-        os.environ["SOLITON_LAB_THREADS"] = "4"
-        assert main(argv + ["--out", str(b)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("SOLITON_LAB_THREADS", None)
-        else:
-            os.environ["SOLITON_LAB_THREADS"] = old
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_nan_cauchy_riemann_defect_fails_the_family_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "conjugacy_check", lambda pair, z: math.nan)
     code, out, err = run(["family", "--theta-list", "0,0.7", "--num-points", "3"], capsys)
@@ -250,7 +244,8 @@ def _script(name: str):
 
 @pytest.mark.parametrize("argv", [["--tol-exact", "nan", "--tol-central", "nan"],
                                   ["--tol-central", "-1"], ["--h", "inf"],
-                                  ["--h", "0"], ["--h=-1e-4"]])
+                                  ["--h", "0"], ["--h=-1e-4"], ["--h", "-1e-4"],
+                                  ["--tol-central", "-1e-6"]])
 def test_residual_sweeps_script_rejects_non_finite_tolerances(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         _script("residual_sweeps").main(argv)

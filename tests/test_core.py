@@ -516,12 +516,18 @@ _B = np.array([0.3, 0.0, -0.0, -0.9, 2.0])
     lambda a, b: a < 0.0 or b > 1.0,               # ValueError on arrays
     lambda a, b: np.cos(a) + b if a > 0 else 0.0,  # ValueError, non-bool values
 ], ids=["math.cos", "or", "branch"])
-def test_mask_of_a_predicate_that_rejects_arrays_is_taken_per_point(predicate):
-    fld = ScalarField2(lambda a, b: a + b, domain_exclusions=predicate)
-    want = [bool(predicate(a, b)) for a, b in zip(_A.tolist(), _B.tolist())]
-    assert fld.excluded_mask(_A, _B).tolist() == want
-    grid = (_A.reshape(5, 1) + np.zeros(3), _B.reshape(5, 1) + np.zeros(3))
-    assert fld.excluded_mask(*grid).tolist() == [[w] * 3 for w in want]
+def test_mask_of_a_predicate_that_rejects_arrays_raises_after_one_call(predicate):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return predicate(a, b)
+
+    fld = ScalarField2(lambda a, b: a + b, domain_exclusions=counted)
+    with pytest.raises((TypeError, ValueError)):
+        fld.excluded_mask(_A, _B)
+    # one call on the arrays, never a retry point by point
+    assert len(calls) == 1 and calls[0][0] is _A and calls[0][1] is _B
 
 
 @pytest.mark.parametrize("value", [False, True, np.False_])

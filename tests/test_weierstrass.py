@@ -289,17 +289,23 @@ def test_sample_tests_exclusions_in_one_call():
     values, excluded = counted.sample(pts)
     assert len(calls) == 1 and np.count_nonzero(excluded) == 4
     assert np.array_equal(values, surf.sample(pts)[0], equal_nan=True)
+    excluded[0] = not excluded[0]  # the mask is the caller's to keep
 
 
 @pytest.mark.parametrize("predicate", [
     lambda z: z.real < 0.0 or abs(z) > 1.5,   # ValueError on arrays
     lambda z: math.hypot(z.real, z.imag) < 0.5,  # TypeError on arrays
 ], ids=["or", "math.hypot"])
-def test_sample_of_a_predicate_that_rejects_arrays_is_taken_per_point(predicate):
-    surf = SurfaceMap(lambda u, v: (u, v, 0.0), predicate)
+def test_sample_of_a_predicate_that_rejects_arrays_raises_after_one_call(predicate):
+    calls, evaluated = [], []
+
+    def counted(z):
+        calls.append(z)
+        return predicate(z)
+
+    surf = SurfaceMap(lambda u, v: evaluated.append((u, v)) or (u, v, 0.0), counted)
     pts = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5).points()
-    values, excluded = surf.sample(pts)
-    want = [bool(predicate(complex(u, v))) for u, v in pts]
-    assert excluded.tolist() == want and any(want) and not all(want)
-    assert np.isnan(values[excluded]).all() and not np.isnan(values[~excluded]).any()
-    excluded[0] = not excluded[0]  # the mask is the caller's to keep
+    with pytest.raises((TypeError, ValueError)):
+        surf.sample(pts)
+    # one call on the array of all 25 parameters, and no point is evaluated
+    assert len(calls) == 1 and np.shape(calls[0]) == (25,) and not evaluated
