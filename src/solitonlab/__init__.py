@@ -26,7 +26,6 @@ from .family import (
 from .geometry import (
     CausalClass,
     FundForms,
-    GraphPointReport,
     born_infeld_numerator,
     causal_classify,
     example1_graph,

@@ -214,8 +214,9 @@ def _cmd_identity(args) -> int:
     if ignored:
         raise ValueError(f"argument {ignored[0]}: not used by {args.name}")
     if ram:
-        if args.X is None or args.A is None:
-            raise ValueError("this identity needs --X and --A")
+        missing = [opt for opt, value in (("--X", args.X), ("--A", args.A)) if value is None]
+        if missing:
+            raise ValueError(f"argument {missing[0]}: required by {args.name}")
         if args.name == "ram_cos_product":
             ident_args = (args.X, args.A)
         elif args.X.imag or args.A.imag:
@@ -224,7 +225,7 @@ def _cmd_identity(args) -> int:
             ident_args = (args.X.real, args.A.real)
     else:
         if args.zeta is None:
-            raise ValueError("this identity needs --zeta")
+            raise ValueError(f"argument --zeta: required by {args.name}")
         ident_args = (args.zeta,)
     K_list = args.K
     if args.tail_correction:  # ram_arctan_sum only

@@ -61,20 +61,6 @@ class LVec3:
     y: complex
     z: complex
 
-    def __add__(self, other: "LVec3") -> "LVec3":
-        return LVec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "LVec3") -> "LVec3":
-        return LVec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __rmul__(self, c) -> "LVec3":
-        return LVec3(c * self.x, c * self.y, c * self.z)
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-        yield self.z
-
 
 # Imaginary parts at or below this share of 1 + |real part| count as roundoff.
 _REAL_TOL = 1e-9

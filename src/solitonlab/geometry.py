@@ -16,11 +16,9 @@ the graph variables.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,28 +48,6 @@ class FundForms:
     disc: float  # EG - F^2
 
 
-@dataclass(frozen=True)
-class GraphPointReport:
-    point: tuple
-    forms: Optional[FundForms]
-    causal: CausalClass
-    normal: Optional[LVec3]
-    H: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "causal": self.causal.value,
-            "forms": None if self.forms is None else {
-                "E": self.forms.E, "F": self.forms.F, "G": self.forms.G,
-                "e": self.forms.e, "f2": self.forms.f2, "g": self.forms.g,
-                "disc": self.forms.disc,
-            },
-            "normal": None if self.normal is None else [self.normal.x, self.normal.y, self.normal.z],
-            "H": self.H,
-        }
-
-
 def _indicator(j: TJet):
     """W = 1 + phi_y^2 - phi_z^2 of a jet, complex."""
     return 1 + j.fx ** 2 - j.ft ** 2
@@ -94,23 +70,37 @@ def timelike_indicator(fld: ScalarField2, y: float, z: float) -> float:
     return _real(_indicator(_real_jet(fld, y, z)), "causal indicator")
 
 
+def _causal_rule(j: TJet, w) -> tuple:
+    """(timelike, spacelike) of a jet and its W = 1 + phi_y^2 - phi_z^2,
+    numbers or arrays (entry by entry): W > tol or W < -tol, with tol =
+    ``TOL_DEGENERATE``.  Neither holds (the point is lightlike) where a
+    coefficient or W is not finite, W is not real or |W| <= tol."""
+    ok = np.isfinite(w) & np.logical_not(nonreal(w))
+    for c in (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt):
+        ok &= np.isfinite(c)
+    return ok & (w.real > TOL_DEGENERATE), ok & (w.real < -TOL_DEGENERATE)
+
+
 def _jet_off_degenerate(fld: ScalarField2, y: float, z: float):
-    """(jet, W) at a non-degenerate point; DegenerateError when |W| <=
-    TOL_DEGENERATE or when the gradient itself blows up (which on a graph happens exactly where
-    the tangent plane degenerates)."""
+    """(jet, W) at a timelike or spacelike point.  DegenerateError where the
+    jet is singular (on a graph the gradient blows up exactly where the
+    tangent plane degenerates) or ``_causal_rule`` calls the point lightlike;
+    DomainError at an excluded point, a central stencil that reaches one, or
+    a non-real field value."""
     try:
         j = _real_jet(fld, y, z)
-        w = _real(_indicator(j), "causal indicator")
+        w = _indicator(j)
     except SINGULAR as exc:
         raise DegenerateError(f"jet is singular at ({y}, {z}); gradient blows up "
                               "on the degenerate set") from exc
-    if abs(w) <= TOL_DEGENERATE:
-        raise DegenerateError(f"tangent plane degenerates at ({y}, {z}): "
-                              f"|1 + phi_y^2 - phi_z^2| = {abs(w):g}")
-    return j, w
+    if not any(_causal_rule(j, w)):
+        raise DegenerateError(f"tangent plane is lightlike at ({y}, {z}): "
+                              f"1 + phi_y^2 - phi_z^2 = {w:g}, or the jet is not finite")
+    return j, w.real
 
 
-def _forms_from_jet(j: TJet, w: float) -> FundForms:
+def fundamental_forms(fld: ScalarField2, y: float, z: float) -> FundForms:
+    j, w = _jet_off_degenerate(fld, y, z)
     py, pz = j.fx.real, j.ft.real
     s = math.sqrt(abs(w))
     E = py * py + 1.0
@@ -121,35 +111,34 @@ def _forms_from_jet(j: TJet, w: float) -> FundForms:
                      disc=E * G - F * F)
 
 
-def fundamental_forms(fld: ScalarField2, y: float, z: float) -> FundForms:
-    return _forms_from_jet(*_jet_off_degenerate(fld, y, z))
-
-
 def _classify_jet(fld: ScalarField2, y: float, z: float):
-    """(class, jet, W) at (y, z); the jet and W are None at lightlike points:
-    where the jet is singular or not finite, or W is not real or |W| <= TOL_DEGENERATE."""
+    """(class, jet, W) at (y, z) by ``_causal_rule``; the jet and W are None
+    at lightlike points, also where the jet is singular or raises
+    ``DomainError``."""
     try:
         j, _ = jet(fld, y, z)
         w = _indicator(j)
     except SINGULAR + (DomainError,):
         return CausalClass.LIGHTLIKE, None, None
-    if (nonreal(w) or not math.isfinite(w.real)
-            or not all(map(cmath.isfinite, (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))):
-        return CausalClass.LIGHTLIKE, None, None
-    if w.real > TOL_DEGENERATE:
+    timelike, spacelike = _causal_rule(j, w)
+    if timelike:
         return CausalClass.TIMELIKE, j, w.real
-    if w.real < -TOL_DEGENERATE:
+    if spacelike:
         return CausalClass.SPACELIKE, j, w.real
     return CausalClass.LIGHTLIKE, None, None
 
 
 def causal_classify(fld: ScalarField2, y: float, z: float) -> CausalClass:
     """Timelike if W > tol, spacelike if W < -tol, else lightlike, with tol
-    = ``TOL_DEGENERATE``.
+    = ``TOL_DEGENERATE`` (``_causal_rule``).
 
-    Points where the jet cannot be computed as a finite real number (the
-    gradient of a graph blows up exactly where its tangent plane degenerates)
-    classify as lightlike rather than raising.
+    Points where the jet cannot be computed as finite numbers with a real W
+    (the gradient of a graph blows up exactly where its tangent plane
+    degenerates) classify as lightlike rather than raising.  At a kept point
+    with a real value, ``fundamental_forms``, ``unit_normal`` and
+    ``mean_curvature`` raise ``DegenerateError`` exactly where this returns
+    LIGHTLIKE, unless a central stencil reaches an excluded point
+    (``DomainError``).
     """
     return _classify_jet(fld, y, z)[0]
 
@@ -157,10 +146,7 @@ def causal_classify(fld: ScalarField2, y: float, z: float) -> CausalClass:
 def unit_normal(fld: ScalarField2, y: float, z: float) -> LVec3:
     """N = (1, -phi_y, phi_z)/sqrt|W|; <N,N> = +1 on timelike points, -1 on
     spacelike ones."""
-    return _normal_from_jet(*_jet_off_degenerate(fld, y, z))
-
-
-def _normal_from_jet(j: TJet, w: float) -> LVec3:
+    j, w = _jet_off_degenerate(fld, y, z)
     s = math.sqrt(abs(w))
     return LVec3(1.0 / s, -j.fx.real / s, j.ft.real / s)
 
@@ -183,37 +169,24 @@ def mean_curvature(fld: ScalarField2, y: float, z: float) -> float:
     return _mean_curvature_from_jet(*_jet_off_degenerate(fld, y, z))
 
 
-def graph_point_report(fld: ScalarField2, y: float, z: float) -> GraphPointReport:
-    """Class, forms, normal and H at (y, z), from one jet."""
-    causal, j, w = _classify_jet(fld, y, z)
-    if j is None:
-        return GraphPointReport((y, z), None, causal, None, None)
-    return GraphPointReport((y, z), _forms_from_jet(j, w), causal,
-                            _normal_from_jet(j, w), _mean_curvature_from_jet(j, w))
-
-
 # Class codes of classify_grid's blocks: indexes into _CLASSES.
 _CLASSES = tuple(CausalClass)
 _CODE = {c: i for i, c in enumerate(_CLASSES)}
 
 
 def _classify_block(j: TJet) -> np.ndarray:
-    """(class code, H) columns for the array jet of a block of points, with
-    the rules and the rounding of ``_classify_jet`` and
-    ``_mean_curvature_from_jet`` at each point."""
-    coefs = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
+    """(class code, H) columns for the array jet of a block of points, by
+    ``_causal_rule`` and with the rounding of ``_mean_curvature_from_jet`` at
+    each point."""
     w = _indicator(j)
-    ok = np.isfinite(w.real) & ~nonreal(w)
-    for c in coefs:
-        ok &= np.isfinite(c)
-    timelike = ok & (w.real > TOL_DEGENERATE)
-    spacelike = ok & (w.real < -TOL_DEGENERATE)
+    timelike, spacelike = _causal_rule(j, w)
     live = np.flatnonzero(timelike | spacelike)
     num = _residual_from_jet(j, Equation.BORN_INFELD)
     bad = nonreal(j.f[live]) | nonreal(num[live])
     if bad.any():
         # the error of the scalar path at the first such point
         i = live[np.argmax(bad)]
+        coefs = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
         _mean_curvature_from_jet(TJet(*(complex(c[i]) for c in coefs)), float(w.real[i]))
     out = np.empty((len(w), 2))
     out[:, 0] = _CODE[CausalClass.LIGHTLIKE]

@@ -96,20 +96,20 @@ def _require_exact(fld: ScalarField2, what: str) -> None:
         )
 
 
-def wick_rotate_x(fld: ScalarField2, exclusions: Optional[Callable] = None) -> ScalarField2:
+def wick_rotate_x(fld: ScalarField2) -> ScalarField2:
     """The field (a, b) -> fld(i a, b).  Maps maximal solutions to Born-Infeld
     solutions and conversely."""
     _require_exact(fld, "wick_rotate_x")
     ev = fld.evaluator
-    return ScalarField2(lambda a, b: ev(1j * a, b), fld.backend, exclusions)
+    return ScalarField2(lambda a, b: ev(1j * a, b), fld.backend)
 
 
-def wick_rotate_t(fld: ScalarField2, exclusions: Optional[Callable] = None) -> ScalarField2:
+def wick_rotate_t(fld: ScalarField2) -> ScalarField2:
     """The field (a, b) -> fld(a, i b).  Maps Born-Infeld solutions to minimal
     solutions and conversely."""
     _require_exact(fld, "wick_rotate_t")
     ev = fld.evaluator
-    return ScalarField2(lambda a, b: ev(a, 1j * b), fld.backend, exclusions)
+    return ScalarField2(lambda a, b: ev(a, 1j * b), fld.backend)
 
 
 # -- grids and reports -----------------------------------------------------

@@ -48,6 +48,7 @@ from solitonlab.pde import (
     residual_sweep,
     solution,
     wick_rotate_x,
+    worst,
 )
 from solitonlab.weierstrass import (
     SURFACE_NAMES,
@@ -73,10 +74,10 @@ def test_criterion_1_pde_catalog_residuals():
         e = solution(name)
         grid = DEFAULT_GRIDS[name]
         rep = residual_sweep(e.field, e.equation, grid, name=name)
-        worst_exact = max(worst_exact, rep.max_abs)
+        worst_exact = worst([worst_exact, rep.max_abs])
         repc = residual_sweep(with_backend(e.field, CentralDiff(1e-4)),
                               e.equation, grid, name=name)
-        worst_central = max(worst_central, repc.max_abs)
+        worst_central = worst([worst_central, repc.max_abs])
     ok = worst_exact <= 1e-6 and worst_central <= 1e-5
     _report(1, "pde catalog", ok,
             f"max exact residual {worst_exact:.2e} (tol 1e-6), "
@@ -84,14 +85,14 @@ def test_criterion_1_pde_catalog_residuals():
 
 
 def test_criterion_2_wick_involution():
-    worst = 0.0
+    worst_rot = 0.0
     for name, grid in WICK_GRIDS.items():
         rot = wick_rotate_x(solution(name).field)
         rep = residual_sweep(rot, Equation.BORN_INFELD, grid, name=name)
-        worst = max(worst, rep.max_abs)
-    ok = worst <= 1e-6
+        worst_rot = worst([worst_rot, rep.max_abs])
+    ok = worst_rot <= 1e-6
     _report(2, "wick involution", ok,
-            f"max Born-Infeld residual of rotated maximal entries {worst:.2e} (tol 1e-6)")
+            f"max Born-Infeld residual of rotated maximal entries {worst_rot:.2e} (tol 1e-6)")
 
 
 def test_criterion_3_proposition_1_suite():
@@ -99,8 +100,8 @@ def test_criterion_3_proposition_1_suite():
     # |H| and numerator off the degenerate set
     worst_h = worst_num = 0.0
     for (y, z) in GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21).points():
-        worst_h = max(worst_h, abs(mean_curvature(g, y, z)))
-        worst_num = max(worst_num, abs(born_infeld_numerator(g, y, z)))
+        worst_h = worst([worst_h, mean_curvature(g, y, z)])
+        worst_num = worst([worst_num, born_infeld_numerator(g, y, z)])
     ok_h = worst_h <= 1e-6 and worst_num <= 1e-6
 
     # lightlike detection within one grid step of y = +-z, nowhere else
@@ -139,7 +140,7 @@ def test_criterion_3_proposition_1_suite():
         done += 1
         nn = lorentz_inner(unit_normal(fld, y, z), unit_normal(fld, y, z))
         expect = 1.0 if cls is CausalClass.TIMELIKE else -1.0
-        worst_nn = max(worst_nn, abs(nn - expect))
+        worst_nn = worst([worst_nn, nn - expect])
     ok_nn = worst_nn <= 1e-10
 
     ok = ok_h and ok_light and ok_nn
@@ -171,8 +172,7 @@ def test_criterion_4_weierstrass_round_trip():
             done += 1
             num = we_integrate(d, z)
             cf = closed_form_point(d, z)
-            worst_quad = max(worst_quad, abs(num.x - cf.x), abs(num.y - cf.y),
-                             abs(num.z - cf.z))
+            worst_quad = worst([worst_quad, num.x - cf.x, num.y - cf.y, num.z - cf.z])
     ok_quad = worst_quad <= 1e-8
 
     sch = catalog_surface("scherk_first_kind")
@@ -184,8 +184,8 @@ def test_criterion_4_weierstrass_round_trip():
         if sch.excluded(z) or h2.excluded(z) or abs(z) < 0.3:
             continue
         done += 1
-        worst_sch = max(worst_sch, nonparametric_check(sch, "scherk_first_kind", z))
-        worst_h2 = max(worst_h2, nonparametric_check(h2, "helicoid_second_kind", z))
+        worst_sch = worst([worst_sch, nonparametric_check(sch, "scherk_first_kind", z)])
+        worst_h2 = worst([worst_h2, nonparametric_check(h2, "helicoid_second_kind", z)])
     ok_rel = worst_sch <= 1e-10 and worst_h2 <= 1e-10
 
     ok = ok_quad and ok_rel
@@ -203,21 +203,21 @@ def test_criterion_5_family_suite():
         a = rng.uniform(-0.85 * math.pi, 0.85 * math.pi)
         pts.append(r * cmath.exp(1j * a))
 
-    worst_cr = max(conjugacy_check(pair, z) for z in pts)
+    worst_cr = worst([conjugacy_check(pair, z) for z in pts])
     ok_cr = worst_cr <= 1e-6
 
     worst_iso = 0.0
     for theta in THETAS:
         surf = associate_family(pair, theta)
         for z in pts:
-            worst_iso = max(worst_iso, *isothermal_check(surf, z))
+            worst_iso = worst([worst_iso, *isothermal_check(surf, z)])
     ok_iso = worst_iso <= 1e-6
 
     worst_wh = 0.0
     for theta in THETAS:
         wp = calibrate_offsets(catalog_whitham(theta), pair)
         for z in pts:
-            worst_wh = max(worst_wh, *whitham_verify(wp, soliton_family(pair, theta, z)))
+            worst_wh = worst([worst_wh, *whitham_verify(wp, soliton_family(pair, theta, z))])
     ok_wh = worst_wh <= 1e-8
 
     worst_con = 0.0
@@ -228,7 +228,7 @@ def test_criterion_5_family_suite():
         if abs(z) < 0.1:
             continue
         done += 1
-        worst_con = max(worst_con, whitham_constraint_defect(wp, z))
+        worst_con = worst([worst_con, whitham_constraint_defect(wp, z)])
     ok_con = worst_con <= 1e-12
 
     ok = ok_cr and ok_iso and ok_wh and ok_con
@@ -275,7 +275,7 @@ def test_criterion_6_identities():
         done += 1
         p = surf.eval(z)
         r = helicoid2_identity(z, 10)
-        worst_ratio = max(worst_ratio, abs(r.lhs - p.z / p.x))
+        worst_ratio = worst([worst_ratio, r.lhs - p.z / p.x])
     ok_ratio = worst_ratio <= 1e-10
 
     ok = ok_scherk and ok_arctan and ok_quadrants and ok_ratio

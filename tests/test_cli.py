@@ -370,6 +370,12 @@ def test_readme_commands_run_without_scipy(tmp_path):
     (["geometry", "classify", "--solution", "wick_helicoid_first_kind", "--k", "-0.0"],
      "error: wick_helicoid_first_kind needs k != 0\n"),
     (["family", "--seed", "-1"], "error: argument --seed: must be at least 0, got -1\n"),
+    (["identity", "--name", "ram_arctan_sum"],
+     "error: argument --X: required by ram_arctan_sum\n"),
+    (["identity", "--name", "ram_cos_product", "--X", "0.3"],
+     "error: argument --A: required by ram_cos_product\n"),
+    (["identity", "--name", "scherk_identity"],
+     "error: argument --zeta: required by scherk_identity\n"),
 ])
 def test_numeric_arguments_must_be_finite(argv, message, capsys):
     code, out, err = run(argv, capsys)

@@ -17,7 +17,6 @@ from solitonlab.geometry import (
     classify_grid,
     example1_graph,
     fundamental_forms,
-    graph_point_report,
     isothermal_check,
     mean_curvature,
     timelike_indicator,
@@ -141,8 +140,8 @@ def test_example1_satisfies_born_infeld_off_degenerate_set():
     g = example1_graph()
     worst_h, worst_num = 0.0, 0.0
     for (y, z) in GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21).points():
-        worst_h = max(worst_h, abs(mean_curvature(g, y, z)))
-        worst_num = max(worst_num, abs(born_infeld_numerator(g, y, z)))
+        worst_h = pde.worst([worst_h, mean_curvature(g, y, z)])
+        worst_num = pde.worst([worst_num, born_infeld_numerator(g, y, z)])
     assert worst_h <= 1e-6
     assert worst_num <= 1e-6
 
@@ -192,18 +191,6 @@ def test_lightlike_set_detected_exactly_on_diagonals():
             assert abs(abs(y) - abs(z)) >= step - 1e-12
     on_lines = [(y, z) for (y, z) in grid.points() if abs(y) == abs(z)]
     assert set(hits) == set(on_lines)
-
-
-def test_graph_point_report_shape():
-    g = example1_graph()
-    rep = graph_point_report(g, 0.5, 1.5)
-    assert rep.causal is CausalClass.TIMELIKE
-    assert rep.normal is not None and rep.H is not None and rep.forms is not None
-    light = graph_point_report(g, 1.0, 1.0)
-    assert light.causal is CausalClass.LIGHTLIKE
-    assert light.normal is None and light.H is None and light.forms is None
-    d = light.to_json_dict()
-    assert d["causal"] == "lightlike" and d["H"] is None
 
 
 def test_classify_grid_rows():
@@ -318,26 +305,46 @@ def test_classify_grid_central_stencils_next_to_an_exclusion_are_lightlike():
     assert all(r[2] == "timelike" for r in rows if r[0] > 0.0)
 
 
-def test_graph_point_report_builds_one_jet(monkeypatch):
+@pytest.mark.parametrize("fld,points", [
+    # an infinite value with finite slopes (W = 1.24)
+    (ScalarField2(lambda y, z: 0.5 * y + 0.1 * z + math.inf), [(0.2, 0.3)]),
+    # slopes that overflow to inf
+    (ScalarField2(lambda y, z: z * z * 1e300 * 1e10), [(0.1, 0.5)]),
+    # a real value with a non-real W = 1 - 0.5i
+    (ScalarField2(lambda y, z: (1 + 1j) * y * z), [(0.5, 0.0)]),
+    # the degenerate diagonals and the points around them
+    (example1_graph(), [(1.0, 1.0), (0.5, 1.5), (0.3, -1.2),
+                        *GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17).points()]),
+], ids=["inf", "overflow", "non_real_W", "example1"])
+def test_degenerate_error_exactly_where_lightlike(fld, points, monkeypatch):
     calls = []
     monkeypatch.setattr(geometry, "jet", lambda *a: calls.append(a) or jet(*a))
-    g = example1_graph()
-    for (y, z) in [(0.5, 1.5), (1.0, 1.0), (0.3, -1.2)]:
-        calls.clear()
-        rep = graph_point_report(g, y, z)
-        assert len(calls) == 1
-        want = (None, None, None) if rep.causal is CausalClass.LIGHTLIKE else (
-            fundamental_forms(g, y, z), unit_normal(g, y, z), mean_curvature(g, y, z))
-        assert (rep.forms, rep.normal, rep.H) == want
-        assert rep.causal is causal_classify(g, y, z)
-    # a non-real value, then a non-real numerator: the errors of the parts
-    for fld, y, z, what in ((solution("scherk_minimal").field, 0.3, 2.0, "field value"),
-                            (ScalarField2(lambda y, z: y + 0.01j * z * z), 0.2, 0.0,
-                             "Born-Infeld numerator")):
-        with pytest.raises(DomainError, match=what):
-            graph_point_report(fld, y, z)
-        with pytest.raises(DomainError, match=what):
-            fundamental_forms(fld, y, z) if what == "field value" else mean_curvature(fld, y, z)
+    lightlike = 0
+    for (y, z) in points:
+        if fld.excluded(y, z):
+            continue
+        light = causal_classify(fld, y, z) is CausalClass.LIGHTLIKE
+        lightlike += light
+        for part in (fundamental_forms, unit_normal, mean_curvature):
+            calls.clear()
+            try:
+                part(fld, y, z)
+            except DegenerateError:
+                raised = True
+            else:
+                raised = False
+            assert raised == light, (part.__name__, y, z)
+            assert len(calls) == 1  # one jet per point
+    assert lightlike
+
+
+def test_non_real_value_or_numerator_raises_domain_error():
+    scherk = solution("scherk_minimal").field
+    for part in (fundamental_forms, unit_normal, mean_curvature):
+        with pytest.raises(DomainError, match="field value"):
+            part(scherk, 0.3, 2.0)
+    with pytest.raises(DomainError, match="Born-Infeld numerator"):
+        mean_curvature(ScalarField2(lambda y, z: y + 0.01j * z * z), 0.2, 0.0)
 
 
 def test_non_finite_jet_is_lightlike():
@@ -347,7 +354,9 @@ def test_non_finite_jet_is_lightlike():
     rows = classify_grid(fld, grid)
     assert _row_bits(rows) == _row_bits(_point_rows(fld, grid))
     assert all(r[2] == "lightlike" and math.isnan(r[3]) for r in rows)
-    assert graph_point_report(fld, 0.2, 0.3).causal is CausalClass.LIGHTLIKE
+    assert causal_classify(fld, 0.2, 0.3) is CausalClass.LIGHTLIKE
+    with pytest.raises(DegenerateError):
+        mean_curvature(fld, 0.2, 0.3)
 
 
 def _counting(fld):
