@@ -26,7 +26,6 @@ from .family import (
 from .geometry import (
     CausalClass,
     FundForms,
-    born_infeld_numerator,
     causal_classify,
     example1_graph,
     fundamental_forms,
@@ -43,15 +42,13 @@ from .identities import (
     ram_cos_product,
     scherk_identity,
 )
-from .jetmath import TJet, conj
+from .jetmath import TJet, conj, power
 from .pde import (
     Equation,
     GridSpec,
     ResidualReport,
     SolutionEntry,
-    born_infeld_residual,
-    maximal_residual,
-    minimal_residual,
+    equation_residual,
     residual_sweep,
     solution,
     wick_rotate_t,

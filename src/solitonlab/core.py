@@ -112,7 +112,8 @@ def exclusion_mask(is_excluded: Optional[Callable], *coords: np.ndarray) -> np.n
     shape = coords[0].shape
     if is_excluded is None:
         return np.zeros(shape, dtype=bool)
-    return np.broadcast_to(np.asarray(is_excluded(*coords), dtype=bool), shape)
+    mask = np.asarray(is_excluded(*coords), dtype=bool)
+    return mask if mask.shape == shape else np.broadcast_to(mask, shape)
 
 
 def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
@@ -125,9 +126,27 @@ def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
         raise DomainError(message.format(a.flat[i].item(), b.flat[i].item()))
 
 
+def _stencil(a, b, h: float) -> tuple:
+    """The a and b coordinates of the nine points of the central-difference
+    stencil with step h at (a, b): the point, then its eight neighbours on
+    the 3 x 3 square of side 2h; the one place the stencil's shape is written."""
+    return ((a, a + h, a - h, a, a, a + h, a + h, a - h, a - h),
+            (b, b, b, b + h, b - h, b + h, b - h, b + h, b - h))
+
+
+def stencil_blocked(fld: ScalarField2, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bool array of ``a.shape``, True where the central-difference stencil of
+    ``fld``'s backend at the points (a, b) reaches a point that ``fld``
+    excludes, from one predicate call; all False, without a call, for the
+    ``ExactJet`` backend or a field without exclusions."""
+    if not isinstance(fld.backend, CentralDiff) or fld.domain_exclusions is None:
+        return np.zeros(a.shape, dtype=bool)
+    sa, sb = _stencil(a, b, fld.backend.h)
+    return fld.excluded_mask(np.stack(sa, axis=-1), np.stack(sb, axis=-1)).any(axis=-1)
+
+
 def _central_jet(fld: ScalarField2, a, b, h: float) -> TJet:
-    sa = (a, a + h, a - h, a, a, a + h, a + h, a - h, a - h)
-    sb = (b, b, b, b + h, b - h, b + h, b - h, b + h, b - h)
+    sa, sb = _stencil(a, b, h)
     if fld.domain_exclusions is not None:
         # stencil on the last axis: the first hit lies in the first (a, b) that has one
         _require_kept(fld, np.stack(sa, axis=-1), np.stack(sb, axis=-1),

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LVec3, ScalarField2, jet, lorentz_inner, nonreal
+from .core import LVec3, ScalarField2, jet, lorentz_inner, nonreal, stencil_blocked
 from .errors import DegenerateError, DomainError
 from .jetmath import TJet
-from .pde import (SINGULAR, Equation, GridSpec, _residual_from_jet, kept_points,
+from .pde import (_BLOCK, SINGULAR, Equation, GridSpec, _residual_from_jet, kept_points,
                   sweep_blocks, wick_lorentzian_catenoid_field, worst)
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
@@ -59,48 +59,65 @@ def _real(v: complex, what: str) -> float:
     return v.real
 
 
-def _real_jet(fld: ScalarField2, y: float, z: float) -> TJet:
-    j, _ = jet(fld, y, z)
-    _real(j.f, "field value")
-    return j
-
-
-def timelike_indicator(fld: ScalarField2, y: float, z: float) -> float:
-    """W = 1 + phi_y^2 - phi_z^2; sign gives the causal character."""
-    return _real(_indicator(_real_jet(fld, y, z)), "causal indicator")
-
-
 def _causal_rule(j: TJet, w) -> tuple:
     """(timelike, spacelike) of a jet and its W = 1 + phi_y^2 - phi_z^2,
     numbers or arrays (entry by entry): W > tol or W < -tol, with tol =
     ``TOL_DEGENERATE``.  Neither holds (the point is lightlike) where a
     coefficient or W is not finite, W is not real or |W| <= tol."""
-    ok = np.isfinite(w) & np.logical_not(nonreal(w))
-    for c in (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt):
-        ok &= np.isfinite(c)
+    # 0 * c is 0 where c is finite and NaN where it is not: one isfinite call
+    # (numpy warns of 0 * inf in an array outside sweep_blocks' errstate)
+    probe = sum(0 * c for c in (w, j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt))
+    ok = np.isfinite(probe) & np.logical_not(nonreal(w))
     return ok & (w.real > TOL_DEGENERATE), ok & (w.real < -TOL_DEGENERATE)
 
 
-def _jet_off_degenerate(fld: ScalarField2, y: float, z: float):
-    """(jet, W) at a timelike or spacelike point.  DegenerateError where the
-    jet is singular (on a graph the gradient blows up exactly where the
-    tangent plane degenerates) or ``_causal_rule`` calls the point lightlike;
-    DomainError at an excluded point, a central stencil that reaches one, or
-    a non-real field value."""
+def _point(fld: ScalarField2, y: float, z: float) -> tuple:
+    """(class, jet, W) at (y, z) from one ``core.jet`` call, by
+    ``_causal_rule``: the path of every point function.  The jet and W are
+    None at a lightlike point, also where the jet is singular (on a graph the
+    gradient blows up exactly where the tangent plane degenerates).
+    DomainError at an excluded point, at a point whose central stencil
+    reaches one, and at a timelike or spacelike point with a non-real field
+    value."""
     try:
-        j = _real_jet(fld, y, z)
+        j, _ = jet(fld, y, z)
         w = _indicator(j)
-    except SINGULAR as exc:
-        raise DegenerateError(f"jet is singular at ({y}, {z}); gradient blows up "
-                              "on the degenerate set") from exc
-    if not any(_causal_rule(j, w)):
-        raise DegenerateError(f"tangent plane is lightlike at ({y}, {z}): "
-                              f"1 + phi_y^2 - phi_z^2 = {w:g}, or the jet is not finite")
-    return j, w.real
+    except SINGULAR:
+        return CausalClass.LIGHTLIKE, None, None
+    timelike, spacelike = _causal_rule(j, w)
+    if not (timelike or spacelike):
+        return CausalClass.LIGHTLIKE, None, None
+    _real(j.f, "field value")
+    return (CausalClass.TIMELIKE if timelike else CausalClass.SPACELIKE), j, w.real
+
+
+def _live_point(fld: ScalarField2, y: float, z: float) -> tuple:
+    """(jet, W) of ``_point`` at a timelike or spacelike point;
+    DegenerateError where it is lightlike."""
+    _, j, w = _point(fld, y, z)
+    if j is None:
+        raise DegenerateError(f"tangent plane is lightlike at ({y}, {z}), or the jet "
+                              "there is singular or not finite")
+    return j, w
+
+
+def causal_classify(fld: ScalarField2, y: float, z: float) -> CausalClass:
+    """Timelike if W > tol, spacelike if W < -tol, else lightlike, with tol
+    = ``TOL_DEGENERATE`` (``_causal_rule``).
+
+    Points where the jet cannot be computed as finite numbers with a real W
+    (the gradient of a graph blows up exactly where its tangent plane
+    degenerates) classify as lightlike rather than raising, so
+    ``fundamental_forms``, ``unit_normal`` and ``mean_curvature`` raise
+    ``DegenerateError`` exactly where this returns LIGHTLIKE.  All four raise
+    ``DomainError`` at an excluded point, at a point whose central stencil
+    reaches one, and at a timelike or spacelike point with a non-real value.
+    """
+    return _point(fld, y, z)[0]
 
 
 def fundamental_forms(fld: ScalarField2, y: float, z: float) -> FundForms:
-    j, w = _jet_off_degenerate(fld, y, z)
+    j, w = _live_point(fld, y, z)
     py, pz = j.fx.real, j.ft.real
     s = math.sqrt(abs(w))
     E = py * py + 1.0
@@ -111,54 +128,15 @@ def fundamental_forms(fld: ScalarField2, y: float, z: float) -> FundForms:
                      disc=E * G - F * F)
 
 
-def _classify_jet(fld: ScalarField2, y: float, z: float):
-    """(class, jet, W) at (y, z) by ``_causal_rule``; the jet and W are None
-    at lightlike points, also where the jet is singular or raises
-    ``DomainError``."""
-    try:
-        j, _ = jet(fld, y, z)
-        w = _indicator(j)
-    except SINGULAR + (DomainError,):
-        return CausalClass.LIGHTLIKE, None, None
-    timelike, spacelike = _causal_rule(j, w)
-    if timelike:
-        return CausalClass.TIMELIKE, j, w.real
-    if spacelike:
-        return CausalClass.SPACELIKE, j, w.real
-    return CausalClass.LIGHTLIKE, None, None
-
-
-def causal_classify(fld: ScalarField2, y: float, z: float) -> CausalClass:
-    """Timelike if W > tol, spacelike if W < -tol, else lightlike, with tol
-    = ``TOL_DEGENERATE`` (``_causal_rule``).
-
-    Points where the jet cannot be computed as finite numbers with a real W
-    (the gradient of a graph blows up exactly where its tangent plane
-    degenerates) classify as lightlike rather than raising.  At a kept point
-    with a real value, ``fundamental_forms``, ``unit_normal`` and
-    ``mean_curvature`` raise ``DegenerateError`` exactly where this returns
-    LIGHTLIKE, unless a central stencil reaches an excluded point
-    (``DomainError``).
-    """
-    return _classify_jet(fld, y, z)[0]
-
-
 def unit_normal(fld: ScalarField2, y: float, z: float) -> LVec3:
     """N = (1, -phi_y, phi_z)/sqrt|W|; <N,N> = +1 on timelike points, -1 on
     spacelike ones."""
-    j, w = _jet_off_degenerate(fld, y, z)
+    j, w = _live_point(fld, y, z)
     s = math.sqrt(abs(w))
     return LVec3(1.0 / s, -j.fx.real / s, j.ft.real / s)
 
 
-def born_infeld_numerator(fld: ScalarField2, y: float, z: float) -> float:
-    """(1 + phi_y^2) phi_zz - 2 phi_y phi_z phi_yz + (phi_z^2 - 1) phi_yy."""
-    j = _real_jet(fld, y, z)
-    return _real(_residual_from_jet(j, Equation.BORN_INFELD), "Born-Infeld numerator")
-
-
 def _mean_curvature_from_jet(j: TJet, w: float) -> float:
-    _real(j.f, "field value")
     num = _real(_residual_from_jet(j, Equation.BORN_INFELD), "Born-Infeld numerator")
     return -0.5 * num / abs(w) ** 1.5
 
@@ -166,7 +144,7 @@ def _mean_curvature_from_jet(j: TJet, w: float) -> float:
 def mean_curvature(fld: ScalarField2, y: float, z: float) -> float:
     """H = (eps/2)(eG - 2 f F + g E)/(EG - F^2) with eps = +1 timelike,
     -1 spacelike; algebraically equal to -(1/2) N_BI / |W|^(3/2)."""
-    return _mean_curvature_from_jet(*_jet_off_degenerate(fld, y, z))
+    return _mean_curvature_from_jet(*_live_point(fld, y, z))
 
 
 # Class codes of classify_grid's blocks: indexes into _CLASSES.
@@ -184,8 +162,9 @@ def _classify_block(j: TJet) -> np.ndarray:
     num = _residual_from_jet(j, Equation.BORN_INFELD)
     bad = nonreal(j.f[live]) | nonreal(num[live])
     if bad.any():
-        # the error of the scalar path at the first such point
+        # the error of the point path (``_point``, then the numerator) at the first such point
         i = live[np.argmax(bad)]
+        _real(complex(j.f[i]), "field value")
         coefs = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
         _mean_curvature_from_jet(TJet(*(complex(c[i]) for c in coefs)), float(w.real[i]))
     out = np.empty((len(w), 2))
@@ -201,24 +180,32 @@ def _classify_block(j: TJet) -> np.ndarray:
 
 def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     """Rows (y, z, class, H) for a grid sweep; H is NaN off non-degenerate
-    points and excluded points are skipped entirely.
+    points.  Excluded points are skipped entirely, and so are the points whose
+    central stencil reaches an exclusion (``core.stencil_blocked``, one
+    predicate call per block of ``pde._BLOCK`` points), where no jet exists.
 
     Kept points are evaluated in array blocks (``pde.sweep_blocks``), each
     reduced by ``_classify_block``, also where the block's jet is stacked
-    from single points; a point whose jet raises ``DomainError`` (a central
-    stencil next to an exclusion) or a ``pde.SINGULAR`` error is lightlike.
-    The rows are bit-identical to the point-by-point ones (``_classify_jet``)
-    where the jet arithmetic is real, as for ``example1_graph``: ``jetmath``
+    from single points; a point whose jet raises a ``pde.SINGULAR`` error is
+    lightlike.  Exact-jet rows are bit-identical to the point-by-point ones
+    (``causal_classify``, then ``mean_curvature`` off lightlike points) where
+    the jet arithmetic is real, as for ``example1_graph``: ``jetmath``
     divides arrays as CPython divides complex numbers, and |W| ** 1.5 is
     taken with Python floats, because numpy's ``** 1.5`` is not libm's
     ``pow``.  numpy's ufuncs (``tanh``) and its product of two non-real
     numbers (a fused multiply-add on CPUs that have one) may still differ
-    from cmath in the last ulp.  A non-real field value or numerator at a
+    from cmath in the last ulp, and so may a central-difference block, whose
+    complex arrays numpy divides by the step's reciprocal.  A non-real field value or numerator at a
     timelike or spacelike point raises ``DomainError``, at the first such
-    point in grid order."""
+    point in grid order, and so does the stencil of an ``ExactJet`` field
+    that falls back to central differences next to an exclusion."""
     ys, zs, _ = kept_points(fld, grid)
+    clear = np.ones(len(ys), dtype=bool)
+    for s in range(0, len(ys), _BLOCK):
+        clear[s:s + _BLOCK] = ~stencil_blocked(fld, ys[s:s + _BLOCK], zs[s:s + _BLOCK])
+    ys, zs = ys[clear], zs[clear]
     out = np.empty((len(ys), 2))
-    sweep_blocks(fld, ys, zs, out, _classify_block, SINGULAR + (DomainError,))
+    sweep_blocks(fld, ys, zs, out, _classify_block, SINGULAR)
     names = [c.value for c in _CLASSES]
     return [(y, z, names[c], h) for y, z, c, h in
             zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]

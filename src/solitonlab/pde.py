@@ -64,25 +64,8 @@ def _residual_from_jet(j: jm.TJet, equation: Equation) -> complex:
     return (1 + j.fx ** 2) * j.ftt - 2 * j.fx * j.ft * j.fxt + (1 + j.ft ** 2) * j.fxx
 
 
-def born_infeld_residual(fld: ScalarField2, a: float, b: float) -> complex:
-    return equation_residual(fld, Equation.BORN_INFELD, a, b)
-
-
-def maximal_residual(fld: ScalarField2, a: float, b: float) -> complex:
-    return equation_residual(fld, Equation.MAXIMAL, a, b)
-
-
-def minimal_residual(fld: ScalarField2, a: float, b: float) -> complex:
-    return equation_residual(fld, Equation.MINIMAL, a, b)
-
-
-def gradient_spacelike(fld: ScalarField2, a: float, b: float) -> bool:
-    """Whether u_a^2 + u_b^2 < 1 at (a, b); meaningful for real-valued fields."""
-    j, _ = jet(fld, a, b)
-    return j.fx.real ** 2 + j.ft.real ** 2 < 1.0
-
-
 def equation_residual(fld: ScalarField2, equation: Equation, a: float, b: float) -> complex:
+    """The residual of ``equation`` for ``fld`` at the point (a, b)."""
     return _residual_from_jet(jet(fld, a, b)[0], equation)
 
 

@@ -159,6 +159,14 @@ def we_data_rotation(data: WEData, theta: float) -> WEData:
 
 # -- catalog surfaces -------------------------------------------------------
 
+def _near(z, centre: complex, margin: float):
+    """|z - centre| <= margin for a number or a complex array, by the sum of
+    squares: numpy's complex abs (hypot) is not libm's, so abs would let a
+    point and an array that holds it disagree at the margin."""
+    d = z - centre
+    return d.real * d.real + d.imag * d.imag <= margin * margin
+
+
 def lorentzian_helicoid_exclusions(z):
     """The domain predicate of the Lorentzian helicoid's principal branch,
     shared with the helicoid/catenoid pair of ``family``: the puncture at 0
@@ -166,7 +174,7 @@ def lorentzian_helicoid_exclusions(z):
     ``DEFAULT_POLE_MARGIN``.  It takes a number or a complex array, as
     ``SurfaceMap`` describes."""
     margin = DEFAULT_POLE_MARGIN
-    return (abs(z) <= margin) | ((z.real <= 0.0) & (abs(z.imag) <= margin))
+    return _near(z, 0, margin) | ((z.real <= 0.0) & (abs(z.imag) <= margin))
 
 
 def catalog_surface(name: str) -> SurfaceMap:
@@ -190,20 +198,20 @@ def catalog_surface(name: str) -> SurfaceMap:
             tau = u + 1j * v
             return (-0.5 * jm.re(tau - 1 / tau), -0.5 * jm.im(tau + 1 / tau),
                     -jm.re(jm.log(tau)))
-        return SurfaceMap(comps, lambda z: abs(z) <= margin)
+        return SurfaceMap(comps, lambda z: _near(z, 0, margin))
     if name == "scherk_first_kind":
         def comps(u, v):
             z = u + 1j * v
             return (jm.re(jm.log((z + 1) / (z - 1))),
                     jm.re(jm.log((z - 1j) / (z + 1j))),
                     jm.re(jm.log((z * z - 1) / (z * z + 1))))
-        return SurfaceMap(comps, lambda z: ((abs(z - 1) <= margin) | (abs(z + 1) <= margin)
-                                            | (abs(z - 1j) <= margin) | (abs(z + 1j) <= margin)))
+        return SurfaceMap(comps, lambda z: (_near(z, 1, margin) | _near(z, -1, margin)
+                                            | _near(z, 1j, margin) | _near(z, -1j, margin)))
     if name == "helicoid_second_kind":
         def comps(u, v):
             z = u + 1j * v
             return (-0.5 * jm.im(z - 1 / z), -jm.re(jm.log(z)), -0.5 * jm.im(z + 1 / z))
-        return SurfaceMap(comps, lambda z: abs(z) <= margin)
+        return SurfaceMap(comps, lambda z: _near(z, 0, margin))
     raise UnknownSurface(f"no catalog surface named {name!r}")
 
 
@@ -287,9 +295,11 @@ def _rel_helicoid2(x, y, z):
 
 
 def _rel_lorentzian_helicoid(x, y, z):
+    # the height arg spans two sheets of atan(y/x): the relation holds modulo pi
     if x == 0.0:
         raise DomainError("relation undefined on x = 0")
-    return abs(z - (0.5 * math.pi + math.atan(y / x)))
+    d = z - (0.5 * math.pi + math.atan(y / x))
+    return abs(d - math.pi * round(d / math.pi))
 
 
 def _rel_lorentzian_catenoid(x, y, z):

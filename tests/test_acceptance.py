@@ -24,7 +24,6 @@ from solitonlab.family import (
 )
 from solitonlab.geometry import (
     CausalClass,
-    born_infeld_numerator,
     causal_classify,
     example1_graph,
     isothermal_check,
@@ -45,6 +44,7 @@ from solitonlab.pde import (
     Equation,
     GridSpec,
     catalog_names,
+    equation_residual,
     residual_sweep,
     solution,
     wick_rotate_x,
@@ -101,7 +101,7 @@ def test_criterion_3_proposition_1_suite():
     worst_h = worst_num = 0.0
     for (y, z) in GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21).points():
         worst_h = worst([worst_h, mean_curvature(g, y, z)])
-        worst_num = worst([worst_num, born_infeld_numerator(g, y, z)])
+        worst_num = worst([worst_num, equation_residual(g, Equation.BORN_INFELD, y, z)])
     ok_h = worst_h <= 1e-6 and worst_num <= 1e-6
 
     # lightlike detection within one grid step of y = +-z, nowhere else

@@ -25,7 +25,7 @@ from solitonlab.family import (
 )
 from solitonlab.geometry import isothermal_check
 from solitonlab.jetmath import TJet
-from solitonlab.pde import born_infeld_residual
+from solitonlab.pde import Equation, equation_residual
 from solitonlab.weierstrass import SurfaceMap, catalog_surface
 
 THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
@@ -222,7 +222,7 @@ def test_graph_residual_machinery_against_direct_residual():
             xs = TJet.seed_a(u)
             ts = TJet.seed_b(v)
             got = graph_residual_from_jets(xs, ts, ps)
-            want = born_infeld_residual(fld, u, v)
+            want = equation_residual(fld, Equation.BORN_INFELD, u, v)
             assert abs(got - want) <= 1e-10
 
 

@@ -10,16 +10,12 @@ from solitonlab.core import CentralDiff, LVec3, ScalarField2, jet, lorentz_inner
 from solitonlab.errors import DegenerateError, DomainError
 from solitonlab.geometry import (
     CausalClass,
-    _classify_jet,
-    _mean_curvature_from_jet,
-    born_infeld_numerator,
     causal_classify,
     classify_grid,
     example1_graph,
     fundamental_forms,
     isothermal_check,
     mean_curvature,
-    timelike_indicator,
     unit_normal,
 )
 from solitonlab.pde import DEFAULT_GRIDS, GridSpec, catalog_names, solution
@@ -60,7 +56,8 @@ def test_example1_degenerate_point():
 def test_example1_classification_matches_sign_oracle():
     g = example1_graph()
     for (y, z) in [(0.0, 1.5), (0.3, 1.2), (-0.7, 2.0), (0.5, -1.1)]:
-        w = timelike_indicator(g, y, z)
+        j, _ = jet(g, y, z)
+        w = 1 + j.fx.real ** 2 - j.ft.real ** 2
         expect = CausalClass.TIMELIKE if w > 0 else (
             CausalClass.SPACELIKE if w < 0 else CausalClass.LIGHTLIKE)
         assert causal_classify(g, y, z) is expect
@@ -124,7 +121,7 @@ def test_printed_mean_curvature_forms():
 
 def test_numerator_vanishes_for_affine_and_relates_to_H():
     aff = ScalarField2(lambda y, z: 2 * y - 3 * z + 1)
-    assert born_infeld_numerator(aff, 0.3, 0.4) == 0
+    assert pde.equation_residual(aff, pde.Equation.BORN_INFELD, 0.3, 0.4) == 0
     g = example1_graph()
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -132,7 +129,7 @@ def test_numerator_vanishes_for_affine_and_relates_to_H():
         z = rng.uniform(1.5, 3.0)
         ff = fundamental_forms(g, y, z)
         h = mean_curvature(g, y, z)
-        num = born_infeld_numerator(g, y, z)
+        num = pde.equation_residual(g, pde.Equation.BORN_INFELD, y, z)
         assert abs(num - (-2.0 * h * abs(ff.disc) ** 1.5)) <= 1e-8
 
 
@@ -141,7 +138,7 @@ def test_example1_satisfies_born_infeld_off_degenerate_set():
     worst_h, worst_num = 0.0, 0.0
     for (y, z) in GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21).points():
         worst_h = pde.worst([worst_h, mean_curvature(g, y, z)])
-        worst_num = pde.worst([worst_num, born_infeld_numerator(g, y, z)])
+        worst_num = pde.worst([worst_num, pde.equation_residual(g, pde.Equation.BORN_INFELD, y, z)])
     assert worst_h <= 1e-6
     assert worst_num <= 1e-6
 
@@ -213,14 +210,23 @@ def test_isothermal_check_affine_surface():
     assert isothermal_check(affine, 0.3 + 0.8j) == (0.0, 0.0, 0.0)
 
 
+def _stencil_kept(fld, y, z):
+    """Whether fld keeps (y, z) and, for a central backend with step h, the
+    3 x 3 square of points (y + i h, z + k h), i, k in {-1, 0, 1}."""
+    h = fld.backend.h if isinstance(fld.backend, CentralDiff) else 0.0
+    return not any(fld.excluded(y + dy, z + dz) for dy in (-h, 0.0, h) for dz in (-h, 0.0, h))
+
+
 def _point_rows(fld, grid):
-    """classify_grid computed one point at a time: the reference."""
+    """classify_grid computed one point at a time through the public point
+    functions: the reference."""
     rows = []
     for (y, z) in grid.points():
-        if fld.excluded(y, z):
+        if not _stencil_kept(fld, y, z):
             continue
-        causal, j, w = _classify_jet(fld, y, z)
-        rows.append((y, z, causal.value, math.nan if j is None else _mean_curvature_from_jet(j, w)))
+        causal = causal_classify(fld, y, z)
+        h = math.nan if causal is CausalClass.LIGHTLIKE else mean_curvature(fld, y, z)
+        rows.append((y, z, causal.value, h))
     return rows
 
 
@@ -293,16 +299,39 @@ def test_classify_grid_takes_the_point_path_for_math_evaluators():
     assert {r[2] for r in rows} == {"timelike", "spacelike"}
 
 
-def test_classify_grid_central_stencils_next_to_an_exclusion_are_lightlike():
+def test_classify_grid_skips_central_stencils_that_reach_an_exclusion():
     fld = ScalarField2(lambda y, z: 0.3 * y * y + 0.2 * z * z, backend=CentralDiff(0.05),
                        domain_exclusions=lambda y, z: y < 0.0)
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)
     rows = classify_grid(fld, grid)
-    assert _row_bits(rows) == _row_bits(_point_rows(fld, grid))
-    # the kept column y = 0 has stencils at y = -0.05: those points are lightlike
-    edge = [r for r in rows if r[0] == 0.0]
-    assert len(edge) == 21 and all(r[2] == "lightlike" and math.isnan(r[3]) for r in edge)
-    assert all(r[2] == "timelike" for r in rows if r[0] > 0.0)
+    want = _point_rows(fld, grid)
+    # numpy divides the stencil's complex arrays by a reciprocal: roundoff apart
+    assert [r[:3] for r in rows] == [r[:3] for r in want]
+    assert all(abs(g[3] - w[3]) <= 1e-12 * abs(w[3]) for g, w in zip(rows, want))
+    # the kept column y = 0 has stencils at y = -0.05: no jet exists there
+    assert {r[0] for r in rows} == {y for (y, _) in grid.points() if y > 0.0}
+    assert all(r[2] == "timelike" for r in rows)
+    for y, z in ((0.0, 0.3), (-0.5, 0.3)):
+        for part in (causal_classify, fundamental_forms, unit_normal, mean_curvature):
+            with pytest.raises(DomainError):
+                part(fld, y, z)
+
+
+def test_central_classify_of_example1_agrees_with_the_exact_rows():
+    # 179 of the kept points have a stencil that reaches z^2 < y^2
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101)
+    exact = {(y, z): c for (y, z, c, _) in classify_grid(example1_graph(), grid)}
+    central = with_backend(example1_graph(), CentralDiff())
+    rows = classify_grid(central, grid)
+    kept = [(y, z) for (y, z) in exact if _stencil_kept(central, y, z)]
+    assert len(exact) == 5179 and len(kept) == 5000
+    assert [(y, z) for (y, z, _, _) in rows] == kept
+    assert all(c == exact[y, z] == "timelike" for (y, z, c, _) in rows)
+    blocked = next(p for p in exact if not _stencil_kept(central, *p))
+    for part in (causal_classify, fundamental_forms, unit_normal, mean_curvature):
+        for y, z in ((1.0, 0.5), blocked):
+            with pytest.raises(DomainError):
+                part(central, y, z)
 
 
 @pytest.mark.parametrize("fld,points", [
@@ -323,7 +352,9 @@ def test_degenerate_error_exactly_where_lightlike(fld, points, monkeypatch):
     for (y, z) in points:
         if fld.excluded(y, z):
             continue
+        calls.clear()
         light = causal_classify(fld, y, z) is CausalClass.LIGHTLIKE
+        assert len(calls) == 1
         lightlike += light
         for part in (fundamental_forms, unit_normal, mean_curvature):
             calls.clear()

@@ -15,13 +15,9 @@ from solitonlab.pde import (
     WICK_GRIDS,
     Equation,
     GridSpec,
-    born_infeld_residual,
     catalog_names,
     equation_residual,
-    gradient_spacelike,
     kept_points,
-    maximal_residual,
-    minimal_residual,
     residual_sweep,
     solution,
     summarize,
@@ -34,25 +30,24 @@ from solitonlab.pde import (
 
 def test_affine_fields_solve_all_three_equations_exactly():
     fld = ScalarField2(lambda a, b: 3 * a + 2 * b - 1)
-    assert born_infeld_residual(fld, 0.3, -0.8) == 0
-    assert maximal_residual(fld, 0.3, -0.8) == 0
-    assert minimal_residual(fld, 0.3, -0.8) == 0
+    for equation in Equation:
+        assert equation_residual(fld, equation, 0.3, -0.8) == 0
 
 
 def test_born_infeld_wick_scherk_point():
-    assert abs(born_infeld_residual(wick_scherk_field(), 0.3, 0.5)) <= 1e-6
+    assert abs(equation_residual(wick_scherk_field(), Equation.BORN_INFELD, 0.3, 0.5)) <= 1e-6
 
 
 def test_born_infeld_wick_helicoid2_point():
     fld = ScalarField2(lambda a, b: 1j * a * jm.tanh(b))
-    assert abs(born_infeld_residual(fld, 0.7, 0.2)) <= 1e-6
+    assert abs(equation_residual(fld, Equation.BORN_INFELD, 0.7, 0.2)) <= 1e-6
 
 
 def test_maximal_catenoid_and_helicoid_points():
     cat = solution("lorentzian_catenoid").field
-    assert abs(maximal_residual(cat, 1.0, 1.0)) <= 1e-6
+    assert abs(equation_residual(cat, Equation.MAXIMAL, 1.0, 1.0)) <= 1e-6
     heli = solution("helicoid_first_kind", k=2.0).field
-    assert abs(maximal_residual(heli, 1.0, 0.5)) <= 1e-6
+    assert abs(equation_residual(heli, Equation.MAXIMAL, 1.0, 0.5)) <= 1e-6
 
 
 def _helicoid_partials(a, b):
@@ -87,7 +82,7 @@ def test_minimal_solutions_against_substitution_oracle(name, point, partials):
               - 2 * p["vx"] * p["vt"] * p["vxt"]
               + (1 + p["vt"] ** 2) * p["vxx"])
     assert abs(oracle) <= 1e-12
-    assert abs(minimal_residual(solution(name).field, *point)) <= 1e-6
+    assert abs(equation_residual(solution(name).field, Equation.MINIMAL, *point)) <= 1e-6
 
 
 def test_wick_x_helicoid_first_kind_closed_form():
@@ -163,13 +158,6 @@ def test_wick_scherk_conditionally_real():
             assert abs(v.imag) <= 1e-12
         else:
             assert abs(v.imag) > 0.1  # the constant i*pi branch
-
-
-def test_gradient_spacelike_flag():
-    cat = solution("lorentzian_catenoid").field
-    assert gradient_spacelike(cat, 1.0, 1.0)
-    steep = ScalarField2(lambda a, b: 2.0 * a)
-    assert not gradient_spacelike(steep, 0.0, 0.0)
 
 
 def test_grid_spec_roundtrip_and_validation():

@@ -165,6 +165,16 @@ def test_nonparametric_relation_over_grids():
         surf = catalog_surface(name)
         for z in _sample_points(name, 30, seed=9):
             assert nonparametric_check(surf, rel, z) <= 1e-10
+    # the Lorentzian surfaces over [-2.5, 2.5]^2, both half planes: the
+    # helicoid's height arg spans two sheets of atan(y/x), so its relation
+    # holds modulo pi
+    zetas = [complex(*p) for p in np.random.default_rng(9).uniform(-2.5, 2.5, (400, 2))]
+    assert min(z.imag for z in zetas) < 0.0 < max(z.imag for z in zetas)
+    for name in ("lorentzian_helicoid", "lorentzian_catenoid"):
+        surf = catalog_surface(name)
+        for z in zetas:
+            if not surf.excluded(z):
+                assert nonparametric_check(surf, name, z) <= 1e-10
 
 
 def test_rotation_theta_zero_and_pi():
