@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,24 +34,11 @@ class Equation(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Realness:
-    """Whether a catalog solution is real-valued, and where."""
-
-    kind: str  # "real" | "complex" | "conditional"
-    predicate: Optional[Callable[[float, float], bool]] = None
-
-
-REAL = Realness("real")
-COMPLEX = Realness("complex")
-
-
-@dataclass(frozen=True)
 class SolutionEntry:
     name: str
     field: ScalarField2
     equation: Equation
     domain_note: str
-    realness: Realness
 
 
 def _residual_from_jet(j: jm.TJet, equation: Equation) -> complex:
@@ -335,31 +322,27 @@ def scherk_minimal_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
                   lambda a, b: (abs(np.cos(a)) <= margin) | (abs(np.cos(b)) <= margin))
 
 
-# name -> (builder, the arguments of ``solution`` it takes, equation, domain, realness)
+# name -> (builder, the arguments of ``solution`` it takes, equation, domain)
 _CATALOG_BUILDERS = {
     "helicoid_first_kind": (
         helicoid_first_kind_field, ("k", "margin"), Equation.MAXIMAL,
-        "a != 0; k != 0 (default 1)", REAL),
+        "a != 0; k != 0 (default 1)"),
     "helicoid_second_kind": (
-        helicoid_second_kind_field, ("k",), Equation.MAXIMAL, "entire plane", REAL),
+        helicoid_second_kind_field, ("k",), Equation.MAXIMAL, "entire plane"),
     "lorentzian_catenoid": (
-        lorentzian_catenoid_field, ("margin",), Equation.MAXIMAL, "(a, b) != (0, 0)", REAL),
-    "scherk_first_kind": (
-        scherk_first_kind_field, (), Equation.MAXIMAL, "entire plane", REAL),
+        lorentzian_catenoid_field, ("margin",), Equation.MAXIMAL, "(a, b) != (0, 0)"),
+    "scherk_first_kind": (scherk_first_kind_field, (), Equation.MAXIMAL, "entire plane"),
     "wick_helicoid_first_kind": (
         wick_helicoid_first_kind_field, ("k", "margin"), Equation.BORN_INFELD,
-        "|b| < |a| (conservative implementation choice)", COMPLEX),
+        "|b| < |a| (conservative implementation choice)"),
     "wick_helicoid_second_kind": (
-        wick_helicoid_second_kind_field, ("k",), Equation.BORN_INFELD, "entire plane", COMPLEX),
-    "wick_scherk": (
-        wick_scherk_field, ("margin",), Equation.BORN_INFELD, "cos a != 0",
-        Realness("conditional", lambda a, b: np.cos(a) > 0)),
+        wick_helicoid_second_kind_field, ("k",), Equation.BORN_INFELD, "entire plane"),
+    "wick_scherk": (wick_scherk_field, ("margin",), Equation.BORN_INFELD, "cos a != 0"),
     "wick_lorentzian_catenoid": (
-        wick_lorentzian_catenoid_field, ("margin",), Equation.BORN_INFELD, "|b| > |a|", REAL),
-    "helicoid_minimal": (
-        helicoid_minimal_field, ("margin",), Equation.MINIMAL, "a != 0", REAL),
+        wick_lorentzian_catenoid_field, ("margin",), Equation.BORN_INFELD, "|b| > |a|"),
+    "helicoid_minimal": (helicoid_minimal_field, ("margin",), Equation.MINIMAL, "a != 0"),
     "scherk_minimal": (
-        scherk_minimal_field, ("margin",), Equation.MINIMAL, "cos a != 0, cos b != 0", REAL),
+        scherk_minimal_field, ("margin",), Equation.MINIMAL, "cos a != 0, cos b != 0"),
 }
 
 # Default sweep grids keep a safe distance from each entry's singular locus.
@@ -393,11 +376,11 @@ def solution(name: str, k: float = 1.0, margin: float = DEFAULT_MARGIN) -> Solut
     """Build a catalog entry; ``k`` feeds the helicoid families and ``margin``
     the entries with exclusions, others ignore them."""
     try:
-        builder, takes, eqn, note, realness = _CATALOG_BUILDERS[name]
+        builder, takes, eqn, note = _CATALOG_BUILDERS[name]
     except KeyError:
         raise UnknownSurface(f"no catalog solution named {name!r}") from None
     params = {"k": k, "margin": margin}
-    return SolutionEntry(name, builder(**{p: params[p] for p in takes}), eqn, note, realness)
+    return SolutionEntry(name, builder(**{p: params[p] for p in takes}), eqn, note)
 
 
 def catalog() -> list:

@@ -1,5 +1,6 @@
 """Weierstrass-Enneper integration of maximal surfaces from data M(omega),
-plus the catalog of closed-form parametrized surfaces.
+plus the catalog of closed-form parametrized surfaces and their
+nonparametric relations, read off the graphs of the ``pde`` catalog.
 
 Two integral representations are supported.  Writing X = (x, y, z) with z on
 the timelike axis:
@@ -23,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jetmath as jm
+from . import pde
 from .core import LVec3, exclusion_mask, nonreal
 from .errors import DomainError, UnknownSurface
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
@@ -284,43 +286,35 @@ def we_catalog(name: str) -> WEData:
 
 # -- nonparametric relations ------------------------------------------------
 
-def _rel_scherk(x, y, z):
-    return abs(z - (math.log(math.cosh(y)) - math.log(math.cosh(x))))
-
-
-def _rel_helicoid2(x, y, z):
-    if x * x > math.cosh(y) ** 2 * (1 + 1e-12):
-        raise DomainError(f"helicoid-2 relation needs x^2 <= cosh^2 y, got x={x}, y={y}")
-    return abs(z + x * math.tanh(y))
-
-
-def _rel_lorentzian_helicoid(x, y, z):
-    # the height arg spans two sheets of atan(y/x): the relation holds modulo pi
-    if x == 0.0:
-        raise DomainError("relation undefined on x = 0")
-    d = z - (0.5 * math.pi + math.atan(y / x))
-    return abs(d - math.pi * round(d / math.pi))
-
-
-def _rel_lorentzian_catenoid(x, y, z):
-    # the catenoid x^2 + y^2 = sinh^2 z is symmetric under z -> -z; the
-    # relation fixes the sheet by |z|
-    return abs(abs(z) - math.asinh(math.hypot(x, y)))
-
-
-RELATIONS = {
-    "scherk_first_kind": _rel_scherk,
-    "helicoid_second_kind": _rel_helicoid2,
-    "lorentzian_helicoid": _rel_lorentzian_helicoid,
-    "lorentzian_catenoid": _rel_lorentzian_catenoid,
+# surface -> (``pde`` catalog entry, sign, offset, sheet rule, outside): the
+# surface is the graph z = sign * entry(x, y) + offset, modulo pi for the
+# helicoid (its height arg spans two sheets of atan(y/x)) and in |z| for the
+# catenoid (x^2 + y^2 = sinh^2 z is symmetric under z -> -z); ``outside(x,
+# y)``, where given, holds off the image of the parametrization.
+GRAPHS = {
+    "scherk_first_kind": ("scherk_first_kind", 1.0, 0.0, None, None),
+    "helicoid_second_kind": ("helicoid_second_kind", -1.0, 0.0, None,
+                             lambda x, y: x * x > math.cosh(y) ** 2 * (1 + 1e-12)),
+    "lorentzian_helicoid": ("helicoid_first_kind", 1.0, 0.5 * math.pi, "mod pi", None),
+    "lorentzian_catenoid": ("lorentzian_catenoid", 1.0, 0.0, "|z|", None),
 }
 
 
 def nonparametric_check(surface: SurfaceMap, relation: str, zeta: complex) -> float:
-    """|defining relation| at the surface point over parameter zeta."""
+    """|defining relation| at the surface point over parameter zeta, against
+    the graph ``GRAPHS[relation]``.  The entry's field is built with margin
+    0, so ``DomainError`` is raised exactly where it excludes (x, y), and
+    where ``outside`` holds."""
     try:
-        rel = RELATIONS[relation]
+        entry, sign, offset, sheet, outside = GRAPHS[relation]
     except KeyError:
         raise UnknownSurface(f"no nonparametric relation named {relation!r}") from None
     p = surface.eval(zeta)
-    return rel(p.x, p.y, p.z)
+    fld = pde.solution(entry, margin=0.0).field
+    if fld.excluded(p.x, p.y) or (outside is not None and outside(p.x, p.y)):
+        raise DomainError(f"({p.x}, {p.y}) is off the graph of {entry}")
+    height = sign * complex(fld.evaluator(p.x, p.y)).real + offset
+    d = (abs(p.z) if sheet == "|z|" else p.z) - height
+    if sheet == "mod pi":
+        d -= math.pi * round(d / math.pi)
+    return abs(d)

@@ -145,16 +145,40 @@ def test_wick_closure_of_maximal_entries():
         assert rep.max_abs <= 1e-6, (name, rep.max_abs)
 
 
+def _rotations():
+    """(entry, k, the field it must equal): each hand-written Born-Infeld and
+    minimal entry against the Wick rotation of the entry it comes from."""
+    for k in (1.0, 2.0):
+        for kind in ("helicoid_first_kind", "helicoid_second_kind"):
+            yield f"wick_{kind}", k, wick_rotate_x(solution(kind, k=k).field)
+    yield "wick_scherk", 1.0, wick_rotate_x(solution("scherk_first_kind").field)
+    yield ("wick_lorentzian_catenoid", 1.0,
+           wick_rotate_x(solution("lorentzian_catenoid").field))
+    yield "scherk_minimal", 1.0, wick_rotate_t(solution("wick_scherk").field)
+    yield "helicoid_minimal", 1.0, solution("helicoid_first_kind").field
+
+
+@pytest.mark.parametrize("name,k,rotated",
+                         [pytest.param(*r, id=f"{r[0]}-k{r[1]:g}") for r in _rotations()])
+def test_catalog_entries_are_the_rotations_of_their_graphs(name, k, rotated):
+    fld = solution(name, k=k).field
+    a, b, _ = kept_points(fld, DEFAULT_GRIDS[name])
+    want, got = jet(fld, a, b)[0], jet(rotated, a, b)[0]
+    for slot in ("f", "fx", "ft", "fxx", "fxt", "ftt"):
+        c = np.broadcast_to(getattr(want, slot), a.shape)
+        err = np.abs(np.broadcast_to(getattr(got, slot), a.shape) - c)
+        assert np.all(err <= 1e-12 * (1 + np.abs(c))), (slot, float(err.max()))
+
+
 def test_wick_scherk_conditionally_real():
+    # real exactly where cos a > 0
     e = solution("wick_scherk")
     grid = GridSpec(-2.5, 2.5, -1.0, 1.0, 41, 41)
-    realness = e.realness
-    assert realness.kind == "conditional"
     for (a, b) in grid.points():
         if e.field.excluded(a, b):
             continue
         v = complex(e.field.evaluator(a, b))
-        if realness.predicate(a, b):
+        if np.cos(a) > 0:
             assert abs(v.imag) <= 1e-12
         else:
             assert abs(v.imag) > 0.1  # the constant i*pi branch
@@ -301,7 +325,6 @@ def _predicates():
             if pred is not None:
                 yield f"{name}(margin={margin})", pred, margin
     yield "example1_graph", example1_graph().domain_exclusions, 0.0
-    yield "wick_scherk realness", solution("wick_scherk").realness.predicate, 0.0
 
 
 def _coordinates(margin):

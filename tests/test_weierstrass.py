@@ -10,9 +10,18 @@ from solitonlab.core import LVec3
 from solitonlab.errors import DomainError, PathError, UnknownSurface
 from solitonlab.family import helicoid_catenoid_pair
 from solitonlab.geometry import isothermal_check
-from solitonlab.pde import GridSpec
+from solitonlab.pde import (
+    WICK_GRIDS,
+    Equation,
+    GridSpec,
+    equation_residual,
+    residual_sweep,
+    solution,
+    wick_rotate_x,
+)
 from solitonlab.quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
 from solitonlab.weierstrass import (
+    GRAPHS,
     SURFACE_NAMES,
     SurfaceMap,
     Variant,
@@ -175,6 +184,70 @@ def test_nonparametric_relation_over_grids():
         for z in zetas:
             if not surf.excluded(z):
                 assert nonparametric_check(surf, name, z) <= 1e-10
+
+
+def test_catenoid_relation_raises_at_its_cone_point():
+    # (0, 0) is the image of |tau| = 1, where the graph's field is excluded
+    cone = SurfaceMap(lambda u, v: (0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="off the graph of lorentzian_catenoid"):
+        nonparametric_check(cone, "lorentzian_catenoid", 0j)
+
+
+# The Lorentz isometry that carries each datum's surface onto the catalog
+# parametrization (``we_catalog``): z -> -z for the helicoid, a half-turn about
+# the z axis for the catenoid.
+_ISOMETRIES = {
+    "scherk_first_kind": lambda p: p,
+    "helicoid_second_kind": lambda p: p,
+    "lorentzian_helicoid": lambda p: LVec3(p.x, p.y, -p.z),
+    "lorentzian_catenoid": lambda p: LVec3(-p.x, -p.y, p.z),
+}
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_weierstrass_datum_lies_on_its_catalog_graph(name):
+    # datum -> we_integrate -> surface point -> nonparametric relation and the
+    # maximal residual of its graph -> x-Wick rotation -> Born-Infeld residual
+    entry = solution(GRAPHS[name][0], margin=0.0)
+    assert entry.equation is Equation.MAXIMAL
+    data, surf = we_catalog(name), catalog_surface(name)
+    for z in _sample_points(name, 12, seed=4):
+        p = _ISOMETRIES[name](we_integrate(data, z))
+        q = surf.eval(z)
+        assert max(abs(p.x - q.x), abs(p.y - q.y), abs(p.z - q.z)) <= 1e-12, z
+        on_point = SurfaceMap(lambda u, v, p=p: (p.x, p.y, p.z))
+        assert nonparametric_check(on_point, name, z) <= 1e-12, z
+        assert abs(equation_residual(entry.field, Equation.MAXIMAL, p.x, p.y)) <= 1e-10, z
+    rot = wick_rotate_x(entry.field)
+    rep = residual_sweep(rot, Equation.BORN_INFELD, WICK_GRIDS[entry.name])
+    assert len(rep.residuals) and rep.max_abs <= 1e-6, rep.max_abs
+
+
+# surface -> (slot of its ``GRAPHS`` row, a wrong value for it)
+_MUTANTS = {
+    "helicoid_second_kind": (1, 1.0),  # flipped sign
+    "lorentzian_helicoid": (2, 0.5 * math.pi + 1e-6),  # shifted offset
+    "scherk_first_kind": (0, "scherk_minimal"),  # wrong entry
+    "lorentzian_catenoid": (3, None),  # no |z| rule
+}
+
+
+@pytest.mark.parametrize("name", _MUTANTS)
+def test_a_changed_graph_row_fails_the_relation(name, monkeypatch):
+    surf = catalog_surface(name)
+    zetas = [z for z in _sample_points(name, 30, seed=9) if not surf.excluded(z)]
+    assert all(nonparametric_check(surf, name, z) <= 1e-10 for z in zetas)
+    slot, value = _MUTANTS[name]
+    row = list(GRAPHS[name])
+    row[slot] = value
+    monkeypatch.setitem(GRAPHS, name, tuple(row))
+    defects = []
+    for z in zetas:
+        try:
+            defects.append(nonparametric_check(surf, name, z))
+        except DomainError:
+            defects.append(math.inf)
+    assert max(defects) > 1e-10
 
 
 def test_rotation_theta_zero_and_pi():
