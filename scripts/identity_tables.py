@@ -4,7 +4,7 @@
 import sys
 
 from solitonlab.cli import Parser
-from solitonlab.identities import REGISTRY, convergence_order, increasing, ram_arctan_sum
+from solitonlab.identities import RAM_ARCTAN_SUM, REGISTRY, convergence_order, increasing
 
 CASES = [
     ("ram_cos_product", (0.3 + 0j, 0.2 + 0j)),
@@ -22,19 +22,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     K_list = args.K
 
+    tables = {}
     for name, ident_args in CASES:
         print(f"\n== {name}  args={ident_args}")
         print(f"{'K':>8s} {'partial':>24s} {'abs_err':>12s} {'order':>7s}")
-        for r in convergence_order(REGISTRY[name], ident_args, K_list):
+        tables[name] = convergence_order(REGISTRY[name], ident_args, K_list)
+        for r in tables[name]:
             p = r.partial
             ps = f"{p.real:.10f}" if abs(p.imag) < 1e-12 else f"{p:.8f}"
             print(f"{r.K:8d} {ps:>24s} {r.abs_err:12.3e} {r.est_order:7.3f}")
 
     print("\n== ram_arctan_sum with closed-form tail correction")
-    for K in K_list:
-        raw = ram_arctan_sum(1.0, 0.7, K)
-        cor = ram_arctan_sum(1.0, 0.7, K, tail_correction=True)
-        print(f"K={K:7d}  raw={raw.abs_err:.3e}  corrected={cor.abs_err:.3e}")
+    corrected = convergence_order(RAM_ARCTAN_SUM, dict(CASES)["ram_arctan_sum"], K_list,
+                                  RAM_ARCTAN_SUM.tail)
+    for raw, cor in zip(tables["ram_arctan_sum"], corrected):
+        print(f"K={raw.K:7d}  raw={raw.abs_err:.3e}  corrected={cor.abs_err:.3e}")
     return 0
 
 

@@ -34,6 +34,9 @@ from .reportio import csv_text, fmt, json_text, obj_mesh_text
 
 # The conjugate pairs ``family --pair`` accepts.
 PAIR_NAMES = ("helicoid-catenoid",)
+# The identity arguments, each an ``identity`` option; an identity reads those
+# in its ``IdentitySpec.params``.
+IDENTITY_PARAMS = ("X", "A", "zeta")
 
 
 class Parser(argparse.ArgumentParser):
@@ -176,19 +179,19 @@ def _cmd_family(args) -> int:
     radii = rng.uniform(0.5, 2.0, args.num_points)
     angles = rng.uniform(-0.85 * math.pi, 0.85 * math.pi, args.num_points)
     zetas = [r * complex(math.cos(a), math.sin(a)) for r, a in zip(radii, angles)]
+    cauchy_riemann = worst([conjugacy_check(pair, z) for z in zetas])  # independent of theta
     out = []
     defect = 0.0
     for theta in thetas:
         surf = associate_family(pair, theta)
         conformal, cross, harmonic = zip(*(geometry.isothermal_check(surf, z) for z in zetas))
-        cr = [conjugacy_check(pair, z) for z in zetas]
         wp = calibrate_offsets(catalog_whitham(theta), pair)
         d1, d2, d3 = zip(*(whitham_verify(wp, soliton_family(pair, theta, z)) for z in zetas))
         con = [whitham_constraint_defect(wp, z) for z in zetas]
         rec = {
             "theta": theta,
             "max_defects": {"conformal": worst(conformal), "cross": worst(cross),
-                            "harmonic": worst(harmonic), "cauchy_riemann": worst(cr)},
+                            "harmonic": worst(harmonic), "cauchy_riemann": cauchy_riemann},
             "whitham_defects": {"d1": worst(d1), "d2": worst(d2), "d3": worst(d3),
                                 "constraint": worst(con)},
         }
@@ -205,34 +208,23 @@ def _cmd_family(args) -> int:
 
 def _cmd_identity(args) -> int:
     spec = identities.REGISTRY[args.name]
-    ram = args.name in ("ram_cos_product", "ram_arctan_sum")
-    ignored = [opt for opt, given in (("--X", args.X is not None and not ram),
-                                      ("--A", args.A is not None and not ram),
-                                      ("--zeta", args.zeta is not None and ram),
-                                      ("--tail-correction", args.tail_correction
-                                       and args.name != "ram_arctan_sum")) if given]
+    ignored = [f"--{p}" for p in IDENTITY_PARAMS
+               if getattr(args, p) is not None and p not in spec.params]
+    if args.tail_correction and spec.tail is None:
+        ignored.append("--tail-correction")
     if ignored:
-        raise ValueError(f"argument {ignored[0]}: not used by {args.name}")
-    if ram:
-        missing = [opt for opt, value in (("--X", args.X), ("--A", args.A)) if value is None]
-        if missing:
-            raise ValueError(f"argument {missing[0]}: required by {args.name}")
-        if args.name == "ram_cos_product":
-            ident_args = (args.X, args.A)
-        elif args.X.imag or args.A.imag:
-            raise ValueError("ram_arctan_sum needs real --X and --A")
-        else:
-            ident_args = (args.X.real, args.A.real)
-    else:
-        if args.zeta is None:
-            raise ValueError(f"argument --zeta: required by {args.name}")
-        ident_args = (args.zeta,)
-    K_list = args.K
-    if args.tail_correction:  # ram_arctan_sum only
-        results = [identities.ram_arctan_sum(*ident_args, K=K, tail_correction=True)
-                   for K in K_list]
-    else:
-        results = identities.convergence_order(spec, ident_args, K_list)
+        raise ValueError(f"argument {ignored[0]}: not used by {spec.name}")
+    values = [getattr(args, p) for p in spec.params]
+    missing = [p for p, value in zip(spec.params, values) if value is None]
+    if missing:
+        raise ValueError(f"argument --{missing[0]}: required by {spec.name}")
+    if spec.real:
+        if any(v.imag for v in values):
+            raise ValueError(f"{spec.name} needs real "
+                             + " and ".join(f"--{p}" for p in spec.params))
+        values = [v.real for v in values]
+    results = identities.convergence_order(spec, tuple(values), args.K,
+                                           spec.tail if args.tail_correction else None)
     table = [{
         "K": r.K,
         "partial_re": r.partial.real,
@@ -303,9 +295,8 @@ def build_parser() -> Parser:
 
     i = sub.add_parser("identity", description="identity convergence tables")
     i.add_argument("--name", required=True, choices=sorted(identities.REGISTRY))
-    i.add_argument("--X", type=finite_complex, default=None)
-    i.add_argument("--A", type=finite_complex, default=None)
-    i.add_argument("--zeta", type=finite_complex, default=None)
+    for param in IDENTITY_PARAMS:
+        i.add_argument(f"--{param}", type=finite_complex, default=None)
     i.add_argument("--K", type=identities.increasing, default="100,1000,10000",
                    help="comma-separated K list, strictly increasing")
     i.add_argument("--tail-correction", action="store_true")

@@ -205,7 +205,7 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
         clear[s:s + _BLOCK] = ~stencil_blocked(fld, ys[s:s + _BLOCK], zs[s:s + _BLOCK])
     ys, zs = ys[clear], zs[clear]
     out = np.empty((len(ys), 2))
-    sweep_blocks(fld, ys, zs, out, _classify_block, SINGULAR)
+    sweep_blocks(fld, ys, zs, out, _classify_block)
     names = [c.value for c in _CLASSES]
     return [(y, z, names[c], h) for y, z, c, h in
             zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]

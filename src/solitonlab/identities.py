@@ -4,7 +4,8 @@ convergence-order measurement.
 
 Every evaluation reports a ``TruncationResult`` carrying the partial
 sum/product at K, the closed-form left-hand side, the absolute error and the
-observed convergence order (fitted from the errors at K and 2K).  Products
+observed convergence order (fitted from the errors at K and 2K, or at the
+previous K of a table).  ``convergence_order`` builds every table.  Products
 are accumulated in log space to avoid underflow at large K, in real
 arithmetic: log|v| and arg v of the factors are summed separately, with
 log|v| taken as log1p(|v|^2 - 1)/2 near |v| = 1, where the factors of a
@@ -22,7 +23,7 @@ import argparse
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +51,9 @@ class TruncationResult:
 @dataclass(frozen=True)
 class IdentitySpec:
     """One identity: closed-form lhs, the k-th series term (or product
-    factor), the k-independent lead term/factor, and a validity predicate."""
+    factor), the k-independent lead term/factor, a validity predicate, the
+    names of its arguments (the ``identity`` command's options), whether they
+    are real, and an optional closed-form tail estimate."""
 
     name: str
     lhs: Callable
@@ -58,6 +61,9 @@ class IdentitySpec:
     lead: Callable      # args -> additive lead (SUM) or scalar factor (PRODUCT)
     kind: Kind
     validity: Callable  # args -> bool
+    params: tuple = ("zeta",)
+    real: bool = False
+    tail: Optional[Callable] = None  # (args, K) -> additive estimate of the omitted tail
 
 
 def _log_sum(v) -> complex:
@@ -98,29 +104,9 @@ def _finish(spec: IdentitySpec, args, acc: complex) -> complex:
 
 def evaluate(spec: IdentitySpec, args, K: int,
              correction: Optional[Callable] = None) -> TruncationResult:
-    """Run the identity at K; est_order is fitted from the errors at K and 2K.
-
-    ``correction(args, K)`` is an optional additive tail estimate applied
-    before measuring the error (the reported partial stays uncorrected).
-    """
-    if not spec.validity(args):
-        raise ExcludedPoint(f"{spec.name}: arguments {args!r} violate the "
-                            "identity's hypotheses")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    lhs = complex(spec.lhs(args))
-    acc_k = _accumulate(spec, args, 1, K)
-    acc_2k = acc_k + _accumulate(spec, args, K + 1, 2 * K)
-
-    def err(acc, kk):
-        p = _finish(spec, args, acc)
-        if correction is not None:
-            p = p + correction(args, kk)
-        return abs(p - lhs)
-
-    e1, e2 = err(acc_k, K), err(acc_2k, 2 * K)
-    order = math.log2(e1 / e2) if e1 > 0 and e2 > 0 else math.inf
-    return TruncationResult(K, _finish(spec, args, acc_k), lhs, e1, order)
+    """Run the identity at K, the one-row case of ``convergence_order``:
+    est_order is fitted from the errors at K and 2K."""
+    return convergence_order(spec, args, [K], correction)[0]
 
 
 # -- the five identities ------------------------------------------------------
@@ -146,6 +132,7 @@ def _cos_term(k, args):
 RAM_COS_PRODUCT = IdentitySpec(
     "ram_cos_product", _cos_lhs, _cos_term, lambda args: 1.0, Kind.PRODUCT,
     validity=lambda args: _half_odd_distance(complex(args[1])) > 1e-6,
+    params=("X", "A"),
 )
 
 
@@ -167,6 +154,7 @@ RAM_ARCTAN_SUM = IdentitySpec(
     "ram_arctan_sum", _atan_lhs, _atan_term,
     lambda args: math.atan(args[0] / args[1]), Kind.SUM,
     validity=lambda args: _pi_multiple_distance(float(args[1])) > 1e-6,
+    params=("X", "A"), real=True, tail=lambda args, K: arctan_tail(*args, K),
 )
 
 
@@ -294,8 +282,8 @@ def _trigamma(x: float) -> float:
 
 def ram_arctan_sum(X: float, A: float, K: int,
                    tail_correction: bool = False) -> TruncationResult:
-    corr = (lambda args, kk: arctan_tail(args[0], args[1], kk)) if tail_correction else None
-    return evaluate(RAM_ARCTAN_SUM, (float(X), float(A)), K, correction=corr)
+    return evaluate(RAM_ARCTAN_SUM, (float(X), float(A)), K,
+                    RAM_ARCTAN_SUM.tail if tail_correction else None)
 
 
 def scherk_identity(zeta: complex, K: int) -> TruncationResult:
@@ -335,19 +323,38 @@ def increasing(K_list) -> list:
     return Ks
 
 
-def convergence_order(spec: IdentitySpec, args, K_list) -> list:
-    """Run the identity at each K (strictly increasing); est_order between
-    consecutive runs replaces the single-run K-vs-2K estimate."""
-    results = [evaluate(spec, args, K) for K in increasing(K_list)]
+def convergence_order(spec: IdentitySpec, args, K_list,
+                      correction: Optional[Callable] = None) -> list:
+    """One row per K (strictly increasing), each with the partial sum or
+    product S(K), accumulated from k = 1, and its error against the lhs.
+
+    ``correction(args, K)`` is an optional additive tail estimate applied
+    before measuring the error (the reported partial stays uncorrected).
+    est_order is fitted from the errors at K and 2K in the first row and in
+    every row of a corrected table, and from the previous row's error in the
+    other rows; so S(2K) is summed only where it is read."""
+    Ks = increasing(K_list)
+    if not spec.validity(args):
+        raise ExcludedPoint(f"{spec.name}: arguments {args!r} violate the "
+                            "identity's hypotheses")
+    lhs = complex(spec.lhs(args))
+
+    def err(acc, K):
+        p = _finish(spec, args, acc)
+        if correction is not None:
+            p = p + correction(args, K)
+        return abs(p - lhs)
+
     out = []
-    for i, r in enumerate(results):
-        if i == 0:
-            out.append(r)
-            continue
-        prev = results[i - 1]
-        if prev.abs_err > 0 and r.abs_err > 0:
-            order = math.log(prev.abs_err / r.abs_err) / math.log(r.K / prev.K)
+    for K in Ks:
+        acc = _accumulate(spec, args, 1, K)
+        e = err(acc, K)
+        if not out or correction is not None:
+            e2 = err(acc + _accumulate(spec, args, K + 1, 2 * K), 2 * K)
+            order = math.log2(e / e2) if e > 0 and e2 > 0 else math.inf
         else:
-            order = math.inf
-        out.append(replace(r, est_order=order))
+            prev = out[-1]
+            order = (math.log(prev.abs_err / e) / math.log(K / prev.K)
+                     if prev.abs_err > 0 and e > 0 else math.inf)
+        out.append(TruncationResult(K, _finish(spec, args, acc), lhs, e, order))
     return out

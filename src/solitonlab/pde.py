@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import jetmath as jm
-from .core import Backend, ExactJet, ScalarField2, jet
+from .core import ExactJet, ScalarField2, jet
 from .errors import DomainError, UnknownSurface, UnsupportedEvaluator
 
 DEFAULT_MARGIN = 1e-2
@@ -196,23 +196,23 @@ def kept_points(fld: ScalarField2, grid: GridSpec) -> tuple:
     return a[kept], b[kept], a.size - int(np.count_nonzero(kept))
 
 
-def _point_jets(fld: ScalarField2, a, b, singular: tuple) -> tuple:
+def _point_jets(fld: ScalarField2, a, b) -> tuple:
     """(j, backends): the array jet of the points (a, b), stacked from one
     ``core.jet`` call per point with Python floats, NaN where that call raises
-    one of ``singular``, and the backends that computed the other points."""
+    one of ``SINGULAR``, and the backends that computed the other points."""
     coefs = np.full((6, len(a)), complex(math.nan, math.nan))
     backends = set()
     for i, (pa, pb) in enumerate(zip(a.tolist(), b.tolist())):
         try:
             j, backend = jet(fld, pa, pb)
-        except singular:
+        except SINGULAR:
             continue
         coefs[:, i] = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
         backends.add(backend)
     return jm.TJet(*coefs), backends
 
 
-def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, singular: tuple) -> set:
+def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet) -> set:
     """Fill ``out`` with ``from_jet(j)`` for the array jet ``j`` of each block
     of ``_BLOCK`` points (a, b), under ``np.errstate(all="ignore")``, and
     return the names of the backends ``core.jet`` used.
@@ -220,7 +220,7 @@ def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, singular: t
     When the evaluator rejects arrays, a central-difference stencil of the
     block touches an excluded point, or the block raises ``ZeroDivisionError``
     or ``OverflowError``, ``j`` is stacked from single points instead
-    (``_point_jets``): NaN where a point raises one of ``singular``; any other
+    (``_point_jets``): NaN where a point raises one of ``SINGULAR``; any other
     error raises.  So ``from_jet`` is the sweep's one reducer, and the first
     point that raises is the first in (a, b)."""
     used = set()
@@ -233,7 +233,7 @@ def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet, singular: t
                 # math.cos or the truth of an array (TypeError, ValueError), a
                 # stencil on an excluded point, or a scalar zero divisor (a jet
                 # / 0.0) or an overflow, which fails each point too
-                j, backends = _point_jets(fld, ba, bb, singular)
+                j, backends = _point_jets(fld, ba, bb)
             else:
                 j = jm.TJet(*(np.broadcast_to(c, ba.shape) for c in
                               (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))
@@ -251,8 +251,7 @@ def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
     singular point.  A stencil that reaches an excluded point raises."""
     a, b, excluded_count = kept_points(fld, grid)
     residuals = np.empty(len(a), dtype=complex)
-    used = sweep_blocks(fld, a, b, residuals, lambda j: _residual_from_jet(j, equation),
-                        SINGULAR)
+    used = sweep_blocks(fld, a, b, residuals, lambda j: _residual_from_jet(j, equation))
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
@@ -263,8 +262,8 @@ def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
 
 # -- catalog ---------------------------------------------------------------
 
-def _field(ev, exclusions=None, backend: Backend = None) -> ScalarField2:
-    return ScalarField2(ev, backend or ExactJet(), exclusions)
+def _field(ev, exclusions=None) -> ScalarField2:
+    return ScalarField2(ev, ExactJet(), exclusions)
 
 
 def _nonzero_k(k: float, name: str) -> None:

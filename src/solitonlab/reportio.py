@@ -32,11 +32,7 @@ def _emit(obj, out: StringIO, indent: int) -> None:
     pad = "  " * indent
     if obj is None:
         out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
+    elif isinstance(obj, (bool, int, float)):
         out.write(fmt(obj))
     elif isinstance(obj, complex):
         out.write(f"[{fmt(obj.real)}, {fmt(obj.imag)}]")

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +11,14 @@ from solitonlab.errors import ExcludedPoint
 from solitonlab.identities import (
     _CHUNK,
     HELICOID2_IDENTITY,
+    RAM_ARCTAN_SUM,
     RAM_COS_PRODUCT,
     REGISTRY,
     _accumulate,
     _trigamma,
     arctan_tail,
     convergence_order,
+    evaluate,
     helicoid2_identity,
     lorentz_helicoid_identity,
     quadrant_constant,
@@ -283,6 +286,61 @@ def test_convergence_order_rejects_excluded_and_unsorted():
     for K_list in ([100, 10], [10, 10], [100, 1000, 1000]):
         with pytest.raises(ValueError, match="K_list must be increasing"):
             convergence_order(REGISTRY["ram_arctan_sum"], (1.0, 0.7), K_list)
+
+
+# The reference arguments of scripts/identity_tables.py.
+_REFERENCE_ARGS = {
+    "ram_cos_product": (0.3 + 0j, 0.2 + 0j),
+    "ram_arctan_sum": (1.0, 0.7),
+    "scherk_identity": (2 + 0j,),
+    "helicoid2_identity": (1 + 1j,),
+    "lorentz_helicoid_identity": (1 + 1j,),
+}
+
+
+def _bits(r):
+    """The row's K, partial, lhs and abs_err, exactly."""
+    return (r.K, r.partial.real.hex(), r.partial.imag.hex(), r.lhs.real.hex(),
+            r.lhs.imag.hex(), r.abs_err.hex())
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ARGS))
+def test_convergence_order_rows_are_single_evaluations(name):
+    # K lists that cross the accumulation chunk boundary both ways
+    spec, args = REGISTRY[name], _REFERENCE_ARGS[name]
+    Ks = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+    rows = convergence_order(spec, args, Ks)
+    assert [_bits(r) for r in rows] == [_bits(evaluate(spec, args, K)) for K in Ks]
+    assert rows[0].est_order == evaluate(spec, args, Ks[0]).est_order
+    for prev, r in zip(rows, rows[1:]):
+        expected = (math.log(prev.abs_err / r.abs_err) / math.log(r.K / prev.K)
+                    if prev.abs_err > 0 and r.abs_err > 0 else math.inf)
+        assert r.est_order == expected
+
+
+def test_corrected_table_rows_are_corrected_evaluations():
+    # every row of a corrected table fits its order from K and 2K
+    args, Ks = _REFERENCE_ARGS["ram_arctan_sum"], [1, 100, _CHUNK + 1]
+    rows = convergence_order(RAM_ARCTAN_SUM, args, Ks, RAM_ARCTAN_SUM.tail)
+    expected = [evaluate(RAM_ARCTAN_SUM, args, K, RAM_ARCTAN_SUM.tail) for K in Ks]
+    assert [(*_bits(r), r.est_order.hex()) for r in rows] == \
+        [(*_bits(r), r.est_order.hex()) for r in expected]
+    assert rows == [ram_arctan_sum(*args, K, tail_correction=True) for K in Ks]
+
+
+def test_convergence_order_sums_the_2K_half_only_where_it_is_read():
+    # each row sums k = 1..K once; only the first row also sums K+1..2K
+    counted = []
+
+    def counting_term(k, args):
+        counted.append(len(k))
+        return HELICOID2_IDENTITY.rhs_term(k, args)
+
+    spec = dataclasses.replace(HELICOID2_IDENTITY, rhs_term=counting_term)
+    Ks, args = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6], _REFERENCE_ARGS["helicoid2_identity"]
+    rows = convergence_order(spec, args, Ks)
+    assert sum(counted) == sum(Ks) + Ks[0] == 1_112_000
+    assert rows == convergence_order(HELICOID2_IDENTITY, args, Ks)
 
 
 # -- product-log accumulation -------------------------------------------------
