@@ -13,8 +13,8 @@ Conventions used throughout the package:
   :class:`~solitonlab.jetmath.TJet` (``fx`` and ``fxx`` differentiate with
   respect to the first variable, ``ft``/``ftt`` with respect to the second),
   together with the name of the backend that computed them.  It takes one
-  point as two numbers or many points as two arrays; each coefficient is then
-  a number or an array (or a number that holds for every point).
+  point as two numbers or many as broadcastable arrays, e.g. a column of a
+  and a row of b; each coefficient is a number or broadcasts to the points.
 * The central-difference backend calls the evaluator on the nine shifted
   float arrays of its stencil.  The :mod:`~solitonlab.jetmath` primitives keep
   real arrays real until they leave the real domain, so a real field's stencil
@@ -118,8 +118,13 @@ def exclusion_mask(is_excluded: Optional[Callable], *coords: np.ndarray) -> np.n
 
 def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
     """DomainError naming the first point that ``fld`` excludes among (a, b),
-    two numbers or two arrays of equal shape read in C order."""
+    two numbers or two broadcastable arrays read in C order; the predicate
+    gets them broadcast to one shape."""
+    if fld.domain_exclusions is None:
+        return
     a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        a, b = np.array(np.broadcast_arrays(a, b))
     mask = fld.excluded_mask(a, b).ravel()
     if mask.any():
         i = int(np.argmax(mask))
@@ -168,9 +173,9 @@ def jet(fld: ScalarField2, a, b) -> tuple:
     (a, b) as a ``TJet`` ``j``, and the backend that computed them, one of
     ``"exact"``, ``"central"`` and ``"central-fallback"``.
 
-    ``a`` and ``b`` are numbers, or float arrays of equal shape for many
-    points at once; the evaluator and the exclusion predicate then run on
-    arrays.  With the ``ExactJet`` backend the evaluator is run on Taylor
+    ``a`` and ``b`` are numbers, or broadcastable float arrays for many
+    points at once, e.g. a column of a and a row of b; the evaluator then
+    runs on those arrays.  With the ``ExactJet`` backend it runs on Taylor
     jets; if it uses primitives outside the supported set (raising
     ``TypeError``) the computation falls back to central differences with
     step ``DEFAULT_CENTRAL_H`` and the backend is ``"central-fallback"``.

@@ -25,8 +25,8 @@ import numpy as np
 from .core import LVec3, ScalarField2, jet, lorentz_inner, nonreal, stencil_blocked
 from .errors import DegenerateError, DomainError
 from .jetmath import TJet
-from .pde import (_BLOCK, SINGULAR, Equation, GridSpec, _residual_from_jet, kept_points,
-                  sweep_blocks, wick_lorentzian_catenoid_field, worst)
+from .pde import (_BLOCK, SINGULAR, Equation, GridSpec, _residual_from_jet, sweep_blocks,
+                  wick_lorentzian_catenoid_field, worst)
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
 
@@ -182,30 +182,32 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     """Rows (y, z, class, H) for a grid sweep; H is NaN off non-degenerate
     points.  Excluded points are skipped entirely, and so are the points whose
     central stencil reaches an exclusion (``core.stencil_blocked``, one
-    predicate call per block of ``pde._BLOCK`` points), where no jet exists.
+    predicate call per ``pde._BLOCK`` kept points), where no jet exists.
 
-    Kept points are evaluated in array blocks (``pde.sweep_blocks``), each
-    reduced by ``_classify_block``, also where the block's jet is stacked
-    from single points; a point whose jet raises a ``pde.SINGULAR`` error is
-    lightlike.  Exact-jet rows are bit-identical to the point-by-point ones
-    (``causal_classify``, then ``mean_curvature`` off lightlike points) where
-    the jet arithmetic is real, as for ``example1_graph``: ``jetmath``
-    divides arrays as CPython divides complex numbers, and |W| ** 1.5 is
-    taken with Python floats, because numpy's ``** 1.5`` is not libm's
-    ``pow``.  numpy's ufuncs (``tanh``) and its product of two non-real
-    numbers (a fused multiply-add on CPUs that have one) may still differ
-    from cmath in the last ulp, and so may a central-difference block, whose
-    complex arrays numpy divides by the step's reciprocal.  A non-real field value or numerator at a
-    timelike or spacelike point raises ``DomainError``, at the first such
-    point in grid order, and so does the stencil of an ``ExactJet`` field
-    that falls back to central differences next to an exclusion."""
-    ys, zs, _ = kept_points(fld, grid)
-    clear = np.ones(len(ys), dtype=bool)
-    for s in range(0, len(ys), _BLOCK):
-        clear[s:s + _BLOCK] = ~stencil_blocked(fld, ys[s:s + _BLOCK], zs[s:s + _BLOCK])
-    ys, zs = ys[clear], zs[clear]
+    The other points are evaluated in array blocks of whole rows
+    (``pde.sweep_blocks``), each reduced by ``_classify_block``, also where
+    the block's jet is stacked from single points; a point whose jet raises a
+    ``pde.SINGULAR`` error is lightlike.  Exact-jet rows are bit-identical to
+    the point-by-point ones (``causal_classify``, then ``mean_curvature`` off
+    lightlike points) where the jet arithmetic is real, as for
+    ``example1_graph``: ``jetmath`` divides arrays as CPython divides complex
+    numbers, and |W| ** 1.5 is taken with Python floats, because numpy's
+    ``** 1.5`` is not libm's ``pow``.  numpy's ufuncs (``tanh``) and its
+    product of two non-real numbers (a fused multiply-add on CPUs that have
+    one) may still differ from cmath in the last ulp, and so may a
+    central-difference block, whose complex arrays numpy divides by the
+    step's reciprocal.  A non-real field value or numerator at a timelike or
+    spacelike point raises ``DomainError``, at the first such point in grid
+    order, and so does the stencil of an ``ExactJet`` field that falls back
+    to central differences next to an exclusion."""
+    ys, zs = grid.coords()
+    keep = ~fld.excluded_mask(ys, zs)
+    kept = np.flatnonzero(keep)
+    for i in (kept[s:s + _BLOCK] for s in range(0, len(kept), _BLOCK)):
+        keep[i] = ~stencil_blocked(fld, ys[i], zs[i])
+    ys, zs = ys[keep], zs[keep]
     out = np.empty((len(ys), 2))
-    sweep_blocks(fld, ys, zs, out, _classify_block)
+    sweep_blocks(fld, grid, keep, out, _classify_block)
     names = [c.value for c in _CLASSES]
     return [(y, z, names[c], h) for y, z, c, h in
             zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]

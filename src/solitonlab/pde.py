@@ -99,12 +99,16 @@ class GridSpec:
         if not all(map(math.isfinite, (self.a_min, self.a_max, self.b_min, self.b_max))):
             raise ValueError("grid bounds must be finite")
 
-    def coords(self) -> tuple:
-        """The a and b coordinates of the points, float arrays in grid order."""
+    def axes(self) -> tuple:
+        """The a of each row and the b of each column, float arrays."""
         da = (self.a_max - self.a_min) / (self.na - 1)
         db = (self.b_max - self.b_min) / (self.nb - 1)
-        return (np.repeat(self.a_min + np.arange(self.na) * da, self.nb),
-                np.tile(self.b_min + np.arange(self.nb) * db, self.na))
+        return self.a_min + np.arange(self.na) * da, self.b_min + np.arange(self.nb) * db
+
+    def coords(self) -> tuple:
+        """The a and b coordinates of the points, float arrays in grid order."""
+        a, b = self.axes()
+        return np.repeat(a, self.nb), np.tile(b, self.na)
 
     def points(self) -> list:
         """The grid points as (a, b) pairs of Python floats, in grid order."""
@@ -182,18 +186,10 @@ def worst(mags) -> float:
     return float(_nan_as_inf(mags).max(initial=0.0))
 
 
-# Points per array pass of a sweep: bounds the memory its temporaries take.
+# Kept points per array pass of a sweep: bounds the memory its temporaries take.
 _BLOCK = 4096
 # Errors that make a point singular (its jet NaN), not the sweep wrong.
 SINGULAR = (ZeroDivisionError, OverflowError, ValueError)
-
-
-def kept_points(fld: ScalarField2, grid: GridSpec) -> tuple:
-    """(a, b, excluded): the coordinates of the points of ``grid`` that ``fld``
-    keeps, in grid order, from one predicate call, and the number it excludes."""
-    a, b = grid.coords()
-    kept = ~fld.excluded_mask(a, b)
-    return a[kept], b[kept], a.size - int(np.count_nonzero(kept))
 
 
 def _point_jets(fld: ScalarField2, a, b) -> tuple:
@@ -212,52 +208,74 @@ def _point_jets(fld: ScalarField2, a, b) -> tuple:
     return jm.TJet(*coefs), backends
 
 
-def sweep_blocks(fld: ScalarField2, a, b, out: np.ndarray, from_jet) -> set:
+def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.ndarray,
+                 from_jet) -> set:
     """Fill ``out`` with ``from_jet(j)`` for the array jet ``j`` of each block
-    of ``_BLOCK`` points (a, b), under ``np.errstate(all="ignore")``, and
-    return the names of the backends ``core.jet`` used.
+    of the points of ``grid`` that ``keep``, a bool array in grid order,
+    keeps, under ``np.errstate(all="ignore")``; return the names of the
+    backends ``core.jet`` used.
 
-    When the evaluator rejects arrays, a central-difference stencil of the
-    block touches an excluded point, or the block raises ``ZeroDivisionError``
-    or ``OverflowError``, ``j`` is stacked from single points instead
-    (``_point_jets``): NaN where a point raises one of ``SINGULAR``; any other
-    error raises.  So ``from_jet`` is the sweep's one reducer, and the first
-    point that raises is the first in (a, b)."""
-    used = set()
-    for s in range(0, len(a), _BLOCK):
-        ba, bb = a[s:s + _BLOCK], b[s:s + _BLOCK]
+    A block is a run of whole rows with at most ``_BLOCK`` kept points, or
+    one row wider than that.  A fully kept block is evaluated on a column of
+    a and a row of b, so a term in a alone is computed once per row and one
+    in b alone once per column; its coefficients are broadcast and raveled
+    in grid order.  Other blocks run on their kept points as flat arrays.
+    When the evaluator rejects arrays, a stencil touches an excluded point,
+    or the block raises ``ZeroDivisionError`` or ``OverflowError``, ``j`` is
+    stacked from its kept points one at a time (``_point_jets``): NaN where a
+    point raises one of ``SINGULAR``; any other error raises.  So
+    ``from_jet`` is the sweep's one reducer, and the first point that raises
+    is the first in grid order."""
+    a_axis, b_axis = grid.axes()
+    keep = keep.reshape(grid.na, grid.nb)
+    counts = np.count_nonzero(keep, axis=1).tolist()
+    used, r1, s = set(), 0, 0
+    while r1 < grid.na:
+        r0, n, r1 = r1, counts[r1], r1 + 1
+        while r1 < grid.na and n + counts[r1] <= _BLOCK:
+            r1, n = r1 + 1, n + counts[r1]
+        if n == 0:
+            continue
+        if n == (r1 - r0) * grid.nb:
+            ba, bb, shape = a_axis[r0:r1, None], b_axis[None, :], (r1 - r0, grid.nb)
+        else:
+            ia, ib = np.nonzero(keep[r0:r1])
+            ba, bb, shape = a_axis[r0 + ia], b_axis[ib], (n,)
         with np.errstate(all="ignore"):
             try:
                 j, backend = jet(fld, ba, bb)
             except (TypeError, ValueError, DomainError, ZeroDivisionError, OverflowError):
-                # math.cos or the truth of an array (TypeError, ValueError), a
-                # stencil on an excluded point, or a scalar zero divisor (a jet
-                # / 0.0) or an overflow, which fails each point too
-                j, backends = _point_jets(fld, ba, bb)
+                # math.cos or the truth of an array, a stencil on an excluded
+                # point, or a scalar zero divisor or overflow (fails each point too)
+                j, backends = _point_jets(fld, *(np.broadcast_to(c, shape).ravel()
+                                                 for c in (ba, bb)))
             else:
-                j = jm.TJet(*(np.broadcast_to(c, ba.shape) for c in
-                              (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))
+                j = jm.TJet(*(np.broadcast_to(c, shape).ravel()
+                              for c in (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))
                 backends = {backend}
-            out[s:s + len(ba)] = from_jet(j)
+            out[s:s + n] = from_jet(j)
         used |= backends
+        s += n
     return used
 
 
 def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
                    name: str = "") -> ResidualReport:
     """Evaluate the residual of ``equation`` over the grid, skipping excluded
-    points.  Kept points are evaluated in array passes of ``_BLOCK`` points
+    points.  Kept points are evaluated in array blocks of whole rows
     (``sweep_blocks``); the residuals come back in grid order, NaN at a
     singular point.  A stencil that reaches an excluded point raises."""
-    a, b, excluded_count = kept_points(fld, grid)
-    residuals = np.empty(len(a), dtype=complex)
-    used = sweep_blocks(fld, a, b, residuals, lambda j: _residual_from_jet(j, equation))
+    a, b = grid.coords()
+    keep = ~fld.excluded_mask(a, b)
+    residuals = np.empty(np.count_nonzero(keep), dtype=complex)
+    used = sweep_blocks(fld, grid, keep, residuals, lambda j: _residual_from_jet(j, equation))
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
         backend = f"central(h={fld.backend.h:g})"
-    return summarize(np.column_stack((a, b)), residuals, backend, excluded_count, name=name,
-                     equation=equation.value, grid_spec=grid.as_text())
+    return summarize(np.column_stack((a[keep], b[keep])), residuals, backend,
+                     a.size - len(residuals), name=name, equation=equation.value,
+                     grid_spec=grid.as_text())
 
 
 # -- catalog ---------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solitonlab import jetmath as jm
+from solitonlab import pde
 from solitonlab.core import CentralDiff, ScalarField2, jet, with_backend
 from solitonlab.errors import DomainError, UnsupportedEvaluator
 from solitonlab.geometry import classify_grid, example1_graph
@@ -17,7 +18,6 @@ from solitonlab.pde import (
     GridSpec,
     catalog_names,
     equation_residual,
-    kept_points,
     residual_sweep,
     solution,
     summarize,
@@ -162,7 +162,9 @@ def _rotations():
                          [pytest.param(*r, id=f"{r[0]}-k{r[1]:g}") for r in _rotations()])
 def test_catalog_entries_are_the_rotations_of_their_graphs(name, k, rotated):
     fld = solution(name, k=k).field
-    a, b, _ = kept_points(fld, DEFAULT_GRIDS[name])
+    a, b = DEFAULT_GRIDS[name].coords()
+    kept = ~fld.excluded_mask(a, b)
+    a, b = a[kept], b[kept]
     want, got = jet(fld, a, b)[0], jet(rotated, a, b)[0]
     for slot in ("f", "fx", "ft", "fxx", "fxt", "ftt"):
         c = np.broadcast_to(getattr(want, slot), a.shape)
@@ -232,6 +234,103 @@ def test_array_sweep_matches_per_point_residuals(label, fld, equation, grid, bac
         # numpy's ufuncs and complex products differ from cmath in the last
         # ulp; central differences amplify that by about eps/h^2
         assert np.max(np.abs(rep.residuals - want)) <= tol
+
+
+# -- row blocks on the grid's axes ----------------------------------------------
+
+_SCHERK_201 = GridSpec(-1.0, 1.0, -1.0, 1.0, 201, 201)
+
+
+def _flat_residuals(fld, equation, grid):
+    """The residuals of one ``core.jet`` call on each ``_BLOCK`` kept points
+    of ``grid`` as flat arrays, in grid order."""
+    a, b = grid.coords()
+    kept = ~fld.excluded_mask(a, b)
+    a, b = a[kept], b[kept]
+    out = []
+    with np.errstate(all="ignore"):
+        for s in range(0, len(a), pde._BLOCK):
+            j, _ = jet(fld, a[s:s + pde._BLOCK], b[s:s + pde._BLOCK])
+            res = pde._residual_from_jet(j, equation)
+            out.append(np.broadcast_to(res, a[s:s + pde._BLOCK].shape))
+    return np.concatenate(out)
+
+
+def _row_block_cases():
+    yield from _sweep_cases()
+    e = solution("scherk_first_kind")
+    yield "scherk_first_kind 201x201", e.field, e.equation, _SCHERK_201
+
+
+@pytest.mark.parametrize("backend", [None, CentralDiff(1e-4)], ids=["exact", "central"])
+@pytest.mark.parametrize("label,fld,equation,grid",
+                         [pytest.param(*case, id=case[0]) for case in _row_block_cases()])
+def test_row_blocks_match_flat_array_jets_bit_for_bit(label, fld, equation, grid, backend):
+    if backend is not None:
+        fld = with_backend(fld, backend)
+    got = residual_sweep(fld, equation, grid).residuals
+    assert got.tobytes() == _flat_residuals(fld, equation, grid).tobytes()
+
+
+def _recording(fld):
+    """The field with an evaluator that records the shapes of the values of
+    its two arguments, jets or arrays."""
+    shapes = []
+
+    def ev(a, b):
+        shapes.append(tuple(np.shape(getattr(x, "f", x)) for x in (a, b)))
+        return fld.evaluator(a, b)
+    return ScalarField2(ev, fld.backend, fld.domain_exclusions), shapes
+
+
+@pytest.mark.parametrize("backend", [None, CentralDiff(1e-4)], ids=["exact", "central"])
+def test_fully_kept_blocks_run_on_a_column_of_a_and_a_row_of_b(backend):
+    e = solution("scherk_first_kind")
+    fld, shapes = _recording(e.field if backend is None else with_backend(e.field, backend))
+    residual_sweep(fld, e.equation, _SCHERK_201)
+    rows = [sa[0] for sa, sb in shapes]
+    assert all(sa == (r, 1) and sb == (1, 201) for (sa, sb), r in zip(shapes, rows))
+    # 20 rows of 201 points fit in _BLOCK = 4096, so 11 blocks cover 201 rows
+    calls = 1 if backend is None else 9
+    assert rows == [20] * 10 * calls + [1] * calls
+
+
+def test_blocks_with_an_excluded_point_run_on_flat_arrays():
+    # the four rows with |cos a| <= 0.1 are excluded; the grid is one block
+    grid = GridSpec.parse("-1.6:1.6:-1:1:41:41")
+    fld, shapes = _recording(solution("wick_scherk", margin=0.1).field)
+    rep = residual_sweep(fld, Equation.BORN_INFELD, grid)
+    assert rep.excluded_count == 4 * 41
+    n = 41 * 41 - rep.excluded_count
+    assert shapes == [((n,), (n,))]
+    points = [(a, b) for a, b in grid.points() if not fld.excluded(a, b)]
+    want = summarize(points, [equation_residual(fld, Equation.BORN_INFELD, a, b)
+                              for a, b in points], "exact", 41 * 41 - len(points))
+    assert rep.residuals.tobytes() == want.residuals.tobytes()
+    assert (rep.max_abs, rep.worst_point, rep.excluded_count) == \
+        (want.max_abs, want.worst_point, want.excluded_count)
+    # on 161 rows of 101 points the two middle blocks have no excluded point
+    # and run on the axes, the two that reach |cos a| <= 0.1 run flat
+    grid = GridSpec.parse("-1.6:1.6:-1:1:161:101")
+    shapes.clear()
+    rep = residual_sweep(fld, Equation.BORN_INFELD, grid)
+    assert [len(sa) for sa, sb in shapes] == [1, 2, 2, 1]
+    assert rep.residuals.tobytes() == _flat_residuals(fld, Equation.BORN_INFELD, grid).tobytes()
+
+
+def test_an_evaluator_that_rejects_broadcasting_is_evaluated_point_by_point():
+    e = solution("scherk_first_kind")
+
+    def ev(a, b):
+        if np.shape(getattr(a, "f", a)) != np.shape(getattr(b, "f", b)):
+            raise ValueError("operands of different shapes")
+        return e.field.evaluator(a, b)
+    fld = ScalarField2(ev)
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11)
+    rep = residual_sweep(fld, e.equation, grid)
+    want = [equation_residual(fld, e.equation, a, b) for a, b in grid.points()]
+    assert rep.residuals.tobytes() == np.array(want, dtype=complex).tobytes()
+    assert rep.backend == "exact"
 
 
 def test_worst_point_is_last_maximum_in_grid_order():
@@ -312,6 +411,15 @@ def test_sweep_stencil_on_an_exclusion_raises_at_the_first_such_point():
     with pytest.raises(DomainError) as got:
         residual_sweep(fld, Equation.MAXIMAL, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
     assert str(got.value) == str(want.value) == "stencil point (-0.05, -1.0) is excluded"
+    # no point of this grid is excluded, so its block runs on the axes: the
+    # stencils of a column of a and a row of b raise at the same point
+    grid = GridSpec(0.0, 1.0, -1.0, 1.0, 21, 21)
+    a, b = grid.axes()
+    for sweep in (lambda: jet(fld, a[:, None], b[None, :]),
+                  lambda: residual_sweep(fld, Equation.MAXIMAL, grid)):
+        with pytest.raises(DomainError) as got:
+            sweep()
+        assert str(got.value) == str(want.value)
 
 
 # -- exclusion predicates on arrays ---------------------------------------------
@@ -394,9 +502,9 @@ def test_predicates_that_reject_arrays_sweep_like_array_predicates(
     if backend is not None:
         fld = with_backend(fld, backend)
     fields = [ScalarField2(fld.evaluator, fld.backend, p) for p in (array_pred, scalar_pred)]
-    (a1, b1, n1), (a2, b2, n2) = (kept_points(f, grid) for f in fields)
-    assert np.array_equal(a1, a2) and np.array_equal(b1, b2) and n1 == n2
-    assert n1 > 0 or label == "bare False"
+    m1, m2 = (f.excluded_mask(*grid.coords()) for f in fields)
+    assert np.array_equal(m1, m2)
+    assert m1.any() or label == "bare False"
     r1, r2 = (residual_sweep(f, equation, grid) for f in fields)
     assert np.array_equal(r1.residuals, r2.residuals)
     assert (r1.max_abs, r1.worst_point, r1.excluded_count, r1.backend) == \
