@@ -6,19 +6,16 @@ Conventions used throughout the package:
   (signature +, +, -; the third slot is the timelike axis).
 * A ``ScalarField2`` is a complex-valued function of two *real* variables
   (a, b).  "Vanishes" for any residual built from one always means modulus
-  below tolerance.  Its exclusion predicate is called with coordinate arrays,
-  a whole block or stencil at once, never point by point, and returns a bool
-  array or one bool for all points.
+  below tolerance.
 * ``jet`` returns the value and the five partials up to order 2 as a
   :class:`~solitonlab.jetmath.TJet` (``fx`` and ``fxx`` differentiate with
   respect to the first variable, ``ft``/``ftt`` with respect to the second),
   together with the name of the backend that computed them.  It takes one
   point as two numbers or many as broadcastable arrays, e.g. a column of a
   and a row of b; each coefficient is a number or broadcasts to the points.
-* The central-difference backend calls the evaluator on the nine shifted
-  float arrays of its stencil.  The :mod:`~solitonlab.jetmath` primitives keep
-  real arrays real until they leave the real domain, so a real field's stencil
-  runs in real arithmetic; the jet's coefficients are complex all the same.
+* The central-difference backend evaluates the stencils of array points in
+  one call, a's shifts on a new first axis and b's on a second, and keeps the
+  dtype of the values: a real field gives a real jet and a real residual.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StencilExcluded
 from .jetmath import TJet
 
 DEFAULT_CENTRAL_H = 1e-4  # balances O(h^2) truncation vs O(eps/h^2) roundoff
@@ -86,11 +83,11 @@ class ScalarField2:
     arrays, jets with array coefficients and complex substitutions, which is
     what the ``ExactJet`` backend, vectorized sweeps and the Wick rotations
     rely on.  On float arrays (the ``CentralDiff`` stencils) the primitives
-    return float arrays while the values stay real, and complex ones where
-    they do not.  ``domain_exclusions(a, b)`` is True at points that must not be
-    evaluated.  It is called with float arrays and returns a bool array, or
-    one bool for all points; write ``|`` and ``np.cos``, not ``or`` and
-    ``math.cos``, or the call raises numpy's ``TypeError`` or ``ValueError``.
+    return float arrays while the values stay real.  ``domain_exclusions(a,
+    b)`` is True at points that must not be evaluated.  It is called with
+    broadcastable float arrays, a whole block or stencil at once, and returns
+    a bool array, or one bool for all points; write ``|`` and ``np.cos``, not
+    ``or`` and ``math.cos``, or the call raises ``TypeError`` or ``ValueError``.
     """
 
     evaluator: Callable
@@ -101,42 +98,44 @@ class ScalarField2:
         return self.domain_exclusions is not None and bool(self.domain_exclusions(a, b))
 
     def excluded_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Bool array of ``a.shape``, True where the points (a, b) are excluded."""
+        """Bool array of the shape a and b broadcast to, True where the points
+        (a, b) are excluded."""
         return exclusion_mask(self.domain_exclusions, a, b)
 
 
 def exclusion_mask(is_excluded: Optional[Callable], *coords: np.ndarray) -> np.ndarray:
-    """Bool array of ``coords[0].shape``, True where ``is_excluded`` holds at
-    the points given by the arrays ``coords`` (none where it is ``None``),
+    """Bool array of the shape the arrays ``coords`` broadcast to, True where
+    ``is_excluded`` holds at the points they give (none where it is ``None``),
     from one call on the arrays; a single bool holds for every point."""
-    shape = coords[0].shape
+    shape = np.broadcast(*coords).shape
     if is_excluded is None:
         return np.zeros(shape, dtype=bool)
     mask = np.asarray(is_excluded(*coords), dtype=bool)
     return mask if mask.shape == shape else np.broadcast_to(mask, shape)
 
 
-def _require_kept(fld: ScalarField2, a, b, message: str) -> None:
-    """DomainError naming the first point that ``fld`` excludes among (a, b),
-    two numbers or two broadcastable arrays read in C order; the predicate
-    gets them broadcast to one shape."""
+def _require_kept(fld: ScalarField2, a, b, message: str, error=DomainError) -> None:
+    """``error`` naming the first point that ``fld`` excludes among (a, b),
+    two numbers or two broadcastable arrays read in C order."""
     if fld.domain_exclusions is None:
         return
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        a, b = np.array(np.broadcast_arrays(a, b))
-    mask = fld.excluded_mask(a, b).ravel()
+    mask = fld.excluded_mask(np.asarray(a), np.asarray(b))
     if mask.any():
-        i = int(np.argmax(mask))
-        raise DomainError(message.format(a.flat[i].item(), b.flat[i].item()))
+        i, (a, b) = int(np.argmax(mask)), np.broadcast_arrays(a, b)
+        raise error(message.format(a.flat[i].item(), b.flat[i].item()))
 
 
 def _stencil(a, b, h: float) -> tuple:
-    """The a and b coordinates of the nine points of the central-difference
-    stencil with step h at (a, b): the point, then its eight neighbours on
-    the 3 x 3 square of side 2h; the one place the stencil's shape is written."""
-    return ((a, a + h, a - h, a, a, a + h, a + h, a - h, a - h),
-            (b, b, b, b + h, b - h, b + h, b - h, b + h, b - h))
+    """The central-difference stencils with step h at the points (a, b),
+    numbers or broadcastable arrays: a, a + h and a - h on a new first axis,
+    b's shifts on a new second; the one place the stencil's shape is written."""
+    a, b = np.asarray(a), np.asarray(b)
+    a, b = a[(None,) * (b.ndim - a.ndim)], b[(None,) * (a.ndim - b.ndim)]  # align axes
+    return np.array((a, a + h, a - h))[:, None], np.array((b, b + h, b - h))[None]
+
+
+# The stencil's a shifts and b shifts, in the order its exclusions are searched.
+_NINE = ((0, 1, 2, 0, 0, 1, 1, 2, 2), (0, 0, 0, 1, 2, 1, 2, 1, 2))
 
 
 def stencil_blocked(fld: ScalarField2, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,26 +145,27 @@ def stencil_blocked(fld: ScalarField2, a: np.ndarray, b: np.ndarray) -> np.ndarr
     ``ExactJet`` backend or a field without exclusions."""
     if not isinstance(fld.backend, CentralDiff) or fld.domain_exclusions is None:
         return np.zeros(a.shape, dtype=bool)
-    sa, sb = _stencil(a, b, fld.backend.h)
-    return fld.excluded_mask(np.stack(sa, axis=-1), np.stack(sb, axis=-1)).any(axis=-1)
+    return fld.excluded_mask(*_stencil(a, b, fld.backend.h)).any(axis=(0, 1))
 
 
 def _central_jet(fld: ScalarField2, a, b, h: float) -> TJet:
+    """Central differences with step h: one evaluator call on the arrays of
+    ``_stencil``, differenced in the dtype it returns, or nine at numbers."""
     sa, sb = _stencil(a, b, h)
-    if fld.domain_exclusions is not None:
-        # stencil on the last axis: the first hit lies in the first (a, b) that has one
-        _require_kept(fld, np.stack(sa, axis=-1), np.stack(sb, axis=-1),
-                      "stencil point ({}, {}) is excluded")
-    f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = (
-        TJet.coef(fld.evaluator(pa, pb)) for pa, pb in zip(sa, sb))
-    return TJet(
-        f=f00,
-        fx=(fp0 - fm0) / (2 * h),
-        ft=(f0p - f0m) / (2 * h),
-        fxx=(fp0 - 2 * f00 + fm0) / (h * h),
-        fxt=(fpp - fpm - fmp + fmm) / (4 * h * h),
-        ftt=(f0p - 2 * f00 + f0m) / (h * h),
-    )
+    # the nine points on a last axis: the first hit lies in the first (a, b) that has one
+    na, nb = (x.transpose(*range(1, x.ndim), 0) for x in (sa[_NINE[0], 0], sb[0, _NINE[1]]))
+    _require_kept(fld, na, nb, "stencil point ({}, {}) is excluded", StencilExcluded)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        F = np.broadcast_to(fld.evaluator(sa, sb), np.broadcast(sa, sb).shape)
+    else:  # nine calls on numbers, in stencil order
+        values = [TJet.coef(fld.evaluator(x, y)) for x, y in zip(na.tolist(), nb.tolist())]
+        F = dict(zip(zip(*_NINE), values))
+    f00, real = F[0, 0], np.isrealobj(F[0, 0])
+    # a real x / d as numpy divides x as complex, (x + 0*0) * (1/d), signed zeros too
+    return TJet(f00, *((x + 0.0) * (1.0 / d) if real else x / d for x, d in (
+        (F[1, 0] - F[2, 0], 2 * h), (F[0, 1] - F[0, 2], 2 * h),
+        (F[1, 0] - 2 * f00 + F[2, 0], h * h), (F[1, 1] - F[1, 2] - F[2, 1] + F[2, 2], 4 * h * h),
+        (F[0, 1] - 2 * f00 + F[0, 2], h * h))))
 
 
 def jet(fld: ScalarField2, a, b) -> tuple:
@@ -174,11 +174,10 @@ def jet(fld: ScalarField2, a, b) -> tuple:
     ``"exact"``, ``"central"`` and ``"central-fallback"``.
 
     ``a`` and ``b`` are numbers, or broadcastable float arrays for many
-    points at once, e.g. a column of a and a row of b; the evaluator then
-    runs on those arrays.  With the ``ExactJet`` backend it runs on Taylor
-    jets; if it uses primitives outside the supported set (raising
-    ``TypeError``) the computation falls back to central differences with
-    step ``DEFAULT_CENTRAL_H`` and the backend is ``"central-fallback"``.
+    points at once, e.g. a column of a and a row of b.  With the ``ExactJet``
+    backend the evaluator runs on Taylor jets; if it uses primitives outside
+    the supported set (raising ``TypeError``) the computation falls back to
+    central differences with step ``DEFAULT_CENTRAL_H``: ``"central-fallback"``.
     """
     if isinstance(fld.backend, ExactJet):
         _require_kept(fld, a, b, "point ({}, {}) is outside the field domain")

@@ -9,6 +9,10 @@ class DomainError(SolitonLabError):
     """Evaluation requested at (or too close to) an excluded point."""
 
 
+class StencilExcluded(DomainError):
+    """A central-difference stencil reaches an excluded point."""
+
+
 class DegenerateError(SolitonLabError):
     """Tangent plane is lightlike: no unit normal / second form there."""
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LVec3, ScalarField2, jet, lorentz_inner, nonreal, stencil_blocked
-from .errors import DegenerateError, DomainError
+from .core import (DEFAULT_CENTRAL_H, CentralDiff, ExactJet, LVec3, ScalarField2, jet,
+                   lorentz_inner, nonreal, stencil_blocked, with_backend)
+from .errors import DegenerateError, DomainError, StencilExcluded
 from .jetmath import TJet
 from .pde import (_BLOCK, SINGULAR, Equation, GridSpec, _residual_from_jet, sweep_blocks,
                   wick_lorentzian_catenoid_field, worst)
@@ -195,11 +196,13 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     ``** 1.5`` is not libm's ``pow``.  numpy's ufuncs (``tanh``) and its
     product of two non-real numbers (a fused multiply-add on CPUs that have
     one) may still differ from cmath in the last ulp, and so may a
-    central-difference block, whose complex arrays numpy divides by the
-    step's reciprocal.  A non-real field value or numerator at a timelike or
+    central-difference block, which scales its differences by the step's
+    reciprocal.  A non-real field value or numerator at a timelike or
     spacelike point raises ``DomainError``, at the first such point in grid
-    order, and so does the stencil of an ``ExactJet`` field that falls back
-    to central differences next to an exclusion."""
+    order.  An ``ExactJet`` field whose evaluator rejects jets is classified
+    as ``core.jet`` evaluates it, by central differences with step
+    ``DEFAULT_CENTRAL_H``; once such a stencil reaches an exclusion, the
+    points whose stencils do are skipped as for a ``CentralDiff`` field."""
     ys, zs = grid.coords()
     keep = ~fld.excluded_mask(ys, zs)
     kept = np.flatnonzero(keep)
@@ -207,7 +210,14 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
         keep[i] = ~stencil_blocked(fld, ys[i], zs[i])
     ys, zs = ys[keep], zs[keep]
     out = np.empty((len(ys), 2))
-    sweep_blocks(fld, grid, keep, out, _classify_block)
+    try:
+        sweep_blocks(fld, grid, keep, out, _classify_block)
+    except StencilExcluded:
+        if not isinstance(fld.backend, ExactJet):
+            raise
+        # the evaluator rejects jets and core.jet falls back to central
+        # differences: classify as that backend, which skips such points
+        return classify_grid(with_backend(fld, CentralDiff(DEFAULT_CENTRAL_H)), grid)
     names = [c.value for c in _CLASSES]
     return [(y, z, names[c], h) for y, z, c, h in
             zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]

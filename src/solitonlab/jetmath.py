@@ -16,7 +16,10 @@ an order-1 jet reads ``None``, and arithmetic on it raises ``TypeError``.
 Jet coefficients are either Python ``complex`` numbers (one point) or numpy
 ``complex128`` arrays (one entry per point, as in Taylor-mode propagation
 over a whole grid); the arithmetic below broadcasts, and a jet may mix
-scalar and array coefficients.
+scalar and array coefficients.  The one exception is the central-difference
+jet that :mod:`~solitonlab.core` differences from a real field's ``float64``
+stencil values: its coefficients are ``float64`` arrays, which the residual
+and classification formulas read and no primitive propagates.
 
 Jets are values.  Every operation returns a new jet and leaves its operands
 as they were; a result may share a coefficient, array or number, with an
@@ -38,17 +41,19 @@ on top of :mod:`cmath`; ``re`` and ``im`` of a Python ``complex`` return its
 functions can therefore be called with numbers, complex numbers, arrays or
 jets interchangeably.
 
-Arrays follow :mod:`numpy.emath`: a real array stays real until it leaves
-the real domain.  An integer or float array goes through the real ufunc
-(``power`` too); only if that gives NaN where the input has none (log or sqrt
-of a negative, atanh beyond +-1) is the whole array evaluated again, by the
-complex ufunc on the array as ``complex128``.  Real ufuncs cost a fraction of
-complex ones, which is what makes the nine stencil evaluations of a
+Arrays follow :mod:`numpy.emath`, entry by entry.  An integer or float array
+goes through the real ufunc (``power`` too); only the entries where that
+gives NaN and the input has none (log or sqrt of a negative, atanh beyond
++-1) are evaluated again, by the complex ufunc on the entry as ``complex128``,
+and the result is then complex, the other entries their real values plus 0j.
+So an entry's value does not depend on the entries that share its array, as
+a block's stencil of a central-difference sweep.  Real ufuncs cost a fraction
+of complex ones, which is what makes the stencil evaluations of a
 central-difference jet cheap.  One consequence: a real intermediate carries
 no ``-0j`` imaginary part, so ``log`` of a negative entry is the principal
 ``+i pi``, as ``cmath.log(-1.0)`` gives; derivatives do not change.  Complex
-arrays go straight to the complex ufunc, and jet coefficients are always
-complex (``TJet.coef``), so the chain rules never take the real path.
+arrays go straight to the complex ufunc, and jets seeded by ``TJet.coef``
+have complex coefficients, so the chain rules never take the real path.
 
 Divisions in the chain rules and in ``TJet`` reciprocals go through the
 coefficient's library: Python's ``/`` for numbers, and for arrays ``_cdiv``,
@@ -135,7 +140,8 @@ class TJet:
     """Taylor jet of f(a, b): value, gradient and Hessian entries, or value
     and gradient only (order 1: ``fxx``, ``fxt`` and ``ftt`` are ``None``).
 
-    Each coefficient is a ``complex`` or a ``complex128`` array.  A jet is a
+    Each coefficient is a ``complex`` or a ``complex128`` array, or, in a
+    central-difference jet of a real field, a ``float64`` array.  A jet is a
     value (see the module notes): never assign to a coefficient.  Jets are
     not hashable."""
 
@@ -303,18 +309,23 @@ class TJet:
 
 
 def _real_first(array_fn, z, *args):
-    """``array_fn(z, *args)`` for an array ``z``, as :mod:`numpy.emath` does:
-    in real arithmetic when ``z`` is an integer or float array and the result
-    stays real (no NaN where ``z`` has none), else, and for any other array,
-    in complex arithmetic on ``z`` as ``complex128``."""
-    if z.dtype.kind in "iuf":
-        x = z.astype(float) if z.dtype.kind != "f" else z
-        with np.errstate(invalid="ignore"):
-            w = array_fn(x, *args)
-        nan = np.isnan(w)
-        if not (nan.any() and (nan & ~np.isnan(x)).any()):
-            return w
-    return array_fn(np.asarray(z, dtype=complex), *args)
+    """``array_fn(z, *args)`` for an array ``z`` and numbers ``args``, entry by
+    entry as :mod:`numpy.emath` decides: for an integer or float ``z`` by the
+    real ufunc, except where that gives NaN and ``z`` is not NaN, which are
+    evaluated again by the complex ufunc on ``z + 0j`` (the result is then
+    complex, its other entries the real values plus 0j); for any other array
+    by the complex ufunc on ``z`` as ``complex128``."""
+    if z.dtype.kind not in "iuf":
+        return array_fn(np.asarray(z, dtype=complex), *args)
+    x = z.astype(float) if z.dtype.kind != "f" else z
+    with np.errstate(invalid="ignore"):
+        w = array_fn(x, *args)
+    out = np.isnan(w) & ~np.isnan(x)
+    if not out.any():
+        return w
+    w = w.astype(complex)
+    w[out] = array_fn(x[out].astype(complex), *args)
+    return w
 
 
 def _primitive(name, number_fn, array_fn, rule):

@@ -216,10 +216,12 @@ def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.nd
     backends ``core.jet`` used.
 
     A block is a run of whole rows with at most ``_BLOCK`` kept points, or
-    one row wider than that.  A fully kept block is evaluated on a column of
-    a and a row of b, so a term in a alone is computed once per row and one
-    in b alone once per column; its coefficients are broadcast and raveled
-    in grid order.  Other blocks run on their kept points as flat arrays.
+    one row wider than that.  A block whose kept points are all the points of
+    its kept rows and kept columns (it drops whole rows or columns, or none)
+    is evaluated on a column of those rows' a and a row of those columns' b,
+    so a term in a alone is computed once per row and one in b alone once
+    per column; its coefficients are broadcast and raveled in grid order.
+    Other blocks run on their kept points as flat arrays.
     When the evaluator rejects arrays, a stencil touches an excluded point,
     or the block raises ``ZeroDivisionError`` or ``OverflowError``, ``j`` is
     stacked from its kept points one at a time (``_point_jets``): NaN where a
@@ -236,8 +238,10 @@ def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.nd
             r1, n = r1 + 1, n + counts[r1]
         if n == 0:
             continue
-        if n == (r1 - r0) * grid.nb:
-            ba, bb, shape = a_axis[r0:r1, None], b_axis[None, :], (r1 - r0, grid.nb)
+        rows, cols = keep[r0:r1].any(axis=1), keep[r0:r1].any(axis=0)
+        if n == np.count_nonzero(rows) * np.count_nonzero(cols):  # (kept rows) x (kept columns)
+            ba, bb = a_axis[r0:r1][rows, None], b_axis[None, cols]
+            shape = (len(ba), bb.shape[1])
         else:
             ia, ib = np.nonzero(keep[r0:r1])
             ba, bb, shape = a_axis[r0 + ia], b_axis[ib], (n,)

@@ -19,6 +19,7 @@ from solitonlab.core import (
 )
 from solitonlab.errors import DomainError
 from solitonlab.pde import (
+    _BLOCK,
     DEFAULT_GRIDS,
     Equation,
     GridSpec,
@@ -543,9 +544,11 @@ def test_mask_of_a_single_bool_is_broadcast(value):
 _UFUNCS = {"atan": np.arctan, "atanh": np.arctanh, "asinh": np.arcsinh}
 _IN_DOMAIN = np.array([0.0, -0.0, 0.25, -0.5, 0.75, 1e-300, -3e-5])
 _OUT_OF_DOMAIN = {
-    "log": np.array([0.5, -1.0, -0.25, 2.0, -3e-300]),
+    # 1.0638... and -0.2568... are in the domain, where the complex ufunc on
+    # x + 0j differs from the real one in the last ulp
+    "log": np.array([0.5, -1.0, -0.25, 2.0, -3e-300, 1.063897842906593]),
     "sqrt": np.array([0.5, -1.0, 0.0, 2.0, -4.0]),
-    "atanh": np.array([0.5, -2.0, 0.0, 1.5, -0.25]),
+    "atanh": np.array([0.5, -2.0, 0.0, 1.5, -0.25, -0.2568677479422091]),
 }
 
 
@@ -573,6 +576,20 @@ def test_real_array_stays_real_and_bit_equal_to_the_real_ufunc(name):
     assert got.tobytes() == getattr(jm, name)(n.astype(float)).tobytes()
 
 
+def _entry_by_entry(name, x):
+    """The primitive ``name`` of the float array ``x`` as numpy.emath decides
+    per entry: the real ufunc, and the complex one on x + 0j where the real
+    one leaves the domain (NaN from a number); complex if any entry does."""
+    with np.errstate(invalid="ignore"):
+        w = _ufunc(name)(x)
+    out = np.isnan(w) & ~np.isnan(x)
+    if not out.any():
+        return w
+    w = w.astype(complex)
+    w[out] = _ufunc(name)(x[out].astype(complex))
+    return w
+
+
 @pytest.mark.parametrize("name", sorted(_OUT_OF_DOMAIN))
 def test_real_array_out_of_the_real_domain_is_evaluated_complex(name):
     x = _OUT_OF_DOMAIN[name]
@@ -580,10 +597,15 @@ def test_real_array_out_of_the_real_domain_is_evaluated_complex(name):
         warnings.simplefilter("error", RuntimeWarning)
         got = getattr(jm, name)(x)
         from_int = getattr(jm, name)(np.array([-2, 3]))
-    # as the whole array was evaluated before: the complex ufunc on x + 0j
+    # only the entries that leave the real domain are evaluated complex; the
+    # others are the real ufunc's values plus 0j, whatever shares the array
     assert got.dtype == np.complex128
-    assert got.tobytes() == _ufunc(name)(x.astype(complex)).tobytes()
-    assert from_int.tobytes() == _ufunc(name)(np.array([-2 + 0j, 3 + 0j])).tobytes()
+    assert got.tobytes() == _entry_by_entry(name, x).tobytes()
+    assert got.tobytes() == np.concatenate([getattr(jm, name)(x[i:i + 1]).astype(complex)
+                                            for i in range(len(x))]).tobytes()
+    if name != "sqrt":
+        assert got.tobytes() != _ufunc(name)(x.astype(complex)).tobytes()
+    assert from_int.tobytes() == _entry_by_entry(name, np.array([-2.0, 3.0])).tobytes()
     if name == "log":
         # no -0j imaginary part is carried: the principal value, as cmath
         assert got[1] == cmath.log(-1.0) == complex(0.0, math.pi)
@@ -627,8 +649,9 @@ def test_array_jets_keep_complex_coefficients():
 
 
 def test_central_sweep_evaluates_real_arrays():
-    # a guard on the fast path that does not time anything: the stencil
-    # evaluations of a real field come back as float arrays
+    # a guard on the fast path that does not time anything: the stencil of a
+    # block is evaluated in one call, on float arrays, to float arrays, and
+    # the jet's coefficients stay real
     e = solution("scherk_first_kind")
     dtypes = []
 
@@ -640,7 +663,91 @@ def test_central_sweep_evaluates_real_arrays():
     fld = ScalarField2(ev, CentralDiff(1e-4), e.field.domain_exclusions)
     rep = residual_sweep(fld, e.equation, GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21))
     assert rep.max_abs < 1e-5
-    assert len(dtypes) == 9 and set(dtypes) == {np.dtype(np.float64)}
+    assert dtypes == [np.dtype(np.float64)]
+    j, _ = jet(fld, np.array([0.1, 0.2]), np.array([0.3, -0.4]))
+    assert {c.dtype for c in (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)} == {np.dtype(np.float64)}
+
+
+# -- the central stencil in one call ------------------------------------------------
+
+def _nine_call_jet(fld, a, b, h):
+    """The central-difference jet as it was computed with nine evaluator
+    calls, one per stencil point, whose values were cast to complex and
+    divided by numpy (arrays) or CPython (numbers): the oracle."""
+    sa = (a, a + h, a - h, a, a, a + h, a + h, a - h, a - h)
+    sb = (b, b, b, b + h, b - h, b + h, b - h, b + h, b - h)
+    f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = (
+        jm.TJet.coef(fld.evaluator(pa, pb)) for pa, pb in zip(sa, sb))
+    return jm.TJet(f00, (fp0 - fm0) / (2 * h), (f0p - f0m) / (2 * h),
+                   (fp0 - 2 * f00 + fm0) / (h * h), (fpp - fpm - fmp + fmm) / (4 * h * h),
+                   (f0p - 2 * f00 + f0m) / (h * h))
+
+
+def _complex_bits(j):
+    coefs = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
+    return [np.asarray(c, dtype=complex).tobytes() for c in coefs]
+
+
+def _one_call_cases():
+    for name, grid in DEFAULT_GRIDS.items():
+        for h in (1e-3, 1e-4, 1e-5):
+            yield f"{name} h={h:g}", name, grid, h
+    yield ("scherk_first_kind 201x201", "scherk_first_kind",
+           GridSpec(-1.0, 1.0, -1.0, 1.0, 201, 201), 1e-4)
+    # rows of 9000 points, wider than pde._BLOCK: one block per row
+    yield ("wick_lorentzian_catenoid 81x9000", "wick_lorentzian_catenoid",
+           GridSpec.parse("-0.8:0.8:1:3:81:9000"), 1e-4)
+
+
+@pytest.mark.parametrize("label,name,grid,h",
+                         [pytest.param(*c, id=c[0]) for c in _one_call_cases()])
+def test_one_call_stencil_matches_the_nine_call_oracle_bit_for_bit(label, name, grid, h):
+    e = solution(name)
+    fld = with_backend(e.field, CentralDiff(h))
+    calls = []
+
+    def ev(a, b):
+        calls.append(1)
+        return e.field.evaluator(a, b)
+
+    counted = ScalarField2(ev, fld.backend, fld.domain_exclusions)
+    rep = residual_sweep(counted, e.equation, grid)
+    # one evaluator call per block of whole rows (at most pde._BLOCK points, or one row)
+    rows = max(1, _BLOCK // grid.nb)
+    assert len(calls) == -(-grid.na // rows)
+    a, b = rep.points[:, 0], rep.points[:, 1]
+    want = []
+    with np.errstate(all="ignore"):
+        for s in range(0, len(a), grid.nb):  # the oracle on grid.nb points at a time
+            j = _nine_call_jet(fld, a[s:s + grid.nb], b[s:s + grid.nb], h)
+            want.append(np.asarray(_residual_from_jet(j, e.equation), dtype=complex))
+        assert rep.residuals.tobytes() == np.concatenate(want).tobytes()  # signed zeros too
+        # the jet's coefficients, on a column of two rows' a and a row of b
+        ax, bx = grid.axes()
+        assert _complex_bits(jet(fld, ax[:2, None], bx[None, :])[0]) == \
+            _complex_bits(_nine_call_jet(fld, ax[:2, None], bx[None, :], h))
+
+
+def test_one_call_stencil_keeps_the_signed_zeros_of_the_oracle():
+    # -0.0 * a is -0 at a + h > 0 and +0 at a - h < 0, so fx's difference is
+    # -0, which the oracle's complex division by 2h turns into +0
+    fld = ScalarField2(lambda a, b: -0.0 * a + 0.0 * b, CentralDiff(0.1))
+    a, b = np.array([0.05, -0.05, 0.5, -0.0]), np.array([0.05, -0.0, 0.5, -0.05])
+    j = jet(fld, a, b)[0]
+    assert math.copysign(1.0, j.fx[0]) == 1.0
+    assert _complex_bits(j) == _complex_bits(_nine_call_jet(fld, a, b, 0.1))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_central_jet_at_numbers_is_the_nine_call_oracle(name):
+    e = solution(name)
+    grid = DEFAULT_GRIDS[name]
+    for h in (1e-3, 1e-4):
+        fld = with_backend(e.field, CentralDiff(h))
+        for a, b in grid.points()[::97]:
+            j, backend = jet(fld, a, b)
+            assert backend == "central" and type(j.f) is complex
+            assert _complex_bits(j) == _complex_bits(_nine_call_jet(fld, a, b, h))
 
 
 # -- order-1 jets ----------------------------------------------------------------

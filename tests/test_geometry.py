@@ -6,7 +6,8 @@ import pytest
 
 from solitonlab import geometry, pde
 from solitonlab import jetmath as jm
-from solitonlab.core import CentralDiff, LVec3, ScalarField2, jet, lorentz_inner, with_backend
+from solitonlab.core import (DEFAULT_CENTRAL_H, CentralDiff, LVec3, ScalarField2, jet,
+                             lorentz_inner, with_backend)
 from solitonlab.errors import DegenerateError, DomainError
 from solitonlab.geometry import (
     CausalClass,
@@ -305,7 +306,7 @@ def test_classify_grid_skips_central_stencils_that_reach_an_exclusion():
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)
     rows = classify_grid(fld, grid)
     want = _point_rows(fld, grid)
-    # numpy divides the stencil's complex arrays by a reciprocal: roundoff apart
+    # the array stencil scales by the step's reciprocal, a point's divides: roundoff apart
     assert [r[:3] for r in rows] == [r[:3] for r in want]
     assert all(abs(g[3] - w[3]) <= 1e-12 * abs(w[3]) for g, w in zip(rows, want))
     # the kept column y = 0 has stencils at y = -0.05: no jet exists there
@@ -315,6 +316,22 @@ def test_classify_grid_skips_central_stencils_that_reach_an_exclusion():
         for part in (causal_classify, fundamental_forms, unit_normal, mean_curvature):
             with pytest.raises(DomainError):
                 part(fld, y, z)
+
+
+@pytest.mark.parametrize("cos", [math.cos, np.cos], ids=["math.cos", "np.cos"])
+def test_classify_grid_skips_stencils_of_a_central_fallback_field(cos):
+    # cos rejects jets, so core.jet falls back to central differences, point
+    # by point for math.cos and on arrays for np.cos; the stencils of the
+    # kept column y = 0 reach y < 0 and are skipped, as for a central field
+    fld = ScalarField2(lambda y, z: 0.1 * cos(y) + z * z / 4,
+                       domain_exclusions=lambda y, z: y < 0.0)
+    grid = GridSpec.parse("-1:1:-1:1:5:5")
+    rows = classify_grid(fld, grid)
+    want = classify_grid(with_backend(fld, CentralDiff(DEFAULT_CENTRAL_H)), grid)
+    assert _row_bits(rows) == _row_bits(want)
+    assert [r[:2] for r in rows] == [(y, z) for (y, z) in grid.points() if y > 0.0]
+    with pytest.raises(DomainError, match=r"^stencil point \(-0\.0001, -1\.0\) is excluded$"):
+        causal_classify(fld, 0.0, -1.0)
 
 
 def test_central_classify_of_example1_agrees_with_the_exact_rows():

@@ -241,19 +241,20 @@ def test_array_sweep_matches_per_point_residuals(label, fld, equation, grid, bac
 _SCHERK_201 = GridSpec(-1.0, 1.0, -1.0, 1.0, 201, 201)
 
 
-def _flat_residuals(fld, equation, grid):
-    """The residuals of one ``core.jet`` call on each ``_BLOCK`` kept points
+def _flat_residuals(fld, equation, grid, chunk=pde._BLOCK):
+    """The residuals of one ``core.jet`` call on each ``chunk`` kept points
     of ``grid`` as flat arrays, in grid order."""
     a, b = grid.coords()
     kept = ~fld.excluded_mask(a, b)
     a, b = a[kept], b[kept]
     out = []
     with np.errstate(all="ignore"):
-        for s in range(0, len(a), pde._BLOCK):
-            j, _ = jet(fld, a[s:s + pde._BLOCK], b[s:s + pde._BLOCK])
+        for s in range(0, len(a), chunk):
+            j, _ = jet(fld, a[s:s + chunk], b[s:s + chunk])
             res = pde._residual_from_jet(j, equation)
-            out.append(np.broadcast_to(res, a[s:s + pde._BLOCK].shape))
-    return np.concatenate(out)
+            out.append(np.broadcast_to(res, a[s:s + chunk].shape))
+    # complex as the sweep stores them: a real field's central residuals are real
+    return np.concatenate(out).astype(complex)
 
 
 def _row_block_cases():
@@ -288,34 +289,70 @@ def test_fully_kept_blocks_run_on_a_column_of_a_and_a_row_of_b(backend):
     e = solution("scherk_first_kind")
     fld, shapes = _recording(e.field if backend is None else with_backend(e.field, backend))
     residual_sweep(fld, e.equation, _SCHERK_201)
-    rows = [sa[0] for sa, sb in shapes]
-    assert all(sa == (r, 1) and sb == (1, 201) for (sa, sb), r in zip(shapes, rows))
-    # 20 rows of 201 points fit in _BLOCK = 4096, so 11 blocks cover 201 rows
-    calls = 1 if backend is None else 9
-    assert rows == [20] * 10 * calls + [1] * calls
+    # 20 rows of 201 points fit in _BLOCK = 4096, so 11 blocks cover 201 rows;
+    # a central block is one call with the stencil's shifts on two leading axes
+    rows = [20] * 10 + [1]
+    if backend is None:
+        assert shapes == [((r, 1), (1, 201)) for r in rows]
+    else:
+        assert shapes == [((3, 1, r, 1), (1, 3, 1, 201)) for r in rows]
 
 
 def test_blocks_with_an_excluded_point_run_on_flat_arrays():
-    # the four rows with |cos a| <= 0.1 are excluded; the grid is one block
+    # the four rows with |cos a| <= 0.1 are excluded; the grid is one block,
+    # whose kept points are 37 whole rows: it runs on their a and all b
     grid = GridSpec.parse("-1.6:1.6:-1:1:41:41")
     fld, shapes = _recording(solution("wick_scherk", margin=0.1).field)
     rep = residual_sweep(fld, Equation.BORN_INFELD, grid)
     assert rep.excluded_count == 4 * 41
-    n = 41 * 41 - rep.excluded_count
-    assert shapes == [((n,), (n,))]
+    assert shapes == [((37, 1), (1, 41))]
     points = [(a, b) for a, b in grid.points() if not fld.excluded(a, b)]
     want = summarize(points, [equation_residual(fld, Equation.BORN_INFELD, a, b)
                               for a, b in points], "exact", 41 * 41 - len(points))
     assert rep.residuals.tobytes() == want.residuals.tobytes()
     assert (rep.max_abs, rep.worst_point, rep.excluded_count) == \
         (want.max_abs, want.worst_point, want.excluded_count)
-    # on 161 rows of 101 points the two middle blocks have no excluded point
-    # and run on the axes, the two that reach |cos a| <= 0.1 run flat
+    # on 161 rows of 101 points every block is (kept rows) x (all columns)
     grid = GridSpec.parse("-1.6:1.6:-1:1:161:101")
     shapes.clear()
     rep = residual_sweep(fld, Equation.BORN_INFELD, grid)
-    assert [len(sa) for sa, sb in shapes] == [1, 2, 2, 1]
+    assert [(sa[1], sb) for sa, sb in shapes] == [(1, (1, 101))] * 4
     assert rep.residuals.tobytes() == _flat_residuals(fld, Equation.BORN_INFELD, grid).tobytes()
+    # the disk a^2 + b^2 <= 0.3^2 is no set of rows and columns: flat arrays
+    e = solution("lorentzian_catenoid", margin=0.3)
+    fld, shapes = _recording(e.field)
+    grid = GridSpec.parse("-1:1:-1:1:41:41")
+    rep = residual_sweep(fld, e.equation, grid)
+    n = 41 * 41 - rep.excluded_count
+    assert rep.excluded_count > 0 and shapes == [((n,), (n,))]
+    assert rep.residuals.tobytes() == _flat_residuals(fld, e.equation, grid).tobytes()
+
+
+def test_kept_rows_and_columns_run_on_the_axes():
+    # scherk_minimal excludes two whole columns, cos b ~ 0, of this grid: each
+    # block runs on its rows' a and the 199 kept b, as flat arrays would give
+    grid = GridSpec.parse("-1:1:-2:2:201:201")
+    e = solution("scherk_minimal")
+    for backend in (None, CentralDiff(1e-4)):
+        fld, shapes = _recording(e.field if backend is None else with_backend(e.field, backend))
+        rep = residual_sweep(fld, e.equation, grid)
+        assert rep.excluded_count == 2 * 201
+        b = [sb for sa, sb in shapes]
+        assert b == [(1, 199) if backend is None else (1, 3, 1, 199)] * 11
+        assert rep.residuals.tobytes() == _flat_residuals(fld, e.equation, grid).tobytes()
+
+
+def test_central_residuals_do_not_depend_on_the_points_that_share_an_array():
+    # log cos a leaves the real domain past |a| = pi/2, at some stencil points
+    # of a block only; each entry is evaluated in its own domain, so every
+    # chunking of the kept points gives the same residual bytes
+    e = solution("wick_scherk")
+    fld = with_backend(e.field, CentralDiff(1e-4))
+    grid = GridSpec.parse("-1.6:1.6:-1:1:161:101")
+    assert (np.cos(grid.axes()[0]) < 0).any()
+    got = residual_sweep(fld, e.equation, grid).residuals
+    for chunk in (13, 101, 1000, len(got)):
+        assert _flat_residuals(fld, e.equation, grid, chunk).tobytes() == got.tobytes()
 
 
 def test_an_evaluator_that_rejects_broadcasting_is_evaluated_point_by_point():
