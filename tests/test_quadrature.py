@@ -61,8 +61,14 @@ def test_gk21_matches_quad_vec_on_catalog_paths(name, target, n_points):
 
 
 # sha256 of the integrals on the ten _PATHS as complex128 bytes: it pins
-# the subdivision and the order of the sums.
-_PATHS_DIGEST = "c112d2f2c4046cfa01f97bef386765c9fa33133f71f8b8b5540b7c01391103e1"
+# the subdivision and the order of the sums.  Keyed by numpy's active dispatch
+# targets (conftest.py): numpy's SIMD exp and complex products move the bits.
+_PATHS_DIGEST = {
+    "X86_V3 X86_V4 AVX512_ICL AVX512_SPR":
+        "d73fa2a3f459a1d53f3028cbf48d6120c0c085da9d987967d15943047add222c",
+    "X86_V3": "d73fa2a3f459a1d53f3028cbf48d6120c0c085da9d987967d15943047add222c",
+    "none": "4f9d93484067dd288286e78ec741ba5064fea34f2f1255a36d180b8b38e1955d",
+}
 
 
 def _paths_digest():
@@ -74,8 +80,8 @@ def _paths_digest():
     return h.hexdigest()
 
 
-def test_gk21_integrals_are_bit_identical_to_the_recorded_digest():
-    assert _paths_digest() == _PATHS_DIGEST
+def test_gk21_integrals_are_bit_identical_to_the_recorded_digest(recorded_digest):
+    assert _paths_digest() == recorded_digest(_PATHS_DIGEST)
 
 
 def test_scalar_only_integrand_raises_after_one_call():
@@ -113,16 +119,46 @@ def test_holomorphic_derivative_on_arrays_matches_points():
 
 def test_near_pole_detour_stops_at_round_off():
     datum = we_catalog("lorentzian_catenoid")
-    path = build_path(complex(datum.base), CATENOID_DETOUR, datum.pole_set)
+    # a detour 0.02 off the chord's midpoint, so the segments pass the pole
+    # at 0 at about the margin (build_path itself detours a quarter chord off)
+    base = complex(datum.base)
+    chord = CATENOID_DETOUR - base
+    waypoint = 0.5 * (base + CATENOID_DETOUR) + 0.02 * (1j * chord / abs(chord))
+    path = [base, waypoint, CATENOID_DETOUR]
     f, calls = _counted(integrand(datum))
     vec = integrate_segments(f, path)
     # with the round-off guard this takes 8 rounds of at most a few hundred
     # nodes; without it the subintervals next to the pole double each round
     assert len(calls) <= 12 and sum(calls) <= 10_000
-    base = closed_form_point(datum, complex(datum.base))
     exact = closed_form_point(datum, CATENOID_DETOUR)
-    assert abs(base.x + vec[0].real - exact.x) <= 1e-8
+    assert abs(closed_form_point(datum, base).x + vec[0].real - exact.x) <= 1e-8
     assert we_integrate(datum, CATENOID_DETOUR).z == pytest.approx(exact.z, abs=1e-8)
+
+
+# Detour targets of the benchmark's two detour regions: just off the real axis
+# on the far side of a pole from the base, |Im| from 0.001 to 0.004.
+_DETOUR_TARGETS = [(name, complex(re, sign * im))
+                   for name, res in (("scherk_first_kind", np.linspace(0.3, 0.6, 7)),
+                                     ("lorentzian_catenoid", np.linspace(-1.2, -0.4, 9)))
+                   for re in res for im in (0.001, 0.0025, 0.004) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("name,target", _DETOUR_TARGETS)
+def test_detour_a_quarter_chord_off_converges_in_a_few_rounds(name, target):
+    datum = we_catalog(name)
+    base = complex(datum.base)
+    path = build_path(base, target, datum.pole_set)
+    chord = target - base
+    # the first offset, on the side left of the chord
+    assert len(path) == 3 and (path[0], path[2]) == (base, target)
+    assert abs(path[1] - (0.5 * (base + target) + 0.25j * chord)) <= 1e-15
+    f, calls = _counted(integrand(datum))
+    vec = integrate_segments(f, path)
+    # a waypoint 0.02 off the chord takes 7-8 rounds on these targets
+    assert len(calls) <= 5
+    start, exact = closed_form_point(datum, base), closed_form_point(datum, target)
+    assert max(abs(start.x + vec[0].real - exact.x), abs(start.y + vec[1].real - exact.y),
+               abs(start.z + vec[2].real - exact.z)) <= 1e-13
 
 
 @pytest.mark.parametrize("fvec,path,message", [

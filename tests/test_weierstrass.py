@@ -277,7 +277,9 @@ def test_rotation_matches_conjugate_combination():
 
 def test_build_path_detours_and_fails():
     path = build_path(0j, 2 + 0j, poles=(1 + 0j,))
-    assert len(path) == 3  # forced around the pole
+    assert path == [0j, 1 + 0.5j, 2 + 0j]  # a quarter chord off, left of the chord
+    # poles on both quarter-chord waypoints: twice the margin clears
+    assert build_path(0j, 2 + 0j, poles=(1, 1 + 0.5j, 1 - 0.5j)) == [0j, 1 + 0.02j, 2 + 0j]
     wall = tuple(1 + 0.005j * k for k in range(-540, 541))
     with pytest.raises(PathError):
         build_path(0j, 2 + 0j, poles=wall)
