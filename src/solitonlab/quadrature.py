@@ -16,13 +16,21 @@ out).
 
 Segment integrals use adaptive 21-point Gauss-Kronrod quadrature (QUADPACK's
 qk21 rule; Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*,
-Springer 1983) on the pulled-back integrand, vectorized with numpy: each
-round evaluates the integrand once, on one array holding the 21 nodes of
-every unfinished subinterval of every segment, and bisects the subintervals
-whose Kronrod-Gauss difference is above their share of the tolerance.
-QUADPACK's round-off guard (the difference against the Kronrod integral of
-|f|) is evaluated only for the subintervals that fail that test, so a round
-in which every subinterval converges pays for none of it.
+Springer 1983) on the pulled-back integrand, vectorized with numpy.  Each
+segment starts as four equal subintervals.  Each round evaluates the
+integrand once, on one array holding the 21 nodes of every unfinished
+subinterval of every segment, and bisects the subintervals whose
+Kronrod-Gauss difference is above their share of the tolerance.  QUADPACK's
+round-off guard (the difference against the Kronrod integral of |f|) is
+evaluated only for the subintervals that fail that test, so a round in which
+every subinterval converges pays for none of it.
+
+A round costs about the same whatever its size: its fixed numpy
+bookkeeping outweighs the integrand, whose cost grows only a little with the
+number of nodes at the sizes these paths need.  So the rounds, not the nodes,
+set the cost, and a start of four subintervals per segment, which lets most
+contour integrals converge in the first round, is cheaper than a start of
+one that is bisected a round at a time.
 """
 
 from __future__ import annotations
@@ -64,13 +72,15 @@ _EPSABS = _EPSREL = 1e-12
 # QUADPACK's round-off level: a Kronrod-Gauss difference below this share of
 # the integral of |f| over the subinterval cannot be reduced by bisecting.
 _ROUNDOFF = 50 * np.finfo(float).eps
+# Equal subintervals that each segment starts as.
+_SPLIT = 4
 # Subintervals, over all segments, before the quadrature gives up.
 _MAX_INTERVALS = 10_000
 # QUADPACK's round-off test (qagse, ier = 2): bisections after which the two
 # halves of a subinterval have a larger error estimate than the whole, counted
-# once there are more than 10 subintervals.  After this many, bisection is
-# stuck on the round-off of the integrand or of the nodes next to a singular
-# point.
+# once more than 10 subintervals have been added to the starting ones.  After
+# this many, bisection is stuck on the round-off of the integrand or of the
+# nodes next to a singular point.
 _MAX_NO_GAIN = 20
 
 
@@ -147,29 +157,36 @@ def integrate_segments(fvec, path):
     Floating-point warnings are off for the whole integral (the integrand
     included): non-finite values are caught by the finiteness test instead.
 
-    Each segment is parametrized over s in [0, 1].  A subinterval of width
-    ``ds`` is accepted when its Kronrod-Gauss difference (2-norm over the
-    components) is at most ``tol * ds / n_segments``, with ``tol =
-    max(_EPSABS, _EPSREL * |integral|)``, or is at round-off level; the others
-    are bisected.  Raises ``QuadratureError`` on a non-finite integrand value,
-    when ``_MAX_NO_GAIN`` bisections have left the error estimate larger than
+    Each segment is parametrized over s in [0, 1] and starts as ``_SPLIT``
+    equal subintervals.  A subinterval of width ``ds`` is accepted when its
+    Kronrod-Gauss difference (2-norm over the components) is at most ``tol *
+    ds / n_segments``, with ``tol = max(_EPSABS, _EPSREL * |integral|)``, or
+    is at round-off level; the others are bisected.  Raises
+    ``QuadratureError`` on a non-finite integrand value, when
+    ``_MAX_NO_GAIN`` bisections have left the error estimate larger than
     before (QUADPACK's round-off test), or when the subintervals would exceed
     ``_MAX_INTERVALS``.
+
+    The four-subinterval start trades nodes for rounds, which cost more (see
+    the module docstring).  A round that accepts every subinterval returns
+    at once.
     """
     n_seg = len(path) - 1
-    # unfinished subintervals: segment index, the segment's start and step,
-    # and the subinterval's centre and half-width in s
-    seg = np.arange(n_seg)
-    start = np.array(path[:-1], dtype=complex)
-    step = np.array(path[1:], dtype=complex) - start
-    mid = np.full(n_seg, 0.5)
-    half = np.full(n_seg, 0.5)
-    n_intervals = n_seg
+    ends = np.array(path, dtype=complex)
+    # unfinished subintervals, as columns: the segment's start and step, and
+    # the subinterval's centre and half-width in s; and each one's segment
+    k = np.arange(n_seg * _SPLIT)
+    seg = k // _SPLIT
+    start = ends[seg, None]
+    step = ends[seg + 1, None] - start
+    mid = ((k % _SPLIT + 0.5) / _SPLIT)[:, None]
+    half = np.full_like(mid, 0.5 / _SPLIT)
+    n_start = n_intervals = n_seg * _SPLIT
     done = 0j
     parent_err, no_gain = None, 0
     with np.errstate(all="ignore"):
         while True:
-            nodes = start[:, None] + (mid[:, None] + half[:, None] * _XK) * step[:, None]
+            nodes = start + (mid + half * _XK) * step
             out = fvec(nodes.ravel())
             vals = np.empty((len(out), nodes.size), dtype=complex)
             for row, v in zip(vals, out):
@@ -179,16 +196,18 @@ def integrate_segments(fvec, path):
                 i = seg[np.argmin(np.isfinite(vals).all(axis=(0, 2)))]
                 raise QuadratureError(f"non-finite integrand value on the segment "
                                       f"{path[i]} -> {path[i + 1]}")
-            vals = vals * (half * step)[:, None]
+            vals = vals * (half * step)
             rules = vals @ _RULES
             kronrod = rules[..., 0]
             err = _norm(rules[..., 1])
-            tol = max(_EPSABS, _EPSREL * float(_norm(done + kronrod.sum(axis=1))))
-            ok = err <= tol * 2 * half / n_seg
-            if not ok.all():
-                # the round-off guard, for the subintervals above their tolerance
-                above = ~ok
-                ok[above] = err[above] <= _ROUNDOFF * _norm(np.abs(vals[:, above]) @ _WK)
+            total = done + kronrod.sum(axis=1)
+            tol = max(_EPSABS, _EPSREL * float(_norm(total)))
+            ok = err <= tol * 2 / n_seg * half[:, 0]
+            if ok.all():
+                return total
+            # the round-off guard, for the subintervals above their tolerance
+            above = ~ok
+            ok[above] = err[above] <= _ROUNDOFF * _norm(np.abs(vals[:, above]) @ _WK)
             done = done + kronrod[:, ok].sum(axis=1)
             if ok.all():
                 return done
@@ -204,10 +223,10 @@ def integrate_segments(fvec, path):
             if n_intervals > _MAX_INTERVALS:
                 raise QuadratureError(f"quadrature needs more than {_MAX_INTERVALS} subintervals "
                                       f"on the path from {path[0]} to {path[-1]}")
-            parent_err = err[split] if n_intervals > 10 else None
+            parent_err = err[split] if n_intervals > n_start + 10 else None
             child_half = half[split] / 2
-            mid = (mid[split, None] + child_half[:, None] * _SIDES).ravel()
-            half = np.repeat(child_half, 2)
+            mid = (mid[split] + child_half * _SIDES).reshape(-1, 1)
+            half = np.repeat(child_half, 2, axis=0)
             seg = np.repeat(seg[split], 2)
-            start = np.repeat(start[split], 2)
-            step = np.repeat(step[split], 2)
+            start = np.repeat(start[split], 2, axis=0)
+            step = np.repeat(step[split], 2, axis=0)

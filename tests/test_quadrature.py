@@ -65,9 +65,9 @@ def test_gk21_matches_quad_vec_on_catalog_paths(name, target, n_points):
 # targets (conftest.py): numpy's SIMD exp and complex products move the bits.
 _PATHS_DIGEST = {
     "X86_V3 X86_V4 AVX512_ICL AVX512_SPR":
-        "d73fa2a3f459a1d53f3028cbf48d6120c0c085da9d987967d15943047add222c",
-    "X86_V3": "d73fa2a3f459a1d53f3028cbf48d6120c0c085da9d987967d15943047add222c",
-    "none": "4f9d93484067dd288286e78ec741ba5064fea34f2f1255a36d180b8b38e1955d",
+        "e28bc01fd2fff2252d3491aaf46cf455079b4dbbcd9836803baa25e560783982",
+    "X86_V3": "e28bc01fd2fff2252d3491aaf46cf455079b4dbbcd9836803baa25e560783982",
+    "none": "2e495b5924771215756abddc9fdeef5126f73678f3c824e805c8e27be71b27eb",
 }
 
 
@@ -89,8 +89,9 @@ def test_scalar_only_integrand_raises_after_one_call():
     scal, scal_calls = _counted(lambda w: (cmath.exp(w), 1 / (w + 2), w * w))
     with pytest.raises(TypeError):
         integrate_segments(scal, path)
-    # one call on the 21 nodes of each of the two segments, never node by node
-    assert scal_calls == [42]
+    # one call on the 21 nodes of the 4 starting subintervals of each of the
+    # two segments, never node by node
+    assert scal_calls == [2 * 4 * 21]
     arr, arr_calls = _counted(lambda w: (np.exp(w), 1 / (w + 2), w * w))
     exact = cmath.exp(path[-1]) - cmath.exp(path[0])
     assert abs(integrate_segments(arr, path)[0] - exact) <= 1e-13
@@ -127,12 +128,29 @@ def test_near_pole_detour_stops_at_round_off():
     path = [base, waypoint, CATENOID_DETOUR]
     f, calls = _counted(integrand(datum))
     vec = integrate_segments(f, path)
-    # with the round-off guard this takes 8 rounds of at most a few hundred
+    # with the round-off guard this takes 6 rounds of at most a few hundred
     # nodes; without it the subintervals next to the pole double each round
     assert len(calls) <= 12 and sum(calls) <= 10_000
     exact = closed_form_point(datum, CATENOID_DETOUR)
     assert abs(closed_form_point(datum, base).x + vec[0].real - exact.x) <= 1e-8
     assert we_integrate(datum, CATENOID_DETOUR).z == pytest.approx(exact.z, abs=1e-8)
+
+
+@pytest.mark.parametrize("xs", [(0.1, -0.1), (0.5, 0.1, -0.1, -0.5),
+                                (0.6, 0.3, 0.1, -0.1, -0.3, -0.6)])
+def test_multi_segment_path_close_to_a_pole_converges(xs):
+    # 3, 5 and 7 segments, one of them 0.001 from the pole at 0: the bisection
+    # next to the pole must not count toward the no-gain stop, however many
+    # subintervals the segments start as
+    datum = we_catalog("lorentzian_catenoid")
+    base = complex(datum.base)
+    path = [base] + [complex(x, -0.001) for x in xs] + [CATENOID_DETOUR]
+    f, calls = _counted(integrand(datum))
+    vec = integrate_segments(f, path)
+    assert len(calls) <= 12
+    start, exact = closed_form_point(datum, base), closed_form_point(datum, CATENOID_DETOUR)
+    assert max(abs(start.x + vec[0].real - exact.x), abs(start.y + vec[1].real - exact.y),
+               abs(start.z + vec[2].real - exact.z)) <= 1e-11
 
 
 # Detour targets of the benchmark's two detour regions: just off the real axis
@@ -154,8 +172,9 @@ def test_detour_a_quarter_chord_off_converges_in_a_few_rounds(name, target):
     assert abs(path[1] - (0.5 * (base + target) + 0.25j * chord)) <= 1e-15
     f, calls = _counted(integrand(datum))
     vec = integrate_segments(f, path)
-    # a waypoint 0.02 off the chord takes 7-8 rounds on these targets
-    assert len(calls) <= 5
+    # a waypoint 0.02 off the chord takes 7-8 rounds on these targets; a
+    # quarter chord off, 1-2 rounds from four subintervals per segment
+    assert len(calls) <= 2
     start, exact = closed_form_point(datum, base), closed_form_point(datum, target)
     assert max(abs(start.x + vec[0].real - exact.x), abs(start.y + vec[1].real - exact.y),
                abs(start.z + vec[2].real - exact.z)) <= 1e-13
@@ -164,9 +183,10 @@ def test_detour_a_quarter_chord_off_converges_in_a_few_rounds(name, target):
 @pytest.mark.parametrize("fvec,path,message", [
     (lambda w: (w, np.nan * w), [0j, 1 + 1j], "non-finite"),
     (lambda w: (np.sqrt(w), math.nan), [0j, 1 + 1j], "non-finite"),
-    # poles on the path, not declared to build_path: a node on the pole, and
-    # a pole between nodes that bisection never isolates
-    (lambda w: [1 / w], build_path(-1 + 0j, 1 + 0j, poles=()), "non-finite"),
+    # poles on the path, not declared to build_path: a node on the pole (at
+    # s = 1/8, the centre node of the first of the four starting subintervals),
+    # and a pole between nodes that bisection never isolates
+    (lambda w: [1 / w], build_path(-1 + 0j, 7 + 0j, poles=()), "non-finite"),
     (lambda w: [1 / w], build_path(-1 + 0j, 1.3 + 0j, poles=()), "subintervals"),
     (lambda w: [1 / (w * w)], build_path(-1 + 0j, 1.3 + 0j, poles=()), "subintervals"),
 ])
