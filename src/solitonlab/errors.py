@@ -22,7 +22,9 @@ class UnsupportedEvaluator(SolitonLabError):
 
 
 class PathError(SolitonLabError):
-    """No pole-avoiding integration path within the detour budget."""
+    """No usable integration path: none that avoids the poles within the
+    detour budget, or a given path with fewer than two waypoints or with the
+    wrong endpoints."""
 
 
 class UnknownSurface(SolitonLabError):

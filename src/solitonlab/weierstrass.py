@@ -26,7 +26,7 @@ import numpy as np
 from . import jetmath as jm
 from . import pde
 from .core import LVec3, exclusion_mask, nonreal
-from .errors import DomainError, UnknownSurface
+from .errors import DomainError, PathError, UnknownSurface
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
 
 
@@ -126,17 +126,22 @@ def we_integrate(data: WEData, zeta: complex, path: Optional[list] = None) -> LV
 
     A straight base->zeta segment is used when it clears the poles by
     ``DEFAULT_POLE_MARGIN``; otherwise a polyline detour.  ``path``
-    overrides the automatic choice (for path-independence checks).
+    overrides the automatic choice (for path-independence checks); it must
+    run from ``data.base`` to ``zeta``, or ``PathError`` is raised.
     """
     zeta = complex(zeta)
+    base = complex(data.base)
     for p in data.pole_set:
         if abs(zeta - p) < 1e-12:
             raise DomainError(f"{zeta} is a pole of the Weierstrass data")
     if path is None:
-        path = build_path(complex(data.base), zeta, data.pole_set)
+        path = build_path(base, zeta, data.pole_set)
+    elif len(path) >= 2 and (complex(path[0]) != base or complex(path[-1]) != zeta):
+        raise PathError(f"a path for the point at {zeta} must run from the base point "
+                        f"{base} to it, not from {path[0]} to {path[-1]}")
     vec = integrate_segments(integrand(data), path)
     if data.antiderivatives is not None:
-        base_val = closed_form_point(data, complex(data.base))
+        base_val = closed_form_point(data, base)
     else:
         base_val = LVec3(0.0, 0.0, 0.0)
     return LVec3(base_val.x + vec[0].real, base_val.y + vec[1].real,

@@ -347,6 +347,41 @@ def test_re_im_of_numbers_are_bit_identical():
     j = jm.re(jm.TJet(z, 2j * z))
     assert np.array_equal(j.f, z.real.astype(complex)) and np.array_equal(j.fx, -2 * z.imag)
     assert np.array_equal(jm.im(jm.TJet(z, 2j * z)).fx, 2 * z.real)
+    # an array jet keeps complex128 coefficients; a number beside an array
+    # coefficient becomes a complex number
+    for part in (jm.re(jm.TJet(z, 2j * z)), jm.im(jm.TJet(z, 2j * z, 1j, None, None, None))):
+        assert part.f.dtype == complex and part.fx.dtype == complex
+    mixed = jm.im(jm.TJet(z, 1j, -0.0 + 0j, None, None, None))
+    assert mixed.f.dtype == complex and mixed.fxx is None
+    assert _hex_parts(mixed.fx) == _hex_parts(1 + 0j) and _hex_parts(mixed.ft) == _hex_parts(0j)
+
+
+def _hex_parts(c):
+    return c.real.hex(), c.imag.hex()
+
+
+_SPECIAL = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, -0.0),
+            complex(-0.0, math.nan), complex(math.inf, -math.inf),
+            complex(-math.inf, math.nan), complex(1.5, -2.5), complex(-0.0, -0.0)]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_re_im_of_scalar_jets_are_bit_identical(order):
+    # a scalar jet's parts are built without a call per coefficient; each
+    # coefficient must be complex(c.real) or complex(c.imag), signed zeros,
+    # NaN and infinities included
+    for shift in range(len(_SPECIAL)):
+        coefs = (_SPECIAL[shift:] + _SPECIAL[:shift])[:6]
+        j = jm.TJet(*coefs) if order == 2 else jm.TJet(*coefs[:3], None, None, None)
+        for fn, part in ((jm.re, lambda c: complex(c.real)), (jm.im, lambda c: complex(c.imag))):
+            got = fn(j)
+            for name in ("f", "fx", "ft", "fxx", "fxt", "ftt"):
+                c, g = getattr(j, name), getattr(got, name)
+                if c is None:
+                    assert g is None
+                    continue
+                assert type(g) is complex
+                assert _hex_parts(g) == _hex_parts(part(c)), (fn, name, c)
 
 
 def test_primitives_reject_other_types():

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from solitonlab.errors import QuadratureError
+from solitonlab.errors import PathError, QuadratureError
 from solitonlab.family import catalog_whitham, holomorphic_derivative
-from solitonlab.quadrature import build_path, integrate_segments
+from solitonlab.quadrature import _SPLIT, _XK, _start_layout, build_path, integrate_segments
 from solitonlab.weierstrass import closed_form_point, integrand, we_catalog, we_integrate
 
 # A catenoid detour target just across the negative real axis: next to the
@@ -151,6 +151,58 @@ def test_multi_segment_path_close_to_a_pole_converges(xs):
     start, exact = closed_form_point(datum, base), closed_form_point(datum, CATENOID_DETOUR)
     assert max(abs(start.x + vec[0].real - exact.x), abs(start.y + vec[1].real - exact.y),
                abs(start.z + vec[2].real - exact.z)) <= 1e-11
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 3, 7])
+def test_first_round_nodes_follow_the_node_formula(n_seg):
+    # the shared start layout must give the nodes that the formula
+    # start + (mid + half * x) * step gives, bit for bit: the no-gain stop
+    # depends on the rounding of the nodes next to a singular point
+    rng = np.random.default_rng(n_seg)
+    path = list(rng.uniform(-2, 2, n_seg + 1) + 1j * rng.uniform(-2, 2, n_seg + 1))
+    seen = []
+
+    def f(w):
+        seen.append(w.copy())
+        return (w,)
+    integrate_segments(f, path)
+    ends = np.array(path)
+    start = np.repeat(ends[:-1], _SPLIT)[:, None]
+    step = np.repeat(ends[1:] - ends[:-1], _SPLIT)[:, None]
+    mid = np.tile((np.arange(_SPLIT) + 0.5) / _SPLIT, n_seg)[:, None]
+    half = np.full_like(mid, 0.5 / _SPLIT)
+    want = start + (mid + half * _XK) * step
+    assert seen[0].tobytes() == want.ravel().tobytes()
+
+
+def test_start_layout_is_shared_read_only_and_bounded():
+    # the 7-segment path 0.001 from the pole bisects for several rounds; the
+    # layout it started from must come out unchanged
+    datum = we_catalog("lorentzian_catenoid")
+    path = ([complex(datum.base)] + [complex(x, -0.001) for x in (0.6, 0.3, 0.1, -0.1, -0.3, -0.6)]
+            + [CATENOID_DETOUR])
+    layout = _start_layout(7)
+    before = [a.copy() for a in layout]
+    f, calls = _counted(integrand(datum))
+    integrate_segments(f, path)
+    assert len(calls) > 1
+    assert _start_layout(7) is layout
+    for a, b in zip(layout, before):
+        assert not a.flags.writeable
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError):
+        layout[1][0, 0] = 0.0
+    # paths of many segment counts keep at most the cache's size of layouts
+    for n in range(1, 80):
+        integrate_segments(lambda w: (w,), [complex(k, 1) for k in range(n + 1)])
+    info = _start_layout.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 79
+
+
+@pytest.mark.parametrize("path", [[], [0.5 + 0.1j]])
+def test_path_with_fewer_than_two_waypoints_raises(path):
+    with pytest.raises(PathError, match="two waypoints"):
+        integrate_segments(lambda w: (w,), path)
 
 
 # Detour targets of the benchmark's two detour regions: just off the real axis

@@ -139,6 +139,19 @@ def test_path_independence_of_real_parts():
         assert err <= 1e-8
 
 
+@pytest.mark.parametrize("path", [
+    [0.3 + 0.1j],                # one waypoint
+    [0.0, 0.3 + 0.1j],           # not from the base point 2
+    [2.0 + 0j, 0.5 + 0.1j],      # not to the point
+])
+def test_explicit_path_must_run_from_the_base_to_the_point(path):
+    # the closed form at the base is added to the integral, so a path from
+    # 0 would give x = 1.7105 where the closed form at the point is 0.6119
+    d = we_catalog("scherk_first_kind")
+    with pytest.raises(PathError):
+        we_integrate(d, 0.3 + 0.1j, path=path)
+
+
 def test_scherk_domain_condition_on_samples():
     # the parametrization lands where sech^2 x + sech^2 y > 1
     surf = catalog_surface("scherk_first_kind")
