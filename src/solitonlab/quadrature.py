@@ -37,11 +37,8 @@ round's.  The start layout (each starting subinterval's segment, centre,
 half-width and 21 node offsets) depends only on the number of segments, so
 it is built once per segment count and shared, read-only, by every integral
 over that many segments; a call builds only the first round's nodes from it.
-On a 2-CPU Xeon (Python 3.11, numpy 2.4), a one-round call on one segment
-with the integrand w took about 44 us when every call built its own layout,
-18 us of it for the layout and the first nodes; with the shared layout it
-takes about 34 us, 8.5 us of it for the nodes.  The other 25 us or so is the
-round's own bookkeeping, paid again for every round.
+What remains of a call's cost is mostly the round's own numpy bookkeeping,
+paid again for every round.
 """
 
 from __future__ import annotations
