@@ -44,6 +44,7 @@ paid again for every round.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -174,6 +175,19 @@ def _start_layout(n_seg: int):
     return layout
 
 
+def _raise_non_finite(kronrod, seg, path):
+    """Raise ``QuadratureError`` for a round whose sum is not finite, naming
+    the segment of the first subinterval whose Kronrod sum is not finite, or
+    the whole path when each is finite and only their sum overflowed."""
+    bad = ~np.isfinite(kronrod).all(axis=0)
+    if bad.any():
+        i = seg[np.argmax(bad)]
+        where = f"on the segment {path[i]} -> {path[i + 1]}"
+    else:
+        where = f"on the path from {path[0]} to {path[-1]}"
+    raise QuadratureError(f"non-finite integrand value or Kronrod sum {where}")
+
+
 def integrate_segments(fvec, path):
     """Integrate the complex-vector integrand ``fvec`` along the polyline.
 
@@ -184,6 +198,10 @@ def integrate_segments(fvec, path):
     componentwise contour integral.
     Floating-point warnings are off for the whole integral (the integrand
     included): non-finite values are caught by the finiteness test instead.
+    That test reads the norm of each round's running integral, which the
+    tolerance needs anyway: every Kronrod weight is nonzero, so a NaN or
+    infinite node value makes its subinterval's Kronrod sum, and so the
+    integral, non-finite, as does an integral that overflows.
 
     Each segment is parametrized over s in [0, 1] and starts as ``_SPLIT``
     equal subintervals.  A subinterval of width ``ds`` is accepted when its
@@ -191,7 +209,9 @@ def integrate_segments(fvec, path):
     ds / n_segments``, with ``tol = max(_EPSABS, _EPSREL * |integral|)``, or
     is at round-off level; the others are bisected.  Raises ``PathError``
     for a path of fewer than two waypoints, and ``QuadratureError`` on a
-    non-finite integrand value, when ``_MAX_NO_GAIN`` bisections have left
+    non-finite integrand value or integral (naming the segment of the first
+    subinterval whose Kronrod sum is non-finite, or the path when only the
+    sum of finite ones overflows), when ``_MAX_NO_GAIN`` bisections have left
     the error estimate larger than before (QUADPACK's round-off test), or
     when the subintervals would exceed ``_MAX_INTERVALS``.
 
@@ -208,7 +228,7 @@ def integrate_segments(fvec, path):
     # one's segment
     seg, mid, half, offs = _start_layout(n_seg)
     start = ends[seg, None]
-    step = ends[seg + 1, None] - start
+    step = (ends[1:] - ends[:-1])[seg, None]
     n_start = n_intervals = n_seg * _SPLIT
     done = 0j
     parent_err, no_gain = None, 0
@@ -219,17 +239,15 @@ def integrate_segments(fvec, path):
             vals = np.empty((len(out), nodes.size), dtype=complex)
             for row, v in zip(vals, out):
                 row[...] = v  # a scalar component is broadcast
-            vals = vals.reshape(-1, *nodes.shape)
-            if not np.isfinite(vals).all():
-                i = seg[np.argmin(np.isfinite(vals).all(axis=(0, 2)))]
-                raise QuadratureError(f"non-finite integrand value on the segment "
-                                      f"{path[i]} -> {path[i + 1]}")
-            vals = vals * (half * step)
+            vals = vals.reshape(-1, *nodes.shape) * (half * step)
             rules = vals @ _RULES
             kronrod = rules[..., 0]
             err = _norm(rules[..., 1])
             total = done + kronrod.sum(axis=1)
-            tol = max(_EPSABS, _EPSREL * float(_norm(total)))
+            size = float(_norm(total))
+            if not math.isfinite(size):
+                _raise_non_finite(kronrod, seg, path)
+            tol = max(_EPSABS, _EPSREL * size)
             ok = err <= tol * 2 / n_seg * half[:, 0]
             if ok.all():
                 return total

@@ -279,21 +279,26 @@ _POINTWISE_DIGEST = {
 }
 
 
-def _pointwise_digest():
+def _pointwise_values():
+    """The seven check values at each theta and zeta, one row each."""
     pair = helicoid_catenoid_pair()
-    h = hashlib.sha256()
+    rows = []
     for theta in THETAS:
         surf = associate_family(pair, theta)
         wp = calibrate_offsets(catalog_whitham(theta), pair)
         for z in _POINTWISE_ZETAS:
-            values = (*isothermal_check(surf, z), conjugacy_check(pair, z),
-                      *whitham_verify(wp, soliton_family(pair, theta, z)))
-            h.update(" ".join(float(v).hex() for v in values).encode() + b"\n")
-    return h.hexdigest()
+            rows.append([float(v) for v in (*isothermal_check(surf, z), conjugacy_check(pair, z),
+                                            *whitham_verify(wp, soliton_family(pair, theta, z)))])
+    return rows
 
 
 def test_pointwise_checks_are_bit_identical_to_the_recorded_digest(recorded_digest):
-    assert _pointwise_digest() == recorded_digest(_POINTWISE_DIGEST)
+    rows = _pointwise_values()
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(" ".join(v.hex() for v in row).encode() + b"\n")
+    recorded_digest(_POINTWISE_DIGEST, h.hexdigest(), [v for row in rows for v in row],
+                    "pointwise")
 
 
 def test_whitham_integrals_off_the_band_take_one_gk21_round(monkeypatch):
@@ -395,3 +400,58 @@ def test_phi_zeta_is_phi_of_i_zeta_less_the_log_constant():
         assert abs(complex(a[0]) - complex(b[0])) <= 1e-14
         assert abs(complex(a[1]) - complex(b[1])) <= 1e-14
         assert abs(complex(a[2]) - complex(b[2]) - math.pi / 2) <= 1e-14
+
+
+# Coefficients with signed zeros, negative and infinite parts and NaN: every
+# (real, imag) pair of these values, 49 in all, and five more to fill the
+# last of nine jets of six.
+_EDGE_PARTS = (0.0, -0.0, -1.5, 2.25, math.inf, -math.inf, math.nan)
+_EDGE_COEFS = [complex(a, b) for a in _EDGE_PARTS for b in _EDGE_PARTS]
+_EDGE_COEFS += _EDGE_COEFS[:5]
+_COEFS = ("f", "fx", "ft", "fxx", "fxt", "ftt")
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 0.7, math.pi / 2, 2.0, math.pi, 3.5, 5.0,
+                                   -0.3, -2.5])
+def test_rotated_jet_has_the_real_parts_of_the_five_jet_form(theta):
+    # the oracle is the five-jet form ct * re(w) + st * im(w): the one-jet
+    # rotation keeps its real parts bit for bit and makes every imaginary
+    # part +0.0; the scalar branch and _map agree point by point
+    ct, st = math.cos(theta), math.sin(theta)
+    scalars = [TJet(*_EDGE_COEFS[i:i + 6]) for i in range(0, len(_EDGE_COEFS), 6)]
+    first_order = [TJet(w.f, w.fx, w.ft, None, None, None) for w in scalars]
+    stacked = TJet(*(np.array([getattr(w, c) for w in scalars]) for c in _COEFS))
+    with np.errstate(all="ignore"):
+        cases = [(w, family._rotated(w, ct, st), ct * jm.re(w) + st * jm.im(w))
+                 for w in scalars + first_order + [stacked]]
+    for w, got, oracle in cases:
+        names = _COEFS if w.fxx is not None else _COEFS[:3]
+        assert (got.fxx is None) == (w.fxx is None)
+        for c in names:
+            a, b = getattr(got, c), getattr(oracle, c)
+            if isinstance(w.f, np.ndarray):
+                assert a.dtype == np.complex128 and a.shape == w.f.shape
+            else:
+                assert type(a) is complex
+            assert [float(x).hex() for x in np.ravel(a.real)] == \
+                   [float(x).hex() for x in np.ravel(b.real)], (c, w)
+            assert all(float(x).hex() == "0x0.0p+0" for x in np.ravel(a.imag)), (c, w)
+    # the array jet goes through _map; each of its points is the scalar
+    # branch's rotation of that point's jet
+    rotated = cases[-1][1]
+    for k, w in enumerate(scalars):
+        point = family._rotated(w, ct, st)
+        for c in _COEFS:
+            x, y = getattr(rotated, c)[k], getattr(point, c)
+            assert (float(x.real).hex(), float(x.imag).hex()) == \
+                   (y.real.hex(), y.imag.hex()), (c, k)
+
+
+def test_rotated_number_is_the_five_jet_form():
+    # numbers keep ct * re(w) + st * im(w), a float
+    for theta in (0.0, 2.0, -2.5):
+        ct, st = math.cos(theta), math.sin(theta)
+        for z in _EDGE_COEFS:
+            got = family._rotated(z, ct, st)
+            want = ct * jm.re(z) + st * jm.im(z)
+            assert type(got) is float and got.hex() == want.hex()

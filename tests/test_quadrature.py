@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,17 +72,38 @@ _PATHS_DIGEST = {
 }
 
 
-def _paths_digest():
-    h = hashlib.sha256()
+def _paths_integrals():
+    """The three components of the integral on each of the ten _PATHS."""
+    out = []
     for name, target, _n in _PATHS:
         datum = we_catalog(name)
         path = build_path(complex(datum.base), target, datum.pole_set)
-        h.update(np.asarray(integrate_segments(integrand(datum), path), dtype=complex).tobytes())
-    return h.hexdigest()
+        out.append(np.asarray(integrate_segments(integrand(datum), path), dtype=complex))
+    return np.concatenate(out)
 
 
 def test_gk21_integrals_are_bit_identical_to_the_recorded_digest(recorded_digest):
-    assert _paths_digest() == recorded_digest(_PATHS_DIGEST)
+    values = _paths_integrals()
+    recorded_digest(_PATHS_DIGEST, hashlib.sha256(values.tobytes()).hexdigest(),
+                    values.view(float), "paths")
+
+
+def test_unrecorded_dispatch_key_falls_back_to_the_reference_values(recorded_digest):
+    # an AVX-512 runner without Sapphire Rapids has no recorded digest: its
+    # values are compared with the committed references within the bound,
+    # and one value moved by twice the bound fails
+    key = "X86_V3 X86_V4 AVX512_ICL"
+    assert key not in _PATHS_DIGEST
+    values = _paths_integrals().view(float)
+    recorded_digest(_PATHS_DIGEST, "no digest", values, "paths", key=key)
+    for moved in (values[0] + 2 * 2.0 ** -48, math.nan):
+        wrong = values.copy()
+        wrong[0] = moved
+        with pytest.raises(pytest.fail.Exception, match=re.escape(key)):
+            recorded_digest(_PATHS_DIGEST, "no digest", wrong, "paths", key=key)
+    # a recorded key keeps its strict digest
+    with pytest.raises(AssertionError):
+        recorded_digest(_PATHS_DIGEST, "no digest", values, "paths", key="X86_V3")
 
 
 def test_scalar_only_integrand_raises_after_one_call():
@@ -262,3 +284,58 @@ def test_singular_integrand_stops_when_bisection_no_longer_helps(fvec, max_calls
     with pytest.raises(QuadratureError, match="no longer reduces the error"):
         integrate_segments(f, build_path(-1 + 0j, 1.3 + 0j, poles=()))
     assert len(calls) <= max_calls and sum(calls) <= max_nodes
+
+
+# Three segments on the real axis; a segment k's nodes have k < Re w < k + 1.
+_REAL_AXIS = [0j, 1 + 0j, 2 + 0j, 3 + 0j]
+_BAD_VALUES = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0)]
+
+
+def _segment_message(path, k):
+    return re.escape(f"non-finite integrand value or Kronrod sum on the segment "
+                     f"{path[k]} -> {path[k + 1]}")
+
+
+@pytest.mark.parametrize("bad", _BAD_VALUES, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_non_finite_value_names_its_segment(k, bad):
+    # one node of the first round is bad: the centre of the last starting
+    # subinterval of segment k, at s = 0.625
+    def f(w):
+        return w, np.where(np.abs(w - (k + 0.625)) < 0.01, bad, w * w)
+    with pytest.raises(QuadratureError, match=_segment_message(_REAL_AXIS, k)):
+        integrate_segments(f, _REAL_AXIS)
+
+
+@pytest.mark.parametrize("bad", _BAD_VALUES, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_non_finite_value_after_a_bisection_names_its_segment(k, bad):
+    # the first round sees noise, so every subinterval is bisected; the
+    # second round sees a bad value on the right half of segment k only
+    rng = np.random.default_rng(k)
+    calls = []
+
+    def f(w):
+        calls.append(w.size)
+        if len(calls) == 1:
+            return [rng.standard_normal(w.size)]
+        return [np.where((w.real > k + 0.5) & (w.real < k + 1), bad, w)]
+    with pytest.raises(QuadratureError, match=_segment_message(_REAL_AXIS, k)):
+        integrate_segments(f, _REAL_AXIS)
+    assert calls == [3 * 4 * 21, 3 * 8 * 21]
+
+
+def test_overflowing_integral_raises():
+    # every value is finite; the Kronrod sums overflow
+    with pytest.raises(QuadratureError, match=_segment_message([0, 10], 0)):
+        integrate_segments(lambda w: (np.full(w.shape, 1e308 + 0j),), [0, 10])
+    # only the last segment overflows, so it is named, not segment 0
+    path = [0j, 1 + 0j, 2 + 0j, 12 + 0j]
+    with pytest.raises(QuadratureError, match=_segment_message(path, 2)):
+        integrate_segments(lambda w: [np.where(w.real > 2, 1e308, 1.0)], path)
+    # each segment's integral is finite, their sum is not: the path is named
+    path = [0j, 1.6 + 0j, 3.2 + 0j]
+    assert np.isfinite(integrate_segments(lambda w: [np.full(w.shape, 1e308)], path[:2])).all()
+    with pytest.raises(QuadratureError, match=re.escape(
+            f"non-finite integrand value or Kronrod sum on the path from {path[0]} to {path[-1]}")):
+        integrate_segments(lambda w: [np.full(w.shape, 1e308)], path)
