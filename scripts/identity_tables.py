@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Convergence tables for the five identities at their reference arguments."""
+"""Convergence tables for the five identities at their reference arguments;
+nonzero exit if a table stops converging or the tail correction does not help."""
 
 import sys
 
@@ -13,6 +14,8 @@ CASES = [
     ("helicoid2_identity", (1 + 1j,)),
     ("lorentz_helicoid_identity", (1 + 1j,)),
 ]
+# Each row after the first must reach this order and lower the error.
+MIN_ORDER = 0.9
 
 
 def main(argv=None) -> int:
@@ -22,22 +25,30 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     K_list = args.K
 
+    failures = 0
     tables = {}
     for name, ident_args in CASES:
         print(f"\n== {name}  args={ident_args}")
         print(f"{'K':>8s} {'partial':>24s} {'abs_err':>12s} {'order':>7s}")
         tables[name] = convergence_order(REGISTRY[name], ident_args, K_list)
-        for r in tables[name]:
+        for prev, r in zip([None, *tables[name]], tables[name]):
+            bad = prev is not None and not (r.est_order >= MIN_ORDER
+                                            and r.abs_err < prev.abs_err)
+            failures += bad
             p = r.partial
             ps = f"{p.real:.10f}" if abs(p.imag) < 1e-12 else f"{p:.8f}"
-            print(f"{r.K:8d} {ps:>24s} {r.abs_err:12.3e} {r.est_order:7.3f}")
+            print(f"{r.K:8d} {ps:>24s} {r.abs_err:12.3e} {r.est_order:7.3f}"
+                  + ("  <-- FAIL" if bad else ""))
 
     print("\n== ram_arctan_sum with closed-form tail correction")
     corrected = convergence_order(RAM_ARCTAN_SUM, dict(CASES)["ram_arctan_sum"], K_list,
                                   RAM_ARCTAN_SUM.tail)
     for raw, cor in zip(tables["ram_arctan_sum"], corrected):
-        print(f"K={raw.K:7d}  raw={raw.abs_err:.3e}  corrected={cor.abs_err:.3e}")
-    return 0
+        bad = not cor.abs_err < raw.abs_err
+        failures += bad
+        print(f"K={raw.K:7d}  raw={raw.abs_err:.3e}  corrected={cor.abs_err:.3e}"
+              + ("  <-- FAIL" if bad else ""))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

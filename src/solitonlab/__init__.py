@@ -34,13 +34,10 @@ from .geometry import (
     unit_normal,
 )
 from .identities import (
+    REGISTRY,
     TruncationResult,
     convergence_order,
-    helicoid2_identity,
-    lorentz_helicoid_identity,
-    ram_arctan_sum,
-    ram_cos_product,
-    scherk_identity,
+    evaluate,
 )
 from .jetmath import TJet, conj, power
 from .pde import (

@@ -137,6 +137,10 @@ def _cmd_residual(args) -> int:
     grid = GridSpec.parse(args.grid) if args.grid else pde.DEFAULT_GRIDS[args.solution]
     report = pde.residual_sweep(fld, entry.equation, grid, name=entry.name)
     _write(args.out, json_text(report.to_json_dict()))
+    if not len(report.points):
+        print(f"FAIL no point evaluated: all {report.excluded_count} grid points are excluded",
+              file=sys.stderr)
+        return 1
     if report.max_abs > args.tolerance:
         print(f"FAIL max_abs={fmt(report.max_abs)} > tolerance={fmt(args.tolerance)}",
               file=sys.stderr)

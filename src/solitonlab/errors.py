@@ -23,8 +23,7 @@ class UnsupportedEvaluator(SolitonLabError):
 
 class PathError(SolitonLabError):
     """No usable integration path: none that avoids the poles within the
-    detour budget, or a given path with fewer than two waypoints or with the
-    wrong endpoints."""
+    detour budget, or a given path with fewer than two waypoints."""
 
 
 class UnknownSurface(SolitonLabError):

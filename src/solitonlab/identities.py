@@ -5,7 +5,9 @@ convergence-order measurement.
 Every evaluation reports a ``TruncationResult`` carrying the partial
 sum/product at K, the closed-form left-hand side, the absolute error and the
 observed convergence order (fitted from the errors at K and 2K, or at the
-previous K of a table).  ``convergence_order`` builds every table.  Products
+previous K of a table).  ``convergence_order`` builds every table, and
+``evaluate`` is its one-row case; an identity is run as
+``evaluate(REGISTRY[name], args, K)``.  Products
 are accumulated in log space to avoid underflow at large K, in real
 arithmetic: log|v| and arg v of the factors are summed separately, with
 log|v| taken as log1p(|v|^2 - 1)/2 near |v| = 1, where the factors of a
@@ -131,7 +133,7 @@ def _cos_term(k, args):
 
 RAM_COS_PRODUCT = IdentitySpec(
     "ram_cos_product", _cos_lhs, _cos_term, lambda args: 1.0, Kind.PRODUCT,
-    validity=lambda args: _half_odd_distance(complex(args[1])) > 1e-6,
+    validity=lambda args: _half_odd_distance(args[1]) > 1e-6,
     params=("X", "A"),
 )
 
@@ -150,11 +152,32 @@ def _pi_multiple_distance(A: float) -> float:
     return abs(A - round(A / math.pi) * math.pi)
 
 
+def arctan_tail(args, K: int) -> float:
+    """Closed-form estimate of the omitted tail: the paired terms behave like
+    -2XA/(pi^2 k^2), and sum_{k>K} 1/k^2 = psi'(K + 1)."""
+    X, A = args
+    return -2.0 * X * A / math.pi ** 2 * _trigamma(K + 1)
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x + 1) + 1/x^2 up to
+    x >= 20, then the asymptotic series
+    1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7) - 1/(30x^9) + 5/(66x^11)."""
+    x = float(x)
+    head = 0.0
+    while x < 20.0:
+        head += 1.0 / (x * x)
+        x += 1.0
+    y = 1.0 / (x * x)
+    tail = y * (1 / 6 - y * (1 / 30 - y * (1 / 42 - y * (1 / 30 - y * 5 / 66))))
+    return head + (1.0 + 0.5 / x + tail) / x
+
+
 RAM_ARCTAN_SUM = IdentitySpec(
     "ram_arctan_sum", _atan_lhs, _atan_term,
     lambda args: math.atan(args[0] / args[1]), Kind.SUM,
-    validity=lambda args: _pi_multiple_distance(float(args[1])) > 1e-6,
-    params=("X", "A"), real=True, tail=lambda args, K: arctan_tail(*args, K),
+    validity=lambda args: _pi_multiple_distance(args[1]) > 1e-6,
+    params=("X", "A"), real=True, tail=arctan_tail,
 )
 
 
@@ -165,39 +188,38 @@ def _scherk_xy(zeta: complex):
 
 
 def _scherk_lhs(args):
-    zeta = complex(args[0])
+    zeta, = args
     return math.log(abs((zeta * zeta - 1) / (zeta * zeta + 1)))
 
 
 def _scherk_term(k, args):
     # the two log series of the identity, paired per k: each pair collapses
     # to a real log of a positive ratio
-    x, y = _scherk_xy(complex(args[0]))
+    x, y = _scherk_xy(args[0])
     c2 = ((k - 0.5) * math.pi) ** 2
     return np.log((c2 + y * y) / (c2 + x * x))
 
 
 SCHERK_IDENTITY = IdentitySpec(
     "scherk_identity", _scherk_lhs, _scherk_term, lambda args: 0.0, Kind.SUM,
-    validity=lambda args: min(abs(complex(args[0]) - p)
-                              for p in (1, -1, 1j, -1j)) > EXCLUSION_RADIUS,
+    validity=lambda args: min(abs(args[0] - p) for p in (1, -1, 1j, -1j)) > EXCLUSION_RADIUS,
 )
 
 
 def _heli2_lhs(args):
-    zeta = complex(args[0])
+    zeta, = args
     return (zeta + 1 / zeta).imag / (zeta - 1 / zeta).imag
 
 
 def _heli2_term(k, args):
-    L = math.log(abs(complex(args[0])))
+    L = math.log(abs(args[0]))
     num = ((k - 1) * math.pi + 1j * L) * (k * math.pi - 1j * L)
     den = ((k - 0.5) * math.pi + 1j * L) * ((k - 0.5) * math.pi - 1j * L)
     return num / den
 
 
 def _heli2_valid(args) -> bool:
-    zeta = complex(args[0])
+    zeta, = args
     if abs(zeta) <= EXCLUSION_RADIUS:
         return False
     if abs(abs(zeta) - 1.0) <= EXCLUSION_RADIUS:
@@ -217,7 +239,7 @@ def quadrant_constant(u: float, v: float) -> float:
 
 
 def _lorentz_lhs(args):
-    zeta = complex(args[0])
+    zeta, = args
     R = (zeta + 1 / zeta).real
     I = (zeta - 1 / zeta).imag
     y, x = -0.5 * R, 0.5 * I
@@ -227,14 +249,14 @@ def _lorentz_lhs(args):
 
 
 def _lorentz_term(k, args):
-    zeta = complex(args[0])
+    zeta, = args
     R = (zeta + 1 / zeta).real
     I = (zeta - 1 / zeta).imag
     return np.arctan(R / (I - 2 * k * math.pi)) + np.arctan(R / (I + 2 * k * math.pi))
 
 
 def _lorentz_valid(args) -> bool:
-    zeta = complex(args[0])
+    zeta, = args
     if abs(zeta) <= EXCLUSION_RADIUS:
         return False
     if zeta.real <= 0.0 and abs(zeta.imag) <= EXCLUSION_RADIUS:
@@ -242,9 +264,14 @@ def _lorentz_valid(args) -> bool:
     return abs((zeta - 1 / zeta).imag) > 1e-9  # cot argument x != 0
 
 
+# The literal form of the third identity: the lhs uses the principal argument
+# Im(log zeta) and the constant follows the quadrant rule.  The defect
+# converges to 0 for Re zeta > 0 (and on the upper imaginary axis); in the left
+# half-plane the two sides agree modulo pi (the proof's arctan branch), which
+# ``convergence mod pi`` tests can assert.
 LORENTZ_HELICOID_IDENTITY = IdentitySpec(
     "lorentz_helicoid_identity", _lorentz_lhs, _lorentz_term,
-    lambda args: quadrant_constant(complex(args[0]).real, complex(args[0]).imag),
+    lambda args: quadrant_constant(args[0].real, args[0].imag),
     Kind.SUM, _lorentz_valid,
 )
 
@@ -254,55 +281,7 @@ REGISTRY = {s.name: s for s in (
 )}
 
 
-# -- public operations --------------------------------------------------------
-
-def ram_cos_product(X: complex, A: complex, K: int) -> TruncationResult:
-    return evaluate(RAM_COS_PRODUCT, (complex(X), complex(A)), K)
-
-
-def arctan_tail(X: float, A: float, K: int) -> float:
-    """Closed-form estimate of the omitted tail: the paired terms behave like
-    -2XA/(pi^2 k^2), and sum_{k>K} 1/k^2 = psi'(K + 1)."""
-    return -2.0 * X * A / math.pi ** 2 * _trigamma(K + 1)
-
-
-def _trigamma(x: float) -> float:
-    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x + 1) + 1/x^2 up to
-    x >= 20, then the asymptotic series
-    1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7) - 1/(30x^9) + 5/(66x^11)."""
-    x = float(x)
-    head = 0.0
-    while x < 20.0:
-        head += 1.0 / (x * x)
-        x += 1.0
-    y = 1.0 / (x * x)
-    tail = y * (1 / 6 - y * (1 / 30 - y * (1 / 42 - y * (1 / 30 - y * 5 / 66))))
-    return head + (1.0 + 0.5 / x + tail) / x
-
-
-def ram_arctan_sum(X: float, A: float, K: int,
-                   tail_correction: bool = False) -> TruncationResult:
-    return evaluate(RAM_ARCTAN_SUM, (float(X), float(A)), K,
-                    RAM_ARCTAN_SUM.tail if tail_correction else None)
-
-
-def scherk_identity(zeta: complex, K: int) -> TruncationResult:
-    return evaluate(SCHERK_IDENTITY, (complex(zeta),), K)
-
-
-def helicoid2_identity(zeta: complex, K: int) -> TruncationResult:
-    return evaluate(HELICOID2_IDENTITY, (complex(zeta),), K)
-
-
-def lorentz_helicoid_identity(zeta: complex, K: int) -> TruncationResult:
-    """Literal form of the third identity: lhs uses the principal argument
-    Im(log zeta) and the constant follows the quadrant rule.  The defect
-    converges to 0 for Re zeta > 0 (and on the upper imaginary axis); in the
-    left half-plane the two sides agree modulo pi (the proof's arctan branch),
-    which ``convergence mod pi`` tests can assert.
-    """
-    return evaluate(LORENTZ_HELICOID_IDENTITY, (complex(zeta),), K)
-
+# -- tables -------------------------------------------------------------------
 
 class KListError(ValueError, argparse.ArgumentTypeError):
     """A K list that ``increasing`` rejects; argparse reports its message
@@ -327,13 +306,17 @@ def convergence_order(spec: IdentitySpec, args, K_list,
                       correction: Optional[Callable] = None) -> list:
     """One row per K (strictly increasing), each with the partial sum or
     product S(K), accumulated from k = 1, and its error against the lhs.
+    ``args`` become floats for a real identity and complex numbers otherwise,
+    so a non-real argument to a real identity raises ``TypeError``.
 
     ``correction(args, K)`` is an optional additive tail estimate applied
-    before measuring the error (the reported partial stays uncorrected).
+    before measuring the error (the reported partial stays uncorrected), such
+    as the spec's ``tail``.
     est_order is fitted from the errors at K and 2K in the first row and in
     every row of a corrected table, and from the previous row's error in the
     other rows; so S(2K) is summed only where it is read."""
     Ks = increasing(K_list)
+    args = tuple(map(float if spec.real else complex, args))
     if not spec.validity(args):
         raise ExcludedPoint(f"{spec.name}: arguments {args!r} violate the "
                             "identity's hypotheses")

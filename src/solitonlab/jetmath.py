@@ -66,12 +66,7 @@ has two non-real factors: numpy fuses that product into a multiply-add on
 CPUs that have one, CPython does not.
 
 ``conj``, ``re`` and ``im`` act coefficient-wise; this is valid because the
-jet variables are real, so conjugation commutes with differentiation.  A
-second-order scalar jet, all six of whose coefficients are Python ``complex``
-numbers, takes its real and imaginary parts without a call per coefficient:
-the associate family rotates three such jets per point, two parts each.  Any
-other jet (an order-1 jet, or one with an array coefficient) maps each
-coefficient; both give the same bits.
+jet variables are real, so conjugation commutes with differentiation.
 """
 
 from __future__ import annotations
@@ -306,21 +301,10 @@ class TJet:
     def conjugate(self) -> "TJet":
         return self._map(lambda c: c.conjugate())
 
-    # For a number c, complex(c.real) is _real_coef(c.real): the scalar
-    # branch below gives the bits of _map without a call per coefficient.
-
     def real_part(self) -> "TJet":
-        f, fx, ft, fxx, fxt, ftt = self.f, self.fx, self.ft, self.fxx, self.fxt, self.ftt
-        if type(f) is type(fx) is type(ft) is type(fxx) is type(fxt) is type(ftt) is complex:
-            return TJet(complex(f.real), complex(fx.real), complex(ft.real),
-                        complex(fxx.real), complex(fxt.real), complex(ftt.real))
         return self._map(lambda c: _real_coef(c.real))
 
     def imag_part(self) -> "TJet":
-        f, fx, ft, fxx, fxt, ftt = self.f, self.fx, self.ft, self.fxx, self.fxt, self.ftt
-        if type(f) is type(fx) is type(ft) is type(fxx) is type(fxt) is type(ftt) is complex:
-            return TJet(complex(f.imag), complex(fx.imag), complex(ft.imag),
-                        complex(fxx.imag), complex(fxt.imag), complex(ftt.imag))
         return self._map(lambda c: _real_coef(c.imag))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import jetmath as jm
 from . import pde
 from .core import LVec3, exclusion_mask, nonreal
-from .errors import DomainError, PathError, UnknownSurface
+from .errors import DomainError, UnknownSurface
 from .quadrature import DEFAULT_POLE_MARGIN, build_path, integrate_segments
 
 
@@ -121,24 +121,16 @@ def closed_form_point(data: WEData, zeta: complex) -> LVec3:
     return LVec3(a1(zeta).real, a2(zeta).real, a3(zeta).real)
 
 
-def we_integrate(data: WEData, zeta: complex, path: Optional[list] = None) -> LVec3:
+def we_integrate(data: WEData, zeta: complex) -> LVec3:
     """Surface point at zeta by numeric quadrature from the base point.
 
     A straight base->zeta segment is used when it clears the poles by
-    ``DEFAULT_POLE_MARGIN``; otherwise a polyline detour.  ``path``
-    overrides the automatic choice (for path-independence checks); it must
-    run from ``data.base`` to ``zeta``, or ``PathError`` is raised.
+    ``DEFAULT_POLE_MARGIN``; otherwise a polyline detour.  A pole at zeta
+    raises ``DomainError``.
     """
     zeta = complex(zeta)
     base = complex(data.base)
-    for p in data.pole_set:
-        if abs(zeta - p) < 1e-12:
-            raise DomainError(f"{zeta} is a pole of the Weierstrass data")
-    if path is None:
-        path = build_path(base, zeta, data.pole_set)
-    elif len(path) >= 2 and (complex(path[0]) != base or complex(path[-1]) != zeta):
-        raise PathError(f"a path for the point at {zeta} must run from the base point "
-                        f"{base} to it, not from {path[0]} to {path[-1]}")
+    path = build_path(base, zeta, data.pole_set)
     vec = integrate_segments(integrand(data), path)
     if data.antiderivatives is not None:
         base_val = closed_form_point(data, base)

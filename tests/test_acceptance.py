@@ -32,11 +32,12 @@ from solitonlab.geometry import (
 )
 from solitonlab.core import lorentz_inner
 from solitonlab.identities import (
-    helicoid2_identity,
-    lorentz_helicoid_identity,
+    HELICOID2_IDENTITY,
+    LORENTZ_HELICOID_IDENTITY,
+    RAM_ARCTAN_SUM,
+    SCHERK_IDENTITY,
+    evaluate,
     quadrant_constant,
-    ram_arctan_sum,
-    scherk_identity,
 )
 from solitonlab.pde import (
     DEFAULT_GRIDS,
@@ -238,13 +239,13 @@ def test_criterion_5_family_suite():
 
 
 def test_criterion_6_identities():
-    r3 = scherk_identity(2 + 0j, 10 ** 3)
-    r4 = scherk_identity(2 + 0j, 10 ** 4)
+    r3 = evaluate(SCHERK_IDENTITY, (2 + 0j,), 10 ** 3)
+    r4 = evaluate(SCHERK_IDENTITY, (2 + 0j,), 10 ** 4)
     ok_scherk = (abs(r4.lhs - math.log(3 / 5)) <= 1e-15
                  and r4.abs_err < r3.abs_err and r4.est_order >= 0.9)
 
-    raw = ram_arctan_sum(1.0, 0.7, 10 ** 4)
-    cor = ram_arctan_sum(1.0, 0.7, 10 ** 4, tail_correction=True)
+    raw = evaluate(RAM_ARCTAN_SUM, (1.0, 0.7), 10 ** 4)
+    cor = evaluate(RAM_ARCTAN_SUM, (1.0, 0.7), 10 ** 4, RAM_ARCTAN_SUM.tail)
     ok_arctan = raw.abs_err <= 1e-4 and cor.abs_err * 10 <= raw.abs_err
 
     eighth = [(1.2, 0.9), (-1.2, 0.9), (-1.2, -0.9), (1.2, -0.9),
@@ -254,7 +255,7 @@ def test_criterion_6_identities():
         for (u, v) in eighth)
     # the constant actually used by the evaluation matches the table
     for (u, v) in eighth:
-        r = lorentz_helicoid_identity(complex(u, v), 10)
+        r = evaluate(LORENTZ_HELICOID_IDENTITY, (complex(u, v),), 10)
         k = np.arange(1, 11)
         z = complex(u, v)
         R = (z + 1 / z).real
@@ -274,7 +275,7 @@ def test_criterion_6_identities():
             continue
         done += 1
         p = surf.eval(z)
-        r = helicoid2_identity(z, 10)
+        r = evaluate(HELICOID2_IDENTITY, (z,), 10)
         worst_ratio = worst([worst_ratio, r.lhs - p.z / p.x])
     ok_ratio = worst_ratio <= 1e-10
 

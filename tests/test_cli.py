@@ -50,6 +50,17 @@ def test_singular_grid_point_fails_without_traceback(capsys):
     assert err.startswith("FAIL max_abs=inf > tolerance=") and err.count("\n") == 1
 
 
+def test_residual_fails_when_every_point_is_excluded(capsys):
+    # the grid lies inside the helicoid's excluded strip around a = 0: a
+    # sweep that evaluated nothing must not pass with max_abs 0
+    code, out, err = run(["residual", "--solution", "helicoid_first_kind",
+                          "--grid", "-0.001:0.001:-1:1:5:5"], capsys)
+    assert code == 1
+    assert '"max_abs": 0,' in out and '"worst_point": null' in out
+    assert '"excluded_count": 25,' in out
+    assert err == "FAIL no point evaluated: all 25 grid points are excluded\n"
+
+
 def _recorded_cli_digests() -> dict:
     """The CLI_DIGESTS literal that the benchmark gates its CLI outputs on."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -265,6 +276,20 @@ def test_identity_tables_script_rejects_bad_K_lists(K, message, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.rstrip().endswith(message)
+
+
+def test_identity_tables_script_exits_1_when_a_table_stops_converging(monkeypatch, capsys):
+    script = _script("identity_tables")
+    assert script.main([]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # a shifted lhs leaves an error that no K removes: the order falls to 0
+    spec = script.REGISTRY["scherk_identity"]
+    monkeypatch.setitem(script.REGISTRY, "scherk_identity",
+                        dataclasses.replace(spec, lhs=lambda args: spec.lhs(args) + 1e-2))
+    assert script.main([]) == 1
+    out = capsys.readouterr().out
+    table = out.split("== scherk_identity")[1].split("==")[0]
+    assert table.count("  <-- FAIL\n") == 2 and out.count("<-- FAIL") == 2
 
 
 def _nan_whitham(theta):

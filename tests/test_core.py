@@ -367,9 +367,8 @@ _SPECIAL = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, -0.0),
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_re_im_of_scalar_jets_are_bit_identical(order):
-    # a scalar jet's parts are built without a call per coefficient; each
-    # coefficient must be complex(c.real) or complex(c.imag), signed zeros,
-    # NaN and infinities included
+    # each coefficient of a scalar jet's parts must be complex(c.real) or
+    # complex(c.imag), signed zeros, NaN and infinities included
     for shift in range(len(_SPECIAL)):
         coefs = (_SPECIAL[shift:] + _SPECIAL[:shift])[:6]
         j = jm.TJet(*coefs) if order == 2 else jm.TJet(*coefs[:3], None, None, None)

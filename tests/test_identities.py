@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,20 +13,17 @@ from solitonlab.errors import ExcludedPoint
 from solitonlab.identities import (
     _CHUNK,
     HELICOID2_IDENTITY,
+    LORENTZ_HELICOID_IDENTITY,
     RAM_ARCTAN_SUM,
     RAM_COS_PRODUCT,
     REGISTRY,
+    SCHERK_IDENTITY,
     _accumulate,
     _trigamma,
     arctan_tail,
     convergence_order,
     evaluate,
-    helicoid2_identity,
-    lorentz_helicoid_identity,
     quadrant_constant,
-    ram_arctan_sum,
-    ram_cos_product,
-    scherk_identity,
 )
 from solitonlab.weierstrass import catalog_surface
 
@@ -33,13 +32,13 @@ from solitonlab.weierstrass import catalog_surface
 
 def test_cos_product_trivial_x_zero():
     for K in (1, 7, 100):
-        r = ram_cos_product(0.0, 0.4, K)
+        r = evaluate(RAM_COS_PRODUCT, (0.0, 0.4), K)
         assert r.partial == 1.0 and r.abs_err == 0.0
 
 
 def test_cos_product_convergence_and_halving():
-    r1 = ram_cos_product(0.3, 0.2, 10 ** 4)
-    r2 = ram_cos_product(0.3, 0.2, 2 * 10 ** 4)
+    r1 = evaluate(RAM_COS_PRODUCT, (0.3, 0.2), 10 ** 4)
+    r2 = evaluate(RAM_COS_PRODUCT, (0.3, 0.2), 2 * 10 ** 4)
     assert r1.abs_err <= 5e-3
     ratio = r1.abs_err / r2.abs_err
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2  # halves within +-20%
@@ -47,16 +46,16 @@ def test_cos_product_convergence_and_halving():
 
 
 def test_cos_product_x_equals_a():
-    r = ram_cos_product(0.5, 0.5, 10 ** 4)
+    r = evaluate(RAM_COS_PRODUCT, (0.5, 0.5), 10 ** 4)
     assert abs(r.lhs - cmath.cos(1.0) / cmath.cos(0.5)) <= 1e-15
     assert r.abs_err <= 5e-3
-    r2 = ram_cos_product(0.5, 0.5, 2 * 10 ** 4)
+    r2 = evaluate(RAM_COS_PRODUCT, (0.5, 0.5), 2 * 10 ** 4)
     assert 1.6 <= r.abs_err / r2.abs_err <= 2.4
 
 
 def test_cos_product_complex_arguments():
     X, A = 0.3 + 0.2j, 0.1 - 0.4j
-    r = ram_cos_product(X, A, 10 ** 4)
+    r = evaluate(RAM_COS_PRODUCT, (X, A), 10 ** 4)
     assert r.abs_err <= 1e-4
     assert r.est_order >= 0.9
 
@@ -67,8 +66,8 @@ def test_cos_product_error_model_on_random_arguments():
     for _ in range(50):
         X = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         A = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        r1 = ram_cos_product(X, A, 10 ** 4)
-        r2 = ram_cos_product(X, A, 2 * 10 ** 4)
+        r1 = evaluate(RAM_COS_PRODUCT, (X, A), 10 ** 4)
+        r2 = evaluate(RAM_COS_PRODUCT, (X, A), 2 * 10 ** 4)
         if r1.abs_err < 1e-12:
             continue  # degenerate cancellation, nothing to model
         predicted = r1.abs_err / 2
@@ -77,27 +76,27 @@ def test_cos_product_error_model_on_random_arguments():
 
 def test_cos_product_excluded_near_half_odd_pi():
     with pytest.raises(ExcludedPoint):
-        ram_cos_product(0.3, math.pi / 2 + 1e-9, 10)
+        evaluate(RAM_COS_PRODUCT, (0.3, math.pi / 2 + 1e-9), 10)
     with pytest.raises(ExcludedPoint):
-        ram_cos_product(0.3, -3 * math.pi / 2, 10)
+        evaluate(RAM_COS_PRODUCT, (0.3, -3 * math.pi / 2), 10)
 
 
 # -- Ramanujan arctangent sum -------------------------------------------------
 
 def test_arctan_sum_trivial_x_zero():
     for K in (1, 10, 1000):
-        r = ram_arctan_sum(0.0, 0.7, K)
+        r = evaluate(RAM_ARCTAN_SUM, (0.0, 0.7), K)
         assert r.partial == 0.0 and r.lhs == 0.0 and r.abs_err == 0.0
 
 
 def test_arctan_sum_convergence_and_tail_correction():
-    raw = ram_arctan_sum(1.0, 0.7, 10 ** 4)
+    raw = evaluate(RAM_ARCTAN_SUM, (1.0, 0.7), 10 ** 4)
     assert raw.abs_err <= 1e-4
-    corrected = ram_arctan_sum(1.0, 0.7, 10 ** 4, tail_correction=True)
+    corrected = evaluate(RAM_ARCTAN_SUM, (1.0, 0.7), 10 ** 4, RAM_ARCTAN_SUM.tail)
     assert corrected.abs_err * 10 <= raw.abs_err
     # the paired terms decay like 1/k^2, so the raw error tracks the
     # closed-form tail estimate
-    assert raw.abs_err == pytest.approx(abs(arctan_tail(1.0, 0.7, 10 ** 4)), rel=0.05)
+    assert raw.abs_err == pytest.approx(abs(arctan_tail((1.0, 0.7), 10 ** 4)), rel=0.05)
 
 
 def test_trigamma_matches_scipy():
@@ -110,29 +109,29 @@ def test_trigamma_matches_scipy():
 
 def test_arctan_sum_against_high_K_oracle():
     # reference partial at K = 10^7 pins the limit far below the K = 10^4 error
-    ref = ram_arctan_sum(1.0, 0.7, 10 ** 7)
+    ref = evaluate(RAM_ARCTAN_SUM, (1.0, 0.7), 10 ** 7)
     assert ref.abs_err <= 2e-8
-    r = ram_arctan_sum(1.0, 0.7, 10 ** 4)
+    r = evaluate(RAM_ARCTAN_SUM, (1.0, 0.7), 10 ** 4)
     assert abs(r.partial - ref.partial) == pytest.approx(r.abs_err, rel=1e-2)
 
 
 def test_arctan_sum_order_without_tail():
-    r = ram_arctan_sum(0.5, 1.2, 10 ** 4)
+    r = evaluate(RAM_ARCTAN_SUM, (0.5, 1.2), 10 ** 4)
     assert r.est_order >= 0.9
 
 
 def test_arctan_sum_excluded_near_pi_multiples():
     with pytest.raises(ExcludedPoint):
-        ram_arctan_sum(1.0, math.pi, 10)
+        evaluate(RAM_ARCTAN_SUM, (1.0, math.pi), 10)
     with pytest.raises(ExcludedPoint):
-        ram_arctan_sum(1.0, 1e-9, 10)
+        evaluate(RAM_ARCTAN_SUM, (1.0, 1e-9), 10)
 
 
 # -- Scherk identity ----------------------------------------------------------
 
 def test_scherk_identity_at_two():
-    r3 = scherk_identity(2 + 0j, 10 ** 3)
-    r4 = scherk_identity(2 + 0j, 10 ** 4)
+    r3 = evaluate(SCHERK_IDENTITY, (2 + 0j,), 10 ** 3)
+    r4 = evaluate(SCHERK_IDENTITY, (2 + 0j,), 10 ** 4)
     assert abs(r3.lhs - math.log(3 / 5)) <= 1e-15
     assert r4.abs_err < r3.abs_err
     assert r4.est_order >= 0.9
@@ -141,7 +140,7 @@ def test_scherk_identity_at_two():
 def test_scherk_identity_imaginary_axis_reduction():
     # x(i s) = 0, so the identity reduces to the pure cosh-ratio series
     s = 2.0
-    r = scherk_identity(1j * s, 10 ** 4)
+    r = evaluate(SCHERK_IDENTITY, (1j * s,), 10 ** 4)
     y = math.log(abs((s - 1) / (s + 1)))
     assert abs(r.lhs - math.log(math.cosh(y))) <= 1e-12  # cosh(0) = 1
     assert r.abs_err <= 1e-3
@@ -152,7 +151,7 @@ def test_scherk_identity_symmetric_ray_terms_vanish():
     # term cancels and the lhs is 0
     for s in (0.5, 1.7, 3.0):
         z = s * cmath.exp(1j * math.pi / 4)
-        r = scherk_identity(z, 50)
+        r = evaluate(SCHERK_IDENTITY, (z,), 50)
         assert abs(r.lhs) <= 1e-14
         assert abs(r.partial) <= 1e-13
 
@@ -164,8 +163,8 @@ def test_scherk_identity_symmetry_under_negation(r, a):
     z = r * cmath.exp(1j * a)
     if min(abs(z - p) for p in (1, -1, 1j, -1j)) <= 2e-2:
         return
-    p1 = scherk_identity(z, 200)
-    p2 = scherk_identity(-z, 200)
+    p1 = evaluate(SCHERK_IDENTITY, (z,), 200)
+    p2 = evaluate(SCHERK_IDENTITY, (-z,), 200)
     assert abs(p1.partial - p2.partial) <= 1e-12
     assert abs(p1.lhs - p2.lhs) <= 1e-12
 
@@ -173,31 +172,31 @@ def test_scherk_identity_symmetry_under_negation(r, a):
 def test_scherk_identity_excluded_points():
     for p in (1 + 0j, -1 + 0j, 1j, -1j, 1.005 + 0j):
         with pytest.raises(ExcludedPoint):
-            scherk_identity(p, 10)
+            evaluate(SCHERK_IDENTITY, (p,), 10)
 
 
 # -- helicoid-of-second-kind identity ----------------------------------------
 
 def test_helicoid2_closed_form_values():
-    r = helicoid2_identity(1 + 1j, 10 ** 4)
+    r = evaluate(HELICOID2_IDENTITY, (1 + 1j,), 10 ** 4)
     assert abs(r.lhs - (1 / 3)) <= 1e-15
     assert r.abs_err <= 1e-4
-    r = helicoid2_identity(2j, 10 ** 4)
+    r = evaluate(HELICOID2_IDENTITY, (2j,), 10 ** 4)
     assert abs(r.lhs - 0.6) <= 1e-15
     assert r.abs_err <= 1e-4
 
 
 def test_helicoid2_imaginary_residue_vanishes():
     for K in (10 ** 2, 10 ** 3, 10 ** 4):
-        r = helicoid2_identity(1.3 + 0.6j, K)
+        r = evaluate(HELICOID2_IDENTITY, (1.3 + 0.6j,), K)
         assert abs(r.partial.imag) <= 10 * r.abs_err
 
 
 def test_helicoid2_unit_circle_excluded():
     with pytest.raises(ExcludedPoint):
-        helicoid2_identity(cmath.exp(0.7j), 10)
+        evaluate(HELICOID2_IDENTITY, (cmath.exp(0.7j),), 10)
     with pytest.raises(ExcludedPoint):
-        helicoid2_identity(1.5 + 0j, 10)  # real axis: lhs undefined
+        evaluate(HELICOID2_IDENTITY, (1.5 + 0j,), 10)  # real axis: lhs undefined
 
 
 def test_helicoid2_matches_catalog_surface_ratio():
@@ -210,7 +209,7 @@ def test_helicoid2_matches_catalog_surface_ratio():
             continue
         done += 1
         p = surf.eval(z)
-        r = helicoid2_identity(z, 10)
+        r = evaluate(HELICOID2_IDENTITY, (z,), 10)
         assert abs(r.lhs - p.z / p.x) <= 1e-10
 
 
@@ -231,21 +230,21 @@ def test_quadrant_constant_table():
 
 
 def test_lorentz_identity_first_quadrant_convergence():
-    r = lorentz_helicoid_identity(1 + 1j, 10 ** 4)
+    r = evaluate(LORENTZ_HELICOID_IDENTITY, (1 + 1j,), 10 ** 4)
     assert r.abs_err <= 1e-3
-    r2 = lorentz_helicoid_identity(1 + 1j, 10 ** 5)
+    r2 = evaluate(LORENTZ_HELICOID_IDENTITY, (1 + 1j,), 10 ** 5)
     assert r2.abs_err < r.abs_err
 
 
 def test_lorentz_identity_on_upper_imaginary_axis():
     # u = 0: both sides are finite and equal (pi/2 exactly)
-    r = lorentz_helicoid_identity(1j, 10 ** 4)
+    r = evaluate(LORENTZ_HELICOID_IDENTITY, (1j,), 10 ** 4)
     assert abs(r.lhs - math.pi / 2) <= 1e-12
     assert r.abs_err <= 1e-12
 
 
 def test_lorentz_identity_fourth_quadrant_convergence():
-    r = lorentz_helicoid_identity(1.2 - 0.8j, 10 ** 4)
+    r = evaluate(LORENTZ_HELICOID_IDENTITY, (1.2 - 0.8j,), 10 ** 4)
     assert r.abs_err <= 1e-3
 
 
@@ -253,7 +252,7 @@ def test_lorentz_identity_left_half_plane_agrees_mod_pi():
     # with lhs read as the principal argument, the left half-plane defect
     # converges to pi (the proof's arctan branch); mod pi it vanishes
     for z in (-1 + 1j, -1 - 1j, -0.7 + 1.4j):
-        r = lorentz_helicoid_identity(z, 10 ** 4)
+        r = evaluate(LORENTZ_HELICOID_IDENTITY, (z,), 10 ** 4)
         mod = min(abs(r.abs_err - k * math.pi) for k in (0, 1))
         assert mod <= 1e-3
         assert abs(r.abs_err - math.pi) <= 1e-3
@@ -261,9 +260,9 @@ def test_lorentz_identity_left_half_plane_agrees_mod_pi():
 
 def test_lorentz_identity_excluded_points():
     with pytest.raises(ExcludedPoint):
-        lorentz_helicoid_identity(0.001 + 0j, 10)
+        evaluate(LORENTZ_HELICOID_IDENTITY, (0.001 + 0j,), 10)
     with pytest.raises(ExcludedPoint):
-        lorentz_helicoid_identity(-1 + 0.001j, 10)  # principal-arg cut
+        evaluate(LORENTZ_HELICOID_IDENTITY, (-1 + 0.001j,), 10)  # principal-arg cut
 
 
 # -- convergence order machinery ----------------------------------------------
@@ -325,7 +324,47 @@ def test_corrected_table_rows_are_corrected_evaluations():
     expected = [evaluate(RAM_ARCTAN_SUM, args, K, RAM_ARCTAN_SUM.tail) for K in Ks]
     assert [(*_bits(r), r.est_order.hex()) for r in rows] == \
         [(*_bits(r), r.est_order.hex()) for r in expected]
-    assert rows == [ram_arctan_sum(*args, K, tail_correction=True) for K in Ks]
+
+
+def _typings(x, real):
+    """``x`` as each number type that holds it exactly: int, Fraction, float
+    and, unless ``real``, complex."""
+    z = complex(x)
+    forms = [z] if not real else []
+    if z.imag == 0:
+        forms += [z.real, Fraction(z.real)]
+        if z.real.is_integer():
+            forms.append(int(z.real))
+    return forms
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ARGS))
+def test_evaluate_is_the_one_row_table_whatever_the_argument_types(name):
+    # the arguments are typed once, on entry, so numbers of the same value
+    # give the same bits whatever their type
+    spec = REGISTRY[name]
+    typed = list(itertools.product(*(_typings(x, spec.real) for x in _REFERENCE_ARGS[name])))
+    for K in (1, 100, 1000):
+        row, = convergence_order(spec, _REFERENCE_ARGS[name], [K])
+        for args in typed:
+            got = evaluate(spec, args, K)
+            assert (*_bits(got), got.est_order.hex()) == (*_bits(row), row.est_order.hex()), \
+                (args, K)
+
+
+def test_real_identity_rejects_a_non_real_argument():
+    for args in ((1 + 2j, 0.7), (1.0, 0.7 + 1e-3j)):
+        with pytest.raises(TypeError):
+            evaluate(RAM_ARCTAN_SUM, args, 10)
+
+
+def test_tail_corrected_row_adds_the_spec_tail():
+    assert RAM_ARCTAN_SUM.tail is arctan_tail
+    args, K = _REFERENCE_ARGS["ram_arctan_sum"], 10 ** 4
+    raw = evaluate(RAM_ARCTAN_SUM, args, K)
+    cor = evaluate(RAM_ARCTAN_SUM, args, K, RAM_ARCTAN_SUM.tail)
+    assert cor.partial == raw.partial  # the reported partial stays uncorrected
+    assert cor.abs_err == abs(raw.partial + arctan_tail(args, K) - raw.lhs)
 
 
 def test_convergence_order_sums_the_2K_half_only_where_it_is_read():
@@ -372,6 +411,6 @@ def test_product_with_a_zero_factor_is_zero():
     X = complex(0.5 * math.pi - 0.2)
     assert RAM_COS_PRODUCT.rhs_term(np.arange(1, 2), (X, A))[0] == 0
     for K in (1, 10, 3 * _CHUNK):
-        r = ram_cos_product(X, A, K)
+        r = evaluate(RAM_COS_PRODUCT, (X, A), K)
         assert r.partial == 0
         assert r.abs_err == abs(r.lhs)
