@@ -21,7 +21,7 @@ import numpy as np
 from . import jetmath as jm
 from .errors import DomainError, JacobianSingular
 from .jetmath import TJet
-from .pde import Equation, ResidualReport, _residual_from_jet, summarize, worst
+from .pde import ResidualReport, summarize, worst
 from .quadrature import build_path, integrate_segments
 from .weierstrass import SurfaceMap, lorentzian_helicoid_exclusions
 
@@ -41,7 +41,7 @@ class ConjugatePair:
     name: str
     phi: Callable
     phi_zeta: Callable
-    exclusions: Optional[Callable[[complex], bool]] = None
+    exclusions: Optional[Callable] = None
 
     def excluded(self, z: complex) -> bool:
         return self.exclusions is not None and bool(self.exclusions(z))
@@ -233,58 +233,49 @@ def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint):
 
 # -- Born-Infeld residual of the family as a complex graph ------------------
 
-def _family_jets(pair: ConjugatePair, theta: float, zeta: complex):
-    zj = TJet.seed_a(zeta.real) + 1j * TJet.seed_b(zeta.imag)
-    ct, st = math.cos(theta), math.sin(theta)
-    xs, ts, ps = (_rotated(TJet.lift(w), ct, st) for w in pair.phi_zeta(zj))
-    return 1j * xs, ts, ps
-
-
 # |det J| at or below which the graph projection (u, v) -> (xs, ts) counts
 # as singular.
 _DET_TOL = 1e-10
 
 
 def graph_residual_from_jets(xs: TJet, ts: TJet, ps: TJet) -> complex:
-    """Born-Infeld residual of phi as a function of the graph variables
-    (x, t) = (xs, ts), via the chain rule through the (u, v) parametrization.
-    Raises ``JacobianSingular`` where |det J| <= ``_DET_TOL``."""
+    """Born-Infeld residual R of phi as a function of the graph variables
+    (x, t) = (xs, ts), from the surface X = (xs, ts, ps) in its (u, v)
+    parametrization: R = N / det J^3, with J the Jacobian of
+    (u, v) -> (xs, ts) and N = G L - 2 F M + E N' the zero-mean-curvature
+    numerator of X.  Here E, F, G are <X_u, X_u>, <X_u, X_v>, <X_v, X_v> in
+    the bilinear form <p, q> = p0 q0 - p1 q1 + p2 q2 (no complex conjugate),
+    and L, M, N' are det[X_uu, X_u, X_v], det[X_uv, X_u, X_v] and
+    det[X_vv, X_u, X_v].  On the graph chart X = (a, b, phi), N is term for
+    term the Born-Infeld expression of ``pde._residual_from_jet``.  N has no
+    division, so R keeps its digits as det J -> 0 (on |zeta| = 1 for the
+    helicoid/catenoid family).  Raises ``JacobianSingular`` where
+    |det J| <= ``_DET_TOL``."""
     det = xs.fx * ts.ft - xs.ft * ts.fx
     if abs(det) <= _DET_TOL:
         raise JacobianSingular(f"graph projection degenerates (|det| = {abs(det):g})")
-    # B = J^{-1}; columns (u_x, v_x) and (u_t, v_t)
-    b11, b12 = ts.ft / det, -xs.ft / det
-    b21, b22 = -ts.fx / det, xs.fx / det
-    # dB/du = -B (dJ/du) B, dB/dv = -B (dJ/dv) B
-    def dB(j11, j12, j21, j22):
-        m11 = b11 * j11 + b12 * j21
-        m12 = b11 * j12 + b12 * j22
-        m21 = b21 * j11 + b22 * j21
-        m22 = b21 * j12 + b22 * j22
-        return (-(m11 * b11 + m12 * b21), -(m11 * b12 + m12 * b22),
-                -(m21 * b11 + m22 * b21), -(m21 * b12 + m22 * b22))
-
-    du11, du12, du21, du22 = dB(xs.fxx, xs.fxt, ts.fxx, ts.fxt)
-    dv11, dv12, dv21, dv22 = dB(xs.fxt, xs.ftt, ts.fxt, ts.ftt)
-
-    px = ps.fx * b11 + ps.ft * b21
-    pt = ps.fx * b12 + ps.ft * b22
-    # du/dv of px and pt
-    px_u = ps.fxx * b11 + ps.fxt * b21 + ps.fx * du11 + ps.ft * du21
-    px_v = ps.fxt * b11 + ps.ftt * b21 + ps.fx * dv11 + ps.ft * dv21
-    pt_u = ps.fxx * b12 + ps.fxt * b22 + ps.fx * du12 + ps.ft * du22
-    pt_v = ps.fxt * b12 + ps.ftt * b22 + ps.fx * dv12 + ps.ft * dv22
-
-    pxx = px_u * b11 + px_v * b21
-    pxt = px_u * b12 + px_v * b22
-    ptt = pt_u * b12 + pt_v * b22
-    return _residual_from_jet(TJet(ps.f, px, pt, pxx, pxt, ptt), Equation.BORN_INFELD)
+    # X_u x X_v, whose last component is det J
+    n0 = ts.fx * ps.ft - ps.fx * ts.ft
+    n1 = ps.fx * xs.ft - xs.fx * ps.ft
+    e = xs.fx * xs.fx - ts.fx * ts.fx + ps.fx * ps.fx
+    f = xs.fx * xs.ft - ts.fx * ts.ft + ps.fx * ps.ft
+    g = xs.ft * xs.ft - ts.ft * ts.ft + ps.ft * ps.ft
+    # L, M, N'
+    h11 = xs.fxx * n0 + ts.fxx * n1 + ps.fxx * det
+    h12 = xs.fxt * n0 + ts.fxt * n1 + ps.fxt * det
+    h22 = xs.ftt * n0 + ts.ftt * n1 + ps.ftt * det
+    return (g * h11 - 2 * f * h12 + e * h22) / det ** 3
 
 
 def complex_bi_residual_on_family(pair: ConjugatePair, theta: float,
                                   grid) -> ResidualReport:
     """Born-Infeld residual of phi_theta^s as a function of its complex graph
-    variables, over a list of zeta points."""
+    variables (x, t) = (xs, ts), over a list of zeta points: at each, the
+    family's jets in (u, v), zeta = u + iv, go through
+    ``graph_residual_from_jets`` as R = N / det J^3.  Excluded points are
+    counted, not evaluated; a point where |det J| <= ``_DET_TOL`` (on
+    |zeta| = 1 for the helicoid/catenoid family) raises ``JacobianSingular``."""
+    ct, st = math.cos(theta), math.sin(theta)
     kept, residuals = [], []
     excluded = 0
     for zeta in grid:
@@ -292,8 +283,9 @@ def complex_bi_residual_on_family(pair: ConjugatePair, theta: float,
         if pair.excluded(zeta):
             excluded += 1
             continue
-        xs, ts, ps = _family_jets(pair, theta, zeta)
-        residuals.append(graph_residual_from_jets(xs, ts, ps))
+        zj = TJet.seed_a(zeta.real) + 1j * TJet.seed_b(zeta.imag)
+        xs, ts, ps = (_rotated(TJet.lift(w), ct, st) for w in pair.phi_zeta(zj))
+        residuals.append(graph_residual_from_jets(1j * xs, ts, ps))
         kept.append((zeta.real, zeta.imag))
     return summarize(kept, residuals, "exact", excluded,
                      name=f"{pair.name} soliton family",

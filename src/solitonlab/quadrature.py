@@ -157,8 +157,8 @@ def _norm(v: np.ndarray):
     return np.hypot.reduce(np.abs(v), axis=0)
 
 
-# A path's segment count is the caller's (``we_integrate(path=...)``), so
-# the layouts kept are bounded.
+# A path's segment count comes from ``build_path`` (1 or 2) or from a direct
+# caller of ``integrate_segments``, so the layouts kept are bounded.
 @functools.lru_cache(maxsize=32)
 def _start_layout(n_seg: int):
     """The starting subintervals of ``n_seg`` segments, ``_SPLIT`` to each:

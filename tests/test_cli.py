@@ -1,4 +1,5 @@
 import ast
+import cmath
 import dataclasses
 import hashlib
 import importlib.util
@@ -262,6 +263,23 @@ def test_residual_sweeps_script_rejects_non_finite_tolerances(argv, capsys):
         _script("residual_sweeps").main(argv)
     assert exc.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_residual_sweeps_script_fails_a_wrong_soliton_family(monkeypatch, capsys):
+    # phi_zeta's third component times e^{-0.1 i} rotates phi alone by
+    # theta + 0.1: the family row must fail, and the script exit 1
+    module = _script("residual_sweeps")
+    pair = module.helicoid_catenoid_pair()
+
+    def phi_zeta(zeta):
+        x, t, f = pair.phi_zeta(zeta)
+        return x, t, f * cmath.exp(-0.1j)
+
+    monkeypatch.setattr(module, "helicoid_catenoid_pair",
+                        lambda: dataclasses.replace(pair, phi_zeta=phi_zeta))
+    assert module.main([]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "<-- FAIL" in line]
+    assert len(failed) == 1 and failed[0].startswith("helicoid_catenoid soliton family")
 
 
 @pytest.mark.parametrize("K,message", [

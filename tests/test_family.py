@@ -26,7 +26,7 @@ from solitonlab.family import (
 )
 from solitonlab.geometry import isothermal_check
 from solitonlab.jetmath import TJet
-from solitonlab.pde import Equation, equation_residual
+from solitonlab.pde import Equation, _residual_from_jet, equation_residual
 from solitonlab.weierstrass import SurfaceMap, catalog_surface
 
 THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
@@ -211,8 +211,10 @@ def test_whitham_and_cauchy_riemann_checks_build_only_order1_jets(monkeypatch):
 
 
 def test_graph_residual_machinery_against_direct_residual():
-    # trivial chart xs = u, ts = v: the chain rule must reproduce the plain
-    # Born-Infeld residual of any field, solution or not
+    # N / det^3 must reproduce the plain Born-Infeld residual of any field,
+    # solution or not: on the trivial chart xs = u, ts = v (det = 1), and on
+    # x = u + 0.3 v^2, t = 0.5 u - v, where det = -1 - 0.3 v is not +-1, so a
+    # wrong power of det or a wrong sign in the form would show
     flds = [
         ScalarField2(lambda a, b: 1j * a * jm.tanh(b)),        # a solution
         ScalarField2(lambda a, b: a * a * b + jm.sin(a + b)),  # not a solution
@@ -225,6 +227,14 @@ def test_graph_residual_machinery_against_direct_residual():
             got = graph_residual_from_jets(xs, ts, ps)
             want = equation_residual(fld, Equation.BORN_INFELD, u, v)
             assert abs(got - want) <= 1e-10
+    fld = flds[1]
+    for (u, v) in [(0.7, 0.2), (-0.4, 1.1)]:
+        ju, jv = TJet.seed_a(u), TJet.seed_b(v)
+        xs, ts = ju + 0.3 * jv * jv, 0.5 * ju - jv
+        got = graph_residual_from_jets(xs, ts, fld.evaluator(xs, ts))
+        want = equation_residual(fld, Equation.BORN_INFELD, xs.f.real, ts.f.real)
+        assert abs(abs(xs.fx * ts.ft - xs.ft * ts.fx) - 1) > 0.05
+        assert abs(got - want) <= 1e-12 * abs(want), (u, v)
 
 
 def test_graph_residual_singular_jacobian():
@@ -234,22 +244,97 @@ def test_graph_residual_singular_jacobian():
 
 
 def test_complex_bi_residual_wick_helicoid_and_catenoid():
+    # the annulus and the band around |zeta| = 1, where det J -> 0: radii
+    # within 1e-4 and 1e-6 of the circle, never on it (JacobianSingular)
     pair = helicoid_catenoid_pair()
     grid = []
-    for r in np.linspace(0.5, 2.0, 15):
+    for r in (*np.linspace(0.5, 2.0, 15), 1 - 1e-4, 1 + 1e-4, 1 - 1e-6, 1 + 1e-6):
         for a in np.linspace(-0.85 * math.pi, 0.85 * math.pi, 15):
             grid.append(r * cmath.exp(1j * a))
-    for theta in (0.0, math.pi / 2):
+    for theta in (0.0, math.pi / 2, 2.0, -2.5):
         rep = complex_bi_residual_on_family(pair, theta, grid)
         assert rep.max_abs <= 1e-6, theta
         assert len(rep.residuals) + rep.excluded_count == len(grid)
 
 
+def _family_jets(pair, theta, zeta, dphi=0.0):
+    """The jets of (xs, ts, phis) in (u, v) at zeta = u + iv, as
+    complex_bi_residual_on_family builds them; dphi != 0 rotates phi alone
+    by theta + dphi, which is no soliton family."""
+    zj = TJet.seed_a(zeta.real) + 1j * TJet.seed_b(zeta.imag)
+    x, t, f = (TJet.lift(w) for w in pair.phi_zeta(zj))
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(theta + dphi), math.sin(theta + dphi)
+    return 1j * family._rotated(x, ct, st), family._rotated(t, ct, st), family._rotated(f, cp, sp)
+
+
+def _chain_rule_residual(xs, ts, ps):
+    """The Born-Infeld residual of phi in the graph variables (xs, ts) by the
+    chain rule through B = J^-1, the inverse Jacobian of (u, v) -> (xs, ts):
+    an oracle for N / det^3 where det J is not small."""
+    det = xs.fx * ts.ft - xs.ft * ts.fx
+    # B = J^{-1}; columns (u_x, v_x) and (u_t, v_t)
+    b11, b12 = ts.ft / det, -xs.ft / det
+    b21, b22 = -ts.fx / det, xs.fx / det
+
+    # dB/du = -B (dJ/du) B, dB/dv = -B (dJ/dv) B
+    def dB(j11, j12, j21, j22):
+        m11 = b11 * j11 + b12 * j21
+        m12 = b11 * j12 + b12 * j22
+        m21 = b21 * j11 + b22 * j21
+        m22 = b21 * j12 + b22 * j22
+        return (-(m11 * b11 + m12 * b21), -(m11 * b12 + m12 * b22),
+                -(m21 * b11 + m22 * b21), -(m21 * b12 + m22 * b22))
+
+    du11, du12, du21, du22 = dB(xs.fxx, xs.fxt, ts.fxx, ts.fxt)
+    dv11, dv12, dv21, dv22 = dB(xs.fxt, xs.ftt, ts.fxt, ts.ftt)
+    px = ps.fx * b11 + ps.ft * b21
+    pt = ps.fx * b12 + ps.ft * b22
+    px_u = ps.fxx * b11 + ps.fxt * b21 + ps.fx * du11 + ps.ft * du21
+    px_v = ps.fxt * b11 + ps.ftt * b21 + ps.fx * dv11 + ps.ft * dv21
+    pt_u = ps.fxx * b12 + ps.fxt * b22 + ps.fx * du12 + ps.ft * du22
+    pt_v = ps.fxt * b12 + ps.ftt * b22 + ps.fx * dv12 + ps.ft * dv22
+    pxx = px_u * b11 + px_v * b21
+    pxt = px_u * b12 + px_v * b22
+    ptt = pt_u * b12 + pt_v * b22
+    return _residual_from_jet(TJet(ps.f, px, pt, pxx, pxt, ptt), Equation.BORN_INFELD)
+
+
+def _samples(n, seed, r_lo, r_hi):
+    rng = np.random.default_rng(seed)
+    return [(float(th), complex(r * cmath.exp(1j * a))) for th, r, a in
+            zip(rng.uniform(-3, 3, n), rng.uniform(r_lo, r_hi, n),
+                rng.uniform(-0.85 * math.pi, 0.85 * math.pi, n))]
+
+
+def test_wrong_family_fails_everywhere_the_band_included():
+    # phi rotated by theta + 0.1, x and t by theta: |R| > 1e-6 at every
+    # sample of the annulus and of the band 0.95 < |zeta| < 1.05
+    pair = helicoid_catenoid_pair()
+    for r_lo, r_hi in ((0.5, 2.0), (0.95, 1.05)):
+        for theta, zeta in _samples(300, 31, r_lo, r_hi):
+            r = graph_residual_from_jets(*_family_jets(pair, theta, zeta, dphi=0.1))
+            assert abs(r) > 1e-6, (theta, zeta)
+
+
+def test_graph_residual_agrees_with_the_chain_rule_off_the_band():
+    pair = helicoid_catenoid_pair()
+    checked = 0
+    for theta, zeta in _samples(2000, 32, 0.5, 2.0):
+        if 0.95 < abs(zeta) < 1.05:
+            continue
+        jets = _family_jets(pair, theta, zeta, dphi=0.1)
+        got, want = graph_residual_from_jets(*jets), _chain_rule_residual(*jets)
+        assert abs(got - want) <= 1e-10 * abs(got), (theta, zeta)
+        checked += 1
+    assert checked > 1500
+
+
 # sha256 of the residual bytes of complex_bi_residual_on_family over THETAS,
-# recorded when the family kept its own copy of the Born-Infeld formula: the
-# shared pde formula must reproduce it bit for bit.  The zeta points stay off
-# the band 0.95 < |zeta| < 1.05 around the unit circle.
-_FAMILY_DIGEST = "e23e5dc118cab8818312863baffad319d0f51b2575075c144a7eeae66acdc483"
+# recorded for R = N / det^3; the same at numpy's baseline SIMD level, since
+# the residual runs on scalar jets.  The zeta points stay off the band
+# 0.95 < |zeta| < 1.05 around the unit circle.
+_FAMILY_DIGEST = "bebddac7b185c6a04c5b570fd453a1ad958ee7e062b58801c60d0e3d049dcad3"
 
 
 def test_complex_bi_residual_is_bit_identical_to_the_recorded_digest():
