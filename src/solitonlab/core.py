@@ -85,7 +85,7 @@ class ScalarField2:
     rely on.  On float arrays (the ``CentralDiff`` stencils) the primitives
     return float arrays while the values stay real.  ``domain_exclusions(a,
     b)`` is True at points that must not be evaluated.  It is called with
-    broadcastable float arrays, a whole block or stencil at once, and returns
+    broadcastable float arrays, a whole grid or stencil at once, and returns
     a bool array, or one bool for all points; write ``|`` and ``np.cos``, not
     ``or`` and ``math.cos``, or the call raises ``TypeError`` or ``ValueError``.
     """
@@ -106,7 +106,8 @@ class ScalarField2:
 def exclusion_mask(is_excluded: Optional[Callable], *coords: np.ndarray) -> np.ndarray:
     """Bool array of the shape the arrays ``coords`` broadcast to, True where
     ``is_excluded`` holds at the points they give (none where it is ``None``),
-    from one call on the arrays; a single bool holds for every point."""
+    from one call on the arrays (a sweep's column of a and row of b); a
+    smaller result, or one bool for every point, is broadcast."""
     shape = np.broadcast(*coords).shape
     if is_excluded is None:
         return np.zeros(shape, dtype=bool)

@@ -153,21 +153,23 @@ _CLASSES = tuple(CausalClass)
 _CODE = {c: i for i, c in enumerate(_CLASSES)}
 
 
-def _classify_block(j: TJet) -> np.ndarray:
-    """(class code, H) columns for the array jet of a block of points, by
-    ``_causal_rule`` and with the rounding of ``_mean_curvature_from_jet`` at
-    each point."""
+def _classify_block(j: TJet, shape: tuple) -> np.ndarray:
+    """(class code, H) columns, flat in grid order, for the array jet of a
+    block of points of ``shape`` (``pde.sweep_blocks``), by ``_causal_rule``
+    and with the rounding of ``_mean_curvature_from_jet`` at each point."""
+    def flat(x):
+        return np.broadcast_to(x, shape).ravel()
     w = _indicator(j)
-    timelike, spacelike = _causal_rule(j, w)
+    timelike, spacelike = map(flat, _causal_rule(j, w))
+    w, num = flat(w), flat(_residual_from_jet(j, Equation.BORN_INFELD))
     live = np.flatnonzero(timelike | spacelike)
-    num = _residual_from_jet(j, Equation.BORN_INFELD)
-    bad = nonreal(j.f[live]) | nonreal(num[live])
+    bad = nonreal(flat(j.f)[live]) | nonreal(num[live])
     if bad.any():
         # the error of the point path (``_point``, then the numerator) at the first such point
         i = live[np.argmax(bad)]
-        _real(complex(j.f[i]), "field value")
-        coefs = (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)
-        _mean_curvature_from_jet(TJet(*(complex(c[i]) for c in coefs)), float(w.real[i]))
+        coefs = [complex(flat(c)[i]) for c in (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)]
+        _real(coefs[0], "field value")
+        _mean_curvature_from_jet(TJet(*coefs), float(w.real[i]))
     out = np.empty((len(w), 2))
     out[:, 0] = _CODE[CausalClass.LIGHTLIKE]
     out[timelike, 0] = _CODE[CausalClass.TIMELIKE]
@@ -203,13 +205,14 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     as ``core.jet`` evaluates it, by central differences with step
     ``DEFAULT_CENTRAL_H``; once such a stencil reaches an exclusion, the
     points whose stencils do are skipped as for a ``CentralDiff`` field."""
-    ys, zs = grid.coords()
-    keep = ~fld.excluded_mask(ys, zs)
-    kept = np.flatnonzero(keep)
-    for i in (kept[s:s + _BLOCK] for s in range(0, len(kept), _BLOCK)):
-        keep[i] = ~stencil_blocked(fld, ys[i], zs[i])
-    ys, zs = ys[keep], zs[keep]
-    out = np.empty((len(ys), 2))
+    ys, zs = grid.axes()
+    keep = ~fld.excluded_mask(ys[:, None], zs[None, :])
+    ia, ib = np.nonzero(keep)
+    for s in range(0, len(ia), _BLOCK):
+        i = ia[s:s + _BLOCK], ib[s:s + _BLOCK]
+        keep[i] = ~stencil_blocked(fld, ys[i[0]], zs[i[1]])
+    ia, ib = np.nonzero(keep)
+    out = np.empty((len(ia), 2))
     try:
         sweep_blocks(fld, grid, keep, out, _classify_block)
     except StencilExcluded:
@@ -219,8 +222,8 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
         # differences: classify as that backend, which skips such points
         return classify_grid(with_backend(fld, CentralDiff(DEFAULT_CENTRAL_H)), grid)
     names = [c.value for c in _CLASSES]
-    return [(y, z, names[c], h) for y, z, c, h in
-            zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
+    return [(y, z, names[c], h) for y, z, c, h in zip(
+        ys[ia].tolist(), zs[ib].tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
 
 
 # -- Example-1 graph: x = asinh(sqrt(z^2 - y^2)) ---------------------------

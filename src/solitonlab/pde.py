@@ -187,7 +187,7 @@ def worst(mags) -> float:
 
 
 # Kept points per array pass of a sweep: bounds the memory its temporaries take.
-_BLOCK = 4096
+_BLOCK = 8192
 # Errors that make a point singular (its jet NaN), not the sweep wrong.
 SINGULAR = (ZeroDivisionError, OverflowError, ValueError)
 
@@ -210,26 +210,27 @@ def _point_jets(fld: ScalarField2, a, b) -> tuple:
 
 def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.ndarray,
                  from_jet) -> set:
-    """Fill ``out`` with ``from_jet(j)`` for the array jet ``j`` of each block
-    of the points of ``grid`` that ``keep``, a bool array in grid order,
-    keeps, under ``np.errstate(all="ignore")``; return the names of the
-    backends ``core.jet`` used.
+    """Fill ``out`` with ``from_jet(j, shape)`` for the array jet ``j`` of
+    each block of the points of ``grid`` that ``keep``, a bool array of shape
+    (na, nb), keeps, under ``np.errstate(all="ignore")``; return the names of
+    the backends ``core.jet`` used.
 
     A block is a run of whole rows with at most ``_BLOCK`` kept points, or
     one row wider than that.  A block whose kept points are all the points of
     its kept rows and kept columns (it drops whole rows or columns, or none)
     is evaluated on a column of those rows' a and a row of those columns' b,
     so a term in a alone is computed once per row and one in b alone once
-    per column; its coefficients are broadcast and raveled in grid order.
-    Other blocks run on their kept points as flat arrays.
+    per column: ``shape`` is (r, c), and ``j``'s coefficients keep the shapes
+    they were evaluated in, (r, 1), (1, c), (r, c) or none.  Other blocks run
+    on their kept points as flat arrays, ``shape`` (n,).  The elementwise
+    ``from_jet`` returns the block's n values flat in grid order.
     When the evaluator rejects arrays, a stencil touches an excluded point,
     or the block raises ``ZeroDivisionError`` or ``OverflowError``, ``j`` is
-    stacked from its kept points one at a time (``_point_jets``): NaN where a
-    point raises one of ``SINGULAR``; any other error raises.  So
-    ``from_jet`` is the sweep's one reducer, and the first point that raises
-    is the first in grid order."""
+    stacked from its kept points one at a time (``_point_jets``, ``shape``
+    (n,)): NaN where a point raises one of ``SINGULAR``; any other error
+    raises.  So ``from_jet`` is the sweep's one reducer, and the first point
+    that raises is the first in grid order."""
     a_axis, b_axis = grid.axes()
-    keep = keep.reshape(grid.na, grid.nb)
     counts = np.count_nonzero(keep, axis=1).tolist()
     used, r1, s = set(), 0, 0
     while r1 < grid.na:
@@ -248,16 +249,14 @@ def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.nd
         with np.errstate(all="ignore"):
             try:
                 j, backend = jet(fld, ba, bb)
+                backends = {backend}
             except (TypeError, ValueError, DomainError, ZeroDivisionError, OverflowError):
                 # math.cos or the truth of an array, a stencil on an excluded
                 # point, or a scalar zero divisor or overflow (fails each point too)
                 j, backends = _point_jets(fld, *(np.broadcast_to(c, shape).ravel()
                                                  for c in (ba, bb)))
-            else:
-                j = jm.TJet(*(np.broadcast_to(c, shape).ravel()
-                              for c in (j.f, j.fx, j.ft, j.fxx, j.fxt, j.ftt)))
-                backends = {backend}
-            out[s:s + n] = from_jet(j)
+                shape = (n,)
+            out[s:s + n] = from_jet(j, shape)
         used |= backends
         s += n
     return used
@@ -265,21 +264,25 @@ def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.nd
 
 def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
                    name: str = "") -> ResidualReport:
-    """Evaluate the residual of ``equation`` over the grid, skipping excluded
-    points.  Kept points are evaluated in array blocks of whole rows
-    (``sweep_blocks``); the residuals come back in grid order, NaN at a
+    """Evaluate the residual of ``equation`` over the grid, skipping the
+    points that the exclusion predicate, called once on a column of a and a
+    row of b, excludes.  Kept points are evaluated in array blocks of whole
+    rows (``sweep_blocks``); the residuals come back in grid order, NaN at a
     singular point.  A stencil that reaches an excluded point raises."""
-    a, b = grid.coords()
-    keep = ~fld.excluded_mask(a, b)
+    a, b = grid.axes()
+    keep = ~fld.excluded_mask(a[:, None], b[None, :])
     residuals = np.empty(np.count_nonzero(keep), dtype=complex)
-    used = sweep_blocks(fld, grid, keep, residuals, lambda j: _residual_from_jet(j, equation))
+    used = sweep_blocks(fld, grid, keep, residuals, lambda j, shape: np.broadcast_to(
+        _residual_from_jet(j, equation), shape).ravel())
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
         backend = f"central(h={fld.backend.h:g})"
-    return summarize(np.column_stack((a[keep], b[keep])), residuals, backend,
-                     a.size - len(residuals), name=name, equation=equation.value,
-                     grid_spec=grid.as_text())
+    # the a and b of each kept point in grid order, without index arrays
+    points = np.column_stack((np.repeat(a, np.count_nonzero(keep, axis=1)),
+                              np.broadcast_to(b, keep.shape)[keep]))
+    return summarize(points, residuals, backend, keep.size - len(residuals), name=name,
+                     equation=equation.value, grid_spec=grid.as_text())
 
 
 # -- catalog ---------------------------------------------------------------

@@ -407,6 +407,18 @@ def test_non_finite_jet_is_lightlike():
         mean_curvature(fld, 0.2, 0.3)
 
 
+@pytest.mark.parametrize("backend", [None, CentralDiff(1e-4)], ids=["exact", "central"])
+def test_classify_grid_does_not_depend_on_the_block_size(backend, monkeypatch):
+    fld = example1_graph() if backend is None else with_backend(example1_graph(), backend)
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101)
+    want = _row_bits(classify_grid(fld, grid))
+    # one row's worth per block, and the whole grid in one block
+    for block in (grid.nb, grid.na * grid.nb + 1):
+        monkeypatch.setattr(pde, "_BLOCK", block)
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        assert _row_bits(classify_grid(fld, grid)) == want
+
+
 def _counting(fld):
     """The field with an exclusion predicate that counts its calls."""
     calls = []
@@ -420,9 +432,10 @@ def _counting(fld):
 def test_classify_grid_tests_exclusions_once_per_block():
     fld, calls = _counting(example1_graph())
     rows = classify_grid(fld, GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101))
-    blocks = -(-len(rows) // pde._BLOCK)
-    assert len(rows) == 5179 and blocks == 2
-    assert len(calls) <= 1 + blocks
+    # one call for the grid, and one in core.jet per block of whole rows of
+    # at most 101 kept points
+    blocks = -(-101 // max(1, pde._BLOCK // 101))
+    assert len(rows) == 5179 and len(calls) <= 1 + blocks
     # a central-difference sweep tests all nine stencil points of a block at once
     fld, calls = _counting(with_backend(solution("wick_lorentzian_catenoid").field,
                                         CentralDiff(1e-4)))

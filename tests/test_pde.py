@@ -273,6 +273,24 @@ def test_row_blocks_match_flat_array_jets_bit_for_bit(label, fld, equation, grid
     assert got.tobytes() == _flat_residuals(fld, equation, grid).tobytes()
 
 
+@pytest.mark.parametrize("backend", [None, CentralDiff(1e-4)], ids=["exact", "central"])
+@pytest.mark.parametrize("label,fld,equation,grid",
+                         [pytest.param(*case, id=case[0]) for case in _row_block_cases()])
+def test_sweeps_do_not_depend_on_the_block_size(label, fld, equation, grid, backend,
+                                                monkeypatch):
+    if backend is not None:
+        fld = with_backend(fld, backend)
+
+    def sweep(block):
+        monkeypatch.setattr(pde, "_BLOCK", block)
+        rep = residual_sweep(fld, equation, grid)
+        return rep.residuals.tobytes(), rep.max_abs, rep.worst_point, rep.excluded_count
+    want = sweep(pde._BLOCK)
+    # one row's worth per block, and the whole grid in one block
+    for block in (grid.nb, grid.na * grid.nb + 1):
+        assert sweep(block) == want
+
+
 def _recording(fld):
     """The field with an evaluator that records the shapes of the values of
     its two arguments, jets or arrays."""
@@ -289,9 +307,10 @@ def test_fully_kept_blocks_run_on_a_column_of_a_and_a_row_of_b(backend):
     e = solution("scherk_first_kind")
     fld, shapes = _recording(e.field if backend is None else with_backend(e.field, backend))
     residual_sweep(fld, e.equation, _SCHERK_201)
-    # 20 rows of 201 points fit in _BLOCK = 4096, so 11 blocks cover 201 rows;
+    # a block is as many whole rows of 201 points as fit in _BLOCK;
     # a central block is one call with the stencil's shifts on two leading axes
-    rows = [20] * 10 + [1]
+    per = pde._BLOCK // 201
+    rows = [per] * (201 // per) + [201 % per] * (201 % per > 0)
     if backend is None:
         assert shapes == [((r, 1), (1, 201)) for r in rows]
     else:
@@ -312,11 +331,15 @@ def test_blocks_with_an_excluded_point_run_on_flat_arrays():
     assert rep.residuals.tobytes() == want.residuals.tobytes()
     assert (rep.max_abs, rep.worst_point, rep.excluded_count) == \
         (want.max_abs, want.worst_point, want.excluded_count)
-    # on 161 rows of 101 points every block is (kept rows) x (all columns)
+    # on 161 rows of 101 points every block is (kept rows) x (all columns),
+    # as many kept rows as fit in _BLOCK; excluded rows take no room
     grid = GridSpec.parse("-1.6:1.6:-1:1:161:101")
     shapes.clear()
     rep = residual_sweep(fld, Equation.BORN_INFELD, grid)
-    assert [(sa[1], sb) for sa, sb in shapes] == [(1, (1, 101))] * 4
+    kept_rows = 161 - rep.excluded_count // 101
+    assert [(sa[1], sb) for sa, sb in shapes] == \
+        [(1, (1, 101))] * -(-kept_rows // (pde._BLOCK // 101))
+    assert sum(sa[0] for sa, sb in shapes) == kept_rows
     assert rep.residuals.tobytes() == _flat_residuals(fld, Equation.BORN_INFELD, grid).tobytes()
     # the disk a^2 + b^2 <= 0.3^2 is no set of rows and columns: flat arrays
     e = solution("lorentzian_catenoid", margin=0.3)
@@ -338,7 +361,8 @@ def test_kept_rows_and_columns_run_on_the_axes():
         rep = residual_sweep(fld, e.equation, grid)
         assert rep.excluded_count == 2 * 201
         b = [sb for sa, sb in shapes]
-        assert b == [(1, 199) if backend is None else (1, 3, 1, 199)] * 11
+        blocks = -(-201 // (pde._BLOCK // 199))  # whole rows of 199 kept points
+        assert b == [(1, 199) if backend is None else (1, 3, 1, 199)] * blocks
         assert rep.residuals.tobytes() == _flat_residuals(fld, e.equation, grid).tobytes()
 
 
@@ -514,6 +538,28 @@ def test_array_predicates_match_their_scalar_calls(label, predicate, margin):
         assert isinstance(got, np.ndarray) and got.dtype == bool and got.shape == a.shape
         assert got.tolist() == [bool(predicate(pa, pb)) for pa, pb in points]
     check()
+
+
+_MASK_GRIDS = (*DEFAULT_GRIDS.values(), *WICK_GRIDS.values(),
+               GridSpec(-2.0, 2.0, -2.0, 2.0, 81, 81), GridSpec.parse("-1.6:1.6:-2:2:161:101"))
+
+
+@pytest.mark.parametrize("label,predicate", [pytest.param(*p[:2], id=p[0]) for p in (
+    *_predicates(), ("one bool True", lambda a, b: True), ("one bool False", lambda a, b: False))])
+def test_masks_on_the_axes_match_masks_on_flat_coordinates(label, predicate):
+    # a sweep calls the predicate once, on a column of a and a row of b
+    fld = ScalarField2(lambda a, b: a * b, domain_exclusions=predicate)
+    for grid in _MASK_GRIDS:
+        a, b = grid.axes()
+        flat_a, flat_b = grid.coords()
+        flat = fld.excluded_mask(flat_a, flat_b)
+        got = fld.excluded_mask(a[:, None], b[None, :])
+        assert got.shape == (grid.na, grid.nb)
+        assert np.array_equal(got.ravel(), flat)
+        rep = residual_sweep(fld, Equation.MAXIMAL, grid)
+        want = np.column_stack((flat_a[~flat], flat_b[~flat]))
+        assert rep.points.tobytes() == want.tobytes()
+        assert rep.excluded_count == np.count_nonzero(flat)
 
 
 def test_grid_coords_are_the_python_expression():
