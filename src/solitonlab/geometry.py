@@ -26,8 +26,8 @@ from .core import (DEFAULT_CENTRAL_H, CentralDiff, ExactJet, LVec3, ScalarField2
                    lorentz_inner, nonreal, stencil_blocked, with_backend)
 from .errors import DegenerateError, DomainError, StencilExcluded
 from .jetmath import TJet
-from .pde import (_BLOCK, SINGULAR, Equation, GridSpec, _residual_from_jet, sweep_blocks,
-                  wick_lorentzian_catenoid_field, worst)
+from .pde import (_BLOCK, SINGULAR, Equation, GridSpec, _residual_from_jet, kept_points,
+                  sweep_blocks, wick_lorentzian_catenoid_field, worst)
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
 
@@ -207,12 +207,13 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     points whose stencils do are skipped as for a ``CentralDiff`` field."""
     ys, zs = grid.axes()
     keep = ~fld.excluded_mask(ys[:, None], zs[None, :])
-    ia, ib = np.nonzero(keep)
-    for s in range(0, len(ia), _BLOCK):
-        i = ia[s:s + _BLOCK], ib[s:s + _BLOCK]
-        keep[i] = ~stencil_blocked(fld, ys[i[0]], zs[i[1]])
-    ia, ib = np.nonzero(keep)
-    out = np.empty((len(ia), 2))
+    ys, zs = kept_points(ys, zs, keep)
+    blocked = np.zeros(len(ys), dtype=bool)
+    for s in range(0, len(ys), _BLOCK):
+        blocked[s:s + _BLOCK] = stencil_blocked(fld, ys[s:s + _BLOCK], zs[s:s + _BLOCK])
+    keep[keep] = ~blocked
+    ys, zs = ys[~blocked], zs[~blocked]
+    out = np.empty((len(ys), 2))
     try:
         sweep_blocks(fld, grid, keep, out, _classify_block)
     except StencilExcluded:
@@ -222,8 +223,8 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
         # differences: classify as that backend, which skips such points
         return classify_grid(with_backend(fld, CentralDiff(DEFAULT_CENTRAL_H)), grid)
     names = [c.value for c in _CLASSES]
-    return [(y, z, names[c], h) for y, z, c, h in zip(
-        ys[ia].tolist(), zs[ib].tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
+    return [(y, z, names[c], h) for y, z, c, h in
+            zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
 
 
 # -- Example-1 graph: x = asinh(sqrt(z^2 - y^2)) ---------------------------

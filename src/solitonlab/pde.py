@@ -208,6 +208,11 @@ def _point_jets(fld: ScalarField2, a, b) -> tuple:
     return jm.TJet(*coefs), backends
 
 
+def kept_points(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> tuple:
+    """The a and b of the points that the (len(a), len(b)) mask keeps, in grid order."""
+    return np.repeat(a, np.count_nonzero(keep, axis=1)), np.broadcast_to(b, keep.shape)[keep]
+
+
 def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.ndarray,
                  from_jet) -> set:
     """Fill ``out`` with ``from_jet(j, shape)`` for the array jet ``j`` of
@@ -244,8 +249,7 @@ def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.nd
             ba, bb = a_axis[r0:r1][rows, None], b_axis[None, cols]
             shape = (len(ba), bb.shape[1])
         else:
-            ia, ib = np.nonzero(keep[r0:r1])
-            ba, bb, shape = a_axis[r0 + ia], b_axis[ib], (n,)
+            (ba, bb), shape = kept_points(a_axis[r0:r1], b_axis, keep[r0:r1]), (n,)
         with np.errstate(all="ignore"):
             try:
                 j, backend = jet(fld, ba, bb)
@@ -253,8 +257,7 @@ def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.nd
             except (TypeError, ValueError, DomainError, ZeroDivisionError, OverflowError):
                 # math.cos or the truth of an array, a stencil on an excluded
                 # point, or a scalar zero divisor or overflow (fails each point too)
-                j, backends = _point_jets(fld, *(np.broadcast_to(c, shape).ravel()
-                                                 for c in (ba, bb)))
+                j, backends = _point_jets(fld, *kept_points(a_axis[r0:r1], b_axis, keep[r0:r1]))
                 shape = (n,)
             out[s:s + n] = from_jet(j, shape)
         used |= backends
@@ -278,9 +281,7 @@ def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
         backend = f"central(h={fld.backend.h:g})"
-    # the a and b of each kept point in grid order, without index arrays
-    points = np.column_stack((np.repeat(a, np.count_nonzero(keep, axis=1)),
-                              np.broadcast_to(b, keep.shape)[keep]))
+    points = np.column_stack(kept_points(a, b, keep))
     return summarize(points, residuals, backend, keep.size - len(residuals), name=name,
                      equation=equation.value, grid_spec=grid.as_text())
 

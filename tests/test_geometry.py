@@ -429,17 +429,32 @@ def _counting(fld):
     return ScalarField2(fld.evaluator, fld.backend, predicate), calls
 
 
+def _blocks(fld, grid):
+    """The number of blocks that ``pde.sweep_blocks`` evaluates on ``grid``:
+    runs of whole rows, each packed while its kept points fit in ``_BLOCK``."""
+    a, b = grid.axes()
+    sizes = []
+    for n in np.count_nonzero(~fld.excluded_mask(a[:, None], b[None, :]), axis=1).tolist():
+        if sizes and sizes[-1] + n <= pde._BLOCK:
+            sizes[-1] += n
+        else:
+            sizes.append(n)
+    return sum(n > 0 for n in sizes)
+
+
 def test_classify_grid_tests_exclusions_once_per_block():
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101)
+    blocks = _blocks(example1_graph(), grid)
     fld, calls = _counting(example1_graph())
-    rows = classify_grid(fld, GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101))
-    # one call for the grid, and one in core.jet per block of whole rows of
-    # at most 101 kept points
-    blocks = -(-101 // max(1, pde._BLOCK // 101))
-    assert len(rows) == 5179 and len(calls) <= 1 + blocks
+    rows = classify_grid(fld, grid)
+    # one call for the grid, and one in core.jet per block
+    assert len(rows) == 5179 and blocks == -(-5179 // pde._BLOCK)
+    assert len(calls) == 1 + blocks
     # a central-difference sweep tests all nine stencil points of a block at once
-    fld, calls = _counting(with_backend(solution("wick_lorentzian_catenoid").field,
-                                        CentralDiff(1e-4)))
+    fld = with_backend(solution("wick_lorentzian_catenoid").field, CentralDiff(1e-4))
     grid = GridSpec(-0.8, 0.8, 1.0, 3.0, 81, 81)
+    blocks = _blocks(fld, grid)
+    fld, calls = _counting(fld)
     rep = pde.residual_sweep(fld, pde.Equation.BORN_INFELD, grid)
-    assert len(rep.residuals) == 81 * 81
-    assert len(calls) <= 1 + -(-len(rep.residuals) // pde._BLOCK)
+    assert len(rep.residuals) == 81 * 81 and blocks == -(-81 * 81 // pde._BLOCK)
+    assert len(calls) == 1 + blocks
