@@ -154,8 +154,8 @@ _CODE = {c: i for i, c in enumerate(_CLASSES)}
 
 
 def _classify_block(j: TJet, shape: tuple) -> np.ndarray:
-    """(class code, H) columns, flat in grid order, for the array jet of a
-    block of points of ``shape`` (``pde.sweep_blocks``), by ``_causal_rule``
+    """(class code, H) pairs, of shape ``shape + (2,)``, for the array jet of
+    a block of points of ``shape`` (``pde.sweep_blocks``), by ``_causal_rule``
     and with the rounding of ``_mean_curvature_from_jet`` at each point."""
     def flat(x):
         return np.broadcast_to(x, shape).ravel()
@@ -178,7 +178,7 @@ def _classify_block(j: TJet, shape: tuple) -> np.ndarray:
     # |W| ** 1.5 with Python floats: libm's pow, as at a single point
     scale = [x ** 1.5 for x in np.abs(w.real[live]).tolist()]
     out[live, 1] = -0.5 * num.real[live] / np.array(scale, dtype=float)
-    return out
+    return out.reshape(shape + (2,))
 
 
 def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
@@ -205,9 +205,9 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     as ``core.jet`` evaluates it, by central differences with step
     ``DEFAULT_CENTRAL_H``; once such a stencil reaches an exclusion, the
     points whose stencils do are skipped as for a ``CentralDiff`` field."""
-    ys, zs = grid.axes()
-    keep = ~fld.excluded_mask(ys[:, None], zs[None, :])
-    ys, zs = kept_points(ys, zs, keep)
+    a, b = grid.axes()
+    keep = ~fld.excluded_mask(a[:, None], b[None, :])
+    ys, zs = kept_points(a, b, keep)
     blocked = np.zeros(len(ys), dtype=bool)
     for s in range(0, len(ys), _BLOCK):
         blocked[s:s + _BLOCK] = stencil_blocked(fld, ys[s:s + _BLOCK], zs[s:s + _BLOCK])
@@ -215,7 +215,8 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
     ys, zs = ys[~blocked], zs[~blocked]
     out = np.empty((len(ys), 2))
     try:
-        sweep_blocks(fld, grid, keep, out, _classify_block)
+        sweep_blocks(fld, a, b, keep, np.count_nonzero(keep, axis=1).tolist(), out,
+                     _classify_block)
     except StencilExcluded:
         if not isinstance(fld.backend, ExactJet):
             raise
@@ -223,8 +224,8 @@ def classify_grid(fld: ScalarField2, grid: GridSpec) -> list:
         # differences: classify as that backend, which skips such points
         return classify_grid(with_backend(fld, CentralDiff(DEFAULT_CENTRAL_H)), grid)
     names = [c.value for c in _CLASSES]
-    return [(y, z, names[c], h) for y, z, c, h in
-            zip(ys.tolist(), zs.tolist(), out[:, 0].astype(int).tolist(), out[:, 1].tolist())]
+    classes = map(names.__getitem__, out[:, 0].astype(int).tolist())
+    return list(zip(ys.tolist(), zs.tolist(), classes, out[:, 1].tolist()))
 
 
 # -- Example-1 graph: x = asinh(sqrt(z^2 - y^2)) ---------------------------

@@ -213,43 +213,47 @@ def kept_points(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> tuple:
     return np.repeat(a, np.count_nonzero(keep, axis=1)), np.broadcast_to(b, keep.shape)[keep]
 
 
-def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.ndarray,
-                 from_jet) -> set:
+def sweep_blocks(fld: ScalarField2, a: np.ndarray, b: np.ndarray, keep: np.ndarray,
+                 counts: list, out: np.ndarray, from_jet) -> set:
     """Fill ``out`` with ``from_jet(j, shape)`` for the array jet ``j`` of
-    each block of the points of ``grid`` that ``keep``, a bool array of shape
-    (na, nb), keeps, under ``np.errstate(all="ignore")``; return the names of
-    the backends ``core.jet`` used.
+    each block of the points (a[i], b[k]) of a grid that ``keep``, a bool
+    array of shape (len(a), len(b)) with ``counts`` kept points per row,
+    keeps, under ``np.errstate(all="ignore")``; return the names of the
+    backends ``core.jet`` used.
 
     A block is a run of whole rows with at most ``_BLOCK`` kept points, or
     one row wider than that.  A block whose kept points are all the points of
     its kept rows and kept columns (it drops whole rows or columns, or none)
     is evaluated on a column of those rows' a and a row of those columns' b,
-    so a term in a alone is computed once per row and one in b alone once
-    per column: ``shape`` is (r, c), and ``j``'s coefficients keep the shapes
-    they were evaluated in, (r, 1), (1, c), (r, c) or none.  Other blocks run
-    on their kept points as flat arrays, ``shape`` (n,).  The elementwise
-    ``from_jet`` returns the block's n values flat in grid order.
+    views of the axes when it drops nothing, so a term in a alone is computed
+    once per row and one in b alone once per column: ``shape`` is (r, c),
+    and ``j``'s coefficients keep the shapes they were evaluated in, (r, 1),
+    (1, c), (r, c) or none.  Other blocks run on their kept points as flat
+    arrays, ``shape`` (n,).  The elementwise ``from_jet`` returns values that
+    broadcast to ``shape + out.shape[1:]``; they are written into the block's
+    n entries of ``out`` through a view of that shape, in grid order.
     When the evaluator rejects arrays, a stencil touches an excluded point,
     or the block raises ``ZeroDivisionError`` or ``OverflowError``, ``j`` is
     stacked from its kept points one at a time (``_point_jets``, ``shape``
     (n,)): NaN where a point raises one of ``SINGULAR``; any other error
     raises.  So ``from_jet`` is the sweep's one reducer, and the first point
     that raises is the first in grid order."""
-    a_axis, b_axis = grid.axes()
-    counts = np.count_nonzero(keep, axis=1).tolist()
     used, r1, s = set(), 0, 0
-    while r1 < grid.na:
+    while r1 < len(counts):
         r0, n, r1 = r1, counts[r1], r1 + 1
-        while r1 < grid.na and n + counts[r1] <= _BLOCK:
+        while r1 < len(counts) and n + counts[r1] <= _BLOCK:
             r1, n = r1 + 1, n + counts[r1]
         if n == 0:
             continue
-        rows, cols = keep[r0:r1].any(axis=1), keep[r0:r1].any(axis=0)
-        if n == np.count_nonzero(rows) * np.count_nonzero(cols):  # (kept rows) x (kept columns)
-            ba, bb = a_axis[r0:r1][rows, None], b_axis[None, cols]
-            shape = (len(ba), bb.shape[1])
+        if n == (r1 - r0) * len(b):  # every point of its rows
+            ba, bb, shape = a[r0:r1, None], b[None, :], (r1 - r0, len(b))
         else:
-            (ba, bb), shape = kept_points(a_axis[r0:r1], b_axis, keep[r0:r1]), (n,)
+            rows, cols = keep[r0:r1].any(axis=1), keep[r0:r1].any(axis=0)
+            if n == np.count_nonzero(rows) * np.count_nonzero(cols):  # (kept rows) x (kept columns)
+                ba, bb = a[r0:r1][rows, None], b[None, cols]
+                shape = (len(ba), bb.shape[1])
+            else:
+                (ba, bb), shape = kept_points(a[r0:r1], b, keep[r0:r1]), (n,)
         with np.errstate(all="ignore"):
             try:
                 j, backend = jet(fld, ba, bb)
@@ -257,9 +261,9 @@ def sweep_blocks(fld: ScalarField2, grid: GridSpec, keep: np.ndarray, out: np.nd
             except (TypeError, ValueError, DomainError, ZeroDivisionError, OverflowError):
                 # math.cos or the truth of an array, a stencil on an excluded
                 # point, or a scalar zero divisor or overflow (fails each point too)
-                j, backends = _point_jets(fld, *kept_points(a_axis[r0:r1], b_axis, keep[r0:r1]))
+                j, backends = _point_jets(fld, *kept_points(a[r0:r1], b, keep[r0:r1]))
                 shape = (n,)
-            out[s:s + n] = from_jet(j, shape)
+            out[s:s + n].reshape(shape + out.shape[1:])[...] = from_jet(j, shape)
         used |= backends
         s += n
     return used
@@ -270,18 +274,25 @@ def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
     """Evaluate the residual of ``equation`` over the grid, skipping the
     points that the exclusion predicate, called once on a column of a and a
     row of b, excludes.  Kept points are evaluated in array blocks of whole
-    rows (``sweep_blocks``); the residuals come back in grid order, NaN at a
+    rows (``sweep_blocks``, reduced by ``_residual_from_jet`` itself); the
+    residuals and their (n, 2) points come back in grid order, NaN at a
     singular point.  A stencil that reaches an excluded point raises."""
     a, b = grid.axes()
     keep = ~fld.excluded_mask(a[:, None], b[None, :])
-    residuals = np.empty(np.count_nonzero(keep), dtype=complex)
-    used = sweep_blocks(fld, grid, keep, residuals, lambda j, shape: np.broadcast_to(
-        _residual_from_jet(j, equation), shape).ravel())
+    counts = np.count_nonzero(keep, axis=1).tolist()
+    residuals = np.empty(sum(counts), dtype=complex)
+    used = sweep_blocks(fld, a, b, keep, counts, residuals,
+                        lambda j, shape: _residual_from_jet(j, equation))
     if isinstance(fld.backend, ExactJet):
         backend = "exact+central-fallback" if "central-fallback" in used else "exact"
     else:
         backend = f"central(h={fld.backend.h:g})"
-    points = np.column_stack(kept_points(a, b, keep))
+    points = np.empty((len(residuals), 2))
+    if len(points) == keep.size:  # every point: the axes broadcast into a view
+        grid_points = points.reshape(len(a), len(b), 2)
+        grid_points[..., 0], grid_points[..., 1] = a[:, None], b
+    else:
+        points[:, 0], points[:, 1] = kept_points(a, b, keep)
     return summarize(points, residuals, backend, keep.size - len(residuals), name=name,
                      equation=equation.value, grid_spec=grid.as_text())
 

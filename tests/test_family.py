@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonlab import family
 from solitonlab import jetmath as jm
@@ -315,6 +317,55 @@ def test_wrong_family_fails_everywhere_the_band_included():
         for theta, zeta in _samples(300, 31, r_lo, r_hi):
             r = graph_residual_from_jets(*_family_jets(pair, theta, zeta, dphi=0.1))
             assert abs(r) > 1e-6, (theta, zeta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(-3.0, 3.0),
+       log_d=st.floats(math.log(1e-6), math.log(0.05)),
+       side=st.sampled_from((-1.0, 1.0)),
+       arg=st.floats(-0.85 * math.pi, 0.85 * math.pi))
+def test_band_solves_born_infeld_and_the_wrong_family_fails_there(theta, log_d, side, arg):
+    # |zeta| = 1 +- d with d log-uniform in [1e-6, 0.05], where det J -> 0;
+    # points nearer the circle wait for a verdict on N itself
+    zeta = (1.0 + side * math.exp(log_d)) * cmath.exp(1j * arg)
+    pair = helicoid_catenoid_pair()
+    rep = complex_bi_residual_on_family(pair, theta, [zeta])
+    assert rep.excluded_count == 0 and rep.max_abs <= 1e-6
+    assert abs(graph_residual_from_jets(*_family_jets(pair, theta, zeta, dphi=0.1))) > 1e-6
+
+
+# Unit roundoff of binary64.
+_U = 2.0 ** -53
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), the bound on |theta_n| of Lemma 3.1 in
+    Higham, Accuracy and Stability of Numerical Algorithms (2nd ed., 2002)."""
+    return n * _U / (1 - n * _U)
+
+
+# jet coefficients: zero, or 1e-20 <= |c| <= 1e3, so no product underflows
+_COEF = st.sampled_from((0.0,)) | st.floats(1e-20, 1e3) | st.floats(-1e3, -1e-20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEF, min_size=10, max_size=10), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_graph_chart_residual_is_the_pde_residual_up_to_summation_order(c, a, b):
+    # On X = (a, b, phi), det J = 1, n0 = -p and n1 = -q exactly, so N sums
+    # the three products of pde._residual_from_jet, A = (q^2 - 1) r,
+    # B = 2 (p q) s = ((2 p) q) s and C = (1 + p^2) t, bit for bit the same,
+    # as (A - B) + C where the residual sums (C - B) + A.  Recursive summation
+    # of three terms is within gamma_2 (|A| + |B| + |C|) of their exact sum
+    # (Higham, (4.4)) in each of the real and imaginary parts, which complex
+    # addition sums apart; so the two differ by at most twice that.
+    p, q, r, s, t = (complex(x, y) for x, y in zip(c[::2], c[1::2]))
+    phi = TJet(0j, p, q, r, s, t)
+    got = graph_residual_from_jets(TJet.seed_a(a), TJet.seed_b(b), phi)
+    want = _residual_from_jet(phi, Equation.BORN_INFELD)
+    terms = ((q * q - 1) * r, 2 * (p * q) * s, (1 + p * p) * t)
+    for part in (lambda z: z.real, lambda z: z.imag):
+        bound = 2 * _gamma(2) * sum(abs(part(x)) for x in terms)
+        assert abs(part(got) - part(want)) <= bound
 
 
 def test_graph_residual_agrees_with_the_chain_rule_off_the_band():

@@ -366,6 +366,72 @@ def test_kept_rows_and_columns_run_on_the_axes():
         assert rep.residuals.tobytes() == _flat_residuals(fld, e.equation, grid).tobytes()
 
 
+# -- the reducer's values, in the shape of their block ---------------------------
+
+# Fields whose Born-Infeld residual over a block of a column of a and a row of
+# b is a Python number (the plane), an (r, 1) column (a field of a alone) and
+# a (1, c) row (a field of b alone); on a flat block each is a number or (n,).
+_SHAPED_FIELDS = {
+    "plane": (lambda a, b: 0.5 * a + 0.25 * b, lambda s: s == ()),
+    "of_a": (lambda a, b: jm.log(jm.cosh(a)), lambda s: len(s) == 2 and s[1] == 1),
+    "of_b": (lambda a, b: jm.log(jm.cosh(b)), lambda s: len(s) == 2 and s[0] == 1),
+}
+# No exclusion, whole rows (|a| <= 0.25), whole columns (|b| <= 0.2), and a
+# disk, which is no set of rows and columns (flat blocks), on _SHAPED_GRID.
+_SHAPED_EXCLUSIONS = {
+    "none": None,
+    "rows": lambda a, b: abs(a) <= 0.25,
+    "columns": lambda a, b: abs(b) <= 0.2,
+    "disk": lambda a, b: a * a + b * b <= 0.25,
+}
+_SHAPED_GRID = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 17)
+
+
+@pytest.mark.parametrize("exclusion", list(_SHAPED_EXCLUSIONS))
+@pytest.mark.parametrize("field", list(_SHAPED_FIELDS))
+def test_reducer_values_of_every_shape_give_the_point_residuals(field, exclusion, monkeypatch):
+    ev, block_shape = _SHAPED_FIELDS[field]
+    fld = ScalarField2(ev, domain_exclusions=_SHAPED_EXCLUSIONS[exclusion])
+    grid = _SHAPED_GRID
+    a, b = grid.axes()
+    keep = ~fld.excluded_mask(a[:, None], b[None, :])
+    points = np.column_stack(pde.kept_points(a, b, keep))
+    want = np.array([equation_residual(fld, Equation.BORN_INFELD, pa, pb)
+                     for pa, pb in points.tolist()], dtype=complex)
+    shapes, residual_from_jet = [], pde._residual_from_jet
+
+    def reducer(j, equation):
+        value = residual_from_jet(j, equation)
+        shapes.append(np.shape(value))
+        return value
+    monkeypatch.setattr(pde, "_residual_from_jet", reducer)
+    # one row per block, the default, and the whole grid in one block
+    for block in (grid.nb, pde._BLOCK, grid.na * grid.nb + 1):
+        monkeypatch.setattr(pde, "_BLOCK", block)
+        shapes.clear()
+        rep = residual_sweep(fld, Equation.BORN_INFELD, grid)
+        assert rep.excluded_count == keep.size - len(want)
+        assert rep.residuals.tobytes() == want.tobytes()
+        assert rep.points.tobytes() == points.tobytes()
+        assert rep.points.shape == (len(want), 2)
+        flat = [s for s in shapes if len(s) == 1]
+        assert shapes and all(map(block_shape, set(shapes) - set(flat)))
+        # a block of one row is its row times its kept columns, even on the disk
+        assert bool(flat) == (exclusion == "disk" and field != "plane" and block > grid.nb)
+    assert (exclusion == "none") == (len(want) == keep.size)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_report_points_are_the_kept_points_in_grid_order(name):
+    e = solution(name)
+    grid = DEFAULT_GRIDS[name]
+    a, b = grid.axes()
+    keep = ~e.field.excluded_mask(a[:, None], b[None, :])
+    rep = residual_sweep(e.field, e.equation, grid)
+    assert rep.points.tobytes() == np.column_stack(pde.kept_points(a, b, keep)).tobytes()
+    assert rep.points.shape == (len(rep.residuals), 2)
+
+
 def test_central_residuals_do_not_depend_on_the_points_that_share_an_array():
     # log cos a leaves the real domain past |a| = pi/2, at some stencil points
     # of a block only; each entry is evaluated in its own domain, so every
