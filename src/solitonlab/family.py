@@ -201,33 +201,33 @@ def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint):
         d2 = |xs + ts - (H(z)  - Int zb^2 G' dzb)     - c2|
         d3 = |phis    - (Int z H' dz + Int zb (-G') dzb) - c3|
 
-    Integrals run from the base point along pole-avoiding paths; the c_j are
-    the pair's calibrated offsets.
+    The c_j are the calibrated offsets.  The z integrals run from the base
+    point along ``build_path``, the zb integrals along its mirror image, as
+    Int_conj(path) f(w) dw = conj(Int_path conj(f(conj u)) du), in one
+    ``integrate_segments`` call.  A straight path's mirror image is the
+    ``build_path`` from conj(base) to zb, with nodes that are the exact
+    conjugates of the path's, so each G value and sum is that path's, bit for
+    bit; for admissible data, conj G(conj w) = -H(w) leaves the subdivision
+    to H.  A detour (near the negative real axis, for the pole 0) is
+    mirrored too, so both integrals wind the same way round the pole: d3
+    reads round-off below the axis, where that continues the principal log
+    of ``phi_zeta``, and 2 pi |cos theta| just above it (helicoid/catenoid
+    family), where the detour, left of the chord first, passes below 0 too.
     """
     z = complex(point.zeta)
-    zb = z.conjugate()
-    base = complex(wp.base)
-    baseb = base.conjugate()
-    poles = wp.pole_set
-    polesb = tuple(complex(p).conjugate() for p in poles)
 
-    path_h = build_path(base, z, poles)
-    path_g = build_path(baseb, zb, polesb)
+    def moments(w):
+        # (w^2 H'(w), w H'(w)), and the same in G at conj(w), conjugated
+        dh = holomorphic_derivative(wp.Hfun, w)
+        wb = w.conjugate()
+        dg = holomorphic_derivative(wp.Gfun, wb)
+        return w * w * dh, w * dh, (wb * wb * dg).conjugate(), (wb * dg).conjugate()
 
-    def moments(fn):
-        # (w^2 f'(w), w f'(w)), with f' computed once per array of nodes
-        def fvec(w):
-            d = holomorphic_derivative(fn, w)
-            return w * w * d, w * d
-        return fvec
-
-    q1, q3h = integrate_segments(moments(wp.Hfun), path_h)
-    q2, q3g = integrate_segments(moments(wp.Gfun), path_g)
-
+    q1, q3h, q2b, q3gb = integrate_segments(moments, build_path(complex(wp.base), z, wp.pole_set))
     c1, c2, c3 = wp.offsets
-    d1 = abs((point.xs - point.ts) - (complex(wp.Gfun(zb)) - q1) - c1)
-    d2 = abs((point.xs + point.ts) - (complex(wp.Hfun(z)) - q2) - c2)
-    d3 = abs(point.phis - (q3h - q3g) - c3)
+    d1 = abs((point.xs - point.ts) - (complex(wp.Gfun(z.conjugate())) - q1) - c1)
+    d2 = abs((point.xs + point.ts) - (complex(wp.Hfun(z)) - q2b.conjugate()) - c2)
+    d3 = abs(point.phis - (q3h - q3gb.conjugate()) - c3)
     return d1, d2, d3
 
 

@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -243,6 +244,21 @@ def test_nan_cauchy_riemann_defect_fails_the_family_check(monkeypatch, capsys):
     assert code == 1
     assert out.count('"cauchy_riemann": inf') == 2
     assert err.startswith("FAIL max defect=inf > tolerance=") and err.count("\n") == 1
+
+
+def test_scaled_g_fails_the_family_check_through_its_integral(monkeypatch, capsys):
+    # d2 reads G only through its integral, the mirrored one, since the
+    # calibration absorbs the constants
+    catalog_whitham = cli.catalog_whitham
+
+    def scaled(theta):
+        wp = catalog_whitham(theta)
+        return dataclasses.replace(wp, Gfun=lambda xb: 1.01 * wp.Gfun(xb))
+
+    monkeypatch.setattr(cli, "catalog_whitham", scaled)
+    code, out, err = run(["family"], capsys)
+    assert code == 1 and err.startswith("FAIL max defect=")
+    assert all(rec["whitham_defects"]["d2"] > 1e-6 for rec in json.loads(out)["results"])
 
 
 def _script(name: str):

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from solitonlab.family import (
 from solitonlab.geometry import isothermal_check
 from solitonlab.jetmath import TJet
 from solitonlab.pde import Equation, _residual_from_jet, equation_residual
+from solitonlab.quadrature import build_path, integrate_segments
 from solitonlab.weierstrass import SurfaceMap, catalog_surface
 
 THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
@@ -438,8 +440,9 @@ def test_pointwise_checks_are_bit_identical_to_the_recorded_digest(recorded_dige
 
 
 def test_whitham_integrals_off_the_band_take_one_gk21_round(monkeypatch):
-    # from four subintervals per segment, each of whitham_verify's H and G
-    # integrals at the pointwise points is accepted in its first round
+    # from four subintervals per segment, whitham_verify's one integral (the
+    # H moments and the mirrored G moments) at each pointwise point is
+    # accepted in its first round
     pair = helicoid_catenoid_pair()
     points = [(calibrate_offsets(catalog_whitham(theta), pair), soliton_family(pair, theta, z))
               for theta in THETAS for z in _POINTWISE_ZETAS]
@@ -457,7 +460,90 @@ def test_whitham_integrals_off_the_band_take_one_gk21_round(monkeypatch):
     monkeypatch.setattr(family, "integrate_segments", counted)
     for wp, point in points:
         whitham_verify(wp, point)
-    assert rounds == [1] * (2 * len(points))
+    assert rounds == [1] * len(points)
+
+
+def _two_path_whitham_verify(wp, point):
+    """``whitham_verify`` as two integrals: the H moments along the path from
+    the base point to zeta, the G moments along a path built from the
+    conjugates of the base point, of zeta and of the poles."""
+    z = complex(point.zeta)
+    zb = z.conjugate()
+    base = complex(wp.base)
+    path_h = build_path(base, z, wp.pole_set)
+    path_g = build_path(base.conjugate(), zb, [complex(p).conjugate() for p in wp.pole_set])
+
+    def moments(fn):
+        def fvec(w):
+            d = holomorphic_derivative(fn, w)
+            return w * w * d, w * d
+        return fvec
+
+    q1, q3h = integrate_segments(moments(wp.Hfun), path_h)
+    q2, q3g = integrate_segments(moments(wp.Gfun), path_g)
+    c1, c2, c3 = wp.offsets
+    d1 = abs((point.xs - point.ts) - (complex(wp.Gfun(zb)) - q1) - c1)
+    d2 = abs((point.xs + point.ts) - (complex(wp.Hfun(z)) - q2) - c2)
+    d3 = abs(point.phis - (q3h - q3g) - c3)
+    return d1, d2, d3
+
+
+@pytest.mark.parametrize("r_lo, r_hi", [(0.5, 2.0), (0.02, 0.4), (3.0, 30.0)])
+def test_mirrored_g_integral_is_the_two_path_oracle_bit_for_bit(r_lo, r_hi):
+    # on straight paths the mirror image of the H path is the G path, node
+    # for node, so the defects keep their bits
+    pair = helicoid_catenoid_pair()
+    for theta, zeta in _samples(110, 30, r_lo, r_hi):
+        wp = calibrate_offsets(catalog_whitham(theta), pair)
+        point = soliton_family(pair, theta, zeta)
+        assert len(build_path(wp.base, zeta, wp.pole_set)) == 2
+        assert ([d.hex() for d in whitham_verify(wp, point)]
+                == [d.hex() for d in _two_path_whitham_verify(wp, point)]), (theta, zeta)
+
+
+def _scaled(wp, name):
+    fn = getattr(wp, name)
+    return replace(wp, **{name: lambda w: 1.01 * fn(w)})
+
+
+@pytest.mark.parametrize("mutant, integral_only", [
+    (lambda theta: _scaled(catalog_whitham(theta), "Gfun"), 1),
+    (lambda theta: _scaled(catalog_whitham(theta), "Hfun"), 0),
+    (lambda theta: replace(catalog_whitham(theta + 0.1), theta=theta), None),
+], ids=["G*1.01", "H*1.01", "theta+0.1"])
+def test_whitham_mutants_fail_at_every_pointwise_point(mutant, integral_only):
+    # each mutant, calibrated against the theta family, misses at every
+    # point.  d2 reads G, and d1 reads H, only through its integral (the
+    # calibration absorbs the constants), so a scaled G fails d2 only if the
+    # mirrored integral reads G, and a scaled H fails d1 only if the other
+    # integral reads H.
+    pair = helicoid_catenoid_pair()
+    for theta in THETAS:
+        wp = calibrate_offsets(mutant(theta), pair)
+        for z in _POINTWISE_ZETAS:
+            d = whitham_verify(wp, soliton_family(pair, theta, z))
+            assert max(d) > 1e-8, (theta, z)
+            if integral_only is not None:
+                assert d[integral_only] > 1e-8, (theta, z)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.2])
+@pytest.mark.parametrize("zeta", [-0.5 + 0.012j, -0.5 - 0.012j, -5 + 0.02j, -5 - 0.02j])
+def test_whitham_verify_on_a_detour(theta, zeta):
+    # the straight path passes the pole 0 within the margin, so the H path
+    # detours below 0 and the G integral runs on its mirror image.  That
+    # continues the principal log of phi_zeta below the negative real axis;
+    # above it d3 reads the log's winding, 2 pi |cos theta|.
+    pair = helicoid_catenoid_pair()
+    wp = calibrate_offsets(catalog_whitham(theta), pair)
+    path = build_path(wp.base, zeta, wp.pole_set)
+    assert len(path) == 3 and path[1].imag < 0
+    d1, d2, d3 = whitham_verify(wp, soliton_family(pair, theta, zeta))
+    assert d1 <= 1e-14 and d2 <= 1e-14
+    if zeta.imag < 0:
+        assert d3 <= 1e-14
+    else:
+        assert d3 == pytest.approx(2 * math.pi * abs(math.cos(theta)), rel=1e-12)
 
 
 def _affine_pair(alpha: complex, beta: complex) -> ConjugatePair:
