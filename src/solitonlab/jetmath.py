@@ -21,6 +21,15 @@ jet that :mod:`~solitonlab.core` differences from a real field's ``float64``
 stencil values: its coefficients are ``float64`` arrays, which the residual
 and classification formulas read and no primitive propagates.
 
+A Python-number coefficient of an array jet holds at every point (only seeds,
+constants and their sums and products with numbers put numbers there), so a
+zero there is a *structural zero*, as ``ft`` of ``TJet.seed_a(a)``.  The chain
+rule keeps it ``0j`` instead of multiplying it by g' or g'' into an array, so
+the partials of a term in a alone keep the shape of a's column; that is exact
+also where g' is not finite.  A scalar jet's ``0j`` may be a numerical zero, so
+scalar jets, the reference the array path is tested against, multiply every
+slot through, as ``__mul__`` does for both.
+
 Jets are values.  Every operation returns a new jet and leaves its operands
 as they were; a result may share a coefficient, array or number, with an
 operand, so code never assigns to a coefficient or writes into its array.
@@ -133,6 +142,20 @@ def _math(c):
 def _real_coef(x):
     """A real coefficient as a complex one, keeping the sign of zero."""
     return x.astype(complex) if isinstance(x, np.ndarray) else complex(x)
+
+
+def _chain(*terms):
+    """The sum, left to right, of the products g * c * ... of ``terms``, each
+    (g, c, ...), that have no structural-zero factor c; ``0j`` if none is left."""
+    out = 0j
+    for g, *cs in terms:
+        for c in cs:
+            if type(c) is complex and not c:
+                break
+            g = g * c
+        else:
+            out = g if type(out) is complex and not out else out + g
+    return out
 
 
 @dataclass(slots=True)
@@ -260,17 +283,18 @@ class TJet:
     # -- composition helpers ----------------------------------------------
 
     def _compose(self, g0, g1, g2) -> "TJet":
-        """Chain rule for g(self) given g, g', g'' at self.f (order 1: not g'')."""
+        """Chain rule for g(self) given g, g', g'' at self.f (order 1: not g''); an
+        array jet's structural zeros (module notes) stay ``0j``, their terms dropped."""
+        x, t = self.fx, self.ft
+        if isinstance(self.f, np.ndarray):
+            if self.fxx is None:
+                return TJet(g0, _chain((g1, x)), _chain((g1, t)), None, None, None)
+            return TJet(g0, _chain((g1, x)), _chain((g1, t)), _chain((g2, x, x), (g1, self.fxx)),
+                        _chain((g2, x, t), (g1, self.fxt)), _chain((g2, t, t), (g1, self.ftt)))
         if self.fxx is None:
-            return TJet(g0, g1 * self.fx, g1 * self.ft, None, None, None)
-        return TJet(
-            g0,
-            g1 * self.fx,
-            g1 * self.ft,
-            g2 * self.fx * self.fx + g1 * self.fxx,
-            g2 * self.fx * self.ft + g1 * self.fxt,
-            g2 * self.ft * self.ft + g1 * self.ftt,
-        )
+            return TJet(g0, g1 * x, g1 * t, None, None, None)
+        return TJet(g0, g1 * x, g1 * t, g2 * x * x + g1 * self.fxx,
+                    g2 * x * t + g1 * self.fxt, g2 * t * t + g1 * self.ftt)
 
     def _reciprocal(self) -> "TJet":
         # A scalar 1/0 raises ZeroDivisionError, by design; an array entry

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import struct
 import warnings
 
@@ -18,15 +19,18 @@ from solitonlab.core import (
     with_backend,
 )
 from solitonlab.errors import DomainError
+from solitonlab.geometry import _classify_block, classify_grid, example1_graph
 from solitonlab.pde import (
     _BLOCK,
     DEFAULT_GRIDS,
+    WICK_GRIDS,
     Equation,
     GridSpec,
     _residual_from_jet,
     catalog_names,
     residual_sweep,
     solution,
+    wick_rotate_x,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -878,3 +882,188 @@ def test_order1_jet_never_reads_second_order_terms():
         j.fxx * j.fx
     with pytest.raises(TypeError):
         _residual_from_jet(j, Equation.BORN_INFELD)
+
+
+# -- structural zeros of array jets ---------------------------------------------
+
+def _dense_compose(self, g0, g1, g2):
+    """``TJet._compose`` with every slot multiplied through by g' and g'', as
+    scalar jets do: the oracle of the array chain rule, which turns a
+    structural zero into an array of zeros, NaN where g' is not finite."""
+    if self.fxx is None:
+        return jm.TJet(g0, g1 * self.fx, g1 * self.ft, None, None, None)
+    return jm.TJet(g0, g1 * self.fx, g1 * self.ft,
+                   g2 * self.fx * self.fx + g1 * self.fxx,
+                   g2 * self.fx * self.ft + g1 * self.fxt,
+                   g2 * self.ft * self.ft + g1 * self.ftt)
+
+
+def _dense(fn, *args):
+    """``fn(*args)`` with the dense chain rule, numpy's warnings off."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(jm.TJet, "_compose", _dense_compose)
+        return fn(*args)
+
+
+_COEFS = ("f", "fx", "ft", "fxx", "fxt", "ftt")
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# real constants keep the numbers in an array jet's slots exact, so no
+# product in them rounds as numpy's (a fused multiply-add) and CPython's differ
+_CONST = st.sampled_from([0.5, -1.25, 2.0])
+
+
+def _terms(leaves):
+    """Expression trees over the variables ``leaves``: the 12 primitives of a
+    term, and +, - and * of two terms or of a term and a constant."""
+    op = st.sampled_from(sorted(_OPS))
+    return st.recursive(st.sampled_from(leaves), lambda kids: st.one_of(
+        st.tuples(st.sampled_from(_PRIMITIVES), kids), st.tuples(op, kids, kids),
+        st.tuples(op, kids, _CONST), st.tuples(op, _CONST, kids)), max_leaves=4)
+
+
+# a term in a alone (``ia`` is i a, as in the Wick-rotated fields) with one
+# in b alone, then with a mixed term
+_FIELDS = st.tuples(st.sampled_from(sorted(_OPS)),
+                    st.tuples(st.sampled_from(sorted(_OPS)), _terms(("a", "ia")), _terms(("b",))),
+                    _terms(("a", "ia", "b")))
+
+
+def _evaluate(tree, a, b, constant_args):
+    """The field ``tree`` at the jets (or arrays) a and b; appends to
+    ``constant_args`` each primitive applied to a jet whose gradient is two
+    structural zeros (a constant term such as a - a)."""
+    if isinstance(tree, str):
+        return {"a": a, "ia": 1j * a, "b": b}[tree]
+    if isinstance(tree, float):
+        return tree
+    if len(tree) == 2:
+        x = _evaluate(tree[1], a, b, constant_args)
+        if isinstance(x, jm.TJet) and all(type(c) is complex and c == 0 for c in (x.fx, x.ft)):
+            constant_args.append(tree[0])
+        return getattr(jm, tree[0])(x)
+    return _OPS[tree[0]](*(_evaluate(t, a, b, constant_args) for t in tree[1:]))
+
+
+def _canonical(x, shape):
+    """The parts of ``x`` broadcast to ``shape``, a last axis of two floats,
+    with -0.0 as +0.0 and every NaN the same NaN: bytes up to signs of zero."""
+    x = np.broadcast_to(np.asarray(x, dtype=complex), shape)
+    parts = np.stack([x.real + 0.0, x.imag + 0.0], axis=-1)
+    parts[np.isnan(parts)] = math.nan
+    return parts
+
+
+def _finite(j, shape):
+    """Where every coefficient of the jet ``j`` is finite, a bool array of ``shape``."""
+    return np.logical_and.reduce([np.broadcast_to(np.isfinite(getattr(j, c)), shape)
+                                  for c in _COEFS])
+
+
+def _classified(j, shape):
+    try:
+        return _classify_block(j, shape)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _check_against_the_dense_oracle(got, want, shape, constant_args=()):
+    """``got``, an array jet of points of ``shape``, against ``want``, the
+    dense oracle's: the same value f, bit for bit, and where ``want`` is
+    finite, every coefficient and residual with the bytes of ``want`` up to
+    signs of zero.  Unless a primitive took a constant term, the jets are
+    finite at the same points, so residuals and ``_classify_block`` agree at
+    every point.  Returns the points where ``want`` is finite."""
+    assert np.broadcast_to(got.f, shape).tobytes() == np.broadcast_to(want.f, shape).tobytes()
+    ok = _finite(want, shape)
+    pairs = [(getattr(got, c), getattr(want, c)) for c in _COEFS]
+    with np.errstate(all="ignore"):
+        pairs += [(_residual_from_jet(got, e), _residual_from_jet(want, e)) for e in Equation]
+    for x, y in pairs:
+        assert _canonical(x, shape)[ok].tobytes() == _canonical(y, shape)[ok].tobytes()
+    if not constant_args:
+        # a structural zero is dropped only beside a live slot, which is not
+        # finite where g' is not: no point turns finite
+        assert np.array_equal(_finite(got, shape), ok)
+        with np.errstate(all="ignore"):
+            x, y = _classified(got, shape), _classified(want, shape)
+        assert type(x) is type(y)
+        assert x == y if isinstance(x, str) else _canonical(x, x.shape).tobytes() == \
+            _canonical(y, y.shape).tobytes()
+    return ok
+
+
+_COLUMN = np.array([-1.0, -0.5, 0.0, 0.3, 1.0, 2.0])[:, None]
+_ROW = np.array([-0.7, 0.0, 0.25, 1.5, -2.0])[None, :]
+
+
+@given(_FIELDS)
+def test_structural_zeros_match_the_dense_chain_rule(tree):
+    # g' is not finite at some points (sqrt and log at 0, atanh at 1, ...)
+    flat = tuple(x.ravel() for x in np.broadcast_arrays(_COLUMN, _ROW))
+    for a, b in ((_COLUMN, _ROW), flat):
+        seeds = (jm.TJet.seed_a(a), jm.TJet.seed_b(b))
+        constant_args = []
+        with np.errstate(all="ignore"):
+            got = jm.TJet.lift(_evaluate(tree, *seeds, constant_args))
+        want = jm.TJet.lift(_dense(_evaluate, tree, *seeds, []))
+        _check_against_the_dense_oracle(got, want, np.broadcast(a, b).shape, constant_args)
+
+
+# name -> (field, whether g' is not finite in a term in one variable, whose
+# structural zeros the dense oracle turns into NaN; in the catalog entries the
+# singular term is mixed, and both sides read NaN in every slot)
+_SINGULAR_FIELDS = {
+    "sqrt(a) + cosh(b)": (lambda a, b: jm.sqrt(a) + jm.cosh(b), True),
+    "sqrt(cosh(a) - 1) + log(cosh(b))": (
+        lambda a, b: jm.sqrt(jm.cosh(a) - 1) + jm.log(jm.cosh(b)), True),
+    "log(a) - log(cosh(b))": (lambda a, b: jm.log(a) - jm.log(jm.cosh(b)), True),
+    "cosh(a) * sqrt(b)": (lambda a, b: jm.cosh(a) * jm.sqrt(b), True),
+    "helicoid_first_kind, margin 0": (
+        solution("helicoid_first_kind", margin=0.0).field.evaluator, False),
+    "lorentzian_catenoid, margin 0": (
+        solution("lorentzian_catenoid", margin=0.0).field.evaluator, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGULAR_FIELDS))
+def test_structural_zeros_where_g_prime_is_not_finite(name):
+    ev, one_variable = _SINGULAR_FIELDS[name]
+    a, b = np.array([-1.0, 0.0, 0.5])[:, None], np.array([-0.5, 0.0, 1.0, 2.0])[None, :]
+    with np.errstate(all="ignore"):
+        got = ev(jm.TJet.seed_a(a), jm.TJet.seed_b(b))
+    want = _dense(ev, jm.TJet.seed_a(a), jm.TJet.seed_b(b))
+    ok = _check_against_the_dense_oracle(got, want, (3, 4))
+    assert not ok.all()
+    # the oracle's product of a structural zero and the infinite g' is NaN
+    # where the array jet keeps the zero
+    assert one_variable == any(
+        (np.isnan(_canonical(getattr(want, c), (3, 4)))
+         & np.isfinite(_canonical(getattr(got, c), (3, 4))))[~ok].any() for c in _COEFS)
+    # and the residual fails on both sides
+    with np.errstate(all="ignore"):
+        for e in Equation:
+            for j in (got, want):
+                assert not np.isfinite(np.broadcast_to(_residual_from_jet(j, e), (3, 4))[~ok]).any()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_sweeps_match_the_dense_chain_rule_bit_for_bit(name):
+    e = solution(name)
+    g = DEFAULT_GRIDS[name]
+    grids = [g, GridSpec(g.a_min, g.a_max, g.b_min, g.b_max, 201, 157)]
+    for grid in grids:
+        got = residual_sweep(e.field, e.equation, grid)
+        want = _dense(residual_sweep, e.field, e.equation, grid)
+        assert got.residuals.tobytes() == want.residuals.tobytes()  # signed zeros too
+    if name in WICK_GRIDS:
+        fld = wick_rotate_x(e.field)
+        got = residual_sweep(fld, Equation.BORN_INFELD, WICK_GRIDS[name])
+        want = _dense(residual_sweep, fld, Equation.BORN_INFELD, WICK_GRIDS[name])
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+
+
+def test_classify_grid_matches_the_dense_chain_rule():
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101)
+    got = classify_grid(example1_graph(), grid)
+    want = _dense(classify_grid, example1_graph(), grid)
+    assert repr(got) == repr(want)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solitonlab import jetmath as jm
-from solitonlab import pde
+from solitonlab import family, pde
 from solitonlab.core import CentralDiff, ScalarField2, jet, with_backend
 from solitonlab.errors import DomainError, UnsupportedEvaluator
 from solitonlab.geometry import classify_grid, example1_graph
@@ -658,3 +658,50 @@ def test_predicates_that_reject_arrays_sweep_like_array_predicates(
     assert np.array_equal(r1.residuals, r2.residuals)
     assert (r1.max_abs, r1.worst_point, r1.excluded_count, r1.backend) == \
         (r2.max_abs, r2.worst_point, r2.excluded_count, r2.backend)
+
+
+# -- structural zeros: a term in one variable keeps that variable's shape ---------
+
+@pytest.mark.parametrize("name", ["scherk_first_kind", "scherk_minimal", "wick_scherk"])
+def test_separable_jets_stay_on_the_axes(name):
+    # a guard on the fast path that does not time anything: the partials of a
+    # term in a alone are computed once per row, those of b once per column,
+    # and the mixed partial of a sum of the two is a structural zero
+    a, b = np.linspace(-0.5, 0.5, 7)[:, None], np.linspace(-0.4, 0.4, 5)[None, :]
+    j, backend = jet(solution(name).field, a, b)
+    assert backend == "exact" and j.f.shape == (7, 5)
+    assert j.fx.shape == j.fxx.shape == (7, 1)
+    assert j.ft.shape == j.ftt.shape == (1, 5)
+    assert type(j.fxt) is complex and j.fxt == 0
+
+
+def test_holomorphic_derivative_keeps_ft_a_structural_zero():
+    wp = family.catalog_whitham(0.3)
+    jets = []
+
+    def h(w):
+        jets.append(wp.Hfun(w))
+        return jets[-1]
+    z = np.array([0.5 + 0.2j, -1.0 + 0.7j, 2.0 - 0.1j])
+    d = family.holomorphic_derivative(h, z)
+    assert d.shape == z.shape and jets[0].fxx is None
+    assert type(jets[0].ft) is complex and jets[0].ft == 0
+
+
+def test_an_infinite_one_variable_derivative_fails_both_paths():
+    # d/da sqrt(cosh a - 1) is infinite at a = 0, where the b partials of that
+    # term are structural zeros: the sweep still reads a non-finite residual
+    # at every point of the row a = 0, and the point path raises there
+    fld = ScalarField2(lambda a, b: jm.sqrt(jm.cosh(a) - 1) + jm.log(jm.cosh(b)))
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 11)
+    a, b = grid.axes()
+    assert a[10] == 0.0
+    rep = residual_sweep(fld, Equation.MAXIMAL, grid)
+    assert rep.max_abs == math.inf and rep.worst_point == (0.0, 1.0)
+    bad = ~np.isfinite(rep.residuals)
+    assert rep.points[bad].tolist() == [[0.0, pb] for pb in b.tolist()]
+    for pb in b.tolist():
+        with pytest.raises(pde.SINGULAR):
+            equation_residual(fld, Equation.MAXIMAL, 0.0, pb)
+    want = [equation_residual(fld, Equation.MAXIMAL, pa, pb) for pa, pb in rep.points[~bad].tolist()]
+    assert np.allclose(rep.residuals[~bad], want, rtol=1e-12, atol=0.0)
