@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import jetmath as jm
 from .errors import DomainError, JacobianSingular
 from .jetmath import TJet
@@ -149,7 +147,8 @@ def soliton_family(pair: ConjugatePair, theta: float, zeta: complex) -> SolitonF
 @dataclass(frozen=True)
 class WhithamPair:
     """Data (G, H) of the general Born-Infeld solution, constrained by
-    conj(G(conj zeta)) = -H(zeta)."""
+    conj(G(conj zeta)) = -H(zeta).  G and H take numbers and complex
+    arrays, entry by entry, and are never called with jets."""
 
     Gfun: Callable
     Hfun: Callable
@@ -174,16 +173,6 @@ def whitham_constraint_defect(wp: WhithamPair, zeta: complex) -> float:
     return abs(g.conjugate() + h)
 
 
-def holomorphic_derivative(fn: Callable, z):
-    """f'(z) by propagating an order-1 jet; ``z`` may be a complex number or
-    an array of them.  ``fn`` must take jets: one that rejects them raises
-    ``TypeError``, as a jet bug would, rather than being differenced."""
-    d = TJet.lift(fn(TJet(TJet.coef(z), 1.0 + 0j, 0j, None, None, None))).fx
-    if isinstance(z, np.ndarray) and not isinstance(d, np.ndarray):
-        return np.broadcast_to(d, z.shape)
-    return d
-
-
 def calibrate_offsets(wp: WhithamPair, pair: ConjugatePair) -> WhithamPair:
     """Solve the three integration constants at the base point so the family
     and the (G, H) integral form coincide there."""
@@ -202,32 +191,41 @@ def whitham_verify(wp: WhithamPair, point: SolitonFamilyPoint):
         d3 = |phis    - (Int z H' dz + Int zb (-G') dzb) - c3|
 
     The c_j are the calibrated offsets.  The z integrals run from the base
-    point along ``build_path``, the zb integrals along its mirror image, as
+    point b along ``build_path``, the zb integrals along its mirror image, as
     Int_conj(path) f(w) dw = conj(Int_path conj(f(conj u)) du), in one
-    ``integrate_segments`` call.  A straight path's mirror image is the
+    ``integrate_segments`` call.  Each is integrated by parts,
+
+        Int w^2 H' dw = z^2 H(z) - b^2 H(b) - 2 Int w H dw
+        Int w H' dw   = z H(z)   - b H(b)   - Int H dw
+
+    and the same for G from conj(b) to zb, so the integrand is
+    (w H, H, w conj G(wb), conj G(wb)) at wb = conj(w), the conjugates of
+    the G moments: plain calls of G and H on the nodes.  A straight path's mirror image is the
     ``build_path`` from conj(base) to zb, with nodes that are the exact
-    conjugates of the path's, so each G value and sum is that path's, bit for
-    bit; for admissible data, conj G(conj w) = -H(w) leaves the subdivision
-    to H.  A detour (near the negative real axis, for the pole 0) is
-    mirrored too, so both integrals wind the same way round the pole: d3
-    reads round-off below the axis, where that continues the principal log
-    of ``phi_zeta``, and 2 pi |cos theta| just above it (helicoid/catenoid
-    family), where the detour, left of the chord first, passes below 0 too.
-    """
-    z = complex(point.zeta)
+    conjugates of the path's, so each G value and sum is that path's, bit
+    for bit; for admissible data, conj G(conj w) = -H(w) leaves the
+    subdivision to H.  A detour (near the negative real axis, for the pole
+    0) is mirrored too, so both integrals wind the same way round the pole:
+    d3 reads round-off below the axis, where that continues the principal
+    log of ``phi_zeta``, and 2 pi |cos theta| (helicoid/catenoid family)
+    just above it, whose detour, left of the chord first, passes below 0."""
+    z, b = complex(point.zeta), complex(wp.base)
+    zb, bb = z.conjugate(), b.conjugate()
 
     def moments(w):
-        # (w^2 H'(w), w H'(w)), and the same in G at conj(w), conjugated
-        dh = holomorphic_derivative(wp.Hfun, w)
-        wb = w.conjugate()
-        dg = holomorphic_derivative(wp.Gfun, wb)
-        return w * w * dh, w * dh, (wb * wb * dg).conjugate(), (wb * dg).conjugate()
+        h, gc = wp.Hfun(w), wp.Gfun(w.conjugate()).conjugate()
+        return w * h, h, w * gc, gc
 
-    q1, q3h, q2b, q3gb = integrate_segments(moments, build_path(complex(wp.base), z, wp.pole_set))
+    p1, p3h, p2b, p3gb = integrate_segments(moments, build_path(b, z, wp.pole_set))
+    gz, hz = complex(wp.Gfun(zb)), complex(wp.Hfun(z))
+    gb, hb = complex(wp.Gfun(bb)), complex(wp.Hfun(b))
+    q1 = z * z * hz - b * b * hb - 2 * p1
+    q2 = zb * zb * gz - bb * bb * gb - 2 * p2b.conjugate()
+    q3 = (z * hz - b * hb - p3h) - (zb * gz - bb * gb - p3gb.conjugate())
     c1, c2, c3 = wp.offsets
-    d1 = abs((point.xs - point.ts) - (complex(wp.Gfun(z.conjugate())) - q1) - c1)
-    d2 = abs((point.xs + point.ts) - (complex(wp.Hfun(z)) - q2b.conjugate()) - c2)
-    d3 = abs(point.phis - (q3h - q3gb.conjugate()) - c3)
+    d1 = abs((point.xs - point.ts) - (gz - q1) - c1)
+    d2 = abs((point.xs + point.ts) - (hz - q2) - c2)
+    d3 = abs(point.phis - q3 - c3)
     return d1, d2, d3
 
 

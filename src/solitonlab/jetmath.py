@@ -28,7 +28,9 @@ rule keeps it ``0j`` instead of multiplying it by g' or g'' into an array, so
 the partials of a term in a alone keep the shape of a's column; that is exact
 also where g' is not finite.  A scalar jet's ``0j`` may be a numerical zero, so
 scalar jets, the reference the array path is tested against, multiply every
-slot through, as ``__mul__`` does for both.
+slot through, as ``__mul__`` does for both.  So the paths part at a primitive
+singular on a constant term: for sqrt(a - a) + b a sweep reads a finite
+residual where the point path raises ``ZeroDivisionError`` (a strict xfail).
 
 Jets are values.  Every operation returns a new jet and leaves its operands
 as they were; a result may share a coefficient, array or number, with an

@@ -14,8 +14,8 @@ difference from those values measured over the three recorded levels, plus
 the key ``"AVX512_ICL AVX512_SPR"`` (``NPY_DISABLE_CPU_FEATURES="X86_V3
 X86_V4"`` on an AVX-512 Xeon), each with ``OPENBLAS_CORETYPE`` unset,
 ``Haswell``, ``Sandybridge`` and ``Prescott``: 2**-48 (one ulp at 16-32)
-for the quadrature integrals, whose largest is about 20, and 2**-51 for the
-pointwise defects, which are round-off themselves.  Wherever a key's digest
+for the quadrature integrals, whose largest is about 20, and 4.46e-16 (just
+above 2**-51) for the pointwise defects, which are round-off themselves.  Wherever a key's digest
 equals that of the key the values were recorded at, the values must equal
 them bit for bit, so the two records cannot drift apart.
 """

@@ -22,7 +22,7 @@ from solitonlab.family import (
     conjugacy_check,
     graph_residual_from_jets,
     helicoid_catenoid_pair,
-    holomorphic_derivative,
+    SolitonFamilyPoint,
     soliton_family,
     whitham_constraint_defect,
     whitham_verify,
@@ -30,7 +30,7 @@ from solitonlab.family import (
 from solitonlab.geometry import isothermal_check
 from solitonlab.jetmath import TJet
 from solitonlab.pde import Equation, _residual_from_jet, equation_residual
-from solitonlab.quadrature import build_path, integrate_segments
+from solitonlab.quadrature import _EPSABS, _EPSREL, build_path, integrate_segments
 from solitonlab.weierstrass import SurfaceMap, catalog_surface
 
 THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
@@ -160,6 +160,17 @@ def test_whitham_trivial_pair():
     assert whitham_verify(wp, p) == (0.0, 0.0, 0.0)
 
 
+def holomorphic_derivative(fn, z):
+    """f'(z) by propagating an order-1 jet; ``z`` may be a complex number or
+    an array of them.  ``fn`` must take jets: one that rejects them raises
+    ``TypeError``, as a jet bug would, rather than being differenced.  The
+    oracle of the derivative moments of the Whitham form."""
+    d = TJet.lift(fn(TJet(TJet.coef(z), 1.0 + 0j, 0j, None, None, None))).fx
+    if isinstance(z, np.ndarray) and not isinstance(d, np.ndarray):
+        return np.broadcast_to(d, z.shape)
+    return d
+
+
 def test_holomorphic_derivative_jet_and_stencil():
     assert abs(holomorphic_derivative(lambda w: w * w * w, 1 + 1j) - 3 * (1 + 1j) ** 2) <= 1e-12
     # a cmath-based closure rejects jets: that is an error, never a stencil
@@ -190,9 +201,34 @@ def test_holomorphic_derivative_is_the_order2_jet_derivative_bit_for_bit(name):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, z)
 
 
-def test_whitham_and_cauchy_riemann_checks_build_only_order1_jets(monkeypatch):
-    # Both checks read first derivatives only, so no jet they build carries
-    # second-order slots.
+def test_holomorphic_derivative_on_arrays_matches_points():
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+    wp = catalog_whitham(0.7)
+    for fn in (wp.Hfun, wp.Gfun, lambda w: w ** 3 - 2 * w, lambda w: 0j):
+        arr = holomorphic_derivative(fn, z)
+        assert arr.shape == z.shape
+        pts = np.array([holomorphic_derivative(fn, complex(p)) for p in z])
+        assert np.max(np.abs(arr - pts)) <= 1e-14
+
+
+def test_holomorphic_derivative_keeps_ft_a_structural_zero():
+    wp = family.catalog_whitham(0.3)
+    jets = []
+
+    def h(w):
+        jets.append(wp.Hfun(w))
+        return jets[-1]
+    z = np.array([0.5 + 0.2j, -1.0 + 0.7j, 2.0 - 0.1j])
+    d = holomorphic_derivative(h, z)
+    assert d.shape == z.shape and jets[0].fxx is None
+    assert type(jets[0].ft) is complex and jets[0].ft == 0
+
+
+def test_whitham_check_builds_no_jets_and_cauchy_riemann_only_order1(monkeypatch):
+    # The Whitham check integrates G and H by parts, so it calls them on
+    # numbers and node arrays only; the Cauchy-Riemann check reads first
+    # derivatives only, so no jet it builds carries second-order slots.
     pair = helicoid_catenoid_pair()
     theta = 0.7
     wp = calibrate_offsets(catalog_whitham(theta), pair)
@@ -207,11 +243,10 @@ def test_whitham_and_cauchy_riemann_checks_build_only_order1_jets(monkeypatch):
     monkeypatch.setattr(TJet, "__init__", recording_init)
     for p in points:
         whitham_verify(wp, p)
-    n_whitham = len(orders)
+    assert orders == []
     for z in _POINTWISE_ZETAS:
         conjugacy_check(pair, z)
-    assert n_whitham > 0 and len(orders) > n_whitham
-    assert set(orders) == {1}
+    assert orders and set(orders) == {1}
 
 
 def test_graph_residual_machinery_against_direct_residual():
@@ -411,9 +446,9 @@ _POINTWISE_ZETAS = (0.6 * cmath.exp(0.4j), 1.3 * cmath.exp(-2.1j),
 # Keyed by numpy's active dispatch targets (conftest.py).
 _POINTWISE_DIGEST = {
     "X86_V3 X86_V4 AVX512_ICL AVX512_SPR":
-        "d64fdecb279987793f37c4cc312323ca0b6b1de3478071f3ced05c201762d28d",
-    "X86_V3": "d64fdecb279987793f37c4cc312323ca0b6b1de3478071f3ced05c201762d28d",
-    "none": "17730993398c1518c0928d5f858a1bd09855a3d4a445845988942a4678d4d71a",
+        "20711d78553e53746f6478523357473fa11e653d55217bf008967a279fd6ed91",
+    "X86_V3": "20711d78553e53746f6478523357473fa11e653d55217bf008967a279fd6ed91",
+    "none": "12247be289d06ccb1c26d6edbaec60820ebd46c646f2e6ac89345cec9ae57237",
 }
 
 
@@ -464,27 +499,31 @@ def test_whitham_integrals_off_the_band_take_one_gk21_round(monkeypatch):
 
 
 def _two_path_whitham_verify(wp, point):
-    """``whitham_verify`` as two integrals: the H moments along the path from
-    the base point to zeta, the G moments along a path built from the
-    conjugates of the base point, of zeta and of the poles."""
-    z = complex(point.zeta)
-    zb = z.conjugate()
-    base = complex(wp.base)
-    path_h = build_path(base, z, wp.pole_set)
-    path_g = build_path(base.conjugate(), zb, [complex(p).conjugate() for p in wp.pole_set])
+    """``whitham_verify`` as two integrals, each by parts: the H moments
+    (w H, H) along the path from the base point b to zeta, the G moments
+    along a path built from the conjugates of b, of zeta and of the poles."""
+    z, b = complex(point.zeta), complex(wp.base)
+    zb, bb = z.conjugate(), b.conjugate()
+    path_h = build_path(b, z, wp.pole_set)
+    path_g = build_path(bb, zb, [complex(p).conjugate() for p in wp.pole_set])
 
     def moments(fn):
         def fvec(w):
-            d = holomorphic_derivative(fn, w)
-            return w * w * d, w * d
+            f = fn(w)
+            return w * f, f
         return fvec
 
-    q1, q3h = integrate_segments(moments(wp.Hfun), path_h)
-    q2, q3g = integrate_segments(moments(wp.Gfun), path_g)
+    p1, p3h = integrate_segments(moments(wp.Hfun), path_h)
+    p2, p3g = integrate_segments(moments(wp.Gfun), path_g)
+    gz, hz = complex(wp.Gfun(zb)), complex(wp.Hfun(z))
+    gb, hb = complex(wp.Gfun(bb)), complex(wp.Hfun(b))
+    q1 = z * z * hz - b * b * hb - 2 * p1
+    q2 = zb * zb * gz - bb * bb * gb - 2 * p2
+    q3 = (z * hz - b * hb - p3h) - (zb * gz - bb * gb - p3g)
     c1, c2, c3 = wp.offsets
-    d1 = abs((point.xs - point.ts) - (complex(wp.Gfun(zb)) - q1) - c1)
-    d2 = abs((point.xs + point.ts) - (complex(wp.Hfun(z)) - q2) - c2)
-    d3 = abs(point.phis - (q3h - q3g) - c3)
+    d1 = abs((point.xs - point.ts) - (gz - q1) - c1)
+    d2 = abs((point.xs + point.ts) - (hz - q2) - c2)
+    d3 = abs(point.phis - q3 - c3)
     return d1, d2, d3
 
 
@@ -499,6 +538,130 @@ def test_mirrored_g_integral_is_the_two_path_oracle_bit_for_bit(r_lo, r_hi):
         assert len(build_path(wp.base, zeta, wp.pole_set)) == 2
         assert ([d.hex() for d in whitham_verify(wp, point)]
                 == [d.hex() for d in _two_path_whitham_verify(wp, point)]), (theta, zeta)
+
+
+def _derivative_moment_whitham_verify(wp, point):
+    """``whitham_verify`` with the derivative moments, in one integral on the
+    same path: (w^2 H'(w), w H'(w)) and, conjugated, (wb^2 G'(wb), wb G'(wb))
+    at wb = conj(w), with H' and G' from order-1 jets.  Returns the defects
+    and the four integrals."""
+    z = complex(point.zeta)
+
+    def moments(w):
+        dh = holomorphic_derivative(wp.Hfun, w)
+        wb = w.conjugate()
+        dg = holomorphic_derivative(wp.Gfun, wb)
+        return w * w * dh, w * dh, (wb * wb * dg).conjugate(), (wb * dg).conjugate()
+
+    q = integrate_segments(moments, build_path(complex(wp.base), z, wp.pole_set))
+    q1, q3h, q2b, q3gb = q
+    c1, c2, c3 = wp.offsets
+    d1 = abs((point.xs - point.ts) - (complex(wp.Gfun(z.conjugate())) - q1) - c1)
+    d2 = abs((point.xs + point.ts) - (complex(wp.Hfun(z)) - q2b.conjugate()) - c2)
+    d3 = abs(point.phis - (q3h - q3gb.conjugate()) - c3)
+    return (d1, d2, d3), q
+
+
+def _by_parts_bound(wp, point, q):
+    """How far the by-parts defects may lie from the derivative-moment ones,
+    whose integrals are ``q``.
+
+    Each defect reads at most two components of an integral vector, and an
+    accepted GK21 integral is within its tolerance max(_EPSABS, _EPSREL |I|)
+    of the exact one in every component, the 2-norm |I| over the vector
+    (``integrate_segments``).  The by-parts vector is the derivative-moment
+    one less the boundary terms z^2 H(z), b^2 H(b), z H(z), b H(b) and their
+    G mirrors (and halved), so S, the sum of the magnitudes of q, of those
+    terms and of the point values and offsets, bounds both norms: two
+    tolerances on each side, 4 max(_EPSABS, _EPSREL S).  The rounding of
+    each form (two complex products per boundary term, sqrt(2) gamma_2 each
+    in Higham's Lemma 3.5, and at most six sums, u each) is within
+    gamma_12 S.  Assumes, as the quadrature does, that the Kronrod-Gauss
+    difference bounds the error and that the integrands do not cancel, so
+    the rounding of a GK21 sum lies far below _EPSREL |I|."""
+    z, b = complex(point.zeta), complex(wp.base)
+    hz, hb = abs(complex(wp.Hfun(z))), abs(complex(wp.Hfun(b)))
+    gz, gb = (abs(complex(wp.Gfun(w.conjugate()))) for w in (z, b))
+    boundary = (abs(z) ** 2 + abs(z)) * (hz + gz) + (abs(b) ** 2 + abs(b)) * (hb + gb)
+    values = abs(point.xs) + abs(point.ts) + abs(point.phis) + sum(map(abs, wp.offsets))
+    size = float(np.abs(q).sum()) + boundary + values + hz + gz
+    return 4 * max(_EPSABS, _EPSREL * size) + _gamma(12) * size
+
+
+def _assert_by_parts_is_the_derivative_form(wp, point):
+    got = whitham_verify(wp, point)
+    want, q = _derivative_moment_whitham_verify(wp, point)
+    bound = _by_parts_bound(wp, point, q)
+    assert all(abs(g - w) <= bound for g, w in zip(got, want)), (point.zeta, got, want, bound)
+    return got
+
+
+# just off the negative real axis, where the straight path from the base
+# point 1 passes the pole 0 within the margin
+_DETOUR_ZETAS = [complex(x, s * y) for x in (-0.5, -2.0, -5.0) for y in (0.012, 0.02)
+                 for s in (1, -1)]
+
+
+@pytest.mark.parametrize("theta", THETAS + (2.0, 3.5, -2.5))
+def test_by_parts_is_the_derivative_moment_form_on_the_catalog_pair(theta):
+    # the annulus, radii from 0.02 to 30, and detours round the pole 0
+    pair = helicoid_catenoid_pair()
+    wp = calibrate_offsets(catalog_whitham(theta), pair)
+    zetas = _annulus(12, seed=40) + [r * cmath.exp(1j * a) for r in (0.02, 0.1, 3.0, 30.0)
+                                     for a in (-2.5, -0.7, 0.4, 2.2)]
+    for zeta in zetas + _DETOUR_ZETAS:
+        _assert_by_parts_is_the_derivative_form(wp, soliton_family(pair, theta, zeta))
+    assert any(len(build_path(wp.base, z, wp.pole_set)) == 3 for z in _DETOUR_ZETAS)
+
+
+def _power_pair(alpha: complex, beta: complex) -> WhithamPair:
+    """H(z) = alpha z^2 + beta / z and G(xi) = -conj(H(conj xi)): admissible,
+    and w H(w) = alpha w^3 + beta is not constant, so every boundary term
+    counts."""
+    ab, bb = alpha.conjugate(), beta.conjugate()
+    return WhithamPair(lambda xi: -ab * xi * xi - bb / xi,
+                       lambda z: alpha * z * z + beta / z, theta=0.0)
+
+
+def _power_pair_point(alpha, beta, z):
+    """The point whose exact Whitham defects, zero offsets and base 1, are
+    zero for ``_power_pair(alpha, beta)``: the integrals in closed form, on a
+    straight path, where the principal log continues."""
+    ab, bb = alpha.conjugate(), beta.conjugate()
+    zb = z.conjugate()
+    h = alpha * z * z + beta / z
+    g = -ab * zb * zb - bb / zb
+    i_h2 = alpha * (z ** 4 - 1) / 2 - beta * (z - 1)            # Int w^2 H'
+    i_g2 = -ab * (zb ** 4 - 1) / 2 + bb * (zb - 1)              # Int xi^2 G'
+    i_h1 = 2 * alpha * (z ** 3 - 1) / 3 - beta * cmath.log(z)   # Int w H'
+    i_g1 = -2 * ab * (zb ** 3 - 1) / 3 + bb * cmath.log(zb)     # Int xi G'
+    minus, plus = g - i_h2, h - i_g2
+    return SolitonFamilyPoint(0.0, z, (plus + minus) / 2, (plus - minus) / 2, i_h1 - i_g1)
+
+
+def test_by_parts_is_the_derivative_moment_form_on_a_power_pair():
+    alpha, beta = 0.3 - 0.7j, -0.4 + 0.9j
+    wp = _power_pair(alpha, beta)
+    for z in (0.7 + 0.4j, -1.1 + 0.6j, 2.5 - 1.5j):
+        assert whitham_constraint_defect(wp, z) <= 1e-15
+    zetas = _annulus(12, seed=41) + [r * cmath.exp(1j * a) for r in (0.02, 0.1, 3.0, 30.0)
+                                     for a in (-2.5, -0.7, 0.4, 2.2)]
+    for zeta in zetas:
+        point = _power_pair_point(alpha, beta, zeta)
+        assert len(build_path(wp.base, zeta, wp.pole_set)) == 2
+        got = _assert_by_parts_is_the_derivative_form(wp, point)
+        _, q = _derivative_moment_whitham_verify(wp, point)
+        bound = _by_parts_bound(wp, point, q)
+        assert max(got) <= bound, zeta
+        # each pair of boundary terms is far above the bound, so a wrong
+        # one shows; on the catalog pair w H(w) is constant and z H(z) -
+        # b H(b) vanishes
+        zb = zeta.conjugate()
+        for k in (1, 2):
+            assert abs(zeta ** k * wp.Hfun(zeta) - wp.Hfun(1.0)) > 1e3 * bound, zeta
+            assert abs(zb ** k * wp.Gfun(zb) - wp.Gfun(1.0)) > 1e3 * bound, zeta
+    for zeta in _DETOUR_ZETAS:
+        _assert_by_parts_is_the_derivative_form(wp, SolitonFamilyPoint(0.0, zeta, 0j, 0j, 0j))
 
 
 def _scaled(wp, name):

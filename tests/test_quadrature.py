@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from solitonlab.errors import PathError, QuadratureError
-from solitonlab.family import catalog_whitham, holomorphic_derivative
 from solitonlab.quadrature import _SPLIT, _XK, _start_layout, build_path, integrate_segments
 from solitonlab.weierstrass import closed_form_point, integrand, we_catalog, we_integrate
 
@@ -127,17 +126,6 @@ def test_scalar_components_broadcast():
     assert out[0] == 0
     assert abs(out[1] - (b * b - a * a) / 2) <= 1e-14
     assert abs(out[2] - 2 * (b - a)) <= 1e-14
-
-
-def test_holomorphic_derivative_on_arrays_matches_points():
-    rng = np.random.default_rng(4)
-    z = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
-    wp = catalog_whitham(0.7)
-    for fn in (wp.Hfun, wp.Gfun, lambda w: w ** 3 - 2 * w, lambda w: 0j):
-        arr = holomorphic_derivative(fn, z)
-        assert arr.shape == z.shape
-        pts = np.array([holomorphic_derivative(fn, complex(p)) for p in z])
-        assert np.max(np.abs(arr - pts)) <= 1e-14
 
 
 def test_near_pole_detour_stops_at_round_off():
