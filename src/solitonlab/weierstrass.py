@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,6 +47,17 @@ class WEData:
     antiderivatives: Optional[tuple] = None
     pole_set: tuple = ()
     name: str = ""
+
+    @functools.cached_property
+    def base_value(self) -> LVec3:
+        """The surface point at the base point, as Python floats: the closed
+        forms' value there, or the origin for data without antiderivatives.
+        It is computed once per datum and added to every ``we_integrate``
+        integral."""
+        if self.antiderivatives is None:
+            return LVec3(0.0, 0.0, 0.0)
+        p = closed_form_point(self, complex(self.base))
+        return LVec3(float(p.x), float(p.y), float(p.z))
 
 
 @dataclass(frozen=True)
@@ -100,16 +112,16 @@ class SurfaceMap:
 def integrand(data: WEData) -> Callable:
     """The three holomorphic integrands of the representation, as a vector."""
     M = data.M
-    # M is evaluated once per call and shared by the three components.
+    # M and w * w are evaluated once per call and shared by the components.
     if data.variant is Variant.STANDARD:
         def standard(w):
-            m = M(w)
-            return m * (1 + w * w), 1j * m * (1 - w * w), -2 * m * w
+            m, w2 = M(w), w * w
+            return m * (1 + w2), 1j * m * (1 - w2), -2 * m * w
         return standard
 
     def alternate(w):
-        m = M(w)
-        return m * (1 + w * w), 2j * m * w, m * (w * w - 1)
+        m, w2 = M(w), w * w
+        return m * (1 + w2), 2j * m * w, m * (w2 - 1)
     return alternate
 
 
@@ -122,22 +134,17 @@ def closed_form_point(data: WEData, zeta: complex) -> LVec3:
 
 
 def we_integrate(data: WEData, zeta: complex) -> LVec3:
-    """Surface point at zeta by numeric quadrature from the base point.
+    """Surface point at zeta by numeric quadrature from the base point, as
+    Python floats: ``data.base_value`` plus the real parts of the integrals.
 
     A straight base->zeta segment is used when it clears the poles by
     ``DEFAULT_POLE_MARGIN``; otherwise a polyline detour.  A pole at zeta
     raises ``DomainError``.
     """
-    zeta = complex(zeta)
-    base = complex(data.base)
-    path = build_path(base, zeta, data.pole_set)
-    vec = integrate_segments(integrand(data), path)
-    if data.antiderivatives is not None:
-        base_val = closed_form_point(data, base)
-    else:
-        base_val = LVec3(0.0, 0.0, 0.0)
-    return LVec3(base_val.x + vec[0].real, base_val.y + vec[1].real,
-                 base_val.z + vec[2].real)
+    path = build_path(complex(data.base), complex(zeta), data.pole_set)
+    x, y, z = integrate_segments(integrand(data), path).real.tolist()
+    b = data.base_value
+    return LVec3(b.x + x, b.y + y, b.z + z)
 
 
 def we_data_rotation(data: WEData, theta: float) -> WEData:

@@ -5,8 +5,11 @@ import re
 
 import numpy as np
 import pytest
+import quadrature_reference as reference
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from solitonlab.errors import PathError, QuadratureError
+from solitonlab.errors import DomainError, PathError, QuadratureError
 from solitonlab.quadrature import _SPLIT, _XK, _start_layout, build_path, integrate_segments
 from solitonlab.weierstrass import closed_form_point, integrand, we_catalog, we_integrate
 
@@ -327,3 +330,96 @@ def test_overflowing_integral_raises():
     with pytest.raises(QuadratureError, match=re.escape(
             f"non-finite integrand value or Kronrod sum on the path from {path[0]} to {path[-1]}")):
         integrate_segments(lambda w: [np.full(w.shape, 1e308)], path)
+
+
+# -- the parent implementations as oracles ----------------------------------
+
+_COORD = st.floats(-2.0, 2.0)
+_POINT = st.builds(complex, _COORD, _COORD)
+
+
+@st.composite
+def _near_path(draw, path):
+    """A point on a random segment of ``path``, moved off it by 10**-4 to
+    10**-0.5, log-uniformly, in a random direction, or, one time in six, left
+    on it."""
+    k = draw(st.integers(0, len(path) - 2))
+    on = path[k] + draw(st.floats(0.0, 1.0)) * (path[k + 1] - path[k])
+    off = 0.0 if draw(st.integers(0, 5)) == 0 else 10 ** draw(st.floats(-4.0, -0.5))
+    return on + off * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+
+
+@st.composite
+def _integrals(draw):
+    """A polyline of 1-7 segments and an integrand on it: a pole next to the
+    path (several rounds) or on it (the no-gain or subinterval stop), w * w, a
+    scalar component and, one time in four, non-finite or overflowing values
+    next to the path."""
+    path = draw(st.lists(_POINT, min_size=2, max_size=8))
+    pole = draw(_near_path(path))
+    scalar = draw(st.sampled_from([0j, 2.0, -1.5 + 0.5j, np.complex128(1j)]))
+    bad = None
+    if draw(st.integers(0, 3)) == 0:
+        bad = (draw(_near_path(path)), draw(st.floats(1e-3, 0.5)),
+               draw(st.sampled_from([complex(math.nan, 0.0), complex(math.inf, 0.0), 1e308])))
+
+    def fvec(w):
+        first = 1 / (w - pole)
+        if bad is not None:
+            at, radius, value = bad
+            first = np.where(np.abs(w - at) < radius, value, first)
+        return first, w * w, scalar
+    return fvec, path
+
+
+def _run(integrate, fvec, path):
+    """The integral's bytes or the exception's type and message, and the bytes
+    of the nodes of every integrand call."""
+    seen = []
+
+    def f(w):
+        seen.append(w.tobytes())
+        return fvec(w)
+    try:
+        result = integrate(f, path).tobytes()
+    except QuadratureError as exc:
+        result = (type(exc), str(exc))
+    return result, seen
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_integrals())
+def test_integrate_segments_matches_the_reference_bit_for_bit(case):
+    fvec, path = case
+    assert _run(integrate_segments, fvec, path) == _run(reference.integrate_segments, fvec, path)
+
+
+@st.composite
+def _path_cases(draw):
+    """A start, an end and 0-4 poles: near the chord or on it, at an endpoint
+    or 10**-13 to 10**-1.5 from one (log-uniformly), or anywhere; or, one time
+    in five, a fan of three poles close to the start, along the chord and 0.8
+    rad to each side of it, which blocks every detour of a chord longer than
+    about 0.8."""
+    start, end = draw(_POINT), draw(_POINT)
+    if draw(st.integers(0, 4)) == 0 and end != start:
+        r = draw(st.floats(1e-4, 1e-2)) * (end - start) / abs(end - start)
+        fan = [start + r * cmath.exp(1j * a) for a in (0.0, 0.8, -0.8)]
+        return start, end, fan + draw(st.lists(_POINT, max_size=1))
+    near_end = st.builds(lambda p, e, a: p + 10 ** e * cmath.exp(1j * a), st.sampled_from([start, end]),
+                         st.floats(-13.0, -1.5), st.floats(-math.pi, math.pi))
+    pole = st.one_of(_near_path([start, end]), st.sampled_from([start, end]), near_end, _POINT)
+    return start, end, draw(st.lists(pole, max_size=4))
+
+
+def _path_or_error(build, start, end, poles):
+    try:
+        return repr(build(start, end, poles))
+    except (DomainError, PathError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_path_cases())
+def test_build_path_matches_the_reference(case):
+    assert _path_or_error(build_path, *case) == _path_or_error(reference.build_path, *case)

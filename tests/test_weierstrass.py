@@ -82,6 +82,67 @@ def test_zero_data_integrates_to_origin():
         assert abs(p.x) + abs(p.y) + abs(p.z) <= 1e-14
 
 
+def _integrals(data, z):
+    """The real parts of the three integrals from the base point to z, as
+    numpy floats."""
+    path = build_path(complex(data.base), complex(z), data.pole_set)
+    return integrate_segments(integrand(data), path).real
+
+
+@pytest.mark.parametrize("name", SURFACE_NAMES)
+def test_we_integrate_returns_python_floats_of_the_base_value_plus_the_integrals(name):
+    d = we_catalog(name)
+    base = closed_form_point(d, d.base)
+    for z in _sample_points(name, 5, seed=1):
+        p, cf = we_integrate(d, z), closed_form_point(d, z)
+        assert all(type(v) is float for v in dataclasses.astuple(p) + dataclasses.astuple(cf))
+        # the bits of base + integral in numpy floats
+        vec = _integrals(d, z)
+        want = (base.x + vec[0], base.y + vec[1], base.z + vec[2])
+        assert [v.hex() for v in dataclasses.astuple(p)] == [float(v).hex() for v in want]
+        assert "np.float64" not in repr(p)
+
+
+def _counting(data):
+    """``data`` with antiderivatives that record each point they are called at."""
+    calls = []
+
+    def counted(anti):
+        def f(w):
+            calls.append(w)
+            return anti(w)
+        return f
+    return dataclasses.replace(data, antiderivatives=tuple(map(counted, data.antiderivatives))), calls
+
+
+def test_base_value_is_computed_once_per_datum():
+    d, calls = _counting(we_catalog("scherk_first_kind"))
+    we_integrate(d, 2.3 + 0.5j)
+    we_integrate(d, 1.5 - 0.4j)
+    assert calls == [2.0 + 0j] * 3
+    assert d.base_value == closed_form_point(we_catalog("scherk_first_kind"), 2.0)
+
+
+def test_rotated_datum_reads_its_own_base_value():
+    d = we_catalog("helicoid_second_kind")
+    assert d.base_value == closed_form_point(d, d.base)  # cached before the rotation
+    rot = we_data_rotation(d, 0.7)
+    assert rot.base_value == closed_form_point(rot, rot.base) != d.base_value
+    z = 1.4 - 0.6j
+    vec = _integrals(rot, z)
+    b = rot.base_value
+    assert we_integrate(rot, z) == LVec3(b.x + vec[0], b.y + vec[1], b.z + vec[2])
+
+
+def test_data_without_antiderivatives_start_from_the_origin():
+    d = WEData(M=lambda w: 1 / (w * w + 4), variant=Variant.ALTERNATE, base=0.5 + 0j,
+               pole_set=(2j, -2j))
+    assert d.base_value == LVec3(0.0, 0.0, 0.0)
+    for z in (1 + 1j, -1.5 + 0.3j, 0.4 + 2.5j):
+        p = we_integrate(d, z)
+        assert [v.hex() for v in dataclasses.astuple(p)] == [(0.0 + v).hex() for v in _integrals(d, z)]
+
+
 @pytest.mark.parametrize("name", SURFACE_NAMES)
 def test_quadrature_matches_closed_forms_at_50_points(name):
     d = we_catalog(name)
