@@ -1,65 +1,37 @@
 """Born-Infeld solitons and maximal surfaces in Lorentz-Minkowski 3-space:
 PDE residuals, Wick rotations, Lorentzian graph geometry, Weierstrass-Enneper
 integration, conjugate/associate families, and Ramanujan-derived identities.
+
+``import solitonlab`` loads no submodule.  Each exported name is imported
+from its submodule on first access (PEP 562), so a program, or a CLI
+command, pays only for the modules it uses.
 """
 
-from .core import (
-    CentralDiff,
-    ExactJet,
-    LVec3,
-    ScalarField2,
-    jet,
-    lorentz_inner,
-    with_backend,
-)
-from .family import (
-    ConjugatePair,
-    SolitonFamilyPoint,
-    WhithamPair,
-    associate_family,
-    complex_bi_residual_on_family,
-    conjugacy_check,
-    helicoid_catenoid_pair,
-    soliton_family,
-    whitham_verify,
-)
-from .geometry import (
-    CausalClass,
-    FundForms,
-    causal_classify,
-    example1_graph,
-    fundamental_forms,
-    isothermal_check,
-    mean_curvature,
-    unit_normal,
-)
-from .identities import (
-    REGISTRY,
-    TruncationResult,
-    convergence_order,
-    evaluate,
-)
-from .jetmath import TJet, conj, power
-from .pde import (
-    Equation,
-    GridSpec,
-    ResidualReport,
-    SolutionEntry,
-    equation_residual,
-    residual_sweep,
-    solution,
-    wick_rotate_t,
-    wick_rotate_x,
-)
-from .weierstrass import (
-    SurfaceMap,
-    Variant,
-    WEData,
-    catalog_surface,
-    nonparametric_check,
-    we_catalog,
-    we_data_rotation,
-    we_integrate,
-)
+import importlib
 
+# The submodule that defines each exported name.
+_EXPORTS = {name: module for module, names in {
+    "core": "CentralDiff ExactJet LVec3 ScalarField2 jet lorentz_inner with_backend",
+    "family": "ConjugatePair SolitonFamilyPoint WhithamPair associate_family "
+              "complex_bi_residual_on_family conjugacy_check helicoid_catenoid_pair "
+              "soliton_family whitham_verify",
+    "geometry": "CausalClass FundForms causal_classify example1_graph fundamental_forms "
+                "isothermal_check mean_curvature unit_normal",
+    "identities": "REGISTRY TruncationResult convergence_order evaluate",
+    "jetmath": "TJet conj power",
+    "pde": "Equation GridSpec ResidualReport SolutionEntry equation_residual "
+           "residual_sweep solution wick_rotate_t wick_rotate_x",
+    "weierstrass": "SurfaceMap Variant WEData catalog_surface nonparametric_check "
+                   "we_catalog we_data_rotation we_integrate",
+}.items() for name in names.split()}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

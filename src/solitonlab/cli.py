@@ -4,6 +4,11 @@ Commands: ``catalog list``, ``residual``, ``surface sample``, ``family``,
 ``identity``, ``geometry classify``.  Exit code 0 when all checks pass the
 tolerance, 1 on a violation, 2 on usage errors.  Given the same arguments and
 seed, output files are byte-identical across runs.
+
+A command pays only for what it runs: of the package, this module imports
+only ``errors`` and ``reportio``; a subcommand's arguments are added when that
+subcommand is parsed (their choices and defaults read the catalogs), and each
+command imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
@@ -16,20 +21,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, identities, pde, weierstrass
-from .core import CentralDiff, with_backend
 from .errors import SolitonLabError
-from .family import (
-    calibrate_offsets,
-    catalog_whitham,
-    conjugacy_check,
-    associate_family,
-    helicoid_catenoid_pair,
-    soliton_family,
-    whitham_constraint_defect,
-    whitham_verify,
-)
-from .pde import GridSpec, worst
 from .reportio import csv_text, fmt, json_text, obj_mesh_text
 
 # The conjugate pairs ``family --pair`` accepts.
@@ -40,11 +32,23 @@ IDENTITY_PARAMS = ("X", "A", "zeta")
 
 
 class Parser(argparse.ArgumentParser):
-    def __init__(self, *a, **kw):
+    """An argument parser whose usage errors are one line, and whose
+    ``add_arguments(parser)``, when given, adds its arguments at the start of
+    its first parse (argparse parses a subcommand with the subcommand's own
+    ``parse_known_args``)."""
+
+    def __init__(self, *a, add_arguments=None, **kw):
         super().__init__(*a, **kw)
         # accept grid specs and complex literals that start with a minus sign
         # (e.g. --grid -1:1:-1:1:21:21) as option values, not option names
         self._negative_number_matcher = re.compile(r"^-\d[\d.:eEjJ+-]*$")
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        add, self._add_arguments = self._add_arguments, None
+        if add is not None:
+            add(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         # single-line machine-parsable usage error
@@ -114,6 +118,8 @@ def _write(path, text: str) -> None:
 
 
 def _cmd_catalog(args) -> int:
+    from . import identities, pde, weierstrass
+
     lines = ["# pde solutions"]
     for e in pde.catalog():
         lines.append(f"{e.name}  [{e.equation.value}]  domain: {e.domain_note}")
@@ -130,6 +136,10 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    from . import pde
+    from .core import CentralDiff, with_backend
+    from .pde import GridSpec
+
     entry = pde.solution(args.solution, k=args.k, margin=args.margin)
     fld = entry.field
     if args.backend == "central":
@@ -149,6 +159,9 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from . import weierstrass
+    from .pde import GridSpec
+
     surf = weierstrass.catalog_surface(args.name)
     grid = GridSpec.parse(args.grid) if args.grid else GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
     pts = grid.points()
@@ -165,6 +178,9 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    from . import geometry, pde
+    from .pde import GridSpec
+
     if args.solution == "example1":
         fld = geometry.example1_graph()
     else:
@@ -176,6 +192,12 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from . import geometry
+    from .family import (associate_family, calibrate_offsets, catalog_whitham,
+                         conjugacy_check, helicoid_catenoid_pair, soliton_family,
+                         whitham_constraint_defect, whitham_verify)
+    from .pde import worst
+
     pair = helicoid_catenoid_pair()
     thetas = args.theta_list
     rng = np.random.default_rng(args.seed)
@@ -211,6 +233,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_identity(args) -> int:
+    from . import identities
+
     spec = identities.REGISTRY[args.name]
     ignored = [f"--{p}" for p in IDENTITY_PARAMS
                if getattr(args, p) is not None and p not in spec.params]
@@ -241,20 +265,14 @@ def _cmd_identity(args) -> int:
     return 0
 
 
-def build_parser() -> Parser:
-    p = Parser(prog="solitonlab",
-               description="Born-Infeld solitons and maximal surfaces: "
-                           "residual sweeps, surface export, family and "
-                           "identity verification")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("catalog", parents=[], description="list catalog content")
-    csub = c.add_subparsers(dest="subcommand", required=True)
-    cl = csub.add_parser("list")
+def _catalog_arguments(cl) -> None:
     cl.add_argument("--out", default=None)
     cl.set_defaults(fn=_cmd_catalog)
 
-    r = sub.add_parser("residual", description="residual sweep of a catalog solution")
+
+def _residual_arguments(r) -> None:
+    from . import pde
+
     r.add_argument("--solution", required=True, choices=pde.catalog_names())
     r.add_argument("--grid", default=None,
                    help="a_min:a_max:b_min:b_max:na:nb (default: per solution)")
@@ -266,18 +284,20 @@ def build_parser() -> Parser:
     r.add_argument("--out", default=None)
     r.set_defaults(fn=_cmd_residual)
 
-    s = sub.add_parser("surface", description="sample catalog surfaces")
-    ssub = s.add_subparsers(dest="subcommand", required=True)
-    sp = ssub.add_parser("sample")
-    sp.add_argument("--name", required=True, choices=weierstrass.SURFACE_NAMES)
+
+def _surface_arguments(sp) -> None:
+    from .weierstrass import SURFACE_NAMES
+
+    sp.add_argument("--name", required=True, choices=SURFACE_NAMES)
     sp.add_argument("--grid", default=None)
     sp.add_argument("--format", choices=("csv", "obj"), default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_surface)
 
-    g = sub.add_parser("geometry", description="causal classification sweeps")
-    gsub = g.add_subparsers(dest="subcommand", required=True)
-    gc = gsub.add_parser("classify")
+
+def _geometry_arguments(gc) -> None:
+    from . import pde
+
     gc.add_argument("--solution", default="example1",
                     choices=("example1", *pde.catalog_names()))
     gc.add_argument("--grid", default=None)
@@ -286,7 +306,8 @@ def build_parser() -> Parser:
     gc.add_argument("--out", default=None)
     gc.set_defaults(fn=_cmd_geometry)
 
-    f = sub.add_parser("family", description="associate family and Whitham checks")
+
+def _family_arguments(f) -> None:
     f.add_argument("--pair", choices=PAIR_NAMES, default=PAIR_NAMES[0])
     f.add_argument("--theta-list", type=finite_list,
                    default="0,0.5235987755982988,0.7853981633974483,"
@@ -297,7 +318,10 @@ def build_parser() -> Parser:
     f.add_argument("--out", default=None)
     f.set_defaults(fn=_cmd_family)
 
-    i = sub.add_parser("identity", description="identity convergence tables")
+
+def _identity_arguments(i) -> None:
+    from . import identities
+
     i.add_argument("--name", required=True, choices=sorted(identities.REGISTRY))
     for param in IDENTITY_PARAMS:
         i.add_argument(f"--{param}", type=finite_complex, default=None)
@@ -307,6 +331,35 @@ def build_parser() -> Parser:
     i.add_argument("--out", default=None)
     i.set_defaults(fn=_cmd_identity)
 
+
+def build_parser() -> Parser:
+    """The CLI's parser.  Each subcommand's arguments are added by its
+    ``_<command>_arguments`` when that subcommand is parsed."""
+    p = Parser(prog="solitonlab",
+               description="Born-Infeld solitons and maximal surfaces: "
+                           "residual sweeps, surface export, family and "
+                           "identity verification")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("catalog", parents=[], description="list catalog content")
+    csub = c.add_subparsers(dest="subcommand", required=True)
+    csub.add_parser("list", add_arguments=_catalog_arguments)
+
+    sub.add_parser("residual", description="residual sweep of a catalog solution",
+                   add_arguments=_residual_arguments)
+
+    s = sub.add_parser("surface", description="sample catalog surfaces")
+    ssub = s.add_subparsers(dest="subcommand", required=True)
+    ssub.add_parser("sample", add_arguments=_surface_arguments)
+
+    g = sub.add_parser("geometry", description="causal classification sweeps")
+    gsub = g.add_subparsers(dest="subcommand", required=True)
+    gsub.add_parser("classify", add_arguments=_geometry_arguments)
+
+    sub.add_parser("family", description="associate family and Whitham checks",
+                   add_arguments=_family_arguments)
+    sub.add_parser("identity", description="identity convergence tables",
+                   add_arguments=_identity_arguments)
     return p
 
 

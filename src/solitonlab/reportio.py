@@ -77,15 +77,27 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Vertices or faces formatted per block of ``obj_mesh_text``: each block's
+# format string and argument tuple stay small, and the text is joined once.
+_OBJ_BLOCK = 4096
+
+
+def _lines(line: str, rows: np.ndarray) -> list:
+    """``line`` formatted with each row of ``rows``, in blocks of _OBJ_BLOCK rows."""
+    return [(line * len(block)) % tuple(block.ravel().tolist())
+            for block in np.split(rows, range(_OBJ_BLOCK, len(rows), _OBJ_BLOCK))]
+
+
 def obj_mesh_text(values, excluded_mask, na: int, nb: int) -> str:
     """Wavefront OBJ for a rectangular parameter grid (row-major in the first
     index).  Excluded vertices are dropped and every triangle touching one is
-    skipped.
+    skipped; a mesh with no vertex is ``"\\n"``.
 
     Kept vertices are numbered 1, 2, ... in grid order; each quad of four kept
     vertices a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1) gives the
     faces (a, b, c) and (a, c, d).  ``%.17g`` prints a float as ``fmt`` does,
-    ``nan``, ``inf``, ``-inf`` and ``-0`` included."""
+    ``nan``, ``inf``, ``-inf`` and ``-0`` included.  Vertices and faces are
+    formatted in blocks of ``_OBJ_BLOCK`` and joined once."""
     keep = ~np.asarray(excluded_mask, dtype=bool).reshape(na, nb)
     xyz = np.asarray(values, dtype=float).reshape(na * nb, 3)[keep.ravel()]
     number = np.cumsum(keep).reshape(na, nb)
@@ -93,6 +105,6 @@ def obj_mesh_text(values, excluded_mask, na: int, nb: int) -> str:
     a, b = number[:-1, :-1][quad], number[1:, :-1][quad]
     c, d = number[1:, 1:][quad], number[:-1, 1:][quad]
     faces = np.stack([a, b, c, a, c, d], axis=1)
-    text = (("v %.17g %.17g %.17g\n" * len(xyz)) % tuple(xyz.ravel().tolist())
-            + ("f %d %d %d\nf %d %d %d\n" * len(faces)) % tuple(faces.ravel().tolist()))
+    text = "".join(_lines("v %.17g %.17g %.17g\n", xyz)
+                   + _lines("f %d %d %d\nf %d %d %d\n", faces))
     return text or "\n"

@@ -90,23 +90,28 @@ class SurfaceMap:
         """Surface points over a sequence of (u, v) parameters, as an (n, 3)
         float array with NaN rows at excluded parameters, and the excluded
         mask.  All parameters are tested for exclusion in one predicate call
-        (``core.exclusion_mask``) and each kept one is evaluated as a scalar;
-        the realness check runs once over all points, and the first point
-        with a non-real component raises ``DomainError``."""
-        comps = np.full((len(points), 3), complex(math.nan, 0.0))
+        (``core.exclusion_mask``); the kept ones are evaluated as scalars in
+        grid order, in one pass that streams their rows into one complex
+        array (a row of the wrong length raises numpy's ``ValueError``, as
+        assigning it to a row does).  The realness check runs once over all
+        rows, and the first point with a non-real component raises
+        ``DomainError``."""
         # (u, v) pairs of float64 read as complex128: zetas[k] == complex(u, v)
         zetas = np.fromiter(itertools.chain.from_iterable(points), float,
                             2 * len(points)).view(complex)
         excluded = np.array(exclusion_mask(self.domain_exclusions, zetas))  # writable
-        for k in np.flatnonzero(~excluded):
-            u, v = points[k]
-            comps[k] = self.components(u, v)
-        not_real = nonreal(comps)
+        kept = np.flatnonzero(~excluded)
+        rows = np.fromiter(
+            itertools.starmap(self.components, itertools.compress(points, (~excluded).tolist())),
+            np.dtype((complex, 3)), len(kept))
+        not_real = nonreal(rows)
         if not_real.any():
             k, i = np.argwhere(not_real)[0]
-            raise DomainError(f"surface component not real at {complex(*points[k])}: "
-                              f"{complex(comps[k, i])}")
-        return comps.real, excluded
+            raise DomainError(f"surface component not real at {complex(*points[kept[k]])}: "
+                              f"{complex(rows[k, i])}")
+        values = np.full((len(points), 3), math.nan)
+        values[kept] = rows.real
+        return values, excluded
 
 
 def integrand(data: WEData) -> Callable:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from solitonlab import cli, weierstrass
-from solitonlab.cli import main
+from solitonlab import family, weierstrass
+from solitonlab.cli import build_parser, main
 from solitonlab.family import WhithamPair
 
 
@@ -239,7 +239,7 @@ def test_repeated_runs_are_byte_identical(argv, tmp_path, capsys):
 
 
 def test_nan_cauchy_riemann_defect_fails_the_family_check(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "conjugacy_check", lambda pair, z: math.nan)
+    monkeypatch.setattr(family, "conjugacy_check", lambda pair, z: math.nan)
     code, out, err = run(["family", "--theta-list", "0,0.7", "--num-points", "3"], capsys)
     assert code == 1
     assert out.count('"cauchy_riemann": inf') == 2
@@ -249,13 +249,13 @@ def test_nan_cauchy_riemann_defect_fails_the_family_check(monkeypatch, capsys):
 def test_scaled_g_fails_the_family_check_through_its_integral(monkeypatch, capsys):
     # d2 reads G only through its integral, the mirrored one, since the
     # calibration absorbs the constants
-    catalog_whitham = cli.catalog_whitham
+    catalog_whitham = family.catalog_whitham
 
     def scaled(theta):
         wp = catalog_whitham(theta)
         return dataclasses.replace(wp, Gfun=lambda xb: 1.01 * wp.Gfun(xb))
 
-    monkeypatch.setattr(cli, "catalog_whitham", scaled)
+    monkeypatch.setattr(family, "catalog_whitham", scaled)
     code, out, err = run(["family"], capsys)
     assert code == 1 and err.startswith("FAIL max defect=")
     assert all(rec["whitham_defects"]["d2"] > 1e-6 for rec in json.loads(out)["results"])
@@ -338,7 +338,7 @@ def _nan_we_surface(name):
 
 
 @pytest.mark.parametrize("argv,module,name,replacement", [
-    (["family", "--num-points", "2"], cli, "catalog_whitham", _nan_whitham),
+    (["family", "--num-points", "2"], family, "catalog_whitham", _nan_whitham),
     (["surface", "sample", "--name", "scherk_first_kind", "--grid", "1:2:1:2:2:2"],
      weierstrass, "catalog_surface", _nan_we_surface),
 ])
@@ -365,6 +365,86 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _loaded_modules(code: str) -> set:
+    """The ``solitonlab`` modules loaded after running ``code`` in a fresh
+    interpreter."""
+    code += "\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'solitonlab'))"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=_src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _loaded_modules("import solitonlab") == {"solitonlab"}
+
+
+_RUNS = {"cli", "errors", "reportio"}  # what every command loads
+
+
+# The benchmark's six CLI commands (bench/workloads.py), on small inputs, and
+# the solitonlab modules each loads besides the package itself.
+_COMMAND_MODULES = {
+    "catalog": (["catalog", "list"],
+                _RUNS | {"core", "identities", "jetmath", "pde", "quadrature", "weierstrass"}),
+    "residual": (["residual", "--solution", "wick_scherk", "--grid", "-1:1:-1:1:5:5"],
+                 _RUNS | {"core", "jetmath", "pde"}),
+    "geometry": (["geometry", "classify", "--solution", "example1", "--grid", "-2:2:-2:2:5:5"],
+                 _RUNS | {"core", "geometry", "jetmath", "pde"}),
+    "identity": (["identity", "--name", "helicoid2_identity", "--zeta", "1.5+0.7j",
+                  "--K", "10,100"], _RUNS | {"identities"}),
+    "family": (["family", "--num-points", "2", "--theta-list", "0,0.7"],
+               _RUNS | {"core", "family", "geometry", "jetmath", "pde", "quadrature",
+                        "weierstrass"}),
+    "surface": (["surface", "sample", "--name", "scherk_first_kind", "--grid",
+                 "-2:2:-2:2:5:5", "--format", "obj"],
+                _RUNS | {"core", "jetmath", "pde", "quadrature", "weierstrass"}),
+}
+
+
+@pytest.mark.parametrize("argv,modules", _COMMAND_MODULES.values(), ids=list(_COMMAND_MODULES))
+def test_a_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+    code = (f"from solitonlab.cli import main\n"
+            f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0")
+    assert _loaded_modules(code) == {"solitonlab"} | {f"solitonlab.{m}" for m in modules}
+
+
+def test_every_export_resolves_and_star_import_yields_all():
+    import solitonlab
+
+    assert solitonlab.__all__ == list(solitonlab._EXPORTS)
+    for name in solitonlab.__all__:
+        module = importlib.import_module(f"solitonlab.{solitonlab._EXPORTS[name]}")
+        assert getattr(solitonlab, name) is getattr(module, name)
+    namespace = {}
+    exec("from solitonlab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(solitonlab.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'not_an_export'"):
+        solitonlab.not_an_export
+
+
+def _recorded_texts() -> dict:
+    """stdout, stderr and exit code of usage errors and ``--help`` texts, as
+    the parser that added every subcommand's arguments up front printed them
+    (80 columns)."""
+    return json.loads((Path(__file__).with_name("cli_texts.json")).read_text())
+
+
+@pytest.mark.parametrize("case", _recorded_texts()["cases"], ids=lambda c: " ".join(c["argv"]))
+def test_usage_texts_match_the_recorded_texts(case, monkeypatch, capsys):
+    recorded = _recorded_texts()["python"]
+    if f"{sys.version_info[0]}.{sys.version_info[1]}" != recorded:
+        pytest.skip(f"recorded under Python {recorded}; argparse's wording varies by version")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(case["argv"], capsys) == (case["code"], case["out"], case["err"])
+
+
+def test_family_defaults_parse_without_running_the_command():
+    # scripts/residual_sweeps.py reads the default theta list this way
+    args = build_parser().parse_args(["family"])
+    assert args.theta_list == [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
+    assert args.fn.__name__ == "_cmd_family"
 
 
 def _readme_commands() -> list:

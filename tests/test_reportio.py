@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from solitonlab.reportio import fmt, obj_mesh_text
+import surface_reference
+from solitonlab.reportio import _OBJ_BLOCK, fmt, obj_mesh_text
 
 
 def _grid_3x3(z):
@@ -81,3 +84,37 @@ def test_obj_mesh_of_all_excluded_points_is_one_newline():
                                math.nan, -math.nan, math.inf, -math.inf, 3, -7])
 def test_percent_g_formats_like_fmt(x):
     assert "%.17g" % x == fmt(x)
+
+
+# Grids whose kept vertices or quads, all kept, number one block, one block
+# and one row either way, or two blocks: a single row of B - 1, B, B + 1 and
+# 2B vertices, and two rows with B - 1, B and B + 1 quads.
+_B = _OBJ_BLOCK
+_BOUNDARY_SHAPES = [(1, _B - 1), (1, _B), (1, _B + 1), (1, 2 * _B),
+                    (2, _B), (2, _B + 1), (2, _B + 2), (_B + 1, 2)]
+_SPECIAL = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22])
+
+
+@pytest.mark.parametrize("na,nb", _BOUNDARY_SHAPES)
+def test_obj_mesh_at_block_boundaries_matches_the_unblocked_text(na, nb):
+    values = np.arange(na * nb * 3, dtype=float).reshape(-1, 3) / 7.0
+    excluded = np.zeros(na * nb, dtype=bool)
+    assert obj_mesh_text(values, excluded, na, nb) == surface_reference.obj_mesh_text(
+        values, excluded, na, nb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                       st.sampled_from(_BOUNDARY_SHAPES)),
+       excluded_share=st.sampled_from([0.0, 0.0005, 0.1, 0.5, 0.9, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_obj_mesh_on_random_masks_matches_the_unblocked_text(shape, excluded_share, seed):
+    na, nb = shape
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((na * nb, 3)) * 10.0 ** rng.integers(-300, 300, (na * nb, 3))
+    special = rng.random(values.shape) < 0.05
+    values[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
+    excluded = rng.random(na * nb) < excluded_share
+    got = obj_mesh_text(values, excluded, na, nb)
+    assert got == surface_reference.obj_mesh_text(values, excluded, na, nb)
+    assert (got == "\n") == bool(excluded.all())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surface_reference
 from solitonlab.core import LVec3
 from solitonlab.errors import DomainError, PathError, UnknownSurface
 from solitonlab.family import helicoid_catenoid_pair
@@ -455,3 +456,52 @@ def test_sample_of_a_predicate_that_rejects_arrays_raises_after_one_call(predica
         surf.sample(pts)
     # one call on the array of all 25 parameters, and no point is evaluated
     assert len(calls) == 1 and np.shape(calls[0]) == (25,) and not evaluated
+
+
+def _outcome(call):
+    """The values' bytes and the excluded mask of ``call()``, or the type and
+    message of what it raised."""
+    try:
+        values, excluded = call()
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    return values.tobytes(), excluded.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(SURFACE_NAMES),
+       corners=st.tuples(_part, _part, _part, _part),
+       shape=st.tuples(st.integers(2, 12), st.integers(2, 12)))
+def test_sample_matches_the_point_by_point_loop(name, corners, shape):
+    surf = catalog_surface(name)
+    pts = GridSpec(*corners, *shape).points()
+    got = _outcome(lambda: surf.sample(pts))
+    assert got == _outcome(lambda: surface_reference.sample(surf, pts))
+    assert isinstance(got[0], bytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_part, _part, st.sampled_from([0.0, -0.0, 1e-20, 1j, 1e-3j, 2.0]),
+                          st.sampled_from([3, 3, 3, 2, 4])), min_size=1, max_size=12),
+       st.floats(-3.0, 3.0))
+def test_sample_raises_where_the_point_by_point_loop_raises(rows, cut):
+    # each point's third component and row length are drawn; points with
+    # u < cut are excluded.  A point drawn twice keeps its last draw.
+    drawn = {(u, v): (z, n) for u, v, z, n in rows}
+
+    def components(u, v):
+        z, n = drawn[u, v]
+        return (u, v, z, 0.5)[:n]
+
+    surf = SurfaceMap(components, lambda zeta: zeta.real < cut)
+    pts = [(u, v) for u, v, _, _ in rows]
+    assert _outcome(lambda: surf.sample(pts)) == _outcome(
+        lambda: surface_reference.sample(surf, pts))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_sample_of_a_row_of_the_wrong_length_raises(n):
+    surf = SurfaceMap(lambda u, v: (u, v, 0.0, 1.0)[:n] if u > 0.5 else (u, v, 0.0))
+    pts = [(0.0, 0.0), (0.7, 0.0), (0.9, 0.0)]
+    with pytest.raises(ValueError, match=rf"shape \({n},\) into shape \(3,\)"):
+        surf.sample(pts)
