@@ -89,7 +89,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-_NUMBER = (complex, float, int)  # isinstance tries complex, the commonest, first
+_NUMBER = (complex, float, int)  # complex first: the commonest at the primitives' dispatch
 
 # Below this many divisors, dividing a number by each of them in Python is
 # faster than the dozen array operations of _cdiv's vector form.

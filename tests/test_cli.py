@@ -367,17 +367,35 @@ def test_cli_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-def _loaded_modules(code: str) -> set:
-    """The ``solitonlab`` modules loaded after running ``code`` in a fresh
-    interpreter."""
-    code += "\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'solitonlab'))"
-    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=_src_env(),
-                         capture_output=True, text=True, check=True).stdout
+def _loaded_modules(code: str, listed=False) -> set:
+    """The ``solitonlab`` modules that have run after running ``code`` in a
+    fresh interpreter, or with ``listed`` all those in ``sys.modules``.  A
+    lazy module that has not run is of a subclass of ``ModuleType``, and
+    ``type()`` does not run it."""
+    code += ("\nprint(' '.join(n for n, m in sys.modules.items() if n.split('.')[0] == "
+             f"'solitonlab' and ({listed} or type(m) is types.ModuleType)))")
+    out = subprocess.run([sys.executable, "-c", "import sys, types\n" + code],
+                         env=_src_env(), capture_output=True, text=True, check=True).stdout
     return set(out.split())
 
 
-def test_bare_package_import_loads_no_submodule():
+_SUBMODULES = {p.stem for p in (Path(__file__).resolve().parents[1] / "src" / "solitonlab")
+               .glob("*.py") if not p.stem.startswith("__")}
+
+
+def test_bare_package_import_runs_no_submodule_and_lists_all_but_cli():
     assert _loaded_modules("import solitonlab") == {"solitonlab"}
+    # code that patches functions in every listed module (a tracer) finds them all
+    assert _loaded_modules("import solitonlab", listed=True) == {"solitonlab"} | {
+        f"solitonlab.{m}" for m in _SUBMODULES - {"cli"}}
+
+
+def test_a_lazy_module_runs_on_its_first_attribute_access():
+    code = ("import solitonlab\nfrom solitonlab import pde\n"
+            "assert pde is sys.modules['solitonlab.pde'] and type(pde) is not types.ModuleType\n"
+            "assert pde.residual_sweep is solitonlab.residual_sweep")
+    assert _loaded_modules(code) == {"solitonlab"} | {
+        f"solitonlab.{m}" for m in ("core", "errors", "jetmath", "pde")}
 
 
 _RUNS = {"cli", "errors", "reportio"}  # what every command loads
