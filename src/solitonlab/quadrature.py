@@ -26,16 +26,17 @@ evaluated only for the subintervals that fail that test, so a round in which
 every subinterval converges pays for none of it.
 
 The rounds, not the nodes, set the cost.  Measured with ``timeit`` on a
-2-CPU Xeon (numpy 2.4.6), a call that converges in its first round, on one
-segment with four components that return the nodes themselves, takes about
-22 us: about 19 us of the round's small numpy calls (the nodes, the copy
-into one array, the scaling, the rule product, the norms and the acceptance
-test) and about 3 us of per-call glue (the path as an array, the steps, the
-layout lookup and ``np.errstate``).  A first round on four segments, four
-times the nodes, takes about 26 us.  A round that bisects costs about twice
-a first round: it adds the round-off guard and the bisection's bookkeeping,
-and the next round gathers the ends of each subinterval's segment, so a
-call that bisects once takes about 75 us.  A start of four subintervals per
+2-CPU Xeon (numpy 2.4.6; medians of 7 processes), a call that converges in
+its first round, on one segment with four components that return the nodes
+themselves, takes about 24 us: about 21 us of the round's small numpy calls
+(the nodes, the copy into one array, the scaling, the rule product and the
+norms; the acceptance test reads the errors as Python floats) and about 3 us
+of per-call glue (the path as an array, the steps, the layout lookup and
+``np.errstate``).  A first round on four segments, four times the nodes,
+takes about 31 us.  A round that bisects costs more than twice a first
+round: it adds the round-off guard and the bisection's bookkeeping, and the
+next round gathers the ends of each subinterval's segment, so a call that
+bisects once takes about 85 us.  A start of four subintervals per
 segment, which lets most contour integrals converge in the first round, is
 therefore cheaper than a start of one that is bisected a round at a time.
 
@@ -114,7 +115,9 @@ def _segment_ok(a: complex, b: complex, needs) -> bool:
     dc = d.conjugate()
     for p, need in needs:
         t = ((p - a) * dc).real / L2
-        t = min(1.0, max(0.0, t))
+        # min(1.0, max(0.0, t)) without the calls; a NaN t becomes 0.0 there too
+        t = t if t > 0.0 else 0.0
+        t = t if t < 1.0 else 1.0
         if abs(p - (a + t * d)) < need:
             return False
     return True
@@ -134,7 +137,7 @@ def build_path(start: complex, end: complex, poles) -> list:
     ``PathError`` when no offset within ``_MAX_DOUBLINGS`` doublings clears
     every pole."""
     needs = []
-    for p in [complex(p) for p in poles]:
+    for p in map(complex, poles):
         to_end = abs(end - p)
         if to_end < 1e-12:
             raise DomainError(f"integration endpoint coincides with pole {p}")
@@ -142,8 +145,14 @@ def build_path(start: complex, end: complex, poles) -> list:
         if to_start < 1e-12:
             raise DomainError(f"integration endpoint coincides with pole {p}")
         # the clearance requirement relaxes per pole only when one of the
-        # *true* endpoints sits close to it, keeping near-pole targets reachable
-        needs.append((p, min(DEFAULT_POLE_MARGIN, 0.45 * to_start, 0.45 * to_end)))
+        # *true* endpoints sits close to it, keeping near-pole targets reachable;
+        # min(margin, 0.45 * to_start, 0.45 * to_end) left to right, as min takes it
+        need = DEFAULT_POLE_MARGIN
+        if 0.45 * to_start < need:
+            need = 0.45 * to_start
+        if 0.45 * to_end < need:
+            need = 0.45 * to_end
+        needs.append((p, need))
     if _segment_ok(start, end, needs):
         return [start, end]
     d = end - start
@@ -176,13 +185,16 @@ def _start_layout(n_seg: int):
     their segment index, centre (a column) and half-width in s; and the 21
     node offsets ``mid + half * _XK`` of each segment's subintervals, one row
     per segment, so that the first round's nodes broadcast against the
-    segments' ends.  The arrays are shared by every integral over that many
-    segments, so they are read-only."""
+    segments' ends.  The offsets are stored as the complex128 ``o + 0j`` that
+    numpy casts them to for the product with the steps.  The arrays are
+    shared by every integral over that many segments, so they are
+    read-only."""
     k = np.arange(n_seg * _SPLIT)
     seg = k // _SPLIT
     mid = ((k % _SPLIT + 0.5) / _SPLIT)[:, None]
     half = np.full(len(k), 0.5 / _SPLIT)
-    layout = seg, mid, half, (mid + half[:, None] * _XK).reshape(n_seg, -1)
+    offs = (mid + half[:, None] * _XK).reshape(n_seg, -1).astype(complex)
+    layout = seg, mid, half, offs
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -252,8 +264,8 @@ def integrate_segments(fvec, path):
         while True:
             out = fvec(nodes.ravel())
             vals = np.empty((len(out), nodes.size), dtype=complex)
-            for row, v in zip(vals, out):
-                row[...] = v  # a scalar component is broadcast
+            for i, v in enumerate(out):
+                vals[i] = v  # a scalar component is broadcast
             scaled = vals.reshape(len(out), *nodes.shape)
             scaled *= scale
             vals = vals.reshape(len(out), -1, 21)
@@ -265,9 +277,12 @@ def integrate_segments(fvec, path):
             if not math.isfinite(size):
                 _raise_non_finite(kronrod, seg, path)
             tol = max(_EPSABS, _EPSREL * size)
-            ok = err <= tol * 2 / n_seg * half
-            if ok.all():
+            # err <= thr * half on Python floats: the same IEEE products and
+            # comparisons, without numpy's call cost on a few values
+            thr = tol * 2 / n_seg
+            if all(e <= thr * h for e, h in zip(err.tolist(), half.tolist())):
                 return total
+            ok = err <= thr * half
             # the round-off guard, for the subintervals above their tolerance
             above = ~ok
             ok[above] = err[above] <= _ROUNDOFF * _norm(np.abs(vals[:, above]) @ _WK)

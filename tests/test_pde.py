@@ -186,10 +186,29 @@ def test_wick_scherk_conditionally_real():
             assert abs(v.imag) > 0.1  # the constant i*pi branch
 
 
+_BOUND = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUND, _BOUND, _BOUND, _BOUND, st.integers(2, 500), st.integers(2, 500))
+def test_grid_spec_text_names_the_grid_it_was_made_from(a_min, a_max, b_min, b_max, na, nb):
+    g = GridSpec(a_min, a_max, b_min, b_max, na, nb)
+    back = GridSpec.parse(g.as_text())
+    assert [float(x).hex() for x in (back.a_min, back.a_max, back.b_min, back.b_max)] == \
+        [x.hex() for x in (a_min, a_max, b_min, b_max)]
+    assert (back.na, back.nb) == (na, nb)
+
+
 def test_grid_spec_roundtrip_and_validation():
     g = GridSpec.parse("-1:1:-2:2:21:11")
     assert (g.a_min, g.a_max, g.b_min, g.b_max, g.na, g.nb) == (-1, 1, -2, 2, 21, 11)
     assert GridSpec.parse(g.as_text()) == g
+    # a bound that :g would shorten keeps every digit; the others print as :g
+    assert GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21).as_text() == "-1:1:-1:1:21:21"
+    seeded = GridSpec(-0.962637061362311, 1.0, -0.9717598222437912, 1.0, 201, 201)
+    assert seeded.as_text() == "-0.962637061362311:1:-0.9717598222437912:1:201:201"
+    assert GridSpec(123456789.0, 1e-5, 0.5, 2e300, 2, 2).as_text() == \
+        "123456789.0:1e-05:0.5:2e+300:2:2"
     with pytest.raises(ValueError):
         GridSpec.parse("1:2:3")
     with pytest.raises(ValueError):
@@ -479,6 +498,17 @@ def test_nan_residual_fails_the_sweep():
     assert rep.max_abs == math.inf
     assert rep.worst_point == grid.points()[-1]
     assert rep.to_json_dict()["max_abs"] == math.inf
+
+
+_MAGNITUDE = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]))
+
+
+@given(st.lists(_MAGNITUDE, max_size=6))
+def test_worst_is_the_numpy_rule_bit_for_bit(mags):
+    # the numpy form that worst replaced, on every float it can be handed
+    want = float(pde._nan_as_inf(mags).max(initial=0.0))
+    got = worst(mags)
+    assert type(got) is float and got.hex() == want.hex()
 
 
 def test_worst_counts_nan_as_inf_as_summarize_does():
