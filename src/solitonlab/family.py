@@ -71,9 +71,9 @@ def _rotated(w, ct: float, st: float):
     associate-family combination cos(theta) X1 + sin(theta) X2.
 
     A jet is rotated coefficient by coefficient into one jet, as
-    ``complex(ct * c.real + st * c.imag)``: a second-order jet of Python
-    ``complex`` coefficients directly, any other through ``_map``, with the
-    same bits.  Numbers keep ``ct * re(w) + st * im(w)``.  On a jet, that
+    ``complex(ct * c.real + st * c.imag)``: a jet of six Python ``complex``
+    coefficients directly, an array jet through ``_map``, with the same
+    bits.  Numbers keep ``ct * re(w) + st * im(w)``.  On a jet, that
     form builds five jets; for a coefficient a + ib its real part is
     (a ct - 0 0) + (b st - 0 0), the same float as here.  Its imaginary parts
     could be -0.0 where cos and sin are both negative, and NaN beside an
@@ -108,15 +108,13 @@ def conjugacy_check(pair: ConjugatePair, zeta: complex) -> float:
     """Max over the three components of the Cauchy-Riemann defect of Phi at
     tau = zeta = u + iv, a point of the pair's tau domain:
     |(d/du + i d/dv) Phi| / 2, zero where Phi = X1 + i X2 is holomorphic, and
-    inf where one is NaN (``pde.worst``).  The derivatives come from order-1
-    jets in (u, v), exact up to roundoff."""
+    inf where one is NaN (``pde.worst``).  The derivatives come from jets in
+    (u, v), exact up to roundoff."""
     zeta = complex(zeta)
     if pair.excluded(zeta):
         raise DomainError(f"{zeta} is outside the pair's common domain")
-    ju = TJet(complex(zeta.real), 1.0 + 0j, 0j, None, None, None)
-    jv = TJet(complex(zeta.imag), 0j, 1.0 + 0j, None, None, None)
-    return worst([0.5 * abs(w.fx + 1j * w.ft)
-                  for w in map(TJet.lift, pair.phi(ju + 1j * jv))])
+    zj = TJet.seed_a(zeta.real) + 1j * TJet.seed_b(zeta.imag)
+    return worst([0.5 * abs(w.fx + 1j * w.ft) for w in map(TJet.lift, pair.phi(zj))])
 
 
 # -- soliton family ----------------------------------------------------------

@@ -1,17 +1,10 @@
-"""Taylor-jet arithmetic of order 2 or 1 for complex-valued functions of two
-real variables.
+"""Taylor-jet arithmetic of order 2 for complex-valued functions of two real
+variables.
 
 A ``TJet`` carries the value and all partial derivatives up to order 2 of a
 function f(a, b) at a point, with complex coefficients.  Propagating jets
 through an expression built from the primitives below yields derivatives
 that are exact up to roundoff (no truncation error).
-
-A jet whose second-order slots are ``None`` has order 1: value and gradient
-only, for callers that read no more.  An operation fills the second-order
-slots only when every jet operand has them: an order-1 operand with an
-order-2 jet, a number or a ``TJet.lift`` constant gives order 1, with the
-bits of ``f``, ``fx`` and ``ft`` that order 2 gives.  A second-order slot of
-an order-1 jet reads ``None``, and arithmetic on it raises ``TypeError``.
 
 Jet coefficients are either Python ``complex`` numbers (one point) or numpy
 ``complex128`` arrays (one entry per point, as in Taylor-mode propagation
@@ -162,8 +155,7 @@ def _chain(*terms):
 
 @dataclass(slots=True)
 class TJet:
-    """Taylor jet of f(a, b): value, gradient and Hessian entries, or value
-    and gradient only (order 1: ``fxx``, ``fxt`` and ``ftt`` are ``None``).
+    """Taylor jet of f(a, b): value, gradient and Hessian entries.
 
     Each coefficient is a ``complex`` or a ``complex128`` array, or, in a
     central-difference jet of a real field, a ``float64`` array.  A jet is a
@@ -202,9 +194,6 @@ class TJet:
 
     def __add__(self, other):
         if isinstance(other, TJet):
-            if self.fxx is None or other.fxx is None:
-                return TJet(self.f + other.f, self.fx + other.fx, self.ft + other.ft,
-                            None, None, None)
             return TJet(self.f + other.f, self.fx + other.fx, self.ft + other.ft,
                         self.fxx + other.fxx, self.fxt + other.fxt, self.ftt + other.ftt)
         if isinstance(other, _NUMBER):
@@ -220,9 +209,6 @@ class TJet:
     # bit, so these round as adding the negation does.
     def __sub__(self, other):
         if isinstance(other, TJet):
-            if self.fxx is None or other.fxx is None:
-                return TJet(self.f - other.f, self.fx - other.fx, self.ft - other.ft,
-                            None, None, None)
             return TJet(self.f - other.f, self.fx - other.fx, self.ft - other.ft,
                         self.fxx - other.fxx, self.fxt - other.fxt, self.ftt - other.ftt)
         if isinstance(other, _NUMBER):
@@ -231,8 +217,6 @@ class TJet:
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
-            if self.fxx is None:
-                return TJet(complex(other) - self.f, -self.fx, -self.ft, None, None, None)
             return TJet(complex(other) - self.f, -self.fx, -self.ft,
                         -self.fxx, -self.fxt, -self.ftt)
         return NotImplemented
@@ -240,9 +224,6 @@ class TJet:
     def __mul__(self, other):
         if isinstance(other, TJet):
             s, o = self, other
-            if s.fxx is None or o.fxx is None:
-                return TJet(s.f * o.f, s.fx * o.f + s.f * o.fx, s.ft * o.f + s.f * o.ft,
-                            None, None, None)
             return TJet(
                 s.f * o.f,
                 s.fx * o.f + s.f * o.fx,
@@ -253,8 +234,6 @@ class TJet:
             )
         if isinstance(other, _NUMBER):
             c = complex(other)
-            if self.fxx is None:
-                return TJet(self.f * c, self.fx * c, self.ft * c, None, None, None)
             return TJet(self.f * c, self.fx * c, self.ft * c,
                         self.fxx * c, self.fxt * c, self.ftt * c)
         return NotImplemented
@@ -278,23 +257,18 @@ class TJet:
             return self._int_pow(int(p))
         if isinstance(p, _NUMBER):
             w = self.f ** p
-            g2 = None if self.fxx is None else p * (p - 1) * self.f ** (p - 2)
-            return self._compose(w, p * self.f ** (p - 1), g2)
+            return self._compose(w, p * self.f ** (p - 1), p * (p - 1) * self.f ** (p - 2))
         return NotImplemented
 
     # -- composition helpers ----------------------------------------------
 
     def _compose(self, g0, g1, g2) -> "TJet":
-        """Chain rule for g(self) given g, g', g'' at self.f (order 1: not g''); an
-        array jet's structural zeros (module notes) stay ``0j``, their terms dropped."""
+        """Chain rule for g(self) given g, g', g'' at self.f; an array jet's
+        structural zeros (module notes) stay ``0j``, their terms dropped."""
         x, t = self.fx, self.ft
         if isinstance(self.f, np.ndarray):
-            if self.fxx is None:
-                return TJet(g0, _chain((g1, x)), _chain((g1, t)), None, None, None)
             return TJet(g0, _chain((g1, x)), _chain((g1, t)), _chain((g2, x, x), (g1, self.fxx)),
                         _chain((g2, x, t), (g1, self.fxt)), _chain((g2, t, t), (g1, self.ftt)))
-        if self.fxx is None:
-            return TJet(g0, g1 * x, g1 * t, None, None, None)
         return TJet(g0, g1 * x, g1 * t, g2 * x * x + g1 * self.fxx,
                     g2 * x * t + g1 * self.fxt, g2 * t * t + g1 * self.ftt)
 
@@ -302,12 +276,10 @@ class TJet:
         # A scalar 1/0 raises ZeroDivisionError, by design; an array entry
         # becomes inf/nan and is caught by the finiteness check of the caller.
         w = _math(self.f).div(1.0, self.f)
-        return self._compose(w, -w * w, None if self.fxx is None else 2 * w * w * w)
+        return self._compose(w, -w * w, 2 * w * w * w)
 
     def _int_pow(self, n: int) -> "TJet":
         if n == 0:
-            if self.fxx is None:
-                return TJet(1.0 + 0j, 0j, 0j, None, None, None)
             return TJet(1.0 + 0j)
         if n < 0:
             return self._int_pow(-n)._reciprocal()
@@ -319,9 +291,7 @@ class TJet:
     # -- coefficient-wise maps (valid for real jet variables) -------------
 
     def _map(self, g) -> "TJet":
-        """``g`` of each coefficient; an order-1 jet stays order 1."""
-        if self.fxx is None:
-            return TJet(g(self.f), g(self.fx), g(self.ft), None, None, None)
+        """``g`` of each coefficient."""
         return TJet(g(self.f), g(self.fx), g(self.ft), g(self.fxx), g(self.fxt), g(self.ftt))
 
     def conjugate(self) -> "TJet":

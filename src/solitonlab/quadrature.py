@@ -107,7 +107,10 @@ _MAX_NO_GAIN = 20
 def _segment_ok(a: complex, b: complex, needs) -> bool:
     """Whether every pole p of ``needs`` is at least its need from the
     segment [a, b].  The segment's d, |d|^2 and conj(d) are computed once for
-    all poles."""
+    all poles, and not at all without poles, so that a chord too long to
+    square is straight when there is no pole to clear."""
+    if not needs:
+        return True
     d = b - a
     L2 = abs(d) ** 2
     if L2 == 0.0:

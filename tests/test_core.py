@@ -353,10 +353,10 @@ def test_re_im_of_numbers_are_bit_identical():
     assert np.array_equal(jm.im(jm.TJet(z, 2j * z)).fx, 2 * z.real)
     # an array jet keeps complex128 coefficients; a number beside an array
     # coefficient becomes a complex number
-    for part in (jm.re(jm.TJet(z, 2j * z)), jm.im(jm.TJet(z, 2j * z, 1j, None, None, None))):
+    for part in (jm.re(jm.TJet(z, 2j * z)), jm.im(jm.TJet(z, 2j * z, 1j))):
         assert part.f.dtype == complex and part.fx.dtype == complex
-    mixed = jm.im(jm.TJet(z, 1j, -0.0 + 0j, None, None, None))
-    assert mixed.f.dtype == complex and mixed.fxx is None
+    mixed = jm.im(jm.TJet(z, 1j, -0.0 + 0j))
+    assert mixed.f.dtype == complex
     assert _hex_parts(mixed.fx) == _hex_parts(1 + 0j) and _hex_parts(mixed.ft) == _hex_parts(0j)
 
 
@@ -369,20 +369,16 @@ _SPECIAL = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, -0.0),
             complex(-math.inf, math.nan), complex(1.5, -2.5), complex(-0.0, -0.0)]
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_re_im_of_scalar_jets_are_bit_identical(order):
+def test_re_im_of_scalar_jets_are_bit_identical():
     # each coefficient of a scalar jet's parts must be complex(c.real) or
     # complex(c.imag), signed zeros, NaN and infinities included
     for shift in range(len(_SPECIAL)):
         coefs = (_SPECIAL[shift:] + _SPECIAL[:shift])[:6]
-        j = jm.TJet(*coefs) if order == 2 else jm.TJet(*coefs[:3], None, None, None)
+        j = jm.TJet(*coefs)
         for fn, part in ((jm.re, lambda c: complex(c.real)), (jm.im, lambda c: complex(c.imag))):
             got = fn(j)
             for name in ("f", "fx", "ft", "fxx", "fxt", "ftt"):
                 c, g = getattr(j, name), getattr(got, name)
-                if c is None:
-                    assert g is None
-                    continue
                 assert type(g) is complex
                 assert _hex_parts(g) == _hex_parts(part(c)), (fn, name, c)
 
@@ -788,12 +784,7 @@ def test_central_jet_at_numbers_is_the_nine_call_oracle(name):
             assert _complex_bits(j) == _complex_bits(_nine_call_jet(fld, a, b, h))
 
 
-# -- order-1 jets ----------------------------------------------------------------
-
-def _order1(j):
-    """The order-1 jet of ``j``: its value and gradient, no second-order slots."""
-    return jm.TJet(j.f, j.fx, j.ft, None, None, None)
-
+# -- first-order slots ----------------------------------------------------------
 
 _UNARY = {
     "neg": lambda a: -a,
@@ -815,29 +806,27 @@ _BINARY = {
 
 
 def _first_order_bits(op, *jets):
-    """The bytes of f, fx and ft of ``op(*jets)`` with the result, or the type
-    of the exception it raised and None."""
+    """The bytes of f, fx and ft of ``op(*jets)``, or the type of the
+    exception it raised."""
     try:
         with np.errstate(all="ignore"):
             r = op(*jets)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        return type(exc), None
-    return tuple(np.asarray(c, dtype=complex).tobytes() for c in (r.f, r.fx, r.ft)), r
+        return type(exc)
+    return tuple(np.asarray(c, dtype=complex).tobytes() for c in (r.f, r.fx, r.ft))
 
 
-def _check_order1_matches_order2(name, op, jets):
-    """``op`` on every mix of order-1 and order-2 operands: the result has
-    order 2 only when every operand does, and its f, fx and ft are the bits
-    of the all-order-2 result."""
-    want, full = _first_order_bits(op, *jets)
-    if full is None:
-        return  # order 2 raised; order 1 may not need the term that did
-    assert all(c is not None for c in (full.fxx, full.fxt, full.ftt))
+def _check_first_order_ignores_second_order(name, op, jets, others):
+    """``op`` with the second-order slots of every mix of operands replaced,
+    by ``others`` (three coefficients an operand) or by NaN: the f, fx and
+    ft of the result keep their bits, as a caller that reads only those
+    (``conjugacy_check``) needs."""
+    want = _first_order_bits(op, *jets)
     for mask in range(1, 2 ** len(jets)):
-        mixed = [_order1(j) if mask >> k & 1 else j for k, j in enumerate(jets)]
-        got, r = _first_order_bits(op, *mixed)
-        assert got == want, (name, mask)
-        assert all(c is None for c in (r.fxx, r.fxt, r.ftt)), (name, mask)
+        for fill in (others, [complex(math.nan, math.nan)] * (3 * len(jets))):
+            mixed = [jm.TJet(j.f, j.fx, j.ft, *fill[3 * k:3 * k + 3]) if mask >> k & 1 else j
+                     for k, j in enumerate(jets)]
+            assert _first_order_bits(op, *mixed) == want, (name, mask)
 
 
 _COEF = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
@@ -847,41 +836,35 @@ def _jets_from(values, n):
     return [jm.TJet(*values[6 * k:6 * k + 6]) for k in range(n)]
 
 
-@given(st.lists(_COEF, min_size=12, max_size=12))
-def test_order1_scalar_jets_match_order2_bit_for_bit(values):
+@given(st.lists(_COEF, min_size=18, max_size=18))
+def test_first_order_slots_of_scalar_jets_ignore_second_order_slots(values):
     a, b = _jets_from(values, 2)
+    others = values[12:]
     for name, op in _UNARY.items():
-        _check_order1_matches_order2(name, op, [a])
+        _check_first_order_ignores_second_order(name, op, [a], others)
     for name, op in _BINARY.items():
-        _check_order1_matches_order2(name, op, [a, b])
+        _check_first_order_ignores_second_order(name, op, [a, b], others)
 
 
-@given(st.lists(st.lists(_COEF, min_size=3, max_size=3), min_size=12, max_size=12))
-def test_order1_array_jets_match_order2_bit_for_bit(rows):
+@given(st.lists(st.lists(_COEF, min_size=3, max_size=3), min_size=18, max_size=18))
+def test_first_order_slots_of_array_jets_ignore_second_order_slots(rows):
     a, b = _jets_from([np.array(r) for r in rows], 2)
+    others = [np.array(r) for r in rows[12:]]
     for name, op in _UNARY.items():
-        _check_order1_matches_order2(name, op, [a])
+        _check_first_order_ignores_second_order(name, op, [a], others)
     scalar = jm.TJet(*(complex(c[0]) for c in rows[:6]))
     for name, op in _BINARY.items():
-        _check_order1_matches_order2(name, op, [a, b])
+        _check_first_order_ignores_second_order(name, op, [a, b], others)
         # a scalar jet with an array jet
-        _check_order1_matches_order2(name, op, [scalar, b])
+        _check_first_order_ignores_second_order(name, op, [scalar, b], others)
 
 
-def test_order1_jet_never_reads_second_order_terms():
-    # g'' of x**1.5 at 0 is infinite, and a scalar 0j ** -0.5 raises; the
-    # order-1 jet does not form it
+def test_real_power_of_a_scalar_jet_forms_its_second_derivative():
+    # g'' of x**1.5 at 0 is infinite, and a scalar 0j ** -0.5 raises, also
+    # for a caller that reads only f, fx and ft (as conjugacy_check does)
     z = jm.TJet(0j, 1.0 + 0j, 2j)
     with pytest.raises(ZeroDivisionError):
         z ** 1.5
-    r = _order1(z) ** 1.5
-    assert (r.f, r.fx, r.ft, r.fxx) == (0j, 0j, 0j, None)
-    # a consumer that reads second order gets an error, never a zero
-    j = jm.sin(jm.TJet(0.3 + 0j, 1.0 + 0j, 0j, None, None, None))
-    with pytest.raises(TypeError):
-        j.fxx * j.fx
-    with pytest.raises(TypeError):
-        _residual_from_jet(j, Equation.BORN_INFELD)
 
 
 # -- structural zeros of array jets ---------------------------------------------
@@ -890,8 +873,6 @@ def _dense_compose(self, g0, g1, g2):
     """``TJet._compose`` with every slot multiplied through by g' and g'', as
     scalar jets do: the oracle of the array chain rule, which turns a
     structural zero into an array of zeros, NaN where g' is not finite."""
-    if self.fxx is None:
-        return jm.TJet(g0, g1 * self.fx, g1 * self.ft, None, None, None)
     return jm.TJet(g0, g1 * self.fx, g1 * self.ft,
                    g2 * self.fx * self.fx + g1 * self.fxx,
                    g2 * self.fx * self.ft + g1 * self.fxt,
