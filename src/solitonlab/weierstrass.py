@@ -66,7 +66,7 @@ class SurfaceMap:
 
     ``components(u, v)`` accepts numbers or Taylor jets and returns the three
     coordinates; ``eval`` wraps it for plain complex parameters and checks
-    the result is real, and ``sample`` does the same over many parameters.
+    the result is real, and ``sample`` does the same over a grid of parameters.
     ``domain_exclusions(zeta)`` is True at parameters that must not be
     evaluated; it is called with a complex array and returns a bool array, so
     write it with ``|`` and ``&``, not ``or`` and ``and``, or the call raises
@@ -81,35 +81,35 @@ class SurfaceMap:
 
     def eval(self, zeta: complex) -> LVec3:
         zeta = complex(zeta)
-        values, excluded = self.sample([(zeta.real, zeta.imag)])
+        values, excluded = self.sample([zeta.real], [zeta.imag])
         if excluded[0]:
             raise DomainError(f"parameter {zeta} is outside the surface domain")
         return LVec3(*values[0].tolist())
 
-    def sample(self, points):
-        """Surface points over a sequence of (u, v) parameters, as an (n, 3)
-        float array with NaN rows at excluded parameters, and the excluded
-        mask.  All parameters are tested for exclusion in one predicate call
-        (``core.exclusion_mask``); the kept ones are evaluated as scalars in
-        grid order, in one pass that streams their rows into one complex
-        array (a row of the wrong length raises numpy's ``ValueError``, as
-        assigning it to a row does).  The realness check runs once over all
-        rows, and the first point with a non-real component raises
-        ``DomainError``."""
-        # (u, v) pairs of float64 read as complex128: zetas[k] == complex(u, v)
-        zetas = np.fromiter(itertools.chain.from_iterable(points), float,
-                            2 * len(points)).view(complex)
-        excluded = np.array(exclusion_mask(self.domain_exclusions, zetas))  # writable
+    def sample(self, a, b):
+        """Surface points at complex(u, v) over the grid of the axes ``a`` of u
+        and ``b`` of v (``GridSpec.axes``): an (len(a) * len(b), 3) float array
+        in grid order, NaN rows at excluded parameters, and the excluded mask.
+        The predicate is called once, on the complex grid; the kept points,
+        from the product of the axes, are evaluated as scalars in grid order,
+        streaming their rows into one complex array (a row of the wrong length
+        raises numpy's ``ValueError``, as assigning it to a row does).  The
+        realness check runs once over all rows, and the first point with a
+        non-real component raises ``DomainError``."""
+        a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+        zetas = np.empty((len(a), len(b)), dtype=complex)
+        zetas.real, zetas.imag = np.reshape(a, (-1, 1)), b  # each entry is complex(u, v)
+        excluded = np.array(exclusion_mask(self.domain_exclusions, zetas.ravel()))  # writable
         kept = np.flatnonzero(~excluded)
-        rows = np.fromiter(
-            itertools.starmap(self.components, itertools.compress(points, (~excluded).tolist())),
-            np.dtype((complex, 3)), len(kept))
+        points = itertools.compress(itertools.product(a, b), (~excluded).tolist())
+        rows = np.fromiter(itertools.starmap(self.components, points),
+                           np.dtype((complex, 3)), len(kept))
         not_real = nonreal(rows)
         if not_real.any():
             k, i = np.argwhere(not_real)[0]
-            raise DomainError(f"surface component not real at {complex(*points[kept[k]])}: "
+            raise DomainError(f"surface component not real at {complex(zetas.flat[kept[k]])}: "
                               f"{complex(rows[k, i])}")
-        values = np.full((len(points), 3), math.nan)
+        values = np.full((zetas.size, 3), math.nan)
         values[kept] = rows.real
         return values, excluded
 

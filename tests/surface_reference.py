@@ -1,8 +1,10 @@
 """``SurfaceMap.sample`` and ``obj_mesh_text`` as they were before the kept
 points were streamed into one array and the OBJ text was formatted in blocks:
-both verbatim (``sample`` as a function of the surface).  ``test_weierstrass.py``
-and ``test_reportio.py`` hold the package's versions to these bit for bit,
-exceptions included."""
+both verbatim (``sample`` as a function of the surface, on a list of (u, v)
+points).  ``test_weierstrass.py``, ``test_reportio.py`` and ``test_cli.py``
+hold the package's versions to these bit for bit, exceptions included: the
+package's ``sample(a, b)`` on two axes to this ``sample`` on
+``list(itertools.product(a, b))``."""
 
 import itertools
 import math

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+import grid_points
 from solitonlab import jetmath as jm
 from solitonlab.cli import main as cli_main
 from solitonlab.core import CentralDiff, ScalarField2, with_backend
@@ -100,7 +101,7 @@ def test_criterion_3_proposition_1_suite():
     g = example1_graph()
     # |H| and numerator off the degenerate set
     worst_h = worst_num = 0.0
-    for (y, z) in GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21).points():
+    for (y, z) in grid_points.points(GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21)):
         worst_h = worst([worst_h, mean_curvature(g, y, z)])
         worst_num = worst([worst_num, equation_residual(g, Equation.BORN_INFELD, y, z)])
     ok_h = worst_h <= 1e-6 and worst_num <= 1e-6
@@ -110,7 +111,7 @@ def test_criterion_3_proposition_1_suite():
     step = grid.step()
     ok_light = True
     fired = 0
-    for (y, z) in grid.points():
+    for (y, z) in grid_points.points(grid):
         if g.excluded(y, z):
             continue
         light = causal_classify(g, y, z) is CausalClass.LIGHTLIKE

@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -12,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import surface_reference
 from solitonlab import family, weierstrass
 from solitonlab.cli import build_parser, main
 from solitonlab.family import WhithamPair
+from solitonlab.pde import GridSpec
+from solitonlab.reportio import _OBJ_BLOCK, csv_text, obj_mesh_text
 
 
 def run(argv, capsys):
@@ -171,6 +175,73 @@ def test_surface_csv_export(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "u,v,x,y,z"
     assert len(lines) == 26
+
+
+def _sampled_obj(name: str, grid: str) -> str:
+    """``obj_mesh_text`` of ``SurfaceMap.sample`` on the grid ``grid``."""
+    g = GridSpec.parse(grid)
+    values, excluded = weierstrass.catalog_surface(name).sample(*g.axes())
+    return obj_mesh_text(values, excluded, g.na, g.nb)
+
+
+# Grids off every puncture whose kept vertices number _OBJ_BLOCK - 1 (3 x
+# 1365), _OBJ_BLOCK (2 x 2048) and _OBJ_BLOCK + 1 (17 x 241), and one whose
+# every point lies within the margin of the catenoid's puncture.
+@pytest.mark.parametrize("name,grid,vertices", [
+    ("scherk_first_kind", "0.2:0.6:0.2:0.8:3:1365", _OBJ_BLOCK - 1),
+    ("lorentzian_helicoid", "0.5:1.5:-1:1:2:2048", _OBJ_BLOCK),
+    ("helicoid_second_kind", "0.5:1.5:-1:1:17:241", _OBJ_BLOCK + 1),
+    ("lorentzian_catenoid", "-0.001:0.001:-0.001:0.001:2:2", 0),
+])
+def test_streamed_obj_equals_the_joined_text(name, grid, vertices, tmp_path, capsys):
+    want = _sampled_obj(name, grid)
+    assert want.count("v ") == vertices and (want == "\n") == (vertices == 0)
+    argv = ["surface", "sample", "--name", name, "--grid", grid, "--format", "obj"]
+    assert run(argv, capsys) == (0, want, "")
+    out_path = tmp_path / "mesh.obj"
+    assert run(argv + ["--out", str(out_path)], capsys) == (0, "", "")
+    assert out_path.read_bytes() == want.encode()
+
+
+def test_obj_larger_than_one_block_is_written_in_blocks(monkeypatch):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    grid = "0.5:1.5:-1:1:17:241"
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["surface", "sample", "--name", "helicoid_second_kind", "--grid", grid,
+                 "--format", "obj"]) == 0
+    assert len(writes) > 1 and max(w.count("\n") for w in writes) <= 2 * _OBJ_BLOCK
+    assert "".join(writes) == _sampled_obj("helicoid_second_kind", grid)
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_non_real_surface_fails_before_the_first_byte(fmt, monkeypatch, tmp_path, capsys):
+    # every point is evaluated, and the last one has a non-real height
+    monkeypatch.setattr(weierstrass, "catalog_surface", lambda name: weierstrass.SurfaceMap(
+        lambda u, v: (u, v, 1j if u == 1.0 and v == 1.0 else 0.0)))
+    argv = ["surface", "sample", "--name", "scherk_first_kind", "--grid", "0:1:0:1:5:5",
+            "--format", fmt]
+    message = "error: surface component not real at (1+1j): 1j\n"
+    assert run(argv, capsys) == (1, "", message)
+    out_path = tmp_path / f"mesh.{fmt}"
+    assert run(argv + ["--out", str(out_path)], capsys) == (1, "", message)
+    assert not out_path.exists()
+
+
+def test_surface_csv_rows_are_the_reference_sample_of_the_grid(capsys):
+    # the default 21 x 21 Scherk grid, whose four punctures are excluded
+    surf = weierstrass.catalog_surface("scherk_first_kind")
+    a, b = GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21).axes()
+    pts = list(itertools.product(a.tolist(), b.tolist()))
+    values, excluded = surface_reference.sample(surf, pts)
+    assert excluded.sum() == 4
+    rows = [(u, v, *val) for (u, v), val, ex in zip(pts, values.tolist(), excluded) if not ex]
+    want = csv_text(("u", "v", "x", "y", "z"), rows)
+    assert run(["surface", "sample", "--name", "scherk_first_kind"], capsys) == (0, want, "")
 
 
 def test_geometry_classify_csv(capsys):

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+import grid_points
 from solitonlab import geometry, pde
 from solitonlab import jetmath as jm
 from solitonlab.core import (DEFAULT_CENTRAL_H, CentralDiff, LVec3, ScalarField2, jet,
@@ -137,7 +138,7 @@ def test_numerator_vanishes_for_affine_and_relates_to_H():
 def test_example1_satisfies_born_infeld_off_degenerate_set():
     g = example1_graph()
     worst_h, worst_num = 0.0, 0.0
-    for (y, z) in GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21).points():
+    for (y, z) in grid_points.points(GridSpec(-1.0, 1.0, 1.3, 3.0, 21, 21)):
         worst_h = pde.worst([worst_h, mean_curvature(g, y, z)])
         worst_num = pde.worst([worst_num, pde.equation_residual(g, pde.Equation.BORN_INFELD, y, z)])
     assert worst_h <= 1e-6
@@ -179,7 +180,7 @@ def test_lightlike_set_detected_exactly_on_diagonals():
     grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17)
     step = grid.step()
     hits = []
-    for (y, z) in grid.points():
+    for (y, z) in grid_points.points(grid):
         if g.excluded(y, z):
             continue
         if causal_classify(g, y, z) is CausalClass.LIGHTLIKE:
@@ -187,7 +188,7 @@ def test_lightlike_set_detected_exactly_on_diagonals():
             assert abs(abs(y) - abs(z)) <= step + 1e-12
         else:
             assert abs(abs(y) - abs(z)) >= step - 1e-12
-    on_lines = [(y, z) for (y, z) in grid.points() if abs(y) == abs(z)]
+    on_lines = [(y, z) for (y, z) in grid_points.points(grid) if abs(y) == abs(z)]
     assert set(hits) == set(on_lines)
 
 
@@ -222,7 +223,7 @@ def _point_rows(fld, grid):
     """classify_grid computed one point at a time through the public point
     functions: the reference."""
     rows = []
-    for (y, z) in grid.points():
+    for (y, z) in grid_points.points(grid):
         if not _stencil_kept(fld, y, z):
             continue
         causal = causal_classify(fld, y, z)
@@ -310,7 +311,7 @@ def test_classify_grid_skips_central_stencils_that_reach_an_exclusion():
     assert [r[:3] for r in rows] == [r[:3] for r in want]
     assert all(abs(g[3] - w[3]) <= 1e-12 * abs(w[3]) for g, w in zip(rows, want))
     # the kept column y = 0 has stencils at y = -0.05: no jet exists there
-    assert {r[0] for r in rows} == {y for (y, _) in grid.points() if y > 0.0}
+    assert {r[0] for r in rows} == {y for (y, _) in grid_points.points(grid) if y > 0.0}
     assert all(r[2] == "timelike" for r in rows)
     for y, z in ((0.0, 0.3), (-0.5, 0.3)):
         for part in (causal_classify, fundamental_forms, unit_normal, mean_curvature):
@@ -329,7 +330,7 @@ def test_classify_grid_skips_stencils_of_a_central_fallback_field(cos):
     rows = classify_grid(fld, grid)
     want = classify_grid(with_backend(fld, CentralDiff(DEFAULT_CENTRAL_H)), grid)
     assert _row_bits(rows) == _row_bits(want)
-    assert [r[:2] for r in rows] == [(y, z) for (y, z) in grid.points() if y > 0.0]
+    assert [r[:2] for r in rows] == [(y, z) for (y, z) in grid_points.points(grid) if y > 0.0]
     with pytest.raises(DomainError, match=r"^stencil point \(-0\.0001, -1\.0\) is excluded$"):
         causal_classify(fld, 0.0, -1.0)
 
@@ -360,7 +361,7 @@ def test_central_classify_of_example1_agrees_with_the_exact_rows():
     (ScalarField2(lambda y, z: (1 + 1j) * y * z), [(0.5, 0.0)]),
     # the degenerate diagonals and the points around them
     (example1_graph(), [(1.0, 1.0), (0.5, 1.5), (0.3, -1.2),
-                        *GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17).points()]),
+                        *grid_points.points(GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17))]),
 ], ids=["inf", "overflow", "non_real_W", "example1"])
 def test_degenerate_error_exactly_where_lightlike(fld, points, monkeypatch):
     calls = []

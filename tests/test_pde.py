@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grid_points
 from solitonlab import jetmath as jm
 from solitonlab import pde
 from solitonlab.core import CentralDiff, ScalarField2, jet, with_backend
@@ -135,7 +137,8 @@ def test_full_catalog_residuals_exact_backend():
         e = solution(name)
         rep = residual_sweep(e.field, e.equation, DEFAULT_GRIDS[name], name=name)
         assert rep.max_abs <= 1e-6, (name, rep.max_abs)
-        assert len(rep.residuals) + rep.excluded_count == len(DEFAULT_GRIDS[name].points())
+        grid = DEFAULT_GRIDS[name]
+        assert len(rep.residuals) + rep.excluded_count == grid.na * grid.nb
 
 
 def test_wick_closure_of_maximal_entries():
@@ -162,7 +165,7 @@ def _rotations():
                          [pytest.param(*r, id=f"{r[0]}-k{r[1]:g}") for r in _rotations()])
 def test_catalog_entries_are_the_rotations_of_their_graphs(name, k, rotated):
     fld = solution(name, k=k).field
-    a, b = DEFAULT_GRIDS[name].coords()
+    a, b = grid_points.coords(DEFAULT_GRIDS[name])
     kept = ~fld.excluded_mask(a, b)
     a, b = a[kept], b[kept]
     want, got = jet(fld, a, b)[0], jet(rotated, a, b)[0]
@@ -176,7 +179,7 @@ def test_wick_scherk_conditionally_real():
     # real exactly where cos a > 0
     e = solution("wick_scherk")
     grid = GridSpec(-2.5, 2.5, -1.0, 1.0, 41, 41)
-    for (a, b) in grid.points():
+    for (a, b) in grid_points.points(grid):
         if e.field.excluded(a, b):
             continue
         v = complex(e.field.evaluator(a, b))
@@ -263,7 +266,7 @@ _SCHERK_201 = GridSpec(-1.0, 1.0, -1.0, 1.0, 201, 201)
 def _flat_residuals(fld, equation, grid, chunk=pde._BLOCK):
     """The residuals of one ``core.jet`` call on each ``chunk`` kept points
     of ``grid`` as flat arrays, in grid order."""
-    a, b = grid.coords()
+    a, b = grid_points.coords(grid)
     kept = ~fld.excluded_mask(a, b)
     a, b = a[kept], b[kept]
     out = []
@@ -344,7 +347,7 @@ def test_blocks_with_an_excluded_point_run_on_flat_arrays():
     rep = residual_sweep(fld, Equation.BORN_INFELD, grid)
     assert rep.excluded_count == 4 * 41
     assert shapes == [((37, 1), (1, 41))]
-    points = [(a, b) for a, b in grid.points() if not fld.excluded(a, b)]
+    points = [(a, b) for a, b in grid_points.points(grid) if not fld.excluded(a, b)]
     want = summarize(points, [equation_residual(fld, Equation.BORN_INFELD, a, b)
                               for a, b in points], "exact", 41 * 41 - len(points))
     assert rep.residuals.tobytes() == want.residuals.tobytes()
@@ -474,7 +477,7 @@ def test_an_evaluator_that_rejects_broadcasting_is_evaluated_point_by_point():
     fld = ScalarField2(ev)
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11)
     rep = residual_sweep(fld, e.equation, grid)
-    want = [equation_residual(fld, e.equation, a, b) for a, b in grid.points()]
+    want = [equation_residual(fld, e.equation, a, b) for a, b in grid_points.points(grid)]
     assert rep.residuals.tobytes() == np.array(want, dtype=complex).tobytes()
     assert rep.backend == "exact"
 
@@ -487,7 +490,7 @@ def test_worst_point_is_last_maximum_in_grid_order():
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 3)
     rep = residual_sweep(ScalarField2(lambda a, b: a * a), Equation.MAXIMAL, grid)
     assert rep.max_abs == 2.0
-    assert rep.worst_point == grid.points()[-1]
+    assert rep.worst_point == grid_points.points(grid)[-1]
 
 
 def test_nan_residual_fails_the_sweep():
@@ -496,7 +499,7 @@ def test_nan_residual_fails_the_sweep():
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
     rep = residual_sweep(ScalarField2(lambda a, b: math.nan * a * b), Equation.MAXIMAL, grid)
     assert rep.max_abs == math.inf
-    assert rep.worst_point == grid.points()[-1]
+    assert rep.worst_point == grid_points.points(grid)[-1]
     assert rep.to_json_dict()["max_abs"] == math.inf
 
 
@@ -647,7 +650,7 @@ def test_masks_on_the_axes_match_masks_on_flat_coordinates(label, predicate):
     fld = ScalarField2(lambda a, b: a * b, domain_exclusions=predicate)
     for grid in _MASK_GRIDS:
         a, b = grid.axes()
-        flat_a, flat_b = grid.coords()
+        flat_a, flat_b = grid_points.coords(grid)
         flat = fld.excluded_mask(flat_a, flat_b)
         got = fld.excluded_mask(a[:, None], b[None, :])
         assert got.shape == (grid.na, grid.nb)
@@ -662,8 +665,10 @@ def test_grid_coords_are_the_python_expression():
     g = GridSpec(-1.3, 2.7, 0.1, 0.9, 37, 11)
     da, db = (g.a_max - g.a_min) / (g.na - 1), (g.b_max - g.b_min) / (g.nb - 1)
     want = [(g.a_min + i * da, g.b_min + j * db) for i in range(g.na) for j in range(g.nb)]
-    a, b = g.coords()
-    assert list(zip(a.tolist(), b.tolist())) == g.points() == want
+    a, b = g.axes()
+    assert list(itertools.product(a.tolist(), b.tolist())) == want
+    a, b = grid_points.coords(g)
+    assert list(zip(a.tolist(), b.tolist())) == want
 
 
 def _fallback_cases():
@@ -681,7 +686,7 @@ def test_predicates_that_reject_arrays_sweep_like_array_predicates(
     if backend is not None:
         fld = with_backend(fld, backend)
     fields = [ScalarField2(fld.evaluator, fld.backend, p) for p in (array_pred, scalar_pred)]
-    m1, m2 = (f.excluded_mask(*grid.coords()) for f in fields)
+    m1, m2 = (f.excluded_mask(*grid_points.coords(grid)) for f in fields)
     assert np.array_equal(m1, m2)
     assert m1.any() or label == "bare False"
     r1, r2 = (residual_sweep(f, equation, grid) for f in fields)

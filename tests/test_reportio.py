@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surface_reference
-from solitonlab.reportio import _OBJ_BLOCK, fmt, obj_mesh_text
+from solitonlab.reportio import _OBJ_BLOCK, fmt, obj_mesh_blocks, obj_mesh_text
 
 
 def _grid_3x3(z):
@@ -101,6 +101,12 @@ def test_obj_mesh_at_block_boundaries_matches_the_unblocked_text(na, nb):
     excluded = np.zeros(na * nb, dtype=bool)
     assert obj_mesh_text(values, excluded, na, nb) == surface_reference.obj_mesh_text(
         values, excluded, na, nb)
+    # one block per _OBJ_BLOCK vertices, then one per _OBJ_BLOCK face rows
+    blocks = list(obj_mesh_blocks(values, excluded, na, nb))
+    faces = (na - 1) * (nb - 1)
+    assert [len(x.splitlines()) for x in blocks] == (
+        [min(_B, na * nb - i) for i in range(0, na * nb, _B)]
+        + [2 * min(_B, faces - i) for i in range(0, faces, _B)])
 
 
 @settings(max_examples=40, deadline=None)

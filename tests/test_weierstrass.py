@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grid_points
 import surface_reference
 from solitonlab.core import LVec3
 from solitonlab.errors import DomainError, PathError, UnknownSurface
@@ -360,8 +362,9 @@ def test_contour_integral_residue():
 def test_sample_evaluates_each_kept_point_as_a_scalar(name):
     surf = catalog_surface(name)
     # a grid through the origin, both axes and the points +-1, +-i
-    pts = GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9).points()
-    values, excluded = surf.sample(pts)
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9)
+    values, excluded = surf.sample(*grid.axes())
+    pts = grid_points.points(grid)
     assert values.shape == (81, 3) and excluded.any()
     for (u, v), row, ex in zip(pts, values.tolist(), excluded):
         assert ex == bool(surf.domain_exclusions(complex(u, v)))
@@ -375,14 +378,13 @@ def test_sample_evaluates_each_kept_point_as_a_scalar(name):
 def test_sample_and_eval_reject_a_non_real_component():
     surf = SurfaceMap(lambda u, v: (u, v, 1j if u > 0.5 else 0.0),
                       lambda z: abs(z) < 0.1)
-    pts = [(0.0, 0.0), (0.3, 0.0), (0.7, 0.0), (0.9, 0.0)]
-    for call in (lambda: surf.sample(pts), lambda: surf.eval(0.7 + 0j)):
+    for call in (lambda: surf.sample([0.0, 0.3, 0.7, 0.9], [0.0]), lambda: surf.eval(0.7 + 0j)):
         with pytest.raises(DomainError, match=r"^surface component not real at "
                                               r"\(0\.7\+0j\): 1j$"):
             call()
     with pytest.raises(DomainError, match="outside the surface domain"):
         surf.eval(0j)
-    values, excluded = surf.sample(pts[:2])
+    values, excluded = surf.sample([0.0, 0.3], [0.0])
     assert excluded.tolist() == [True, False]
     assert values[1].tolist() == [0.3, 0.0, 0.0]
     assert surf.eval(0.3 + 0j) == LVec3(0.3, 0.0, 0.0)
@@ -432,11 +434,26 @@ def test_sample_tests_exclusions_in_one_call():
         return surf.domain_exclusions(z)
 
     counted = SurfaceMap(surf.components, predicate)
-    pts = GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21).points()
-    values, excluded = counted.sample(pts)
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
+    values, excluded = counted.sample(*grid.axes())
     assert len(calls) == 1 and np.count_nonzero(excluded) == 4
-    assert np.array_equal(values, surf.sample(pts)[0], equal_nan=True)
+    # one call on the complex grid of the axes, each entry complex(u, v)
+    assert calls[0].tolist() == [complex(u, v) for u, v in grid_points.points(grid)]
+    assert np.array_equal(values, surf.sample(*grid.axes())[0], equal_nan=True)
     excluded[0] = not excluded[0]  # the mask is the caller's to keep
+
+
+def test_sample_calls_the_predicate_on_complex_u_v_bit_for_bit():
+    # signed zeros and infinities, which u + 1j * v would not keep
+    a, b = [-0.0, 0.0, 1.5, -math.inf], [-0.0, math.inf, -2.0]
+    calls = []
+    surf = SurfaceMap(lambda u, v: (u, v, 0.0), lambda z: calls.append(z) or z.real > 1.0)
+    values, excluded = surf.sample(a, b)
+    want = np.array([complex(u, v) for u, v in itertools.product(a, b)])
+    assert len(calls) == 1 and calls[0].tobytes() == want.tobytes()
+    assert excluded.tolist() == (want.real > 1.0).tolist()
+    assert values[~excluded].tobytes() == np.array(
+        [(u, v, 0.0) for u, v in itertools.product(a, b) if u <= 1.0]).tobytes()
 
 
 @pytest.mark.parametrize("predicate", [
@@ -451,9 +468,8 @@ def test_sample_of_a_predicate_that_rejects_arrays_raises_after_one_call(predica
         return predicate(z)
 
     surf = SurfaceMap(lambda u, v: evaluated.append((u, v)) or (u, v, 0.0), counted)
-    pts = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5).points()
     with pytest.raises((TypeError, ValueError)):
-        surf.sample(pts)
+        surf.sample(*GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5).axes())
     # one call on the array of all 25 parameters, and no point is evaluated
     assert len(calls) == 1 and np.shape(calls[0]) == (25,) and not evaluated
 
@@ -474,34 +490,37 @@ def _outcome(call):
        shape=st.tuples(st.integers(2, 12), st.integers(2, 12)))
 def test_sample_matches_the_point_by_point_loop(name, corners, shape):
     surf = catalog_surface(name)
-    pts = GridSpec(*corners, *shape).points()
-    got = _outcome(lambda: surf.sample(pts))
+    a, b = GridSpec(*corners, *shape).axes()
+    got = _outcome(lambda: surf.sample(a, b))
+    pts = list(itertools.product(a.tolist(), b.tolist()))
     assert got == _outcome(lambda: surface_reference.sample(surf, pts))
     assert isinstance(got[0], bytes)
 
 
+_DRAW = st.tuples(st.sampled_from([0.0, -0.0, 1e-20, 1j, 1e-3j, 2.0]),
+                  st.sampled_from([3, 3, 3, 2, 4]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(_part, _part, st.sampled_from([0.0, -0.0, 1e-20, 1j, 1e-3j, 2.0]),
-                          st.sampled_from([3, 3, 3, 2, 4])), min_size=1, max_size=12),
-       st.floats(-3.0, 3.0))
-def test_sample_raises_where_the_point_by_point_loop_raises(rows, cut):
+@given(st.lists(_part, min_size=0, max_size=4), st.lists(_part, min_size=1, max_size=4),
+       st.data(), st.floats(-3.0, 3.0))
+def test_sample_raises_where_the_point_by_point_loop_raises(a, b, data, cut):
     # each point's third component and row length are drawn; points with
     # u < cut are excluded.  A point drawn twice keeps its last draw.
-    drawn = {(u, v): (z, n) for u, v, z, n in rows}
+    pts = list(itertools.product(a, b))
+    drawn = dict(zip(pts, data.draw(st.lists(_DRAW, min_size=len(pts), max_size=len(pts)))))
 
     def components(u, v):
         z, n = drawn[u, v]
         return (u, v, z, 0.5)[:n]
 
     surf = SurfaceMap(components, lambda zeta: zeta.real < cut)
-    pts = [(u, v) for u, v, _, _ in rows]
-    assert _outcome(lambda: surf.sample(pts)) == _outcome(
+    assert _outcome(lambda: surf.sample(a, b)) == _outcome(
         lambda: surface_reference.sample(surf, pts))
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_sample_of_a_row_of_the_wrong_length_raises(n):
     surf = SurfaceMap(lambda u, v: (u, v, 0.0, 1.0)[:n] if u > 0.5 else (u, v, 0.0))
-    pts = [(0.0, 0.0), (0.7, 0.0), (0.9, 0.0)]
     with pytest.raises(ValueError, match=rf"shape \({n},\) into shape \(3,\)"):
-        surf.sample(pts)
+        surf.sample([0.0, 0.7, 0.9], [0.0])
