@@ -15,8 +15,14 @@ convergent product lie (Kahan's form, as in ``cmath.log``).  Terms and
 factors are evaluated in chunks of ``_CHUNK`` = 2^16, so very large K stay
 memory-bounded.
 
+The three surface identities are the two Ramanujan identities at arguments
+read off a catalog surface, as the paper derives them: the point
+p = ``weierstrass.catalog_surface(surface).eval(zeta)`` gives a Ramanujan term
+its (X, A), and a relation between p's coordinates is the left-hand side.
+
 Identity arguments are validity-gated: evaluation at an excluded point raises
-``ExcludedPoint`` rather than returning NaN.
+``ExcludedPoint`` rather than returning NaN.  A surface identity excludes what
+its surface excludes, and what its own clause on (zeta, p) adds.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import weierstrass
 from .errors import ExcludedPoint
 
 EXCLUSION_RADIUS = 1e-2
@@ -181,55 +188,52 @@ RAM_ARCTAN_SUM = IdentitySpec(
 )
 
 
-def _scherk_xy(zeta: complex):
-    x = math.log(abs((zeta + 1) / (zeta - 1)))
-    y = math.log(abs((zeta - 1j) / (zeta + 1j)))
-    return x, y
+def _point(surface: str, args):
+    """The point of the catalog surface over the identity's argument zeta."""
+    return weierstrass.catalog_surface(surface).eval(args[0])
 
 
-def _scherk_lhs(args):
-    zeta, = args
-    return math.log(abs((zeta * zeta - 1) / (zeta * zeta + 1)))
+def _valid_on(surface: str, clause: Optional[Callable] = None) -> Callable:
+    """The validity predicate of an identity on ``surface``: zeta lies
+    outside the surface's exclusions and, where given, ``clause(zeta, p)``
+    holds at its point p."""
+    def valid(args) -> bool:
+        if weierstrass.catalog_surface(surface).excluded(args[0]):
+            return False
+        return clause is None or clause(args[0], _point(surface, args))
+    return valid
 
 
 def _scherk_term(k, args):
-    # the two log series of the identity, paired per k: each pair collapses
-    # to a real log of a positive ratio
-    x, y = _scherk_xy(args[0])
-    c2 = ((k - 0.5) * math.pi) ** 2
-    return np.log((c2 + y * y) / (c2 + x * x))
+    # z = log cosh y - log cosh x, each cosh the cosine product at (X, A) =
+    # (iy, 0) or (ix, 0), whose factors are real
+    p = _point("scherk_first_kind", args)
+    return np.log(_cos_term(k, (1j * p.y, 0j)).real / _cos_term(k, (1j * p.x, 0j)).real)
 
 
 SCHERK_IDENTITY = IdentitySpec(
-    "scherk_identity", _scherk_lhs, _scherk_term, lambda args: 0.0, Kind.SUM,
-    validity=lambda args: min(abs(args[0] - p) for p in (1, -1, 1j, -1j)) > EXCLUSION_RADIUS,
+    "scherk_identity", lambda args: _point("scherk_first_kind", args).z, _scherk_term,
+    lambda args: 0.0, Kind.SUM, _valid_on("scherk_first_kind"),
 )
 
 
+def _heli2_args(args):
+    # the lead -i times cos(X + A)/cos A is -tanh y, which is z/x
+    y = _point("helicoid_second_kind", args).y
+    return 0.5 * math.pi + 2j * y, -1j * y
+
+
 def _heli2_lhs(args):
-    zeta, = args
-    return (zeta + 1 / zeta).imag / (zeta - 1 / zeta).imag
-
-
-def _heli2_term(k, args):
-    L = math.log(abs(args[0]))
-    num = ((k - 1) * math.pi + 1j * L) * (k * math.pi - 1j * L)
-    den = ((k - 0.5) * math.pi + 1j * L) * ((k - 0.5) * math.pi - 1j * L)
-    return num / den
-
-
-def _heli2_valid(args) -> bool:
-    zeta, = args
-    if abs(zeta) <= EXCLUSION_RADIUS:
-        return False
-    if abs(abs(zeta) - 1.0) <= EXCLUSION_RADIUS:
-        return False  # ln|zeta| = 0 collapses the k = 1 factor
-    return abs((zeta - 1 / zeta).imag) > EXCLUSION_RADIUS
+    p = _point("helicoid_second_kind", args)
+    return p.z / p.x
 
 
 HELICOID2_IDENTITY = IdentitySpec(
-    "helicoid2_identity", _heli2_lhs, _heli2_term,
-    lambda args: 1 / 1j, Kind.PRODUCT, _heli2_valid,
+    "helicoid2_identity", _heli2_lhs, lambda k, args: _cos_term(k, _heli2_args(args)),
+    lambda args: -1j, Kind.PRODUCT,
+    # |zeta| = 1 (y = 0) collapses the k = 1 factor, and x = 0 divides the lhs
+    _valid_on("helicoid_second_kind", lambda zeta, p: abs(abs(zeta) - 1.0) > EXCLUSION_RADIUS
+              and abs(p.x) > EXCLUSION_RADIUS / 2),
 )
 
 
@@ -238,41 +242,27 @@ def quadrant_constant(u: float, v: float) -> float:
     return 0.5 * math.pi if u * v >= 0 else -0.5 * math.pi
 
 
+def _lorentz_args(args):
+    p = _point("lorentzian_helicoid", args)
+    return -p.y, p.x
+
+
 def _lorentz_lhs(args):
-    zeta, = args
-    R = (zeta + 1 / zeta).real
-    I = (zeta - 1 / zeta).imag
-    y, x = -0.5 * R, 0.5 * I
-    t = math.tanh(y)
-    inner = 0.0 if t == 0.0 else math.atan(t / math.tan(x))
-    return cmath.log(zeta).imag - inner
+    p = _point("lorentzian_helicoid", args)
+    return p.z - math.atan(math.tanh(p.y) / math.tan(p.x))
 
 
-def _lorentz_term(k, args):
-    zeta, = args
-    R = (zeta + 1 / zeta).real
-    I = (zeta - 1 / zeta).imag
-    return np.arctan(R / (I - 2 * k * math.pi)) + np.arctan(R / (I + 2 * k * math.pi))
-
-
-def _lorentz_valid(args) -> bool:
-    zeta, = args
-    if abs(zeta) <= EXCLUSION_RADIUS:
-        return False
-    if zeta.real <= 0.0 and abs(zeta.imag) <= EXCLUSION_RADIUS:
-        return False  # principal-arg branch cut
-    return abs((zeta - 1 / zeta).imag) > 1e-9  # cot argument x != 0
-
-
-# The literal form of the third identity: the lhs uses the principal argument
-# Im(log zeta) and the constant follows the quadrant rule.  The defect
-# converges to 0 for Re zeta > 0 (and on the upper imaginary axis); in the left
-# half-plane the two sides agree modulo pi (the proof's arctan branch), which
-# ``convergence mod pi`` tests can assert.
+# The literal form of the third identity: the height z is the principal
+# argument and the constant follows the quadrant rule.  The defect converges
+# to 0 for Re zeta > 0 (and on the upper imaginary axis); in the left
+# half-plane the two sides agree modulo pi (the proof's arctan branch, the
+# helicoid's graph z = atan(y/x) + pi/2 mod pi), which ``convergence mod pi``
+# tests can assert.
 LORENTZ_HELICOID_IDENTITY = IdentitySpec(
-    "lorentz_helicoid_identity", _lorentz_lhs, _lorentz_term,
-    lambda args: quadrant_constant(args[0].real, args[0].imag),
-    Kind.SUM, _lorentz_valid,
+    "lorentz_helicoid_identity", _lorentz_lhs,
+    lambda k, args: _atan_term(k, _lorentz_args(args)),
+    lambda args: quadrant_constant(args[0].real, args[0].imag), Kind.SUM,
+    _valid_on("lorentzian_helicoid", lambda zeta, p: abs(p.x) > 5e-10),  # tan x != 0
 )
 
 REGISTRY = {s.name: s for s in (

@@ -105,10 +105,6 @@ class GridSpec:
         db = (self.b_max - self.b_min) / (self.nb - 1)
         return self.a_min + np.arange(self.na) * da, self.b_min + np.arange(self.nb) * db
 
-    def step(self) -> float:
-        return max((self.a_max - self.a_min) / (self.na - 1),
-                   (self.b_max - self.b_min) / (self.nb - 1))
-
     def as_text(self) -> str:
         """The spec for ``parse``: each bound in ``:g``, or in ``repr`` where
         ``:g`` would lose digits."""

@@ -108,7 +108,7 @@ def test_criterion_3_proposition_1_suite():
 
     # lightlike detection within one grid step of y = +-z, nowhere else
     grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17)  # step 0.25, exact floats
-    step = grid.step()
+    step = 0.25
     ok_light = True
     fired = 0
     for (y, z) in grid_points.points(grid):

@@ -473,7 +473,8 @@ _RUNS = {"cli", "errors", "reportio"}  # what every command loads
 
 
 # The benchmark's six CLI commands (bench/workloads.py), on small inputs, and
-# the solitonlab modules each loads besides the package itself.
+# a Ramanujan identity, with the solitonlab modules each loads besides the
+# package itself.  The surface identities read their catalog surface.
 _COMMAND_MODULES = {
     "catalog": (["catalog", "list"],
                 _RUNS | {"core", "identities", "jetmath", "pde", "quadrature", "weierstrass"}),
@@ -482,7 +483,10 @@ _COMMAND_MODULES = {
     "geometry": (["geometry", "classify", "--solution", "example1", "--grid", "-2:2:-2:2:5:5"],
                  _RUNS | {"core", "geometry", "jetmath", "pde"}),
     "identity": (["identity", "--name", "helicoid2_identity", "--zeta", "1.5+0.7j",
-                  "--K", "10,100"], _RUNS | {"identities"}),
+                  "--K", "10,100"],
+                 _RUNS | {"core", "identities", "jetmath", "quadrature", "weierstrass"}),
+    "ram_arctan_sum": (["identity", "--name", "ram_arctan_sum", "--X", "1", "--A", "0.7",
+                        "--K", "10,100"], _RUNS | {"identities"}),
     "family": (["family", "--num-points", "2", "--theta-list", "0,0.7"],
                _RUNS | {"core", "family", "geometry", "jetmath", "pde", "quadrature",
                         "weierstrass"}),

@@ -1,9 +1,12 @@
 """Every top-level function, class, table and constant of the package earns
 its keep: it is used by the package, the scripts or the benchmark, or exported
 from ``solitonlab/__init__.py`` (a key of its ``_EXPORTS`` table).  A wrapper
-that only tests call, or a table that only tests read, fails here."""
+that only tests call, or a table that only tests read, fails here.  So does a
+method of a top-level class that the package, the scripts and the benchmark
+never read as an attribute, unless it overrides a base class's method."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import solitonlab
@@ -66,3 +69,24 @@ def test_every_top_level_assignment_is_read_or_exported():
                 unread += [f"{path.name}:{node.lineno} {name}" for name in _assigned_names(node)
                            if not name.startswith("__") and name not in read | exported]
     assert not unread, "assigned but read nowhere outside tests: " + ", ".join(unread)
+
+
+def test_every_method_is_read_or_overrides_a_base_method():
+    read = set()
+    for tree in _sources():
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"solitonlab.{path.stem}")
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            unread += [f"{path.name}:{f.lineno} {node.name}.{f.name}" for f in node.body
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not f.name.startswith("__") and f.name not in read
+                       and not any(hasattr(base, f.name) for base in bases)]
+    assert not unread, "methods read nowhere outside tests: " + ", ".join(unread)

@@ -178,7 +178,7 @@ def test_lightlike_set_detected_exactly_on_diagonals():
     # step 0.25 is exactly representable, so the grid hits y = +-z exactly
     g = example1_graph()
     grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17)
-    step = grid.step()
+    step = 0.25
     hits = []
     for (y, z) in grid_points.points(grid):
         if g.excluded(y, z):

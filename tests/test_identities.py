@@ -4,11 +4,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import identity_reference as reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solitonlab import identities
+from solitonlab.core import LVec3
 from solitonlab.errors import ExcludedPoint
 from solitonlab.identities import (
     _CHUNK,
@@ -25,7 +28,6 @@ from solitonlab.identities import (
     evaluate,
     quadrant_constant,
 )
-from solitonlab.weierstrass import catalog_surface
 
 
 # -- Ramanujan cosine product -------------------------------------------------
@@ -199,20 +201,6 @@ def test_helicoid2_unit_circle_excluded():
         evaluate(HELICOID2_IDENTITY, (1.5 + 0j,), 10)  # real axis: lhs undefined
 
 
-def test_helicoid2_matches_catalog_surface_ratio():
-    surf = catalog_surface("helicoid_second_kind")
-    rng = np.random.default_rng(17)
-    done = 0
-    while done < 20:
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(z) < 0.3 or abs(abs(z) - 1) < 0.05 or abs((z - 1 / z).imag) < 0.1:
-            continue
-        done += 1
-        p = surf.eval(z)
-        r = evaluate(HELICOID2_IDENTITY, (z,), 10)
-        assert abs(r.lhs - p.z / p.x) <= 1e-10
-
-
 # -- Lorentzian helicoid identity --------------------------------------------
 
 def test_quadrant_constant_table():
@@ -263,6 +251,109 @@ def test_lorentz_identity_excluded_points():
         evaluate(LORENTZ_HELICOID_IDENTITY, (0.001 + 0j,), 10)
     with pytest.raises(ExcludedPoint):
         evaluate(LORENTZ_HELICOID_IDENTITY, (-1 + 0.001j,), 10)  # principal-arg cut
+
+
+# -- surface identities against their hand-written forms ----------------------
+
+_HAND_WRITTEN_VALIDITY = {
+    "scherk_identity": reference._scherk_valid,
+    "helicoid2_identity": reference._heli2_valid,
+    "lorentz_helicoid_identity": reference._lorentz_valid,
+}
+_TERMS = np.arange(1, 2001)
+
+
+def _random_zetas(spec, n, seed):
+    """``n`` random zeta with 0.3 <= |zeta| <= 3 at which ``spec`` is valid."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        z = complex(rng.uniform(0.3, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        if spec.validity((z,)):
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_WRITTEN_VALIDITY))
+def test_surface_identity_is_valid_where_the_hand_written_one_is(name):
+    valid = _HAND_WRITTEN_VALIDITY[name]
+    rng = np.random.default_rng(29)
+    zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(2000)]
+    zs += [1, -1, 1j, -1j, 1.005, 0.001, 1.5, -1 + 0.001j, cmath.exp(0.7j)]
+    assert [REGISTRY[name].validity((complex(z),)) for z in zs] == \
+        [valid((complex(z),)) for z in zs]
+
+
+def test_scherk_identity_matches_the_hand_written_series():
+    for z in _random_zetas(SCHERK_IDENTITY, 200, seed=31):
+        assert abs(SCHERK_IDENTITY.lhs((z,)) - reference._scherk_lhs((z,))) <= 2.2e-16, z
+        assert np.abs(SCHERK_IDENTITY.rhs_term(_TERMS, (z,))
+                      - reference._scherk_term(_TERMS, (z,))).max() <= 4.5e-16, z
+
+
+def test_helicoid2_identity_matches_the_hand_written_product():
+    # The k = 1 factor, -iy / (pi/2 + iy) times (pi + iy) / (pi/2 - iy), is
+    # computed as 1 - X/(pi/2 - A): the cancellation costs a relative
+    # eps/|y| (at most 3.3 eps/|y| measured over 3,000 zeta).
+    for z in _random_zetas(HELICOID2_IDENTITY, 200, seed=37):
+        old = reference._heli2_term(_TERMS, (z,))
+        rel = np.abs(HELICOID2_IDENTITY.rhs_term(_TERMS, (z,)) - old) / np.abs(old)
+        assert rel[1:].max() <= 1e-15, z
+        assert rel[0] <= 1e-15 / abs(math.log(abs(z))), z
+
+
+def test_helicoid2_matches_catalog_surface_ratio():
+    # the lhs z/x is, bit for bit, the ratio that the cli_session gate recomputes
+    for z in _random_zetas(HELICOID2_IDENTITY, 200, seed=17):
+        lhs = HELICOID2_IDENTITY.lhs((z,))
+        assert lhs == (z + 1 / z).imag / (z - 1 / z).imag, z
+
+
+def test_lorentz_helicoid_identity_rows_are_the_hand_written_ones():
+    hand_written = dataclasses.replace(
+        LORENTZ_HELICOID_IDENTITY, lhs=reference._lorentz_lhs,
+        rhs_term=reference._lorentz_term, validity=reference._lorentz_valid)
+    for z in _random_zetas(LORENTZ_HELICOID_IDENTITY, 200, seed=41):
+        assert np.array_equal(LORENTZ_HELICOID_IDENTITY.rhs_term(_TERMS, (z,)),
+                              reference._lorentz_term(_TERMS, (z,))), z
+        got, want = (evaluate(spec, (z,), 2000) for spec in (LORENTZ_HELICOID_IDENTITY,
+                                                              hand_written))
+        assert (*_bits(got), got.est_order.hex()) == (*_bits(want), want.est_order.hex()), z
+
+
+def _swap_xy(point):
+    def swapped(surface, args):
+        p = point(surface, args)
+        return LVec3(p.y, p.x, p.z)
+    return swapped
+
+
+def _negate_y(point):
+    def negated(surface, args):
+        p = point(surface, args)
+        return LVec3(p.x, -p.y, p.z)
+    return negated
+
+
+def _shift_a(arg_map):
+    def shifted(args):
+        X, A = arg_map(args)
+        return X, A + 0.01
+    return shifted
+
+
+# A wrong argument map must fail.  At K = 1,000 the errors measured 1.02,
+# 0.667 and 2.6e-3 with these maps, against 1.2e-4, 9.1e-5 and 1.1e-4.
+@pytest.mark.parametrize("name,zeta,attr,mutant", [
+    ("scherk_identity", 2 + 0j, "_point", _swap_xy),
+    ("helicoid2_identity", 1 + 1j, "_point", _negate_y),
+    ("lorentz_helicoid_identity", 1 + 1j, "_lorentz_args", _shift_a),
+])
+def test_a_wrong_argument_map_fails(name, zeta, attr, mutant, monkeypatch):
+    spec = REGISTRY[name]
+    assert evaluate(spec, (zeta,), 1000).abs_err < 1e-3
+    monkeypatch.setattr(identities, attr, mutant(getattr(identities, attr)))
+    assert evaluate(spec, (zeta,), 1000).abs_err > 1e-3
 
 
 # -- convergence order machinery ----------------------------------------------
