@@ -27,7 +27,7 @@ from .core import (DEFAULT_CENTRAL_H, CentralDiff, ExactJet, LVec3, ScalarField2
 from .errors import DegenerateError, DomainError, StencilExcluded
 from .jetmath import TJet
 from .pde import (_BLOCK, SINGULAR, Equation, GridSpec, _residual_from_jet, kept_points,
-                  sweep_blocks, wick_lorentzian_catenoid_field, worst)
+                  solution, sweep_blocks, worst)
 
 TOL_DEGENERATE = 1e-9  # far above roundoff, far below grid-scale variation
 
@@ -234,7 +234,7 @@ def example1_graph() -> ScalarField2:
     """The Born-Infeld soliton graph whose tangent planes degenerate exactly
     on {y = +-z}.  The open region z^2 < y^2 (complex values) is excluded;
     the degenerate lines themselves are kept so they can be classified."""
-    base = wick_lorentzian_catenoid_field(margin=0.0)
+    base = solution("wick_lorentzian_catenoid", margin=0.0).field
     return ScalarField2(base.evaluator, base.backend,
                         domain_exclusions=lambda y, z: z * z - y * y < 0.0)
 

@@ -297,7 +297,8 @@ def convergence_order(spec: IdentitySpec, args, K_list,
     """One row per K (strictly increasing), each with the partial sum or
     product S(K), accumulated from k = 1, and its error against the lhs.
     ``args`` become floats for a real identity and complex numbers otherwise,
-    so a non-real argument to a real identity raises ``TypeError``.
+    so a non-real argument to a real identity raises ``TypeError``, and ones
+    outside the hypotheses, or where the lhs is not finite, ``ExcludedPoint``.
 
     ``correction(args, K)`` is an optional additive tail estimate applied
     before measuring the error (the reported partial stays uncorrected), such
@@ -310,7 +311,12 @@ def convergence_order(spec: IdentitySpec, args, K_list,
     if not spec.validity(args):
         raise ExcludedPoint(f"{spec.name}: arguments {args!r} violate the "
                             "identity's hypotheses")
-    lhs = complex(spec.lhs(args))
+    try:
+        lhs = complex(spec.lhs(args))
+    except OverflowError:
+        lhs = complex(math.inf)
+    if not cmath.isfinite(lhs):
+        raise ExcludedPoint(f"{spec.name}: the left-hand side at {args!r} is not finite")
 
     def err(acc, K):
         p = _finish(spec, args, acc)

@@ -9,6 +9,10 @@ The three equations, for a field u(a, b) with jets taken in (a, b):
 
 Substituting a -> i a carries maximal solutions to Born-Infeld solutions and
 back; substituting b -> i b does the same for minimal solutions.
+
+The catalog holds four maximal graphs, their four x-Wick rotations and two
+minimal graphs, each one record of ``_CATALOG``; ``DEFAULT_GRIDS`` and
+``WICK_GRIDS`` are read off it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -98,6 +102,8 @@ class GridSpec:
             raise ValueError("grid needs at least 2 points per axis")
         if not all(map(math.isfinite, (self.a_min, self.a_max, self.b_min, self.b_max))):
             raise ValueError("grid bounds must be finite")
+        if not (math.isfinite(self.a_max - self.a_min) and math.isfinite(self.b_max - self.b_min)):
+            raise ValueError("grid spans must be finite")
 
     def axes(self) -> tuple:
         """The a of each row and the b of each column, float arrays."""
@@ -293,124 +299,84 @@ def residual_sweep(fld: ScalarField2, equation: Equation, grid: GridSpec,
 
 # -- catalog ---------------------------------------------------------------
 
-def _field(ev, exclusions=None) -> ScalarField2:
-    return ScalarField2(ev, ExactJet(), exclusions)
+@dataclass(frozen=True)
+class _Record:
+    """One catalog solution: its equation, domain, default sweep grid (a safe
+    distance from the singular locus), u(a, b, k), excluded(a, b, margin) or
+    None, the grid where its x-Wick rotation stays finite (maximal entries)
+    or None, and whether it divides by k."""
+    equation: Equation
+    domain_note: str
+    grid: GridSpec
+    u: Callable
+    excluded: Optional[Callable] = None
+    wick_grid: Optional[GridSpec] = None
+    nonzero_k: bool = False
 
 
-def _nonzero_k(k: float, name: str) -> None:
-    if k == 0:
-        raise ValueError(f"{name} needs k != 0")
-
-
-def helicoid_first_kind_field(k: float = 1.0, margin: float = DEFAULT_MARGIN) -> ScalarField2:
-    _nonzero_k(k, "helicoid_first_kind")
-    return _field(lambda a, b: jm.atan(b / a) / k,
-                  lambda a, b: abs(a) <= margin)
-
-
-def helicoid_second_kind_field(k: float = 1.0) -> ScalarField2:
-    return _field(lambda a, b: a * jm.tanh(k * b))
-
-
-def lorentzian_catenoid_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
-    return _field(lambda a, b: jm.asinh(jm.sqrt(a * a + b * b)),
-                  lambda a, b: a * a + b * b <= margin * margin)
-
-
-def scherk_first_kind_field() -> ScalarField2:
-    return _field(lambda a, b: jm.log(jm.cosh(b)) - jm.log(jm.cosh(a)))
-
-
-def wick_helicoid_first_kind_field(k: float = 1.0, margin: float = DEFAULT_MARGIN) -> ScalarField2:
-    _nonzero_k(k, "wick_helicoid_first_kind")
-    return _field(lambda a, b: -1j / k * jm.atanh(b / a),
-                  lambda a, b: (abs(a) <= margin) | (abs(b) >= abs(a) * (1 - margin)))
-
-
-def wick_helicoid_second_kind_field(k: float = 1.0) -> ScalarField2:
-    return _field(lambda a, b: 1j * a * jm.tanh(k * b))
-
-
-def wick_scherk_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
-    return _field(lambda a, b: jm.log(jm.cosh(b)) - jm.log(jm.cos(a)),
-                  lambda a, b: abs(np.cos(a)) <= margin)
-
-
-def wick_lorentzian_catenoid_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
-    # Wick rotation of the Lorentzian catenoid; real where |b| > |a|.
-    return _field(lambda a, b: jm.asinh(jm.sqrt(b * b - a * a)),
-                  lambda a, b: abs(b) - abs(a) <= margin)
-
-
-def helicoid_minimal_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
-    return _field(lambda a, b: jm.atan(b / a),
-                  lambda a, b: abs(a) <= margin)
-
-
-def scherk_minimal_field(margin: float = DEFAULT_MARGIN) -> ScalarField2:
-    return _field(lambda a, b: jm.log(jm.cos(b)) - jm.log(jm.cos(a)),
-                  lambda a, b: (abs(np.cos(a)) <= margin) | (abs(np.cos(b)) <= margin))
-
-
-# name -> (builder, the arguments of ``solution`` it takes, equation, domain)
-_CATALOG_BUILDERS = {
-    "helicoid_first_kind": (
-        helicoid_first_kind_field, ("k", "margin"), Equation.MAXIMAL,
-        "a != 0; k != 0 (default 1)"),
-    "helicoid_second_kind": (
-        helicoid_second_kind_field, ("k",), Equation.MAXIMAL, "entire plane"),
-    "lorentzian_catenoid": (
-        lorentzian_catenoid_field, ("margin",), Equation.MAXIMAL, "(a, b) != (0, 0)"),
-    "scherk_first_kind": (scherk_first_kind_field, (), Equation.MAXIMAL, "entire plane"),
-    "wick_helicoid_first_kind": (
-        wick_helicoid_first_kind_field, ("k", "margin"), Equation.BORN_INFELD,
-        "|b| < |a| (conservative implementation choice)"),
-    "wick_helicoid_second_kind": (
-        wick_helicoid_second_kind_field, ("k",), Equation.BORN_INFELD, "entire plane"),
-    "wick_scherk": (wick_scherk_field, ("margin",), Equation.BORN_INFELD, "cos a != 0"),
-    "wick_lorentzian_catenoid": (
-        wick_lorentzian_catenoid_field, ("margin",), Equation.BORN_INFELD, "|b| > |a|"),
-    "helicoid_minimal": (helicoid_minimal_field, ("margin",), Equation.MINIMAL, "a != 0"),
-    "scherk_minimal": (
-        scherk_minimal_field, ("margin",), Equation.MINIMAL, "cos a != 0, cos b != 0"),
+_CATALOG = {
+    "helicoid_first_kind": _Record(
+        Equation.MAXIMAL, "a != 0; k != 0 (default 1)", GridSpec(0.5, 2.5, -1.0, 1.0, 41, 41),
+        lambda a, b, k: jm.atan(b / a) / k, lambda a, b, margin: abs(a) <= margin,
+        GridSpec(1.0, 3.0, -0.8, 0.8, 21, 21), nonzero_k=True),
+    "helicoid_second_kind": _Record(
+        Equation.MAXIMAL, "entire plane", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
+        lambda a, b, k: a * jm.tanh(k * b), wick_grid=GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)),
+    "lorentzian_catenoid": _Record(
+        Equation.MAXIMAL, "(a, b) != (0, 0)", GridSpec(0.5, 2.0, -1.0, 1.0, 41, 41),
+        lambda a, b, k: jm.asinh(jm.sqrt(a * a + b * b)),
+        lambda a, b, margin: a * a + b * b <= margin * margin,
+        GridSpec(-0.8, 0.8, 1.0, 3.0, 21, 21)),
+    "scherk_first_kind": _Record(
+        Equation.MAXIMAL, "entire plane", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
+        lambda a, b, k: jm.log(jm.cosh(b)) - jm.log(jm.cosh(a)),
+        wick_grid=GridSpec(-1.2, 1.2, -1.0, 1.0, 21, 21)),
+    "wick_helicoid_first_kind": _Record(
+        Equation.BORN_INFELD, "|b| < |a| (conservative implementation choice)",
+        GridSpec(1.0, 3.0, -0.6, 0.6, 41, 41), lambda a, b, k: -1j / k * jm.atanh(b / a),
+        lambda a, b, margin: (abs(a) <= margin) | (abs(b) >= abs(a) * (1 - margin)),
+        nonzero_k=True),
+    "wick_helicoid_second_kind": _Record(
+        Equation.BORN_INFELD, "entire plane", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
+        lambda a, b, k: 1j * a * jm.tanh(k * b)),
+    "wick_scherk": _Record(
+        Equation.BORN_INFELD, "cos a != 0", GridSpec(-1.2, 1.2, -1.0, 1.0, 41, 41),
+        lambda a, b, k: jm.log(jm.cosh(b)) - jm.log(jm.cos(a)),
+        lambda a, b, margin: abs(np.cos(a)) <= margin),
+    "wick_lorentzian_catenoid": _Record(  # the Wick rotation of the Lorentzian catenoid
+        Equation.BORN_INFELD, "|b| > |a|", GridSpec(-0.8, 0.8, 1.0, 3.0, 41, 41),
+        lambda a, b, k: jm.asinh(jm.sqrt(b * b - a * a)),
+        lambda a, b, margin: abs(b) - abs(a) <= margin),
+    "helicoid_minimal": _Record(
+        Equation.MINIMAL, "a != 0", GridSpec(0.5, 2.5, -1.0, 1.0, 41, 41),
+        lambda a, b, k: jm.atan(b / a), lambda a, b, margin: abs(a) <= margin),
+    "scherk_minimal": _Record(
+        Equation.MINIMAL, "cos a != 0, cos b != 0", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
+        lambda a, b, k: jm.log(jm.cos(b)) - jm.log(jm.cos(a)),
+        lambda a, b, margin: (abs(np.cos(a)) <= margin) | (abs(np.cos(b)) <= margin)),
 }
 
-# Default sweep grids keep a safe distance from each entry's singular locus.
-DEFAULT_GRIDS = {
-    "helicoid_first_kind": GridSpec(0.5, 2.5, -1.0, 1.0, 41, 41),
-    "helicoid_second_kind": GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
-    "lorentzian_catenoid": GridSpec(0.5, 2.0, -1.0, 1.0, 41, 41),
-    "scherk_first_kind": GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
-    "wick_helicoid_first_kind": GridSpec(1.0, 3.0, -0.6, 0.6, 41, 41),
-    "wick_helicoid_second_kind": GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
-    "wick_scherk": GridSpec(-1.2, 1.2, -1.0, 1.0, 41, 41),
-    "wick_lorentzian_catenoid": GridSpec(-0.8, 0.8, 1.0, 3.0, 41, 41),
-    "helicoid_minimal": GridSpec(0.5, 2.5, -1.0, 1.0, 41, 41),
-    "scherk_minimal": GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41),
-}
-
-# Grids on which the x-Wick rotation of each maximal entry stays finite.
-WICK_GRIDS = {
-    "helicoid_first_kind": GridSpec(1.0, 3.0, -0.8, 0.8, 21, 21),
-    "helicoid_second_kind": GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21),
-    "lorentzian_catenoid": GridSpec(-0.8, 0.8, 1.0, 3.0, 21, 21),
-    "scherk_first_kind": GridSpec(-1.2, 1.2, -1.0, 1.0, 21, 21),
-}
+DEFAULT_GRIDS = {name: r.grid for name, r in _CATALOG.items()}
+WICK_GRIDS = {name: r.wick_grid for name, r in _CATALOG.items() if r.wick_grid is not None}
 
 
 def catalog_names() -> list:
-    return sorted(_CATALOG_BUILDERS)
+    return sorted(_CATALOG)
 
 
 def solution(name: str, k: float = 1.0, margin: float = DEFAULT_MARGIN) -> SolutionEntry:
     """Build a catalog entry; ``k`` feeds the helicoid families and ``margin``
     the entries with exclusions, others ignore them."""
     try:
-        builder, takes, eqn, note = _CATALOG_BUILDERS[name]
+        r = _CATALOG[name]
     except KeyError:
         raise UnknownSurface(f"no catalog solution named {name!r}") from None
-    params = {"k": k, "margin": margin}
-    return SolutionEntry(name, builder(**{p: params[p] for p in takes}), eqn, note)
+    if r.nonzero_k and k == 0:
+        raise ValueError(f"{name} needs k != 0")
+    u, excluded = r.u, r.excluded
+    fld = ScalarField2(lambda a, b: u(a, b, k), ExactJet(),
+                       None if excluded is None else lambda a, b: excluded(a, b, margin))
+    return SolutionEntry(name, fld, r.equation, r.domain_note)
 
 
 def catalog() -> list:

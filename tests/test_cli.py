@@ -154,6 +154,15 @@ def test_identity_excluded_point_is_failure(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("X,A", [("1", "800j"), ("800j", "0.3")])
+def test_identity_whose_lhs_overflows_is_failure(X, A, capsys):
+    code, out, err = run(["identity", "--name", "ram_cos_product",
+                          "--X", X, "--A", A, "--K", "10"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ram_cos_product: the left-hand side at (")
+    assert err.endswith("is not finite\n") and err.count("\n") == 1
+
+
 def test_surface_obj_export(tmp_path, capsys):
     out_path = tmp_path / "scherk.obj"
     code, out, err = run(["surface", "sample", "--name", "scherk_first_kind",
@@ -367,6 +376,19 @@ def test_residual_sweeps_script_fails_a_wrong_soliton_family(monkeypatch, capsys
     assert module.main([]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "<-- FAIL" in line]
     assert len(failed) == 1 and failed[0].startswith("helicoid_catenoid soliton family")
+
+
+def test_residual_sweeps_script_fails_an_unrotated_maximal_entry(monkeypatch, capsys):
+    # without the rotation a maximal entry is not a Born-Infeld solution:
+    # each of the four x-Wick rows must fail, and the script exit 1
+    module = _script("residual_sweeps")
+    monkeypatch.setattr(module, "wick_rotate_x", lambda fld: fld)
+    assert module.main([]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "<-- FAIL" in line]
+    assert [line.split()[0] for line in failed] == [
+        "wick_x(helicoid_first_kind)", "wick_x(helicoid_second_kind)",
+        "wick_x(lorentzian_catenoid)", "wick_x(scherk_first_kind)"]
+    assert all(float(line.split()[2]) > 0.5 for line in failed)
 
 
 @pytest.mark.parametrize("K,message", [
@@ -593,6 +615,12 @@ def test_readme_commands_run_without_scipy(tmp_path):
      "error: grid bounds must be finite\n"),
     (["residual", "--solution", "scherk_minimal", "--grid=-inf:1:0:1:3:3"],
      "error: grid bounds must be finite\n"),
+    (["residual", "--solution", "scherk_minimal", "--grid=-1e308:1e308:-1:1:3:3"],
+     "error: grid spans must be finite\n"),
+    (["geometry", "classify", "--solution", "example1", "--grid=-1:1:-1e308:1e308:3:3"],
+     "error: grid spans must be finite\n"),
+    (["surface", "sample", "--name", "scherk_first_kind", "--grid=-1e308:1e308:-1:1:3:3"],
+     "error: grid spans must be finite\n"),
     (["residual", "--solution", "helicoid_first_kind", "--k", "0"],
      "error: helicoid_first_kind needs k != 0\n"),
     (["residual", "--solution", "wick_helicoid_first_kind", "--k", "0"],

@@ -83,6 +83,19 @@ def test_cos_product_excluded_near_half_odd_pi():
         evaluate(RAM_COS_PRODUCT, (0.3, -3 * math.pi / 2), 10)
 
 
+@pytest.mark.parametrize("args", [(1, 800j), (800j, 0.3)])
+def test_cos_product_excluded_where_its_lhs_overflows(args):
+    # cmath.cos raises OverflowError at 800j; a table needs a finite lhs
+    with pytest.raises(ExcludedPoint, match="left-hand side .* is not finite"):
+        evaluate(RAM_COS_PRODUCT, args, 10)
+
+
+def test_a_non_finite_lhs_is_an_excluded_point():
+    spec = dataclasses.replace(RAM_COS_PRODUCT, lhs=lambda args: complex(math.inf, 0.0))
+    with pytest.raises(ExcludedPoint, match="not finite"):
+        convergence_order(spec, (0.3, 0.2), [10, 100])
+
+
 # -- Ramanujan arctangent sum -------------------------------------------------
 
 def test_arctan_sum_trivial_x_zero():

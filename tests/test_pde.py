@@ -25,7 +25,6 @@ from solitonlab.pde import (
     summarize,
     wick_rotate_t,
     wick_rotate_x,
-    wick_scherk_field,
     worst,
 )
 
@@ -37,7 +36,8 @@ def test_affine_fields_solve_all_three_equations_exactly():
 
 
 def test_born_infeld_wick_scherk_point():
-    assert abs(equation_residual(wick_scherk_field(), Equation.BORN_INFELD, 0.3, 0.5)) <= 1e-6
+    fld = solution("wick_scherk").field
+    assert abs(equation_residual(fld, Equation.BORN_INFELD, 0.3, 0.5)) <= 1e-6
 
 
 def test_born_infeld_wick_helicoid2_point():
@@ -146,6 +146,40 @@ def test_wick_closure_of_maximal_entries():
         rot = wick_rotate_x(solution(name).field)
         rep = residual_sweep(rot, Equation.BORN_INFELD, grid, name=name)
         assert rep.max_abs <= 1e-6, (name, rep.max_abs)
+
+
+@pytest.mark.parametrize("bounds", [(-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, 1e308, -1e308)])
+def test_grid_spans_must_be_finite(bounds):
+    # each bound is finite, but its axis's span overflows to inf
+    with pytest.raises(ValueError, match="^grid spans must be finite$"):
+        GridSpec(*bounds, 3, 3)
+    a, _b = GridSpec(-8e307, 8e307, -1.0, 1.0, 3, 3).axes()
+    assert a.tolist() == [-8e307, 0.0, 8e307]
+
+
+def test_grid_tables_are_read_off_the_catalog():
+    assert sorted(DEFAULT_GRIDS) == catalog_names()
+    assert list(WICK_GRIDS) == ["helicoid_first_kind", "helicoid_second_kind",
+                                "lorentzian_catenoid", "scherk_first_kind"]
+    assert list(DEFAULT_GRIDS.items()) == [
+        ("helicoid_first_kind", GridSpec(0.5, 2.5, -1.0, 1.0, 41, 41)),
+        ("helicoid_second_kind", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)),
+        ("lorentzian_catenoid", GridSpec(0.5, 2.0, -1.0, 1.0, 41, 41)),
+        ("scherk_first_kind", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)),
+        ("wick_helicoid_first_kind", GridSpec(1.0, 3.0, -0.6, 0.6, 41, 41)),
+        ("wick_helicoid_second_kind", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)),
+        ("wick_scherk", GridSpec(-1.2, 1.2, -1.0, 1.0, 41, 41)),
+        ("wick_lorentzian_catenoid", GridSpec(-0.8, 0.8, 1.0, 3.0, 41, 41)),
+        ("helicoid_minimal", GridSpec(0.5, 2.5, -1.0, 1.0, 41, 41)),
+        ("scherk_minimal", GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)),
+    ]
+    assert WICK_GRIDS == {
+        "helicoid_first_kind": GridSpec(1.0, 3.0, -0.8, 0.8, 21, 21),
+        "helicoid_second_kind": GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21),
+        "lorentzian_catenoid": GridSpec(-0.8, 0.8, 1.0, 3.0, 21, 21),
+        "scherk_first_kind": GridSpec(-1.2, 1.2, -1.0, 1.0, 21, 21),
+    }
+    assert all(solution(name).equation is Equation.MAXIMAL for name in WICK_GRIDS)
 
 
 def _rotations():
@@ -558,7 +592,8 @@ def test_backend_label_names_the_central_fallback():
     rep = residual_sweep(branching, Equation.MAXIMAL, GridSpec(0.5, 1.0, 0.5, 1.0, 3, 3))
     assert rep.backend == "exact+central-fallback"
     assert rep.max_abs == pytest.approx(2.0, abs=1e-5)
-    assert residual_sweep(wick_scherk_field(), Equation.BORN_INFELD, grid).backend == "exact"
+    fld = solution("wick_scherk").field
+    assert residual_sweep(fld, Equation.BORN_INFELD, grid).backend == "exact"
 
 
 def test_sweep_stencil_on_an_exclusion_raises_at_the_first_such_point():
@@ -674,7 +709,7 @@ def test_grid_coords_are_the_python_expression():
 def _fallback_cases():
     # (predicate, another that gives the same mask, field, equation, grid)
     margin = 0.1
-    yield ("bare False", None, lambda a, b: False, wick_scherk_field(margin),
+    yield ("bare False", None, lambda a, b: False, solution("wick_scherk", margin=margin).field,
            Equation.BORN_INFELD, GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11))
 
 

@@ -279,8 +279,10 @@ def test_singular_integrand_stops_when_bisection_no_longer_helps(fvec, max_calls
 
 
 @pytest.mark.xfail(strict=True, raises=QuadratureError, reason=(
-    "CHANGES.md FOUND line on the no-gain stop: it fires on analytic integrands "
-    "whose pole is a little off the path"))
+    "CHANGES.md FOUND line on a pole a little off the path: next to the pole the "
+    "Kronrod-Gauss errors stay a few times the round-off guard as the widths halve, "
+    "so the failing subintervals double each round until a stop (no-gain, or the "
+    "subinterval cap without it) raises"))
 def test_pole_a_little_off_the_segment_converges():
     # the pole is about 2.9e-4 off the segment; 1/(w - p) is analytic on it
     a, b = 1.0370740021583198 + 0.7585206217883238j, 0.3879509220950257 + 0.0014257229474838873j
